@@ -6,22 +6,19 @@ and coarser summaries, so the whole past remains queryable, approximately,
 forever.
 """
 
-from . import compare, container, curation, dictionary, index, record, spectrum, stats
+from . import compare, container, curation, index, record, spectrum, stats
 from .compare import (
     DistributionModel,
     Verdict,
-    joint_diagonalize,
     kl_divergence,
     model_from_sample,
     subset_verdict,
     symmetric_merge_score,
 )
 from .curation import AccessLog, CurationRules, compact, rank_statistics_for_drop, record_access, score_merge_candidates
-from .dictionary import DictEntry, DictHistogram, Dictionary, merge_histograms
 from .errors import StoreError
 from .index import IndexNode, build, membership, range_count_bounds
 from .record import SummaryRecord, allocate_budget, recorder_span
-from .spectrum import ScaleWiseVariance, compress, second_order_swv, swv_merge
 from .stats import (
     OUTLIER_BIN,
     StatisticSet,
@@ -38,13 +35,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AccessLog",
     "CurationRules",
-    "DictEntry",
-    "DictHistogram",
-    "Dictionary",
     "DistributionModel",
     "IndexNode",
     "OUTLIER_BIN",
-    "ScaleWiseVariance",
     "StatisticSet",
     "StoreError",
     "SummaryRecord",
@@ -55,17 +48,13 @@ __all__ = [
     "build",
     "compact",
     "compare",
-    "compress",
     "container",
     "curation",
-    "dictionary",
     "index",
-    "joint_diagonalize",
     "kl_divergence",
     "membership",
     "merge",
     "merge_all",
-    "merge_histograms",
     "merge_hull",
     "model_from_sample",
     "range_count_bounds",
@@ -74,11 +63,9 @@ __all__ = [
     "record_access",
     "recorder_span",
     "score_merge_candidates",
-    "second_order_swv",
     "spectrum",
     "stats",
     "subset_verdict",
     "summarize",
-    "swv_merge",
     "symmetric_merge_score",
 ]

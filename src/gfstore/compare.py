@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .errors import ChannelMismatch, EmptySample, SingularMatrix
+from .errors import ChannelMismatch, EmptySample
 from .stats import OUTLIER_BIN, SummarySample
 
 #: Finite stand-in for infinite divergences when ranking merge candidates.
@@ -397,35 +396,3 @@ def symmetric_merge_score(a: SummarySample, b: SummarySample, family: str | None
     ma = model_from_sample(a, family)
     mb = model_from_sample(b, family)
     return min(kl_divergence(ma, mb), cap) + min(kl_divergence(mb, ma), cap)
-
-
-def joint_diagonalize(c1, c2):
-    """Find W with W.T @ C1 @ W = I and W.T @ C2 @ W diagonal.
-
-    Eigenvalues are returned descending, so the leading columns span the
-    subspace where the two covariances differ most.  C1 is regularized with
-    1e-9 * trace/d before factorization.
-    """
-    c1 = np.asarray(c1, dtype=np.float64)
-    c2 = np.asarray(c2, dtype=np.float64)
-    if c1.shape != c2.shape or c1.ndim != 2 or c1.shape[0] != c1.shape[1]:
-        raise ValueError("need two square matrices of equal shape")
-    if not (np.all(np.isfinite(c1)) and np.all(np.isfinite(c2))):
-        raise SingularMatrix("non-finite covariance input")
-    d = c1.shape[0]
-    reg = 1e-9 * np.trace(c1) / d
-    if reg <= 0:
-        raise SingularMatrix("C1 has non-positive trace")
-    c1r = c1 + reg * np.eye(d)
-    try:
-        eigvals, w = scipy.linalg.eigh(c2, c1r)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise SingularMatrix(str(exc)) from exc
-    order = np.argsort(eigvals)[::-1]
-    eigvals = eigvals[order]
-    w = w[:, order]
-    for j in range(d):  # deterministic sign convention
-        k = int(np.argmax(np.abs(w[:, j])))
-        if w[k, j] < 0:
-            w[:, j] = -w[:, j]
-    return w, eigvals

@@ -1,11 +1,12 @@
 """Self-describing container for a whole record.
 
 Layout: magic "GFS1", format version, a JSON manifest (stream metadata,
-curation rules, provenance, dictionary, access log, CRC-32 of the data
-section), then the data section: per-level arrays of samples whose
-optional statistics are stored as length-prefixed blocks.  Length
-prefixes make unknown blocks skippable, so containers written by richer
-builds stay readable.  All numbers are little-endian; reals are IEEE-754
+curation rules, provenance, access log, CRC-32 of the data section),
+then the data section: per-level arrays of samples whose optional
+statistics are stored as length-prefixed blocks.  Length prefixes make
+unknown blocks skippable, and unknown statistics or rules keys in the
+manifest are dropped with a provenance note, so containers written by
+richer builds stay readable.  All numbers are little-endian; reals are IEEE-754
 64-bit, counts 64-bit unsigned, so round trips are bit-exact.
 """
 
@@ -19,13 +20,8 @@ import zlib
 
 import numpy as np
 
-from . import curation, dictionary, stats
-from .errors import (
-    BadMagic,
-    ChecksumMismatch,
-    InvariantViolation,
-    VersionUnsupported,
-)
+from . import curation, stats
+from .errors import BadMagic, ChecksumMismatch, VersionUnsupported
 from .record import SummaryRecord
 
 MAGIC = b"GFS1"
@@ -42,7 +38,7 @@ _BLOCK_HIST_EDGES = 8
 _BLOCK_SWV = 9
 _BLOCK_FAMILY_HINT = 10
 _BLOCK_NOTES = 11
-_BLOCK_DICT_ID = 12
+# 12: retired (was the per-sample dictionary id); never reuse it
 
 
 def _floats(arr) -> bytes:
@@ -90,8 +86,6 @@ def _encode_sample(s: stats.SummarySample) -> bytes:
             raw = note.encode("utf-8")
             payload += struct.pack("<Q", len(raw)) + raw
         blocks.append((_BLOCK_NOTES, payload))
-    if s.dict_id is not None:
-        blocks.append((_BLOCK_DICT_ID, s.dict_id.encode("utf-8")))
 
     out = io.BytesIO()
     out.write(struct.pack("<qqQqdII", s.t_start, s.t_end, s.n, s.sid, s.weight, d, len(blocks)))
@@ -158,8 +152,6 @@ def _decode_sample(buf: memoryview, offset: int, notes_sink: list) -> tuple[stat
                 notes.append(payload[pos : pos + ln].decode("utf-8"))
                 pos += ln
             s.notes = tuple(notes)
-        elif btype == _BLOCK_DICT_ID:
-            s.dict_id = payload.decode("utf-8")
         else:
             notes_sink.append(f"skipped unknown statistic block type {btype} ({length} bytes)")
     return s, offset
@@ -191,7 +183,6 @@ def _manifest(rec: SummaryRecord, data: bytes) -> dict:
         "statistics": opts,
         "rules": rules,
         "provenance": rec.provenance,
-        "dictionary": None if rec.dictionary is None else rec.dictionary.to_dict(),
         "access_log": rec.access_log.to_dict(),
         "counters": {
             "now": rec.now,
@@ -199,6 +190,13 @@ def _manifest(rec: SummaryRecord, data: bytes) -> dict:
             "merge_count": rec.merge_count,
         },
     }
+
+
+def _known_fields(cls, fields: dict, section: str, ignored: list[str]) -> dict:
+    """The entries of ``fields`` that ``cls`` declares; the rest go to ``ignored``."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    ignored.extend(f"{section}.{k}" for k in sorted(fields) if k not in names)
+    return {k: v for k, v in fields.items() if k in names}
 
 
 def write(rec: SummaryRecord) -> bytes:
@@ -233,11 +231,12 @@ def read(blob: bytes) -> SummaryRecord:
     if (zlib.crc32(data) & 0xFFFFFFFF) != manifest["data_crc32"]:
         raise ChecksumMismatch("data section does not match manifest CRC-32")
 
-    opts_d = dict(manifest["statistics"])
+    ignored: list[str] = []
+    opts_d = _known_fields(stats.StatisticSet, manifest["statistics"], "statistics", ignored)
     if opts_d.get("histogram_edges") is not None:
         opts_d["histogram_edges"] = tuple(opts_d["histogram_edges"])
     opts = stats.StatisticSet(**opts_d)
-    rules_d = dict(manifest["rules"])
+    rules_d = _known_fields(curation.CurationRules, manifest["rules"], "rules", ignored)
     if rules_d.get("drop_priority") is not None:
         rules_d["drop_priority"] = tuple(rules_d["drop_priority"])
     rules = curation.CurationRules(**rules_d)
@@ -250,8 +249,8 @@ def read(blob: bytes) -> SummaryRecord:
     )
     rec.provenance = list(manifest["provenance"])
     rec.access_log = curation.AccessLog.from_dict(manifest["access_log"])
-    if manifest["dictionary"] is not None:
-        rec.dictionary = dictionary.Dictionary.from_dict(manifest["dictionary"])
+    if ignored:
+        rec.provenance.append({"op": "read", "note": f"ignored unknown manifest keys {', '.join(ignored)}"})
     rec.now = manifest["counters"]["now"]
     rec._next_sid = manifest["counters"]["next_sid"]
     rec.merge_count = manifest["counters"]["merge_count"]
@@ -274,10 +273,7 @@ def read(blob: bytes) -> SummaryRecord:
     rec._slots = sum(len(level) for level in rec.levels)
     for note in skip_notes:
         rec.provenance.append({"op": "read", "note": note})
-    try:
-        rec.validate()
-    except InvariantViolation:
-        raise
+    rec.validate()
     return rec
 
 

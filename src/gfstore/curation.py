@@ -38,9 +38,6 @@ class CurationRules:
     prior_access_w: float = 0.0
     kl_tau: float = 0.1
     access_half_life: float = 16.0
-    dict_gate_radius: float = 3.0
-    dict_promote_threshold: int = 3
-    dict_drop_threshold: int = 2
     max_scalars: int | None = None
     drop_priority: tuple[str, ...] | None = None
 
@@ -142,7 +139,7 @@ def _fast_share(s: stats.SummarySample) -> float:
     return float(s.swv[:2].sum()) / total
 
 
-def _dict_bonus(s: stats.SummarySample) -> float:
+def _in_range_share(s: stats.SummarySample) -> float:
     if s.histogram is None or s.n == 0:
         return 0.0
     hits = sum(v for k, v in s.histogram.items() if k != stats.OUTLIER_BIN)
@@ -154,7 +151,7 @@ def score_merge_candidates(samples, rules: CurationRules, log: AccessLog | None 
 
     score = nonstationarity_w * symmetric KL        (similar pairs go first)
           + prior_access_w    * pooled access count (used data get reprieve)
-          + recurrence_w      * dictionary-hit share(recurring patterns too)
+          + recurrence_w      * share of rows inside the histogram bins
           - slowness_w        * fast-scale SWV share(erratic data go early)
 
     Ties break toward the oldest pair, which is the whole policy when all
@@ -173,7 +170,7 @@ def score_merge_candidates(samples, rules: CurationRules, log: AccessLog | None 
         if rules.prior_access_w > 0 and log is not None:
             score += rules.prior_access_w * (log.count(a.sid) + log.count(b.sid))
         if rules.recurrence_reprieve_w > 0:
-            score += rules.recurrence_reprieve_w * 0.5 * (_dict_bonus(a) + _dict_bonus(b))
+            score += rules.recurrence_reprieve_w * 0.5 * (_in_range_share(a) + _in_range_share(b))
         if rules.slowness_w > 0:
             score -= rules.slowness_w * 0.5 * (_fast_share(a) + _fast_share(b))
         ranked.append(ScoredPair(i, score))
@@ -257,7 +254,6 @@ def _drop_statistic(sample: stats.SummarySample, name: str) -> bool:
     if name == "histogram" and sample.histogram is not None:
         sample.histogram = None
         sample.hist_edges = None
-        sample.dict_id = None
         return True
     if name == "covariance" and sample.covariance is not None:
         sample.covariance = None

@@ -10,7 +10,7 @@ class ChannelMismatch(StoreError):
 
 
 class DictionaryMismatch(StoreError):
-    """Histograms reference different dictionaries/binnings and no mapping was given."""
+    """Histograms have different bin edges."""
 
 
 class NegativeWeight(StoreError):
@@ -25,24 +25,12 @@ class FutureRange(StoreError):
     """Query interval extends past the newest ingested sample."""
 
 
-class DepthMismatch(StoreError):
-    """Scale-wise variance operands have different depths."""
-
-
 class EmptySeries(StoreError):
-    """An empty coefficient series cannot be summarized."""
-
-
-class NegativeInput(StoreError):
-    """Compressive transforms are defined on [0, inf) only."""
+    """An empty block has no scale-wise variance."""
 
 
 class EmptySample(StoreError):
     """A distribution model needs at least one observation."""
-
-
-class SingularMatrix(StoreError):
-    """Joint diagonalization failed even after regularization."""
 
 
 class EmptyLeaves(StoreError):
@@ -51,10 +39,6 @@ class EmptyLeaves(StoreError):
 
 class DimensionMismatch(StoreError):
     """Query vector does not match the indexed channel count."""
-
-
-class LengthMismatch(StoreError):
-    """Pattern length does not match the dictionary configuration."""
 
 
 class TooFewSamples(StoreError):
@@ -66,7 +50,7 @@ class CannotSatisfyBudget(StoreError):
 
 
 class UnknownId(StoreError):
-    """Referenced sample or dictionary entry id does not exist."""
+    """Referenced sample id does not exist."""
 
 
 class BadMagic(StoreError):

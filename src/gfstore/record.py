@@ -90,7 +90,6 @@ class SummaryRecord:
             raise ChannelMismatch("one label per channel")
         self.levels: list[list[stats.SummarySample]] = [[]]
         self.access_log = curation.AccessLog(half_life=rules.access_half_life)
-        self.dictionary = None
         self.merge_count = 0
         self.now = 0
         self.provenance: list[dict] = [

@@ -1,56 +1,28 @@
 """Scale-wise variance: a mergeable log-frequency power decomposition.
 
 An interval's population variance is split into one non-negative term per
-binary scale.  Term 0 (finest) carries the energy of the most rapid
-fluctuations, the last term the slowest.  The terms sum to the interval
-variance exactly, and the decomposition merges: combining two adjacent
-intervals averages the existing terms (cardinality-weighted) and appends
-one new term derived from the spread of the two interval means.
+binary scale, stored as a ``(depth, channels)`` array.  Term 0 (finest)
+carries the energy of the most rapid fluctuations, the last term the
+slowest.  The terms sum to the interval variance exactly, and the
+decomposition merges: combining two adjacent intervals averages the
+existing terms (cardinality-weighted) and appends one new term derived
+from the spread of the two interval means.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ChannelMismatch, DepthMismatch, EmptySeries, NegativeInput
+from .errors import EmptySeries
 
 
-@dataclass
-class ScaleWiseVariance:
-    """Per-scale variance terms plus the interval mean and count they belong to.
-
-    terms has shape (depth, channels), finest scale first.  ``n`` is the
-    effective count covered (a float so weighted counts pool exactly).
-    """
-
-    terms: np.ndarray
-    mean: np.ndarray
-    n: float
-
-    @property
-    def depth(self) -> int:
-        return self.terms.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.mean.shape[0]
-
-    def total(self) -> np.ndarray:
-        """Sum of all terms per channel; equals the interval variance."""
-        if self.depth == 0:
-            return np.zeros(self.channels)
-        return self.terms.sum(axis=0)
-
-    def copy(self) -> "ScaleWiseVariance":
-        return ScaleWiseVariance(self.terms.copy(), self.mean.copy(), self.n)
-
-
-def leaf(value) -> ScaleWiseVariance:
-    """Depth-0 decomposition of a single observation (no fluctuation yet)."""
-    v = np.atleast_1d(np.asarray(value, dtype=np.float64))
-    return ScaleWiseVariance(np.zeros((0, v.shape[0])), v.copy(), 1.0)
+def _pad_depth(terms: np.ndarray, depth: int) -> np.ndarray:
+    """Append zero coarse terms (axis -2) up to ``depth``."""
+    missing = depth - terms.shape[-2]
+    if missing == 0:
+        return terms
+    zeros = np.zeros(terms.shape[:-2] + (missing, terms.shape[-1]))
+    return np.concatenate([terms, zeros], axis=-2)
 
 
 def pool_terms(terms_a, mean_a, n_a, terms_b, mean_b, n_b, merged_mean):
@@ -60,106 +32,45 @@ def pool_terms(terms_a, mean_a, n_a, terms_b, mean_b, n_b, merged_mean):
     depths (the shallower stack is padded with zero coarse terms).  The sum
     of the output terms equals the pooled population variance of the union
     whenever each input satisfies the same identity.
+
+    Takes one pair (terms ``(depth, channels)``, means ``(channels,)``,
+    scalar counts) or a batch of m pairs (terms ``(m, depth, channels)``,
+    means ``(m, channels)``, counts ``(m,)``).  Counts must be positive.
     """
     n = n_a + n_b
-    if n_a == 0 and n_b == 0:
-        return np.zeros((0, mean_a.shape[0]))
-    if n_a == 0:
-        return terms_b.copy()
-    if n_b == 0:
-        return terms_a.copy()
-    da, db = terms_a.shape[0], terms_b.shape[0]
-    depth = max(da, db)
-    if da < depth:
-        terms_a = np.vstack([terms_a, np.zeros((depth - da, terms_a.shape[1]))])
-    if db < depth:
-        terms_b = np.vstack([terms_b, np.zeros((depth - db, terms_b.shape[1]))])
-    base = (n_a * terms_a + n_b * terms_b) / n
-    spread = (n_a * (mean_a - merged_mean) ** 2 + n_b * (mean_b - merged_mean) ** 2) / n
-    return np.vstack([base, spread[np.newaxis, :]])
+    depth = max(terms_a.shape[-2], terms_b.shape[-2])
+    terms_a = _pad_depth(terms_a, depth)
+    terms_b = _pad_depth(terms_b, depth)
+    # transposed views put the batch axis last, where the counts broadcast
+    base = (n_a * terms_a.T + n_b * terms_b.T) / n
+    spread = (n_a * (mean_a - merged_mean).T ** 2 + n_b * (mean_b - merged_mean).T ** 2) / n
+    return np.concatenate([base.T, spread.T[..., np.newaxis, :]], axis=-2)
 
 
-def swv_merge(a: ScaleWiseVariance, b: ScaleWiseVariance, *, pad: bool = False) -> ScaleWiseVariance:
-    """Merge two adjacent decompositions; the result is one scale deeper.
+def swv_ladder(raw) -> np.ndarray:
+    """Build the ``(depth, channels)`` terms of a raw block by pairwise merging.
 
-    Equal depths are required unless ``pad`` is set, in which case the
-    shallower operand is padded with zero coarse terms (used when an odd
-    leftover interval meets a deeper neighbour).
-    """
-    if a.channels != b.channels:
-        raise ChannelMismatch(f"channels {a.channels} != {b.channels}")
-    if a.depth != b.depth and not pad:
-        raise DepthMismatch(f"depth {a.depth} != {b.depth}")
-    if a.n == 0:
-        return b.copy()
-    if b.n == 0:
-        return a.copy()
-    n = a.n + b.n
-    mean = (a.n * a.mean + b.n * b.mean) / n
-    terms = pool_terms(a.terms, a.mean, a.n, b.terms, b.mean, b.n, mean)
-    return ScaleWiseVariance(terms, mean, n)
-
-
-def swv_ladder(raw) -> ScaleWiseVariance:
-    """Build the full decomposition of a raw block by pairwise merging.
-
-    Accepts any N >= 1 (odd leftovers are carried to the next round and
-    merged with padding, exactly like the record does).
+    Each round merges adjacent pairs with one batched :func:`pool_terms`
+    call.  Accepts any N >= 1: an odd leftover is carried to the next round
+    and merged with padding, exactly like the record does.
     """
     x = np.asarray(raw, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, np.newaxis]
     if x.shape[0] == 0:
         raise EmptySeries("cannot decompose an empty block")
-    rung = [leaf(row) for row in x]
-    while len(rung) > 1:
-        nxt = [swv_merge(rung[i], rung[i + 1], pad=True) for i in range(0, len(rung) - 1, 2)]
-        if len(rung) % 2:
-            nxt.append(rung[-1])
-        rung = nxt
-    return rung[0]
-
-
-def second_order_swv(series, *, pad: bool = True) -> ScaleWiseVariance:
-    """Decompose a time series of (compressed) coefficients at one scale.
-
-    The series is expected to be pre-compressed (see :func:`compress`).
-    Lengths that are not a power of two are edge-padded (last value
-    repeated) unless ``pad`` is disabled, in which case they must be exact.
-    """
-    x = np.asarray(series, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, np.newaxis]
-    j = x.shape[0]
-    if j == 0:
-        raise EmptySeries("empty coefficient series")
-    target = 1 << (j - 1).bit_length()
-    if target != j:
-        if not pad:
-            raise EmptySeries(f"series length {j} is not a power of two")
-        x = np.vstack([x, np.repeat(x[-1:], target - j, axis=0)])
-    return swv_ladder(x)
-
-
-def compress(v, order: int = 2):
-    """Compressive transform applied before higher-order summarization.
-
-    Order 2 is the square root, order 3 the cube root; order 1 is the
-    identity.  Input must be non-negative.
-    """
-    arr = np.asarray(v, dtype=np.float64)
-    if np.any(arr < 0):
-        raise NegativeInput("compress is defined on [0, inf)")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if order == 1:
-        out = arr.copy()
-    elif order == 2:
-        out = np.sqrt(arr)
-    elif order == 3:
-        out = np.cbrt(arr)
-    else:
-        out = arr ** (1.0 / order)
-    if np.isscalar(v) or arr.ndim == 0:
-        return float(out)
-    return out
+    terms = np.zeros((x.shape[0], 0, x.shape[1]))
+    mean = x
+    n = np.ones(x.shape[0])
+    while n.shape[0] > 1:
+        paired = n.shape[0] - n.shape[0] % 2
+        a, b = slice(0, paired, 2), slice(1, paired, 2)
+        n_ab = n[a] + n[b]
+        mean_ab = (n[a, np.newaxis] * mean[a] + n[b, np.newaxis] * mean[b]) / n_ab[:, np.newaxis]
+        terms_ab = pool_terms(terms[a], mean[a], n[a], terms[b], mean[b], n[b], mean_ab)
+        if paired < n.shape[0]:
+            terms_ab = np.concatenate([terms_ab, _pad_depth(terms[-1:], terms_ab.shape[1])])
+            mean_ab = np.concatenate([mean_ab, mean[-1:]])
+            n_ab = np.concatenate([n_ab, n[-1:]])
+        terms, mean, n = terms_ab, mean_ab, n_ab
+    return terms[0]

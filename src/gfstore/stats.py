@@ -20,7 +20,7 @@ import numpy as np
 from . import spectrum
 from .errors import ChannelMismatch, DictionaryMismatch, NegativeWeight
 
-#: Histogram bin id reserved for out-of-range / dropped-entry counts.
+#: Histogram bin id reserved for out-of-range counts.
 OUTLIER_BIN = -1
 
 
@@ -52,9 +52,6 @@ class SummarySample:
     ``variance``/``min_v``/``max_v`` may be None after a curation drop; an
     empty sample (n == 0) instead carries the neutral values (zero moments,
     +inf/-inf extrema) so merges need no special cases.
-
-    ``skewness``/``kurtosis`` are reserved slots: no merge law is
-    implemented for them and merges drop them.
     """
 
     t_start: int
@@ -69,11 +66,8 @@ class SummarySample:
     hull: np.ndarray | None = None
     histogram: dict[int, int] | None = None
     hist_edges: np.ndarray | None = None
-    dict_id: str | None = None
     swv: np.ndarray | None = None
     family_hint: str | None = None
-    skewness: np.ndarray | None = None
-    kurtosis: np.ndarray | None = None
     sid: int = -1
     notes: tuple[str, ...] = ()
 
@@ -122,7 +116,6 @@ class SummarySample:
             and arr_eq(self.hull, other.hull)
             and self.histogram == other.histogram
             and arr_eq(self.hist_edges, other.hist_edges)
-            and self.dict_id == other.dict_id
             and arr_eq(self.swv, other.swv)
             and self.family_hint == other.family_hint
             and self.sid == other.sid
@@ -184,7 +177,7 @@ def summarize(raw, t_start: int = 0, opts: StatisticSet | None = None) -> Summar
         s.histogram = hist
         s.hist_edges = edges
     if opts.swv:
-        s.swv = spectrum.swv_ladder(x).terms
+        s.swv = spectrum.swv_ladder(x)
     return s
 
 
@@ -390,8 +383,6 @@ def merge(a: SummarySample, b: SummarySample, *, allow_gap: bool = False) -> Sum
     if both("hull", a.hull, b.hull):
         out.hull = merge_hull(a.hull, b.hull)
     if both("histogram", a.histogram, b.histogram):
-        if a.dict_id != b.dict_id:
-            raise DictionaryMismatch(f"dictionary {a.dict_id!r} != {b.dict_id!r}")
         if (a.hist_edges is None) != (b.hist_edges is None) or (
             a.hist_edges is not None and not np.array_equal(a.hist_edges, b.hist_edges)
         ):
@@ -401,7 +392,6 @@ def merge(a: SummarySample, b: SummarySample, *, allow_gap: bool = False) -> Sum
             hist[k] = hist.get(k, 0) + v
         out.histogram = hist
         out.hist_edges = None if a.hist_edges is None else a.hist_edges.copy()
-        out.dict_id = a.dict_id
     if both("swv", a.swv, b.swv):
         out.swv = spectrum.pool_terms(a.swv, a.mean, ea, b.swv, b.mean, eb, mean)
     if a.family_hint == b.family_hint:

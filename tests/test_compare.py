@@ -6,7 +6,6 @@ import pytest
 from gfstore import compare, stats
 from gfstore.compare import (
     gaussian_model,
-    joint_diagonalize,
     kl_divergence,
     model_from_sample,
     piecewise_model,
@@ -15,7 +14,7 @@ from gfstore.compare import (
     symmetric_merge_score,
     uniform_model,
 )
-from gfstore.errors import EmptySample, SingularMatrix
+from gfstore.errors import EmptySample
 
 
 def density_fn(m):
@@ -248,44 +247,6 @@ def test_asymmetry_is_reported():
     a = gaussian_model([0.0], [0.5])
     b = gaussian_model([0.0], [2.0])
     assert kl_divergence(a, b) != kl_divergence(b, a)
-
-
-def test_joint_diagonalize_identity():
-    w, vals = joint_diagonalize(np.eye(2), np.eye(2))
-    assert np.allclose(vals, [1.0, 1.0], atol=1e-6)
-    assert np.allclose(w.T @ np.eye(2) @ w, np.eye(2), atol=1e-6)
-
-
-def test_joint_diagonalize_diagonal_case():
-    c1 = np.eye(2)
-    c2 = np.diag([4.0, 0.25])
-    w, vals = joint_diagonalize(c1, c2)
-    assert np.allclose(vals, [4.0, 0.25], atol=1e-6)
-    lead = np.abs(w[:, 0])
-    assert lead[0] > lead[1]  # leading axis is e1
-
-
-def test_joint_diagonalize_reconstruction():
-    rng = np.random.default_rng(31)
-    for _ in range(10):
-        a = rng.normal(size=(3, 3))
-        b = rng.normal(size=(3, 3))
-        c1 = a @ a.T + 0.5 * np.eye(3)
-        c2 = b @ b.T + 0.1 * np.eye(3)
-        w, vals = joint_diagonalize(c1, c2)
-        winv = np.linalg.inv(w)
-        rebuilt = winv.T @ np.diag(vals) @ winv
-        assert np.linalg.norm(rebuilt - c2) / np.linalg.norm(c2) < 1e-8
-        assert np.allclose(w.T @ c1 @ w, np.eye(3), atol=1e-6)
-        diag = w.T @ c2 @ w
-        assert np.allclose(diag - np.diag(np.diag(diag)), 0.0, atol=1e-8)
-
-
-def test_joint_diagonalize_rejects_garbage():
-    with pytest.raises(SingularMatrix):
-        joint_diagonalize(np.zeros((2, 2)), np.eye(2))
-    with pytest.raises(SingularMatrix):
-        joint_diagonalize(np.full((2, 2), np.nan), np.eye(2))
 
 
 def test_kl_nonnegative_fuzz():

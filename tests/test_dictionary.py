@@ -1,180 +1,37 @@
+"""Histogram merges: bin counts add key by key, and bins must share edges.
+
+The per-sample histogram (bin index -> count, with ``OUTLIER_BIN`` for rows
+outside the edges) is the store's one dictionary of values; a merge of
+histograms over different bin edges raises ``DictionaryMismatch``.
+"""
+
 import numpy as np
 import pytest
 
-from gfstore.dictionary import Dictionary, DictHistogram, merge_histograms
-from gfstore.errors import DictionaryMismatch, LengthMismatch, UnknownId
-from gfstore.stats import OUTLIER_BIN
+from gfstore import stats
+from gfstore.errors import DictionaryMismatch
+from gfstore.stats import OUTLIER_BIN, StatisticSet, merge, summarize
 
-
-def three_gaussian_stream(seed, n=3000, means=(0.0, 4.0, 8.0), sigma=1.0):
-    rng = np.random.default_rng(seed)
-    which = rng.integers(0, 3, size=n)
-    return np.array(means)[which] + rng.normal(scale=sigma, size=n)
-
-
-def bootstrap(seed, capacity, n=3000):
-    d = Dictionary(capacity=capacity, pattern_length=1)
-    for x in three_gaussian_stream(seed, n=n):
-        d.assign([x])
-    return d
-
-
-def recovered_means(d):
-    return sorted(float(e.mean[0]) for e in d.entries.values() if e.kind == "pattern")
-
-
-def recovery_error(d, truth=(0.0, 4.0, 8.0)):
-    means = recovered_means(d)
-    if not means:
-        return np.inf
-    return float(np.mean([min(abs(m - t) for m in means) for t in truth]))
-
-
-def test_symbol_repeat_hits_same_entry():
-    d = Dictionary(capacity=8)
-    e1 = d.assign("apple")
-    e2 = d.assign("apple")
-    assert e1 == e2
-    assert d.entries[e1].count == 2
-    assert d.assign("pear") != e1
-
-
-def test_pattern_at_entry_mean_distance_zero():
-    d = Dictionary(capacity=8, pattern_length=2)
-    eid = d.assign([1.0, 2.0])
-    assert d.assign([1.0, 2.0]) == eid
-    assert d.entries[eid].count == 2
-
-
-def test_length_mismatch():
-    d = Dictionary(capacity=8, pattern_length=2)
-    d.assign([1.0, 2.0])
-    with pytest.raises(LengthMismatch):
-        d.assign([1.0, 2.0, 3.0])
-
-
-def test_gate_boundary_overflow_to_outlier():
-    d = Dictionary(capacity=1, pattern_length=1, gate_radius=3.0)
-    for x in (0.0, 0.1, -0.1, 0.05, -0.05):  # establish one tight entry
-        d.assign([x])
-    e = d.entries[0]
-    band = max(float(e.std()[0]), d.std_floor)
-    just_outside = float(e.mean[0]) + band * (d.gate_radius + 0.5)
-    # oracle: the direct distance computation says this is beyond the gate
-    assert abs(just_outside - e.mean[0]) / band > d.gate_radius
-    before = d.outlier_count
-    assert d.assign([just_outside]) == OUTLIER_BIN
-    assert d.outlier_count == before + 1
-    just_inside = float(e.mean[0]) + band * (d.gate_radius - 0.5)
-    assert d.assign([just_inside]) == 0
-
-
-def test_provisional_promotion():
-    d = Dictionary(capacity=4, pattern_length=1, promote_threshold=3)
-    eid = d.assign([0.0])
-    assert d.entries[eid].provisional
-    d.assign([0.0])
-    assert d.entries[eid].provisional
-    d.assign([0.0])
-    assert not d.entries[eid].provisional
+EDGES = StatisticSet(histogram_edges=(0.0, 1.0, 2.0, 3.0))
 
 
 def test_histogram_merge_identity_and_doubling():
-    h = DictHistogram(0, 4, "d", counts={0: 3, 1: 1})
-    e = DictHistogram(4, 4, "d")
-    m = merge_histograms(h, e)
-    assert m.counts == {0: 3, 1: 1} and m.outlier == 0
-    m2 = merge_histograms(h, DictHistogram(4, 8, "d", counts={0: 3, 1: 1}))
-    assert m2.counts == {0: 6, 1: 2}
+    block = [0.2, 0.5, 0.8, 1.5]
+    h = summarize(block, t_start=0, opts=EDGES)
+    assert h.histogram == {0: 3, 1: 1}
+    m = merge(h, stats.empty(1, t=4))
+    assert m.histogram == {0: 3, 1: 1} and OUTLIER_BIN not in m.histogram
+    m2 = merge(h, summarize(block, t_start=4, opts=EDGES))
+    assert m2.histogram == {0: 6, 1: 2}
     assert (m2.t_start, m2.t_end) == (0, 8)
+    assert np.array_equal(m2.hist_edges, h.hist_edges)
 
 
 def test_histogram_merge_requires_same_dictionary():
-    h1 = DictHistogram(0, 1, "a", counts={0: 1})
-    h2 = DictHistogram(1, 2, "b", counts={0: 1})
+    h1 = summarize([0.5], t_start=0, opts=EDGES)
+    h2 = summarize([0.5], t_start=1, opts=StatisticSet(histogram_edges=(0.0, 2.0, 4.0)))
     with pytest.raises(DictionaryMismatch):
-        merge_histograms(h1, h2)
-    m = merge_histograms(h1, h2, mapping={0: 1})
-    assert m.counts == {0: 1, 1: 1}
-
-
-def test_compact_noop_when_small():
-    d = Dictionary(capacity=8, pattern_length=1, drop_threshold=1)
-    d.assign([0.0])
-    d.assign([10.0])
-    remap = d.compact(4)
-    assert remap == {}
-    assert len(d.entries) == 2
-
-
-def test_compact_merges_closest_and_remaps():
-    d = Dictionary(capacity=8, pattern_length=1, drop_threshold=1)
-    for x in (0.0, 0.1, 5.0, 5.1, 20.0):
-        for _ in range(3):
-            d.assign([x + 0.001])
-    before = d.total_count()
-    remap = d.compact(3)
-    assert len(d.entries) <= 3
-    assert d.total_count() == before
-    # histograms stay consistent through the remap
-    h = DictHistogram(0, 15, "dict", counts={eid: 1 for eid in range(5)})
-    h.apply_remap(remap)
-    assert h.total() == 5
-    assert set(h.counts) <= set(d.entries)
-
-
-def test_compact_drops_rare_to_outlier():
-    d = Dictionary(capacity=8, pattern_length=1, drop_threshold=2)
-    for _ in range(5):
-        d.assign([0.0])
-    d.assign([100.0])  # a singleton: recurs rarely
-    before = d.total_count()
-    remap = d.compact(8)
-    assert remap.get(1) == OUTLIER_BIN
-    assert d.outlier_count == 1
-    assert d.total_count() == before
-
-
-def test_simplify_categories():
-    d = Dictionary(capacity=8)
-    ids = [d.assign(s) for s in ("apple", "pear", "plum", "rock")]
-    d.assign("apple")
-    # identity map changes nothing
-    assert d.simplify({ids[0]: ids[0]}) == {}
-    total = d.total_count()
-    moved = d.simplify({ids[1]: ids[0], ids[2]: ids[0]})
-    assert moved == {ids[1]: ids[0], ids[2]: ids[0]}
-    assert d.entries[ids[0]].count == 4  # 2 apples + pear + plum
-    assert d.total_count() == total
-    assert ids[3] in d.entries  # partial map leaves the rest untouched
-    with pytest.raises(UnknownId):
-        d.simplify({999: ids[0]})
-
-
-def test_three_gaussian_recovery_single_seed():
-    d = bootstrap(seed=0, capacity=8)
-    before = d.total_count()
-    assert before == 3000
-    d.compact(4)
-    assert d.total_count() == 3000
-    err = recovery_error(d)
-    assert err <= 0.5
-    assert len(recovered_means(d)) >= 3
-
-
-def test_more_capacity_is_not_worse_smoke():
-    errs = {}
-    for cap in (4, 16):
-        d = bootstrap(seed=1, capacity=cap)
-        d.compact(4)
-        errs[cap] = recovery_error(d)
-    assert errs[16] <= errs[4] + 1e-9
-
-
-def test_assign_deterministic():
-    streams = three_gaussian_stream(seed=2, n=500)
-    results = []
-    for _ in range(2):
-        d = Dictionary(capacity=8, pattern_length=1)
-        results.append([d.assign([x]) for x in streams])
-    assert results[0] == results[1]
+        merge(h1, h2)
+    # same edges, disjoint bins: the merged histogram holds both keys
+    m = merge(h1, summarize([1.5], t_start=1, opts=EDGES))
+    assert m.histogram == {0: 1, 1: 1}

@@ -1,9 +1,10 @@
 import numpy as np
-import pytest
 
 from gfstore import spectrum
-from gfstore.errors import DepthMismatch, EmptySeries, NegativeInput
-from gfstore.spectrum import compress, second_order_swv, swv_ladder, swv_merge
+from gfstore.spectrum import swv_ladder
+from gfstore.stats import StatisticSet, merge, summarize
+
+SWV = StatisticSet(swv=True)
 
 
 def haar_scale_terms(x):
@@ -26,24 +27,38 @@ def haar_scale_terms(x):
     return np.array(terms)
 
 
+def pairwise_ladder(x):
+    """Reference ladder: one pool_terms call per adjacent pair, odd leftovers carried."""
+    rung = [(np.zeros((0, x.shape[1])), row, 1.0) for row in x]
+    while len(rung) > 1:
+        nxt = []
+        for (ta, ma, na), (tb, mb, nb) in zip(rung[0:-1:2], rung[1::2]):
+            n = na + nb
+            mean = (na * ma + nb * mb) / n
+            nxt.append((spectrum.pool_terms(ta, ma, na, tb, mb, nb, mean), mean, n))
+        if len(rung) % 2:
+            nxt.append(rung[-1])
+        rung = nxt
+    return rung[0][0]
+
+
 def test_worked_example_1234():
-    swv = swv_ladder([1.0, 2.0, 3.0, 4.0])
-    assert np.allclose(swv.terms.ravel(), [0.25, 1.0])
-    assert np.allclose(swv.total(), [1.25])
-    assert np.allclose(swv.total(), np.var([1.0, 2.0, 3.0, 4.0]))
+    terms = swv_ladder([1.0, 2.0, 3.0, 4.0])
+    assert np.allclose(terms.ravel(), [0.25, 1.0])
+    assert np.allclose(terms.sum(axis=0), [1.25])
+    assert np.allclose(terms.sum(axis=0), np.var([1.0, 2.0, 3.0, 4.0]))
 
 
 def test_parseval_example_1234():
     x = np.array([1.0, 2.0, 3.0, 4.0])
-    swv = swv_ladder(x)
+    terms = swv_ladder(x)
     lhs = np.sum(x**2) / 4.0
-    rhs = swv.total()[0] + swv.mean[0] ** 2
+    rhs = terms.sum() + x.mean() ** 2
     assert np.isclose(lhs, 7.5) and np.isclose(rhs, 7.5)
 
 
 def test_constant_signal_all_zero():
-    swv = swv_ladder(np.full(4, 3.7))
-    assert np.allclose(swv.terms, 0.0)
+    assert np.allclose(swv_ladder(np.full(4, 3.7)), 0.0)
 
 
 def test_matches_haar_oracle_on_random_blocks():
@@ -51,9 +66,9 @@ def test_matches_haar_oracle_on_random_blocks():
     for _ in range(40):
         k = int(rng.integers(1, 8))
         x = rng.normal(size=2**k)
-        swv = swv_ladder(x)
-        assert np.allclose(swv.terms.ravel(), haar_scale_terms(x), rtol=1e-9, atol=1e-12)
-        assert np.allclose(swv.total(), np.var(x), rtol=1e-9)
+        terms = swv_ladder(x)
+        assert np.allclose(terms.ravel(), haar_scale_terms(x), rtol=1e-9, atol=1e-12)
+        assert np.allclose(terms.sum(axis=0), np.var(x), rtol=1e-9)
 
 
 def test_terms_nonnegative_and_sum_to_variance_after_merges():
@@ -61,37 +76,42 @@ def test_terms_nonnegative_and_sum_to_variance_after_merges():
     for _ in range(30):
         n = int(rng.integers(2, 200))  # arbitrary N, odd leftovers included
         x = rng.normal(size=n)
-        swv = swv_ladder(x)
-        assert np.all(swv.terms >= 0)
-        assert np.allclose(swv.total(), np.var(x), rtol=1e-9, atol=1e-12)
+        terms = swv_ladder(x)
+        assert np.all(terms >= 0)
+        assert np.allclose(terms.sum(axis=0), np.var(x), rtol=1e-9, atol=1e-12)
+
+
+def test_ladder_bitwise_equals_pairwise_reference():
+    rng = np.random.default_rng(41)
+    for n in list(range(1, 40)) + [255, 257, 1000]:
+        x = rng.normal(size=(n, 2)) * 10.0
+        got, want = swv_ladder(x), pairwise_ladder(x)
+        assert got.shape == want.shape == ((n - 1).bit_length(), 2)
+        assert np.array_equal(got, want), n
 
 
 def test_merge_equal_depth():
-    a = swv_ladder([1.0, 2.0])
-    b = swv_ladder([3.0, 4.0])
-    m = swv_merge(a, b)
-    assert m.depth == 2
-    assert np.allclose(m.terms.ravel(), [0.25, 1.0])
+    a = summarize([1.0, 2.0], opts=SWV)
+    b = summarize([3.0, 4.0], t_start=2, opts=SWV)
+    m = merge(a, b)
+    assert m.swv.shape == (2, 1)
+    assert np.allclose(m.swv.ravel(), [0.25, 1.0])
 
 
-def test_merge_depth_mismatch_raises_without_pad():
-    a = swv_ladder([1.0, 2.0, 3.0, 4.0])
-    b = swv_ladder([5.0, 6.0])
-    with pytest.raises(DepthMismatch):
-        swv_merge(a, b)
-    m = swv_merge(a, b, pad=True)
-    assert m.depth == 3
-    assert np.allclose(m.total(), np.var([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), rtol=1e-9)
+def test_merge_unequal_depth_pads():
+    a = summarize([1.0, 2.0, 3.0, 4.0], opts=SWV)
+    b = summarize([5.0, 6.0], t_start=4, opts=SWV)
+    m = merge(a, b)
+    assert m.swv.shape == (3, 1)
+    assert np.allclose(m.swv.sum(axis=0), np.var([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), rtol=1e-9)
 
 
 def test_merge_unequal_counts_preserves_variance_sum():
     rng = np.random.default_rng(29)
     x = rng.normal(size=9)
-    a = swv_ladder(x[:6])
-    b = swv_ladder(x[6:])
-    m = swv_merge(a, b, pad=True)
-    assert np.allclose(m.total(), np.var(x), rtol=1e-9)
-    assert np.all(m.terms >= 0)
+    m = merge(summarize(x[:6], opts=SWV), summarize(x[6:], t_start=6, opts=SWV))
+    assert np.allclose(m.swv.sum(axis=0), np.var(x), rtol=1e-9)
+    assert np.all(m.swv >= 0)
 
 
 def test_dominant_scale_tracks_oscillation_period():
@@ -101,49 +121,5 @@ def test_dominant_scale_tracks_oscillation_period():
     t = np.arange(n)
     for p in (1, 2, 3):
         x = np.where((t // 2 ** (p - 1)) % 2 == 0, 1.0, -1.0)
-        swv = swv_ladder(x)
-        assert int(np.argmax(swv.terms[:, 0])) == p - 1
-
-
-def test_second_order_constant_series_is_zero():
-    swv = second_order_swv(np.full(8, 0.5))
-    assert np.allclose(swv.terms, 0.0)
-
-
-def test_second_order_alternating_vs_blocked():
-    fast = second_order_swv(np.array([1.0, 3.0, 1.0, 3.0]))
-    slow = second_order_swv(np.array([1.0, 1.0, 3.0, 3.0]))
-    assert np.argmax(fast.terms[:, 0]) == 0  # energy at the finest scale
-    assert np.argmax(slow.terms[:, 0]) == 1  # energy at the coarsest scale
-    assert np.isclose(fast.terms[0, 0], 1.0) and np.isclose(fast.terms[1, 0], 0.0)
-    assert np.isclose(slow.terms[0, 0], 0.0) and np.isclose(slow.terms[1, 0], 1.0)
-
-
-def test_second_order_pads_to_power_of_two():
-    swv = second_order_swv(np.array([1.0, 2.0, 3.0]))
-    assert swv.n == 4
-    with pytest.raises(EmptySeries):
-        second_order_swv(np.array([1.0, 2.0, 3.0]), pad=False)
-
-
-def test_second_order_empty_series():
-    with pytest.raises(EmptySeries):
-        second_order_swv(np.array([]))
-
-
-def test_compress_examples():
-    assert compress(0.0) == 0.0
-    assert compress(4.0, order=2) == 2.0
-    assert compress(8.0, order=3) == 2.0
-    assert compress(5.0, order=1) == 5.0
-
-
-def test_compress_rejects_negative():
-    with pytest.raises(NegativeInput):
-        compress(-1.0)
-
-
-def test_compress_monotone_on_arrays():
-    v = np.linspace(0, 10, 50)
-    out = compress(v, order=2)
-    assert np.all(np.diff(out) > 0)
+        terms = swv_ladder(x)
+        assert int(np.argmax(terms[:, 0])) == p - 1
