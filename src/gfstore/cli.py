@@ -4,18 +4,21 @@
     gfs compact <store>
     gfs query <store> --interval t0:t1 | --member v1,..,vd | --range lo:hi,..
     gfs compare <A> <B>
-    gfs inspect <store>
+    gfs inspect <store> [--json]
     gfs serve <store> --socket PATH
 
 CSV input is one row per time step, d comma-separated reals; an optional
 first line "#observation,action,reward" labels the channels.  GFS_BUDGET
-sets the default budget when --budget is absent.  Exit codes: 0 success,
-1 usage error, 2 data error.
+sets the default budget when --budget is absent.  inspect --json prints
+the whole accounting as one JSON object, including the provenance event
+totals and the last events kept.  Exit codes: 0 success, 1 usage error,
+2 data error.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -177,6 +180,9 @@ def cmd_compare(args) -> int:
 def cmd_inspect(args) -> int:
     rec = container.load(args.store)
     info = container.inspect_summary(rec)
+    if args.json:
+        print(json.dumps(info, sort_keys=True))
+        return 0
     print(
         f"stream t = {info['now']}; slots {info['slots']}/{info['budget']}; "
         f"merges {info['merge_count']}; scalars {info['scalar_footprint']}"
@@ -188,7 +194,11 @@ def cmd_inspect(args) -> int:
             f"raw [{row['t_start']},{row['t_end']}), n={row['n_total']}, "
             f"{row['floats_per_sample']:.1f} floats + {row['ints_per_sample']:.1f} ints per sample"
         )
-    print(f"provenance: {info['provenance_events']} events")
+    print(f"provenance: {info['provenance_events']} events, last {len(info['provenance'])} kept")
+    for op, level, reason, count in info["event_counts"]:
+        where = "" if level is None else f" level {level}"
+        why = "" if reason is None else f" ({reason})"
+        print(f"  {op}{where}{why}: {count}")
     print(f"rules: {info['rules']}")
     return 0
 
@@ -225,8 +235,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--tau", type=float, default=0.1)
     sp.set_defaults(func=cmd_compare)
 
-    sp = sub.add_parser("inspect", help="span report, storage cost, rules")
+    sp = sub.add_parser("inspect", help="span report, storage cost, rules, provenance")
     sp.add_argument("store")
+    sp.add_argument("--json", action="store_true", help="print one JSON object")
     sp.set_defaults(func=cmd_inspect)
 
     sp = sub.add_parser("serve", help="answer line-delimited JSON queries on a socket")

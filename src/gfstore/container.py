@@ -3,11 +3,16 @@
 Layout: magic "GFS1", format version, a JSON manifest (stream metadata,
 curation rules, provenance, access log, CRC-32 of the data section),
 then the data section: per-level arrays of samples whose optional
-statistics are stored as length-prefixed blocks.  Length prefixes make
-unknown blocks skippable, and unknown statistics or rules keys in the
-manifest are dropped with a provenance note, so containers written by
-richer builds stay readable.  All numbers are little-endian; reals are IEEE-754
-64-bit, counts 64-bit unsigned, so round trips are bit-exact.
+statistics are stored as length-prefixed blocks.  Provenance is bounded:
+the manifest holds the event totals as sorted ``[op, level, reason,
+count]`` rows under ``event_counts`` and the last ``PROVENANCE_RING``
+events under ``provenance``; a file without ``event_counts`` (an older
+build's unbounded event list) is folded into totals on read.  Length
+prefixes make unknown blocks skippable, and unknown statistics or rules
+keys in the manifest are dropped with a provenance note, so containers
+written by richer builds stay readable.  All numbers are little-endian;
+reals are IEEE-754 64-bit, counts 64-bit unsigned, so round trips are
+bit-exact.  Any malformed input raises a :class:`StoreError`.
 """
 
 from __future__ import annotations
@@ -15,14 +20,16 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import os
 import struct
 import zlib
+from collections import deque
 
 import numpy as np
 
 from . import curation, stats
-from .errors import BadMagic, ChecksumMismatch, VersionUnsupported
-from .record import SummaryRecord
+from .errors import BadMagic, ChecksumMismatch, CorruptContainer, VersionUnsupported
+from .record import PROVENANCE_RING, SummaryRecord
 
 MAGIC = b"GFS1"
 FORMAT_VERSION = 1
@@ -182,7 +189,8 @@ def _manifest(rec: SummaryRecord, data: bytes) -> dict:
         "labels": list(rec.labels),
         "statistics": opts,
         "rules": rules,
-        "provenance": rec.provenance,
+        "provenance": list(rec.provenance),
+        "event_counts": rec.event_rows(),
         "access_log": rec.access_log.to_dict(),
         "counters": {
             "now": rec.now,
@@ -213,8 +221,28 @@ def write(rec: SummaryRecord) -> bytes:
     return out.getvalue()
 
 
+def _fold_events(events: list[dict]) -> dict:
+    """Event totals of an unbounded event list, as written by older builds."""
+    counts: dict = {}
+    for e in events:
+        key = (e["op"], e.get("level"), e.get("reason", e.get("statistic")))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def read(blob: bytes) -> SummaryRecord:
-    """Parse a container, verifying checksum and structural invariants."""
+    """Parse a container, verifying checksum and structural invariants.
+
+    Every failure is a :class:`StoreError`; malformed bytes that trip the
+    decoders raise :class:`CorruptContainer`.
+    """
+    try:
+        return _read(blob)
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError, struct.error) as exc:
+        raise CorruptContainer(f"malformed container ({type(exc).__name__}: {exc})") from exc
+
+
+def _read(blob: bytes) -> SummaryRecord:
     if blob[:4] != MAGIC:
         raise BadMagic(f"expected {MAGIC!r}, found {blob[:4]!r}")
     (version,) = struct.unpack_from("<I", blob, 4)
@@ -247,10 +275,16 @@ def read(blob: bytes) -> SummaryRecord:
         rules=rules,
         labels=tuple(manifest["labels"]),
     )
-    rec.provenance = list(manifest["provenance"])
+    events = manifest["provenance"]
+    if "event_counts" in manifest:
+        rec.event_counts = {(op, level, reason): n for op, level, reason, n in manifest["event_counts"]}
+    else:
+        rec.event_counts = _fold_events(events)
+    rec.provenance = deque(events, maxlen=PROVENANCE_RING)
     rec.access_log = curation.AccessLog.from_dict(manifest["access_log"])
     if ignored:
-        rec.provenance.append({"op": "read", "note": f"ignored unknown manifest keys {', '.join(ignored)}"})
+        note = f"ignored unknown manifest keys {', '.join(ignored)}"
+        rec.note(("read", None, None), {"op": "read", "note": note})
     rec.now = manifest["counters"]["now"]
     rec._next_sid = manifest["counters"]["next_sid"]
     rec.merge_count = manifest["counters"]["merge_count"]
@@ -272,14 +306,25 @@ def read(blob: bytes) -> SummaryRecord:
     rec.levels = levels if levels else [[]]
     rec._slots = sum(len(level) for level in rec.levels)
     for note in skip_notes:
-        rec.provenance.append({"op": "read", "note": note})
+        rec.note(("read", None, None), {"op": "read", "note": note})
     rec.validate()
     return rec
 
 
 def save(rec: SummaryRecord, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(write(rec))
+    """Replace the store at ``path`` atomically: a failed save leaves the old file as it was."""
+    blob = write(rec)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load(path) -> SummaryRecord:
@@ -288,7 +333,12 @@ def load(path) -> SummaryRecord:
 
 
 def inspect_summary(rec: SummaryRecord) -> dict:
-    """Human-oriented accounting: spans, slot usage, per-sample storage cost."""
+    """Accounting as plain JSON values: spans, slot usage, per-sample storage cost, provenance.
+
+    ``provenance_events`` is the total number of events ever counted;
+    ``event_counts`` holds the ``[op, level, reason, count]`` rows and
+    ``provenance`` the last ``PROVENANCE_RING`` events.
+    """
     levels = []
     for row in rec.span_report():
         samples = rec.levels[row.level]
@@ -322,5 +372,7 @@ def inspect_summary(rec: SummaryRecord) -> dict:
         "levels": levels,
         "statistics": rec._statistic_ids(),
         "rules": dataclasses.asdict(rec.rules),
-        "provenance_events": len(rec.provenance),
+        "provenance_events": sum(rec.event_counts.values()),
+        "event_counts": rec.event_rows(),
+        "provenance": list(rec.provenance),
     }

@@ -307,8 +307,9 @@ def compact(record, rules: CurationRules | None = None, log: AccessLog | None = 
                     for s in samples:
                         changed = _drop_statistic(s, name) or changed
                     if changed:
-                        record.provenance.append(
-                            {"op": "drop_statistic", "statistic": name, "level": level}
+                        record.note(
+                            ("drop_statistic", level, name),
+                            {"op": "drop_statistic", "statistic": name, "level": level},
                         )
                         dropped = True
                         break

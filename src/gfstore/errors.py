@@ -65,5 +65,9 @@ class ChecksumMismatch(StoreError):
     """Data section does not match the checksum recorded in the manifest."""
 
 
+class CorruptContainer(StoreError):
+    """Container bytes are truncated or malformed."""
+
+
 class InvariantViolation(StoreError):
     """A loaded record fails its structural invariants."""

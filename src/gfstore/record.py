@@ -11,12 +11,17 @@ exactly once.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import curation, stats
 from .errors import BudgetTooSmall, ChannelMismatch, FutureRange, InvariantViolation
+
+#: Provenance events kept verbatim; older events survive only as totals in
+#: ``SummaryRecord.event_counts``.
+PROVENANCE_RING = 64
 
 
 def allocate_budget(budget: int, levels_active: int) -> list[int]:
@@ -64,6 +69,11 @@ class QueryPart:
 class SummaryRecord:
     """Bounded-memory summary of an unbounded stream.
 
+    Everything the record keeps is bounded: at most ``budget`` samples, one
+    access counter per stored sample, the last ``PROVENANCE_RING`` events in
+    ``provenance``, and exact event totals in ``event_counts``, keyed by
+    ``(op, level, reason)``, which grow only with the number of levels.
+
     Single writer: ingest/compact must not run concurrently; readers may
     share the record between writes.
     """
@@ -92,14 +102,17 @@ class SummaryRecord:
         self.access_log = curation.AccessLog(half_life=rules.access_half_life)
         self.merge_count = 0
         self.now = 0
-        self.provenance: list[dict] = [
+        self.event_counts: dict[tuple[str, int | None, str | None], int] = {}
+        self.provenance: deque[dict] = deque(maxlen=PROVENANCE_RING)
+        self.note(
+            ("create", None, None),
             {
                 "op": "create",
                 "channels": channels,
                 "scale_ratio": 2,
                 "statistics": self._statistic_ids(),
-            }
-        ]
+            },
+        )
         self._next_sid = 0
         self._slots = 0
 
@@ -116,6 +129,21 @@ class SummaryRecord:
         if self.opts.swv:
             ids.append("swv")
         return ids
+
+    def note(self, key: tuple[str, int | None, str | None], event: dict) -> None:
+        """Count ``event`` under ``key`` = (op, level, reason) and keep it in the ring."""
+        counts = self.event_counts
+        counts[key] = counts.get(key, 0) + 1
+        self.provenance.append(event)
+
+    def event_rows(self) -> list[list]:
+        """``event_counts`` as ``[op, level, reason, count]`` rows in a fixed order."""
+
+        def order(item):
+            (op, level, reason), _ = item
+            return (op, -1 if level is None else level, reason or "")
+
+        return [[*key, n] for key, n in sorted(self.event_counts.items(), key=order)]
 
     @property
     def budget(self) -> int:
@@ -193,7 +221,7 @@ class SummaryRecord:
         mover = sorted(occupied, reverse=True)[1]
         s = self.levels[mover].pop()
         self.levels[mover + 1].append(s)
-        self.provenance.append({"op": "promote", "level": mover, "span": [s.t_start, s.t_end]})
+        self.note(("promote", mover, None), {"op": "promote", "level": mover, "span": [s.t_start, s.t_end]})
 
     def _merge_pair(
         self,
@@ -217,7 +245,8 @@ class SummaryRecord:
             dest = k
         self._slots -= 1
         self.merge_count += 1
-        self.provenance.append(
+        self.note(
+            ("rescale", k, reason),
             {
                 "op": "rescale",
                 "level": k,
@@ -225,7 +254,7 @@ class SummaryRecord:
                 "out_level": dest,
                 "span": [merged.t_start, merged.t_end],
                 "reason": reason,
-            }
+            },
         )
 
     def rebalance(
@@ -335,6 +364,7 @@ class SummaryRecord:
             and self.merge_count == other.merge_count
             and self._next_sid == other._next_sid
             and self.provenance == other.provenance
+            and self.event_counts == other.event_counts
             and len(self.levels) == len(other.levels)
             and all(a == b for a, b in zip(self.levels, other.levels))
             and self.access_log.to_dict() == other.access_log.to_dict()

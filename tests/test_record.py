@@ -1,9 +1,14 @@
+import copy
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gfstore import stats
+from gfstore import container, stats
+from gfstore.curation import CurationRules, compact
 from gfstore.errors import BudgetTooSmall, ChannelMismatch, FutureRange
-from gfstore.record import SummaryRecord, allocate_budget, recorder_span
+from gfstore.record import PROVENANCE_RING, SummaryRecord, allocate_budget, recorder_span
 
 
 def fill(rec, n, rng=None, d=1):
@@ -209,3 +214,49 @@ def test_labels_stored():
     assert rec.labels == ("observation", "action", "reward")
     with pytest.raises(ChannelMismatch):
         SummaryRecord(channels=2, budget=4, labels=("observation",))
+
+
+def traced_size(obj) -> int:
+    """Bytes tracemalloc sees allocated for a deep copy of ``obj``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        clone = copy.deepcopy(obj)  # noqa: F841 - held until measured
+        return tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_and_container_stay_flat_from_1e4_to_1e5_rows():
+    # Bound: 10x the rows may cost at most 10% more bytes.  Only the level
+    # count grows (log2 of the stream), so the measured growth is ~2%; an
+    # unbounded per-merge log would grow both figures about 10x.
+    bound = 1.10
+    rows = np.random.default_rng(7).normal(size=100_000)
+    rec = SummaryRecord(budget=64)
+    rec.ingest_block(rows[:10_000])
+    small_blob, small_mem = len(container.write(rec)), traced_size(rec)
+    rec.ingest_block(rows[10_000:])
+    large_blob, large_mem = len(container.write(rec)), traced_size(rec)
+    assert large_blob <= bound * small_blob
+    assert large_mem <= bound * small_mem
+    assert len(rec.provenance) <= PROVENANCE_RING
+    rescales = sum(n for (op, _, _), n in rec.event_counts.items() if op == "rescale")
+    assert rescales == rec.merge_count == 100_000 - 64
+
+
+def test_every_event_is_counted_and_the_ring_keeps_the_newest():
+    rec = SummaryRecord(budget=1)
+    fill(rec, 50)
+    compact(rec, rules=CurationRules(budget_slots=1, max_scalars=5))  # count + mean are 5 scalars
+    ops = {op for op, _, _ in rec.event_counts}
+    assert {"create", "rescale", "promote", "drop_statistic"} <= ops
+    top = len(rec.levels) - 1
+    assert rec.event_counts[("drop_statistic", top, "extrema")] == 1
+    assert rec.event_counts[("drop_statistic", top, "variance")] == 1
+    assert len(rec.provenance) == PROVENANCE_RING
+    assert rec.provenance[-1]["op"] == "drop_statistic"
+    total = sum(rec.event_counts.values())
+    assert total > PROVENANCE_RING
+    assert container.inspect_summary(rec)["provenance_events"] == total
