@@ -8,11 +8,11 @@
     gfs serve <store> --socket PATH
 
 CSV input is one row per time step, d comma-separated reals; an optional
-first line "#observation,action,reward" labels the channels.  GFS_BUDGET
-sets the default budget when --budget is absent.  inspect --json prints
-the whole accounting as one JSON object, including the provenance event
-totals and the last events kept.  Exit codes: 0 success, 1 usage error,
-2 data error.
+first line "#observation,action,reward" labels the channels.  A new store
+gets --budget slots, 256 when the flag is absent; an existing store keeps
+its own budget unless --budget is given.  inspect --json prints the whole
+accounting as one JSON object, including the provenance event totals and
+the last events kept.  Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -84,15 +84,6 @@ def _read_csv(stream):
     return labels, rows
 
 
-def _default_budget(flag) -> int:
-    if flag is not None:
-        return flag
-    env = os.environ.get("GFS_BUDGET")
-    if env is not None:
-        return int(env)
-    return DEFAULT_BUDGET
-
-
 def cmd_ingest(args) -> int:
     labels, rows = _read_csv(sys.stdin)
     if os.path.exists(args.store):
@@ -105,7 +96,7 @@ def cmd_ingest(args) -> int:
         channels = len(rows[0])
         rec = SummaryRecord(
             channels=channels,
-            budget=_default_budget(args.budget),
+            budget=DEFAULT_BUDGET if args.budget is None else args.budget,
             opts=_parse_stats(args.stats),
             labels=labels,
         )

@@ -11,7 +11,7 @@ subset or equality relation; raw data would be needed to confirm it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,13 +114,13 @@ def point_model(loc, source: str = "mean") -> DistributionModel:
 def model_from_sample(s: SummarySample, family: str | None = None) -> DistributionModel:
     """Parametrize the sample's empirical distribution.
 
-    Family resolution: explicit override, else the sample's own hint, else
-    histogram -> piecewise (single channel), mean+variance -> gaussian,
-    extrema alone -> uniform, bare mean -> point mass.
+    Family resolution: the explicit ``family``, else histogram -> piecewise
+    (single channel), mean+variance -> gaussian, extrema alone -> uniform,
+    bare mean -> point mass.
     """
     if s.n == 0:
         raise EmptySample("cannot model an empty sample")
-    fam = family or s.family_hint
+    fam = family
     if fam is None:
         if s.histogram is not None and s.hist_edges is not None and s.channels == 1:
             fam = "piecewise"

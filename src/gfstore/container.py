@@ -1,16 +1,22 @@
 """Self-describing container for a whole record.
 
-Layout: magic "GFS1", format version, a JSON manifest (stream metadata,
-curation rules, provenance, access log, CRC-32 of the data section),
-then the data section: per-level arrays of samples whose optional
-statistics are stored as length-prefixed blocks.  Provenance is bounded:
+Layout (format version 2): magic "GFS1", u32 format version, u64 manifest
+length, the manifest, u64 data length, then the data section.  The
+manifest is JSON (stream metadata, curation rules, provenance, access
+log, length and CRC-32 of the data section) plus a u32 CRC-32 trailer
+over magic, version, manifest length and JSON; the length counts the
+trailer.  Version 1 has no trailer and still loads.  The data section
+holds per-level arrays of samples whose optional statistics are stored
+as length-prefixed blocks.  Provenance is bounded:
 the manifest holds the event totals as sorted ``[op, level, reason,
 count]`` rows under ``event_counts`` and the last ``PROVENANCE_RING``
 events under ``provenance``; a file without ``event_counts`` (an older
 build's unbounded event list) is folded into totals on read.  Length
 prefixes make unknown blocks skippable, and unknown statistics or rules
 keys in the manifest are dropped with a provenance note, so containers
-written by richer builds stay readable.  All numbers are little-endian;
+written by richer or older builds stay readable; the skipped blocks of
+each type (such as the retired types 10-12) get one note with their
+count and bytes.  All numbers are little-endian;
 reals are IEEE-754 64-bit, counts 64-bit unsigned, so round trips are
 bit-exact.  Any malformed input raises a :class:`StoreError`.
 """
@@ -32,7 +38,7 @@ from .errors import BadMagic, ChecksumMismatch, CorruptContainer, VersionUnsuppo
 from .record import PROVENANCE_RING, SummaryRecord
 
 MAGIC = b"GFS1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _BLOCK_MEAN = 1
 _BLOCK_VARIANCE = 2
@@ -43,9 +49,8 @@ _BLOCK_HULL = 6
 _BLOCK_HISTOGRAM = 7
 _BLOCK_HIST_EDGES = 8
 _BLOCK_SWV = 9
-_BLOCK_FAMILY_HINT = 10
-_BLOCK_NOTES = 11
-# 12: retired (was the per-sample dictionary id); never reuse it
+# 10, 11, 12: retired (were the per-sample family hint, notes and dictionary
+# id); never reuse them
 
 
 def _floats(arr) -> bytes:
@@ -85,14 +90,6 @@ def _encode_sample(s: stats.SummarySample) -> bytes:
         )
     if s.swv is not None:
         blocks.append((_BLOCK_SWV, struct.pack("<Q", s.swv.shape[0]) + _floats(s.swv)))
-    if s.family_hint is not None:
-        blocks.append((_BLOCK_FAMILY_HINT, s.family_hint.encode("utf-8")))
-    if s.notes:
-        payload = struct.pack("<Q", len(s.notes))
-        for note in s.notes:
-            raw = note.encode("utf-8")
-            payload += struct.pack("<Q", len(raw)) + raw
-        blocks.append((_BLOCK_NOTES, payload))
 
     out = io.BytesIO()
     out.write(struct.pack("<qqQqdII", s.t_start, s.t_end, s.n, s.sid, s.weight, d, len(blocks)))
@@ -101,7 +98,8 @@ def _encode_sample(s: stats.SummarySample) -> bytes:
     return out.getvalue()
 
 
-def _decode_sample(buf: memoryview, offset: int, notes_sink: list) -> tuple[stats.SummarySample, int]:
+def _decode_sample(buf: memoryview, offset: int, skipped: dict) -> tuple[stats.SummarySample, int]:
+    """Decode one sample; unknown blocks are tallied as ``skipped[type] = (count, bytes)``."""
     head = struct.calcsize("<qqQqdII")
     t0, t1, n, sid, weight, d, n_blocks = struct.unpack_from("<qqQqdII", buf, offset)
     offset += head
@@ -147,20 +145,9 @@ def _decode_sample(buf: memoryview, offset: int, notes_sink: list) -> tuple[stat
         elif btype == _BLOCK_SWV:
             (depth,) = struct.unpack_from("<Q", payload)
             s.swv = _read_floats(payload[8:], depth * d).reshape(depth, d)
-        elif btype == _BLOCK_FAMILY_HINT:
-            s.family_hint = payload.decode("utf-8")
-        elif btype == _BLOCK_NOTES:
-            (k,) = struct.unpack_from("<Q", payload)
-            notes = []
-            pos = 8
-            for _ in range(k):
-                (ln,) = struct.unpack_from("<Q", payload, pos)
-                pos += 8
-                notes.append(payload[pos : pos + ln].decode("utf-8"))
-                pos += ln
-            s.notes = tuple(notes)
         else:
-            notes_sink.append(f"skipped unknown statistic block type {btype} ({length} bytes)")
+            count, total = skipped.get(btype, (0, 0))
+            skipped[btype] = (count + 1, total + length)
     return s, offset
 
 
@@ -178,9 +165,6 @@ def _manifest(rec: SummaryRecord, data: bytes) -> dict:
     opts = dataclasses.asdict(rec.opts)
     if opts["histogram_edges"] is not None:
         opts["histogram_edges"] = list(opts["histogram_edges"])
-    rules = dataclasses.asdict(rec.rules)
-    if rules["drop_priority"] is not None:
-        rules["drop_priority"] = list(rules["drop_priority"])
     return {
         "format_version": FORMAT_VERSION,
         "data_len": len(data),
@@ -188,7 +172,7 @@ def _manifest(rec: SummaryRecord, data: bytes) -> dict:
         "channels": rec.channels,
         "labels": list(rec.labels),
         "statistics": opts,
-        "rules": rules,
+        "rules": dataclasses.asdict(rec.rules),
         "provenance": list(rec.provenance),
         "event_counts": rec.event_rows(),
         "access_log": rec.access_log.to_dict(),
@@ -211,14 +195,8 @@ def write(rec: SummaryRecord) -> bytes:
     """Serialize the whole record; read(write(rec)) == rec bit-exactly."""
     data = _encode_data(rec)
     manifest = json.dumps(_manifest(rec, data), sort_keys=True, separators=(",", ":")).encode("utf-8")
-    out = io.BytesIO()
-    out.write(MAGIC)
-    out.write(struct.pack("<I", FORMAT_VERSION))
-    out.write(struct.pack("<Q", len(manifest)))
-    out.write(manifest)
-    out.write(struct.pack("<Q", len(data)))
-    out.write(data)
-    return out.getvalue()
+    head = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(manifest) + 4) + manifest
+    return b"".join((head, struct.pack("<IQ", zlib.crc32(head), len(data)), data))
 
 
 def _fold_events(events: list[dict]) -> dict:
@@ -246,11 +224,17 @@ def _read(blob: bytes) -> SummaryRecord:
     if blob[:4] != MAGIC:
         raise BadMagic(f"expected {MAGIC!r}, found {blob[:4]!r}")
     (version,) = struct.unpack_from("<I", blob, 4)
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise VersionUnsupported(f"format version {version} not supported")
     (mlen,) = struct.unpack_from("<Q", blob, 8)
-    manifest = json.loads(blob[16 : 16 + mlen].decode("utf-8"))
     pos = 16 + mlen
+    end = pos  # end of the manifest's JSON
+    if version == FORMAT_VERSION:
+        end -= 4
+        (crc,) = struct.unpack_from("<I", blob, end)
+        if zlib.crc32(memoryview(blob)[:end]) != crc:
+            raise ChecksumMismatch("manifest does not match its CRC-32")
+    manifest = json.loads(blob[16:end].decode("utf-8"))
     (dlen,) = struct.unpack_from("<Q", blob, pos)
     pos += 8
     data = blob[pos : pos + dlen]
@@ -264,10 +248,9 @@ def _read(blob: bytes) -> SummaryRecord:
     if opts_d.get("histogram_edges") is not None:
         opts_d["histogram_edges"] = tuple(opts_d["histogram_edges"])
     opts = stats.StatisticSet(**opts_d)
-    rules_d = _known_fields(curation.CurationRules, manifest["rules"], "rules", ignored)
-    if rules_d.get("drop_priority") is not None:
-        rules_d["drop_priority"] = tuple(rules_d["drop_priority"])
-    rules = curation.CurationRules(**rules_d)
+    rules = curation.CurationRules(
+        **_known_fields(curation.CurationRules, manifest["rules"], "rules", ignored)
+    )
 
     rec = SummaryRecord(
         channels=manifest["channels"],
@@ -293,19 +276,20 @@ def _read(blob: bytes) -> SummaryRecord:
     offset = 0
     (n_levels,) = struct.unpack_from("<Q", view, offset)
     offset += 8
-    skip_notes: list[str] = []
+    skipped: dict[int, tuple[int, int]] = {}
     levels: list[list[stats.SummarySample]] = []
     for _ in range(n_levels):
         (count,) = struct.unpack_from("<Q", view, offset)
         offset += 8
         level = []
         for _ in range(count):
-            s, offset = _decode_sample(view, offset, skip_notes)
+            s, offset = _decode_sample(view, offset, skipped)
             level.append(s)
         levels.append(level)
     rec.levels = levels if levels else [[]]
     rec._slots = sum(len(level) for level in rec.levels)
-    for note in skip_notes:
+    for btype, (blocks, nbytes) in sorted(skipped.items()):
+        note = f"skipped {blocks} statistic block(s) of unknown or retired type {btype} ({nbytes} bytes)"
         rec.note(("read", None, None), {"op": "read", "note": note})
     rec.validate()
     return rec

@@ -1,16 +1,17 @@
 """Curation: heuristic merge scoring, statistic drop ranking, compaction.
 
-The rules travel with the record, so any future process can resume the
-same policy.  All heuristic weights default to zero: with nothing tuned,
-behaviour reduces exactly to the pure recency scheme (oldest pair merges
-first).  Weights are static configuration; learning them from feedback is
-out of scope here.
+The rules and the access log travel with the record (``record.rules``,
+``record.access_log``) and are saved with it, so any future process
+resumes the same policy; no call takes a policy of its own.  All
+heuristic weights default to zero: with nothing tuned, behaviour reduces
+exactly to the pure recency scheme (oldest pair merges first).  Weights
+are static configuration; learning them from feedback is out of scope
+here.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,11 +25,12 @@ DROPPABLE = ("covariance", "extrema", "histogram", "hull", "swv", "variance")
 
 @dataclass
 class CurationRules:
-    """Policy stored with the data: budget, heuristic weights, thresholds.
+    """Policy stored with the data: slot budget, heuristic weights, scalar bound.
 
     Recency is implicit and always on (it is the tie-break of the merge
     ranking).  ``max_scalars``, when set, bounds the total number of stored
-    scalars; forced statistic drops only happen under that bound.
+    scalars; forced statistic drops only happen under that bound.  The
+    access counters' half-life belongs to :class:`AccessLog`.
     """
 
     budget_slots: int = 64
@@ -36,10 +38,7 @@ class CurationRules:
     slowness_w: float = 0.0
     recurrence_reprieve_w: float = 0.0
     prior_access_w: float = 0.0
-    kl_tau: float = 0.1
-    access_half_life: float = 16.0
     max_scalars: int | None = None
-    drop_priority: tuple[str, ...] | None = None
 
     def tuned(self) -> bool:
         return any(
@@ -51,9 +50,6 @@ class CurationRules:
                 self.prior_access_w,
             )
         )
-
-    def copy(self) -> "CurationRules":
-        return replace(self)
 
 
 class AccessLog:
@@ -71,12 +67,6 @@ class AccessLog:
     def register(self, sid: int) -> None:
         if sid not in self._counts:
             self._counts[sid] = (0.0, self.tick)
-
-    def forget(self, sid: int) -> None:
-        self._counts.pop(sid, None)
-
-    def known(self, sid: int) -> bool:
-        return sid in self._counts
 
     def count(self, sid: int) -> float:
         entry = self._counts.get(sid)
@@ -267,16 +257,15 @@ def _drop_statistic(sample: stats.SummarySample, name: str) -> bool:
     return False
 
 
-def compact(record, rules: CurationRules | None = None, log: AccessLog | None = None):
+def compact(record):
     """Bring the record within budget; a within-budget record is untouched.
 
     Slot pressure is always resolvable by merging, so the scalar bound
-    (``rules.max_scalars``) is what triggers statistic drops: the least
-    discriminative statistic is removed from the oldest level first, and
-    count+mean always survive.
+    (``record.rules.max_scalars``) is what triggers statistic drops: the
+    least discriminative statistic (see :func:`rank_statistics_for_drop`)
+    is removed from the oldest level first, and count+mean always survive.
     """
-    rules = rules if rules is not None else record.rules
-    log = log if log is not None else record.access_log
+    rules = record.rules
     if rules.budget_slots < 1:
         raise CannotSatisfyBudget("budget must be at least one slot")
 
@@ -285,9 +274,9 @@ def compact(record, rules: CurationRules | None = None, log: AccessLog | None = 
     if not (over_slots or over_scalars):
         return record  # lazy: nothing to do, nothing is touched
 
-    log.advance()
+    record.access_log.advance()
     if over_slots:
-        record.rebalance(rules=rules, log=log, reason="compact")
+        record.rebalance(reason="compact")
 
     if rules.max_scalars is not None:
         while record.scalar_footprint() > rules.max_scalars:
@@ -296,9 +285,7 @@ def compact(record, rules: CurationRules | None = None, log: AccessLog | None = 
                 samples = record.levels[level]
                 if not samples:
                     continue
-                if rules.drop_priority is not None:
-                    order = [(name, 0.0) for name in rules.drop_priority]
-                elif len(samples) >= 2:
+                if len(samples) >= 2:
                     order = rank_statistics_for_drop(samples)
                 else:
                     order = [(name, 0.0) for name in DROPPABLE]

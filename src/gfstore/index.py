@@ -9,8 +9,7 @@ model - plausibility, never proof.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +29,6 @@ class IndexNode:
     @property
     def height(self) -> int:
         return 0 if not self.children else 1 + max(c.height for c in self.children)
-
-    def leaf_count(self) -> int:
-        if self.leaf is not None:
-            return 1
-        return sum(c.leaf_count() for c in self.children)
 
     def node_count(self) -> int:
         return 1 + sum(c.node_count() for c in self.children)

@@ -99,7 +99,7 @@ class SummaryRecord:
         if len(self.labels) != channels:
             raise ChannelMismatch("one label per channel")
         self.levels: list[list[stats.SummarySample]] = [[]]
-        self.access_log = curation.AccessLog(half_life=rules.access_half_life)
+        self.access_log = curation.AccessLog()
         self.merge_count = 0
         self.now = 0
         self.event_counts: dict[tuple[str, int | None, str | None], int] = {}
@@ -223,17 +223,11 @@ class SummaryRecord:
         self.levels[mover + 1].append(s)
         self.note(("promote", mover, None), {"op": "promote", "level": mover, "span": [s.t_start, s.t_end]})
 
-    def _merge_pair(
-        self,
-        k: int,
-        i: int,
-        reason: str,
-        log: curation.AccessLog,
-    ) -> None:
+    def _merge_pair(self, k: int, i: int, reason: str) -> None:
         a, b = self.levels[k][i], self.levels[k][i + 1]
         merged = stats.merge(a, b)
         self._assign_sid(merged)
-        log.pool([a.sid, b.sid], merged.sid)
+        self.access_log.pool([a.sid, b.sid], merged.sid)
         if i == 0 and merged.n > (1 << k):
             del self.levels[k][0:2]
             if k + 1 == len(self.levels):
@@ -257,15 +251,12 @@ class SummaryRecord:
             },
         )
 
-    def rebalance(
-        self,
-        rules: curation.CurationRules | None = None,
-        log: curation.AccessLog | None = None,
-        reason: str = "ingest",
-    ) -> None:
-        """Merge oldest/lowest-scored pairs until the slot budget holds."""
-        rules = rules if rules is not None else self.rules
-        log = log if log is not None else self.access_log
+    def rebalance(self, reason: str = "ingest") -> None:
+        """Merge oldest/lowest-scored pairs until the slot budget holds.
+
+        The policy is the record's own ``rules`` and ``access_log``.
+        """
+        rules = self.rules
         budget = rules.budget_slots
         while self._slots > budget:
             k = self._shed_level(budget)
@@ -274,11 +265,11 @@ class SummaryRecord:
                 continue
             level = self.levels[k]
             if rules.tuned():
-                ranked = curation.score_merge_candidates(level, rules, log)
+                ranked = curation.score_merge_candidates(level, rules, self.access_log)
                 i = ranked[0].index
             else:
                 i = 0  # pure recency: the oldest adjacent pair
-            self._merge_pair(k, i, reason, log)
+            self._merge_pair(k, i, reason)
 
     # -- reporting and queries ----------------------------------------------
 

@@ -3,7 +3,10 @@
 One JSON object per line in, one per line out: {"ok": true, "result": ...}
 or {"ok": false, "error": "..."}.  Serving queries through the store is
 what lets the curation side observe usage: every answered query bumps the
-access counters of the samples it touched.
+access counters of the samples it touched.  ``compare`` opens only stores
+inside the served store's directory: its path, read like the store path
+given to ``serve`` (relative to the working directory), is resolved with
+``realpath`` and refused, unopened, if it lands outside that directory.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import os
 import socketserver
 import threading
 
-from . import container, curation, index
+from . import container, curation
 from .record import SummaryRecord
 
 
@@ -42,11 +45,16 @@ def _sample_dict(s, coarse: bool | None = None) -> dict:
 
 
 class QueryService:
-    """Wraps one record; thread-safe via a single writer lock."""
+    """Wraps one record; thread-safe via a single writer lock.
 
-    def __init__(self, rec: SummaryRecord):
+    ``store_dir`` is the directory of the served store, the only place
+    ``compare`` reads other stores from; without it ``compare`` reads none.
+    """
+
+    def __init__(self, rec: SummaryRecord, store_dir: str | None = None):
         self.rec = rec
         self.lock = threading.Lock()
+        self.store_dir = None if store_dir is None else os.path.realpath(store_dir)
 
     def handle_line(self, line: bytes | str) -> dict:
         try:
@@ -97,7 +105,11 @@ class QueryService:
     def _compare(self, other_path: str) -> dict:
         from . import compare as cmp
 
-        other = container.load(other_path)
+        root = self.store_dir
+        path = os.path.realpath(other_path)
+        if root is None or os.path.commonpath([root, path]) != root:
+            raise PermissionError("compare reads only stores in the served store's directory")
+        other = container.load(path)
         with self.lock:
             verdict = cmp.subset_verdict(self.rec.aggregate(), other.aggregate())
         return {
@@ -127,18 +139,18 @@ class SocketServer(socketserver.ThreadingMixIn, socketserver.UnixStreamServer):
     allow_reuse_address = True
 
 
-def make_server(rec: SummaryRecord, socket_path: str) -> SocketServer:
+def make_server(rec: SummaryRecord, socket_path: str, store_dir: str | None = None) -> SocketServer:
     if os.path.exists(socket_path):
         os.unlink(socket_path)
     server = SocketServer(socket_path, _Handler)
-    server.service = QueryService(rec)
+    server.service = QueryService(rec, store_dir)
     return server
 
 
 def serve(store_path: str, socket_path: str) -> None:
     """Load a store and answer queries until interrupted; saves on exit."""
     rec = container.load(store_path)
-    server = make_server(rec, socket_path)
+    server = make_server(rec, socket_path, os.path.dirname(os.path.realpath(store_path)))
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -13,7 +13,7 @@ Medians and other non-mergeable quantities are deliberately absent.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class StatisticSet:
     hull: bool = False
     histogram_edges: tuple[float, ...] | None = None
     swv: bool = False
-    family_hint: str | None = None
 
     def edges_array(self) -> np.ndarray | None:
         if self.histogram_edges is None:
@@ -49,9 +48,10 @@ class SummarySample:
     A zero weight excludes the interval from every statistic while keeping
     the fact that the data existed.
 
-    ``variance``/``min_v``/``max_v`` may be None after a curation drop; an
-    empty sample (n == 0) instead carries the neutral values (zero moments,
-    +inf/-inf extrema) so merges need no special cases.
+    ``variance``/``min_v``/``max_v`` may be None after a curation drop, and
+    stay None through every later merge; an empty sample (n == 0) instead
+    carries the neutral values (zero moments, +inf/-inf extrema) so merges
+    need no special cases.
     """
 
     t_start: int
@@ -67,9 +67,7 @@ class SummarySample:
     histogram: dict[int, int] | None = None
     hist_edges: np.ndarray | None = None
     swv: np.ndarray | None = None
-    family_hint: str | None = None
     sid: int = -1
-    notes: tuple[str, ...] = ()
 
     @property
     def channels(self) -> int:
@@ -117,9 +115,7 @@ class SummarySample:
             and self.histogram == other.histogram
             and arr_eq(self.hist_edges, other.hist_edges)
             and arr_eq(self.swv, other.swv)
-            and self.family_hint == other.family_hint
             and self.sid == other.sid
-            and self.notes == other.notes
         )
 
 
@@ -160,7 +156,6 @@ def summarize(raw, t_start: int = 0, opts: StatisticSet | None = None) -> Summar
         variance=x.var(axis=0),
         min_v=x.min(axis=0),
         max_v=x.max(axis=0),
-        family_hint=opts.family_hint,
     )
     if opts.covariance:
         centered = x - s.mean
@@ -194,7 +189,6 @@ def point_sample(row, t: int, opts: StatisticSet | None = None) -> SummarySample
         variance=np.zeros(d),
         min_v=v.copy(),
         max_v=v.copy(),
-        family_hint=opts.family_hint,
     )
     if opts.covariance:
         s.covariance = np.zeros((d, d))
@@ -306,9 +300,11 @@ def _merged_interval(a: SummarySample, b: SummarySample, allow_gap: bool):
 def merge(a: SummarySample, b: SummarySample, *, allow_gap: bool = False) -> SummarySample:
     """Merge adjacent summaries into the summary of the union interval.
 
-    Optional statistics survive only when present on both sides; a drop is
-    recorded in the result's notes so provenance is never silent.  Merging
-    with the empty sample is an exact identity.
+    An optional statistic survives only when present on both sides; one
+    missing on either side is None on the result.  A zero-weight side is
+    excluded from every statistic and shows only in ``n`` and ``weight``.
+    Merging with the empty sample is an exact identity.  Provenance is the
+    record's business, not the sample's.
     """
     if a.mean.shape[0] != b.mean.shape[0]:
         raise ChannelMismatch(f"channels {a.mean.shape[0]} != {b.mean.shape[0]}")
@@ -316,13 +312,9 @@ def merge(a: SummarySample, b: SummarySample, *, allow_gap: bool = False) -> Sum
     t0, t1 = a.t_start, b.t_end
 
     if a.n == 0 or b.n == 0:
-        keep = b if a.n == 0 else a
-        other = a if a.n == 0 else b
-        out = keep.copy()
+        out = (b if a.n == 0 else a).copy()
         out.t_start, out.t_end = t0, t1
         out.sid = -1
-        if other.notes:
-            out.notes = tuple(dict.fromkeys(keep.notes + other.notes))
         return out
 
     live_a = a.weight > 0
@@ -332,57 +324,38 @@ def merge(a: SummarySample, b: SummarySample, *, allow_gap: bool = False) -> Sum
 
     if not (live_a and live_b):
         if live_a or live_b:
-            keep = a if live_a else b
-            dead = b if live_a else a
-            out = keep.copy()
+            out = (a if live_a else b).copy()
             out.t_start, out.t_end = t0, t1
             out.n = n
             out.weight = eff / n
             out.sid = -1
-            out.notes = tuple(
-                dict.fromkeys(
-                    keep.notes
-                    + dead.notes
-                    + (f"[{dead.t_start},{dead.t_end}) excluded (zero weight)",)
-                )
-            )
             return out
         out = empty(a.channels)
         out.t_start, out.t_end = t0, t1
         out.n = n
         out.weight = 0.0
-        out.notes = tuple(dict.fromkeys(a.notes + b.notes + ("all data zero-weighted",)))
         return out
 
     ea, eb = a.effective, b.effective
     mean = (ea * a.mean + eb * b.mean) / eff
-    dropped: list[str] = []
-
-    def both(name, xa, xb):
-        if xa is None or xb is None:
-            if xa is not None or xb is not None:
-                dropped.append(name)
-            return False
-        return True
-
     out = SummarySample(t_start=t0, t_end=t1, n=n, mean=mean, variance=None, min_v=None, max_v=None)
     out.weight = eff / n
 
     da = a.mean - mean
     db = b.mean - mean
-    if both("variance", a.variance, b.variance):
+    if a.variance is not None and b.variance is not None:
         out.variance = (ea * (a.variance + da * da) + eb * (b.variance + db * db)) / eff
-    if both("min", a.min_v, b.min_v):
+    if a.min_v is not None and b.min_v is not None:
         out.min_v = np.minimum(a.min_v, b.min_v)
-    if both("max", a.max_v, b.max_v):
+    if a.max_v is not None and b.max_v is not None:
         out.max_v = np.maximum(a.max_v, b.max_v)
-    if both("covariance", a.covariance, b.covariance):
+    if a.covariance is not None and b.covariance is not None:
         out.covariance = (
             ea * (a.covariance + np.outer(da, da)) + eb * (b.covariance + np.outer(db, db))
         ) / eff
-    if both("hull", a.hull, b.hull):
+    if a.hull is not None and b.hull is not None:
         out.hull = merge_hull(a.hull, b.hull)
-    if both("histogram", a.histogram, b.histogram):
+    if a.histogram is not None and b.histogram is not None:
         if (a.hist_edges is None) != (b.hist_edges is None) or (
             a.hist_edges is not None and not np.array_equal(a.hist_edges, b.hist_edges)
         ):
@@ -392,15 +365,8 @@ def merge(a: SummarySample, b: SummarySample, *, allow_gap: bool = False) -> Sum
             hist[k] = hist.get(k, 0) + v
         out.histogram = hist
         out.hist_edges = None if a.hist_edges is None else a.hist_edges.copy()
-    if both("swv", a.swv, b.swv):
+    if a.swv is not None and b.swv is not None:
         out.swv = spectrum.pool_terms(a.swv, a.mean, ea, b.swv, b.mean, eb, mean)
-    if a.family_hint == b.family_hint:
-        out.family_hint = a.family_hint
-
-    notes = a.notes + b.notes
-    if dropped:
-        notes = notes + (f"dropped {','.join(dropped)} on merge at [{t0},{t1})",)
-    out.notes = tuple(dict.fromkeys(notes))
     return out
 
 

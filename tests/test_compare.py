@@ -170,9 +170,12 @@ def test_model_from_empty_sample():
 
 
 def test_family_hint_and_override():
+    # the family is the caller's explicit choice; samples carry no hint
     s = stats.summarize([0.0, 1.0, 2.0])
-    s.family_hint = "uniform"
-    assert model_from_sample(s).family == "uniform"
+    assert not hasattr(s, "family_hint")
+    assert not hasattr(stats.StatisticSet(), "family_hint")
+    assert model_from_sample(s).family == "gaussian"
+    assert model_from_sample(s, family="uniform").family == "uniform"
     assert model_from_sample(s, family="gaussian").family == "gaussian"
 
 

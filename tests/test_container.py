@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -23,13 +24,20 @@ def rich_record():
     return rec
 
 
-def repack_manifest(blob: bytes, edit) -> bytes:
-    """Rewrite the JSON manifest in place; the CRC covers only the data section."""
+def seal(blob: bytes) -> bytes:
+    """Recompute the manifest's CRC-32 trailer (format version 2)."""
     (mlen,) = struct.unpack_from("<Q", blob, 8)
-    manifest = json.loads(blob[16 : 16 + mlen])
+    end = 16 + mlen - 4
+    return blob[:end] + struct.pack("<I", zlib.crc32(blob[:end])) + blob[end + 4 :]
+
+
+def repack_manifest(blob: bytes, edit) -> bytes:
+    """Rewrite the JSON manifest in place and re-seal its CRC-32 trailer."""
+    (mlen,) = struct.unpack_from("<Q", blob, 8)
+    manifest = json.loads(blob[16 : 16 + mlen - 4])
     edit(manifest)
     raw = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + mlen :]
+    return seal(blob[:8] + struct.pack("<Q", len(raw) + 4) + raw + bytes(4) + blob[16 + mlen :])
 
 
 def test_round_trip_all_statistics_bit_exact():
@@ -136,6 +144,7 @@ def test_malformed_manifest_raises_corrupt_container(edit):
 def test_non_utf8_manifest_raises_corrupt_container():
     blob = bytearray(small_blob())
     blob[17] = 0xFF
+    blob = seal(bytes(blob))
     with pytest.raises(CorruptContainer):
         container.read(bytes(blob))
 
@@ -160,3 +169,61 @@ def test_failed_save_leaves_old_store_and_no_temporary(tmp_path, monkeypatch):
     container.save(rec, path)
     assert container.load(path) == rec
     assert sorted(p.name for p in tmp_path.iterdir()) == ["store.gfs"]
+
+
+def test_single_bit_flips_never_load():
+    blob = small_blob()
+    rng = np.random.default_rng(2024)
+    for _ in range(1_000):
+        bit = int(rng.integers(8 * len(blob)))
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(StoreError):
+            container.read(bytes(flipped))
+
+
+SAMPLE_HEAD = "<qqQqdII"
+
+
+def parent_sample(s: stats.SummarySample) -> bytes:
+    """``s`` as an older build wrote it: plus a family-hint (10) and a notes (11) block."""
+    enc = container._encode_sample(s)
+    *head, n_blocks = struct.unpack_from(SAMPLE_HEAD, enc)
+    hint = b"gaussian"
+    note = b"dropped hull on merge at [0,8)"
+    notes = struct.pack("<QQ", 1, len(note)) + note
+    extra = struct.pack("<IQ", 10, len(hint)) + hint + struct.pack("<IQ", 11, len(notes)) + notes
+    return struct.pack(SAMPLE_HEAD, *head, n_blocks + 2) + enc[struct.calcsize(SAMPLE_HEAD) :] + extra
+
+
+def test_reads_version_1_file_with_retired_blocks_and_keys():
+    rec = rich_record()
+    data = struct.pack("<Q", len(rec.levels))
+    for level in rec.levels:
+        data += struct.pack("<Q", len(level)) + b"".join(parent_sample(s) for s in level)
+    blob = container.write(rec)
+    (mlen,) = struct.unpack_from("<Q", blob, 8)
+    manifest = json.loads(blob[16 : 16 + mlen - 4])
+    manifest.update(format_version=1, data_len=len(data), data_crc32=zlib.crc32(data))
+    manifest["statistics"]["family_hint"] = None
+    manifest["rules"].update(kl_tau=0.1, access_half_life=16.0, drop_priority=None)
+    raw = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    v1 = b"GFS1" + struct.pack("<IQ", 1, len(raw)) + raw + struct.pack("<Q", len(data)) + data
+
+    back = container.read(v1)
+    assert back.levels == rec.levels
+    assert back.rules == rec.rules and back.opts == rec.opts
+    assert back.access_log.to_dict() == rec.access_log.to_dict()
+    slots = rec.slots()
+    notes = [e["note"] for e in back.provenance if e["op"] == "read"]
+    assert len(notes) == 3  # one for the manifest keys, one per retired block type
+    assert all(
+        key in notes[0]
+        for key in ("statistics.family_hint", "rules.kl_tau", "rules.access_half_life", "rules.drop_priority")
+    )
+    assert notes[1] == f"skipped {slots} statistic block(s) of unknown or retired type 10 ({8 * slots} bytes)"
+    assert notes[2].startswith(f"skipped {slots} statistic block(s) of unknown or retired type 11 (")
+    assert back.event_counts[("read", None, None)] == 3
+    rewritten = container.write(back)
+    assert struct.unpack_from("<I", rewritten, 4) == (container.FORMAT_VERSION,) == (2,)
+    assert container.read(rewritten) == back

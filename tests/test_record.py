@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gfstore import container, stats
-from gfstore.curation import CurationRules, compact
+from gfstore.curation import compact
 from gfstore.errors import BudgetTooSmall, ChannelMismatch, FutureRange
 from gfstore.record import PROVENANCE_RING, SummaryRecord, allocate_budget, recorder_span
 
@@ -249,7 +249,8 @@ def test_memory_and_container_stay_flat_from_1e4_to_1e5_rows():
 def test_every_event_is_counted_and_the_ring_keeps_the_newest():
     rec = SummaryRecord(budget=1)
     fill(rec, 50)
-    compact(rec, rules=CurationRules(budget_slots=1, max_scalars=5))  # count + mean are 5 scalars
+    rec.rules.max_scalars = 5  # count + mean are 5 scalars
+    compact(rec)
     ops = {op for op, _, _ in rec.event_counts}
     assert {"create", "rescale", "promote", "drop_statistic"} <= ops
     top = len(rec.levels) - 1
@@ -260,3 +261,21 @@ def test_every_event_is_counted_and_the_ring_keeps_the_newest():
     total = sum(rec.event_counts.values())
     assert total > PROVENANCE_RING
     assert container.inspect_summary(rec)["provenance_events"] == total
+
+
+def test_container_stays_flat_under_scalar_bound_and_compaction():
+    # Curation drops statistics from old samples, so merges keep meeting
+    # samples that lack one; a sample that logged each such merge would grow
+    # with the stream.  Bound: 8x the rows may cost at most 10% more bytes.
+    rows = np.random.default_rng(7).normal(size=40_000)
+    rec = SummaryRecord(budget=16)
+    rec.rules.max_scalars = 100
+    sizes = {}
+    for start in range(0, rows.shape[0], 100):
+        rec.ingest_block(rows[start : start + 100])
+        compact(rec)
+        if rec.now in (5_000, 40_000):
+            sizes[rec.now] = len(container.write(rec))
+    assert rec.scalar_footprint() <= 100
+    assert any(op == "drop_statistic" for op, _, _ in rec.event_counts)
+    assert sizes[40_000] <= 1.10 * sizes[5_000]

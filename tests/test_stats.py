@@ -150,7 +150,8 @@ def test_intersection_semantics_notes_drop():
     b = summarize(np.random.default_rng(1).normal(size=10), 10)  # no covariance
     m = merge(a, b)
     assert m.covariance is None
-    assert any("covariance" in note for note in m.notes)
+    assert m.variance is not None  # statistics both sides have survive
+    assert not hasattr(m, "notes")  # provenance lives on the record, not the sample
 
 
 # -- hulls -------------------------------------------------------------------
@@ -213,7 +214,7 @@ def test_zero_weight_excludes():
     assert close(m.mean, [0.0])
     assert m.n == 4  # presence is still documented
     assert close(m.max_v, [0.0])  # excluded data do not pollute extrema
-    assert any("zero weight" in note for note in m.notes)
+    assert m.weight == 0.5
 
 
 def test_half_weight_merge_example():
