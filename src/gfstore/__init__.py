@@ -23,7 +23,6 @@ from .stats import (
     OUTLIER_BIN,
     StatisticSet,
     SummarySample,
-    apply_weight,
     merge,
     merge_all,
     merge_hull,
@@ -44,7 +43,6 @@ __all__ = [
     "SummarySample",
     "Verdict",
     "allocate_budget",
-    "apply_weight",
     "build",
     "compact",
     "compare",

@@ -10,7 +10,8 @@
 CSV input is one row per time step, d comma-separated reals; an optional
 first line "#observation,action,reward" labels the channels.  A new store
 gets --budget slots, 256 when the flag is absent; an existing store keeps
-its own budget unless --budget is given.  inspect --json prints the whole
+its own budget unless --budget is given, and is then rebalanced to the new
+budget at once, before any new rows.  inspect --json prints the whole
 accounting as one JSON object, including the provenance event totals and
 the last events kept.  Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -26,7 +27,7 @@ import sys
 import numpy as np
 
 from . import compare, container, curation, service, stats
-from .errors import StoreError
+from .errors import BudgetTooSmall, StoreError
 from .record import SummaryRecord
 
 DEFAULT_BUDGET = 256
@@ -85,11 +86,14 @@ def _read_csv(stream):
 
 
 def cmd_ingest(args) -> int:
+    if args.budget is not None and args.budget < 1:
+        raise BudgetTooSmall(f"budget {args.budget} is below one slot")
     labels, rows = _read_csv(sys.stdin)
     if os.path.exists(args.store):
         rec = container.load(args.store)
-        if args.budget is not None:
+        if args.budget is not None and args.budget != rec.budget:
             rec.rules.budget_slots = args.budget
+            rec.rebalance(reason="budget")
     else:
         if not rows:
             raise ValueError("no data on stdin and no existing store")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChannelMismatch, EmptySample
-from .stats import OUTLIER_BIN, SummarySample
+from .stats import SummarySample, in_range_counts
 
 #: Finite stand-in for infinite divergences when ranking merge candidates.
 KL_CAP = 1e9
@@ -48,7 +48,6 @@ class DistributionModel:
     edges: np.ndarray | None = None
     probs: np.ndarray | None = None
     loc: np.ndarray | None = None
-    source: str = ""
 
     @property
     def channels(self) -> int:
@@ -61,17 +60,17 @@ class DistributionModel:
         return 1
 
 
-def uniform_model(lo, hi, source: str = "extrema") -> DistributionModel:
+def uniform_model(lo, hi) -> DistributionModel:
     lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
     hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
     if np.any(hi < lo):
         raise ValueError("uniform requires hi >= lo")
     if np.all(hi == lo):
-        return DistributionModel(family="point", loc=lo.copy(), source=source)
-    return DistributionModel(family="uniform", lo=lo, hi=hi, source=source)
+        return DistributionModel(family="point", loc=lo.copy())
+    return DistributionModel(family="uniform", lo=lo, hi=hi)
 
 
-def gaussian_model(mean, var=None, cov=None, source: str = "mean+variance") -> DistributionModel:
+def gaussian_model(mean, var=None, cov=None) -> DistributionModel:
     mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
     if cov is not None:
         cov = np.asarray(cov, dtype=np.float64)
@@ -86,11 +85,11 @@ def gaussian_model(mean, var=None, cov=None, source: str = "mean+variance") -> D
     if np.any(var < 0):
         raise ValueError("variance must be >= 0")
     if np.all(var == 0):
-        return DistributionModel(family="point", loc=mean.copy(), source=source)
-    return DistributionModel(family="gaussian", mean=mean, var=var, cov=cov, source=source)
+        return DistributionModel(family="point", loc=mean.copy())
+    return DistributionModel(family="gaussian", mean=mean, var=var, cov=cov)
 
 
-def piecewise_model(edges, probs, source: str = "histogram") -> DistributionModel:
+def piecewise_model(edges, probs) -> DistributionModel:
     edges = np.asarray(edges, dtype=np.float64)
     probs = np.asarray(probs, dtype=np.float64)
     if edges.ndim != 1 or edges.shape[0] != probs.shape[0] + 1:
@@ -103,56 +102,32 @@ def piecewise_model(edges, probs, source: str = "histogram") -> DistributionMode
     if total <= 0:
         raise ValueError("piecewise model has no mass")
     probs = probs / total
-    return DistributionModel(family="piecewise", edges=edges, probs=probs, source=source)
+    return DistributionModel(family="piecewise", edges=edges, probs=probs)
 
 
-def point_model(loc, source: str = "mean") -> DistributionModel:
+def point_model(loc) -> DistributionModel:
     loc = np.atleast_1d(np.asarray(loc, dtype=np.float64))
-    return DistributionModel(family="point", loc=loc, source=source)
+    return DistributionModel(family="point", loc=loc)
 
 
-def model_from_sample(s: SummarySample, family: str | None = None) -> DistributionModel:
+def model_from_sample(s: SummarySample) -> DistributionModel:
     """Parametrize the sample's empirical distribution.
 
-    Family resolution: the explicit ``family``, else histogram -> piecewise
-    (single channel), mean+variance -> gaussian, extrema alone -> uniform,
-    bare mean -> point mass.
+    The first model the statistics support wins: a histogram with in-range
+    counts -> piecewise (single channel), mean+variance -> gaussian,
+    extrema -> uniform, bare mean -> point mass.
     """
     if s.n == 0:
         raise EmptySample("cannot model an empty sample")
-    fam = family
-    if fam is None:
-        if s.histogram is not None and s.hist_edges is not None and s.channels == 1:
-            fam = "piecewise"
-        elif s.variance is not None:
-            fam = "gaussian"
-        elif s.min_v is not None and s.max_v is not None:
-            fam = "uniform"
-        else:
-            fam = "point"
-    if fam == "piecewise":
-        if s.histogram is None or s.hist_edges is None:
-            raise ValueError("piecewise model needs a histogram with numeric edges")
-        counts = np.zeros(s.hist_edges.shape[0] - 1)
-        for k, v in s.histogram.items():
-            if k != OUTLIER_BIN:
-                counts[k] = v
-        if counts.sum() <= 0:  # everything fell in the outlier bin
-            if s.variance is not None:
-                return gaussian_model(s.mean, s.variance)
-            return uniform_model(s.min_v, s.max_v)
-        return piecewise_model(s.hist_edges, counts)
-    if fam == "gaussian":
-        if s.variance is None:
-            raise ValueError("gaussian model needs variance")
+    if s.histogram is not None and s.hist_edges is not None and s.channels == 1:
+        counts = in_range_counts(s)
+        if counts.sum() > 0:
+            return piecewise_model(s.hist_edges, counts)
+    if s.variance is not None:
         return gaussian_model(s.mean, s.variance)
-    if fam == "uniform":
-        if s.min_v is None or s.max_v is None:
-            raise ValueError("uniform model needs extrema")
+    if s.min_v is not None and s.max_v is not None:
         return uniform_model(s.min_v, s.max_v)
-    if fam == "point":
-        return point_model(s.mean)
-    raise ValueError(f"unknown family {fam!r}")
+    return point_model(s.mean)
 
 
 # --- scalar (single channel) closed forms --------------------------------
@@ -384,15 +359,13 @@ def verdict_from_models(ma: DistributionModel, mb: DistributionModel, tau: float
     return Verdict(v, d_ab, d_ba, note)
 
 
-def subset_verdict(a: SummarySample, b: SummarySample, tau: float = 0.1,
-                   family: str | None = None) -> Verdict:
+def subset_verdict(a: SummarySample, b: SummarySample, tau: float = 0.1) -> Verdict:
     """Judge whether dataset A plausibly sits inside dataset B."""
-    return verdict_from_models(model_from_sample(a, family), model_from_sample(b, family), tau)
+    return verdict_from_models(model_from_sample(a), model_from_sample(b), tau)
 
 
-def symmetric_merge_score(a: SummarySample, b: SummarySample, family: str | None = None,
-                          cap: float = KL_CAP) -> float:
-    """D(a||b) + D(b||a) with infinities clamped to a finite ranking cap."""
-    ma = model_from_sample(a, family)
-    mb = model_from_sample(b, family)
-    return min(kl_divergence(ma, mb), cap) + min(kl_divergence(mb, ma), cap)
+def symmetric_merge_score(a: SummarySample, b: SummarySample) -> float:
+    """D(a||b) + D(b||a) with infinities clamped to ``KL_CAP`` for ranking."""
+    ma = model_from_sample(a)
+    mb = model_from_sample(b)
+    return min(kl_divergence(ma, mb), KL_CAP) + min(kl_divergence(mb, ma), KL_CAP)

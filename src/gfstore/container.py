@@ -1,13 +1,17 @@
 """Self-describing container for a whole record.
 
-Layout (format version 2): magic "GFS1", u32 format version, u64 manifest
+Layout (format version 3): magic "GFS1", u32 format version, u64 manifest
 length, the manifest, u64 data length, then the data section.  The
 manifest is JSON (stream metadata, curation rules, provenance, access
 log, length and CRC-32 of the data section) plus a u32 CRC-32 trailer
 over magic, version, manifest length and JSON; the length counts the
-trailer.  Version 1 has no trailer and still loads.  The data section
-holds per-level arrays of samples whose optional statistics are stored
-as length-prefixed blocks.  Provenance is bounded:
+trailer.  The data section holds per-level arrays of samples: a 40-byte
+header (t_start, t_end, n, sid, channels, block count) followed by the
+statistics as length-prefixed blocks.  Versions 1 and 2 still load:
+version 1 has no manifest trailer, and both store a float64 per-sample
+weight after the sid (a 48-byte header).  A sample weight other than 1.0
+raises :class:`VersionUnsupported`, because this build keeps no weights.
+Provenance is bounded:
 the manifest holds the event totals as sorted ``[op, level, reason,
 count]`` rows under ``event_counts`` and the last ``PROVENANCE_RING``
 events under ``provenance``; a file without ``event_counts`` (an older
@@ -38,7 +42,10 @@ from .errors import BadMagic, ChecksumMismatch, CorruptContainer, VersionUnsuppo
 from .record import PROVENANCE_RING, SummaryRecord
 
 MAGIC = b"GFS1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+
+_HEAD = struct.Struct("<qqQqII")
+_HEAD_V2 = struct.Struct("<qqQqdII")  # versions 1 and 2: a float64 weight follows the sid
 
 _BLOCK_MEAN = 1
 _BLOCK_VARIANCE = 2
@@ -92,20 +99,28 @@ def _encode_sample(s: stats.SummarySample) -> bytes:
         blocks.append((_BLOCK_SWV, struct.pack("<Q", s.swv.shape[0]) + _floats(s.swv)))
 
     out = io.BytesIO()
-    out.write(struct.pack("<qqQqdII", s.t_start, s.t_end, s.n, s.sid, s.weight, d, len(blocks)))
+    out.write(_HEAD.pack(s.t_start, s.t_end, s.n, s.sid, d, len(blocks)))
     for btype, payload in blocks:
         _write_block(out, btype, payload)
     return out.getvalue()
 
 
-def _decode_sample(buf: memoryview, offset: int, skipped: dict) -> tuple[stats.SummarySample, int]:
+def _decode_sample(
+    buf: memoryview, offset: int, skipped: dict, version: int
+) -> tuple[stats.SummarySample, int]:
     """Decode one sample; unknown blocks are tallied as ``skipped[type] = (count, bytes)``."""
-    head = struct.calcsize("<qqQqdII")
-    t0, t1, n, sid, weight, d, n_blocks = struct.unpack_from("<qqQqdII", buf, offset)
-    offset += head
+    if version < 3:
+        t0, t1, n, sid, weight, d, n_blocks = _HEAD_V2.unpack_from(buf, offset)
+        if weight != 1.0:
+            raise VersionUnsupported(
+                f"sample [{t0},{t1}) has weight {weight!r}; only weight 1.0 loads into format {FORMAT_VERSION}"
+            )
+        offset += _HEAD_V2.size
+    else:
+        t0, t1, n, sid, d, n_blocks = _HEAD.unpack_from(buf, offset)
+        offset += _HEAD.size
     s = stats.SummarySample(
-        t_start=t0, t_end=t1, n=n, mean=np.zeros(d), variance=None, min_v=None, max_v=None,
-        weight=weight, sid=sid,
+        t_start=t0, t_end=t1, n=n, mean=np.zeros(d), variance=None, min_v=None, max_v=None, sid=sid
     )
     for _ in range(n_blocks):
         btype, length = struct.unpack_from("<IQ", buf, offset)
@@ -224,12 +239,12 @@ def _read(blob: bytes) -> SummaryRecord:
     if blob[:4] != MAGIC:
         raise BadMagic(f"expected {MAGIC!r}, found {blob[:4]!r}")
     (version,) = struct.unpack_from("<I", blob, 4)
-    if version not in (1, FORMAT_VERSION):
+    if version not in (1, 2, FORMAT_VERSION):
         raise VersionUnsupported(f"format version {version} not supported")
     (mlen,) = struct.unpack_from("<Q", blob, 8)
     pos = 16 + mlen
     end = pos  # end of the manifest's JSON
-    if version == FORMAT_VERSION:
+    if version >= 2:
         end -= 4
         (crc,) = struct.unpack_from("<I", blob, end)
         if zlib.crc32(memoryview(blob)[:end]) != crc:
@@ -283,7 +298,7 @@ def _read(blob: bytes) -> SummaryRecord:
         offset += 8
         level = []
         for _ in range(count):
-            s, offset = _decode_sample(view, offset, skipped)
+            s, offset = _decode_sample(view, offset, skipped, version)
             level.append(s)
         levels.append(level)
     rec.levels = levels if levels else [[]]

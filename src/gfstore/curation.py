@@ -175,10 +175,7 @@ def _single_stat_model(s: stats.SummarySample, name: str) -> compare.Distributio
     if name == "extrema" and s.min_v is not None and s.max_v is not None:
         return compare.uniform_model(s.min_v, s.max_v)
     if name == "histogram" and s.histogram is not None and s.hist_edges is not None:
-        counts = np.zeros(s.hist_edges.shape[0] - 1)
-        for k, v in s.histogram.items():
-            if k != stats.OUTLIER_BIN:
-                counts[k] = v
+        counts = stats.in_range_counts(s)
         if counts.sum() <= 0:
             return None
         return compare.piecewise_model(s.hist_edges, counts)

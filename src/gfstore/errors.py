@@ -13,10 +13,6 @@ class DictionaryMismatch(StoreError):
     """Histograms have different bin edges."""
 
 
-class NegativeWeight(StoreError):
-    """Weights must be >= 0."""
-
-
 class BudgetTooSmall(StoreError):
     """Storage budget cannot give every active level a slot."""
 

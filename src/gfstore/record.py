@@ -119,7 +119,7 @@ class SummaryRecord:
     # -- bookkeeping -------------------------------------------------------
 
     def _statistic_ids(self) -> list[str]:
-        ids = ["count", "mean", "variance", "min", "max", "weight"]
+        ids = ["count", "mean", "variance", "min", "max"]
         if self.opts.covariance:
             ids.append("covariance")
         if self.opts.hull:

@@ -33,7 +33,6 @@ def _sample_dict(s, coarse: bool | None = None) -> dict:
         "t_start": s.t_start,
         "t_end": s.t_end,
         "n": s.n,
-        "weight": s.weight,
         "mean": s.mean.tolist(),
         "variance": None if s.variance is None else s.variance.tolist(),
         "min": None if s.min_v is None else s.min_v.tolist(),

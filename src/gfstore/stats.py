@@ -1,8 +1,8 @@
 """Mergeable summary statistics.
 
 A :class:`SummarySample` bundles every statistic kept for one stream
-interval: count, weighted mean, population variance, extrema, and the
-optional histogram / covariance / convex hull / scale-wise variance.
+interval: count, mean, population variance, extrema, and the optional
+histogram / covariance / convex hull / scale-wise variance.
 All of them obey the same contract: merging the summaries of two disjoint
 blocks gives exactly the summary of their union, so summaries can be
 rescaled forever without touching raw data again.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectrum
-from .errors import ChannelMismatch, DictionaryMismatch, NegativeWeight
+from .errors import ChannelMismatch, DictionaryMismatch
 
 #: Histogram bin id reserved for out-of-range counts.
 OUTLIER_BIN = -1
@@ -43,10 +43,8 @@ class StatisticSet:
 class SummarySample:
     """Statistics of one half-open interval [t_start, t_end) of the stream.
 
-    ``n`` is the true raw cardinality; ``weight`` is the mean per-raw weight,
-    so the effective count used in weighted formulas is ``n * weight``.
-    A zero weight excludes the interval from every statistic while keeping
-    the fact that the data existed.
+    ``n`` is the raw cardinality and the weight of the sample in every
+    count-weighted merge formula.
 
     ``variance``/``min_v``/``max_v`` may be None after a curation drop, and
     stay None through every later merge; an empty sample (n == 0) instead
@@ -61,7 +59,6 @@ class SummarySample:
     variance: np.ndarray | None
     min_v: np.ndarray | None
     max_v: np.ndarray | None
-    weight: float = 1.0
     covariance: np.ndarray | None = None
     hull: np.ndarray | None = None
     histogram: dict[int, int] | None = None
@@ -72,11 +69,6 @@ class SummarySample:
     @property
     def channels(self) -> int:
         return self.mean.shape[0]
-
-    @property
-    def effective(self) -> float:
-        """Effective (weighted) count."""
-        return self.n * self.weight
 
     def copy(self) -> "SummarySample":
         return dataclasses.replace(
@@ -105,7 +97,6 @@ class SummarySample:
             self.t_start == other.t_start
             and self.t_end == other.t_end
             and self.n == other.n
-            and self.weight == other.weight
             and arr_eq(self.mean, other.mean)
             and arr_eq(self.variance, other.variance)
             and arr_eq(self.min_v, other.min_v)
@@ -209,6 +200,15 @@ def point_sample(row, t: int, opts: StatisticSet | None = None) -> SummarySample
     return s
 
 
+def in_range_counts(s: SummarySample) -> np.ndarray:
+    """The histogram's counts per bin of ``hist_edges``; ``OUTLIER_BIN`` is left out."""
+    counts = np.zeros(s.hist_edges.shape[0] - 1)
+    for k, v in s.histogram.items():
+        if k != OUTLIER_BIN:
+            counts[k] = v
+    return counts
+
+
 def convex_hull(points) -> np.ndarray:
     """Convex hull of 2D points via the monotone chain, counter-clockwise.
 
@@ -280,13 +280,6 @@ def hull_contains(hull: np.ndarray, point, *, margin: float = 0.0) -> bool:
     return True
 
 
-def apply_weight(x: SummarySample, w: float) -> SummarySample:
-    """Scale the sample's weight; w = 0 excludes it from future merges."""
-    if w < 0:
-        raise NegativeWeight(f"weight {w} < 0")
-    return dataclasses.replace(x.copy(), weight=x.weight * w)
-
-
 def _merged_interval(a: SummarySample, b: SummarySample, allow_gap: bool):
     if b.t_end <= a.t_start:
         a, b = b, a
@@ -301,9 +294,9 @@ def merge(a: SummarySample, b: SummarySample, *, allow_gap: bool = False) -> Sum
     """Merge adjacent summaries into the summary of the union interval.
 
     An optional statistic survives only when present on both sides; one
-    missing on either side is None on the result.  A zero-weight side is
-    excluded from every statistic and shows only in ``n`` and ``weight``.
-    Merging with the empty sample is an exact identity.  Provenance is the
+    missing on either side is None on the result.  Means, variances,
+    covariances and scale-wise variances are weighted by ``n``.  Merging
+    with the empty sample is an exact identity.  Provenance is the
     record's business, not the sample's.
     """
     if a.mean.shape[0] != b.mean.shape[0]:
@@ -317,42 +310,24 @@ def merge(a: SummarySample, b: SummarySample, *, allow_gap: bool = False) -> Sum
         out.sid = -1
         return out
 
-    live_a = a.weight > 0
-    live_b = b.weight > 0
     n = a.n + b.n
-    eff = a.effective + b.effective
-
-    if not (live_a and live_b):
-        if live_a or live_b:
-            out = (a if live_a else b).copy()
-            out.t_start, out.t_end = t0, t1
-            out.n = n
-            out.weight = eff / n
-            out.sid = -1
-            return out
-        out = empty(a.channels)
-        out.t_start, out.t_end = t0, t1
-        out.n = n
-        out.weight = 0.0
-        return out
-
-    ea, eb = a.effective, b.effective
-    mean = (ea * a.mean + eb * b.mean) / eff
+    # float counts: numpy scales an array by a Python float faster than by an int
+    na, nb, nf = float(a.n), float(b.n), float(n)
+    mean = (na * a.mean + nb * b.mean) / nf
     out = SummarySample(t_start=t0, t_end=t1, n=n, mean=mean, variance=None, min_v=None, max_v=None)
-    out.weight = eff / n
 
     da = a.mean - mean
     db = b.mean - mean
     if a.variance is not None and b.variance is not None:
-        out.variance = (ea * (a.variance + da * da) + eb * (b.variance + db * db)) / eff
+        out.variance = (na * (a.variance + da * da) + nb * (b.variance + db * db)) / nf
     if a.min_v is not None and b.min_v is not None:
         out.min_v = np.minimum(a.min_v, b.min_v)
     if a.max_v is not None and b.max_v is not None:
         out.max_v = np.maximum(a.max_v, b.max_v)
     if a.covariance is not None and b.covariance is not None:
         out.covariance = (
-            ea * (a.covariance + np.outer(da, da)) + eb * (b.covariance + np.outer(db, db))
-        ) / eff
+            na * (a.covariance + np.outer(da, da)) + nb * (b.covariance + np.outer(db, db))
+        ) / nf
     if a.hull is not None and b.hull is not None:
         out.hull = merge_hull(a.hull, b.hull)
     if a.histogram is not None and b.histogram is not None:
@@ -366,7 +341,7 @@ def merge(a: SummarySample, b: SummarySample, *, allow_gap: bool = False) -> Sum
         out.histogram = hist
         out.hist_edges = None if a.hist_edges is None else a.hist_edges.copy()
     if a.swv is not None and b.swv is not None:
-        out.swv = spectrum.pool_terms(a.swv, a.mean, ea, b.swv, b.mean, eb, mean)
+        out.swv = spectrum.pool_terms(a.swv, a.mean, na, b.swv, b.mean, nb, mean)
     return out
 
 
@@ -385,7 +360,7 @@ def merge_all(samples, *, allow_gap: bool = False) -> SummarySample:
 def scalar_cost(s: SummarySample) -> tuple[int, int]:
     """(floats, ints) stored by this sample; used for size accounting."""
     d = s.channels
-    floats = d + 1  # mean + weight
+    floats = d  # mean
     ints = 3  # t_start, t_end, n
     for v in (s.variance, s.min_v, s.max_v):
         if v is not None:

@@ -80,3 +80,19 @@ def test_inspect_truncated_store_exits_2_without_traceback(gfs, tmp_path):
         assert rc == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("gfs: ")
         assert "Traceback" not in err
+
+
+def test_budget_on_an_existing_store_rebalances_it(gfs, tmp_path):
+    store = tmp_path / "s.gfs"
+    assert gfs(["ingest", str(store), "--budget", "16"], csv_rows(100))[0] == 0
+    rc, out, err = gfs(["ingest", str(store), "--budget", "4"])
+    assert (rc, err) == (0, "")
+    assert out == "ingested 0 rows; slots 4/4; t = 100\n"
+    rec = container.load(store)
+    assert (rec.slots(), rec.budget, rec.aggregate().n) == (4, 4, 100)
+    assert sum(n for (op, _, reason), n in rec.event_counts.items() if (op, reason) == ("rescale", "budget")) == 12
+
+    before = store.read_bytes()
+    rc, out, err = gfs(["ingest", str(store), "--budget", "0"], csv_rows(10))
+    assert rc == 2 and out == "" and "BudgetTooSmall" in err
+    assert store.read_bytes() == before

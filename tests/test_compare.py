@@ -163,6 +163,15 @@ def test_model_from_sample_defaults():
     assert p.family == "piecewise"
     assert np.allclose(p.probs, [0.75, 0.25])
 
+    # no in-range count: the histogram falls through to the next statistic
+    out = stats.summarize([5.0, 7.0], opts=opts)
+    assert model_from_sample(out).family == "gaussian"
+    out.variance = None
+    assert model_from_sample(out).family == "uniform"
+    out.min_v = out.max_v = None
+    q = model_from_sample(out)
+    assert q.family == "point" and q.loc[0] == 6.0
+
 
 def test_model_from_empty_sample():
     with pytest.raises(EmptySample):
@@ -170,13 +179,11 @@ def test_model_from_empty_sample():
 
 
 def test_family_hint_and_override():
-    # the family is the caller's explicit choice; samples carry no hint
+    # the family follows from the statistics alone; samples carry no hint
     s = stats.summarize([0.0, 1.0, 2.0])
     assert not hasattr(s, "family_hint")
     assert not hasattr(stats.StatisticSet(), "family_hint")
     assert model_from_sample(s).family == "gaussian"
-    assert model_from_sample(s, family="uniform").family == "uniform"
-    assert model_from_sample(s, family="gaussian").family == "gaussian"
 
 
 def test_subset_verdict_equal():

@@ -8,7 +8,7 @@ import pytest
 
 from gfstore import container, stats
 from gfstore.curation import CurationRules
-from gfstore.errors import CorruptContainer, StoreError
+from gfstore.errors import CorruptContainer, StoreError, VersionUnsupported
 from gfstore.record import PROVENANCE_RING, SummaryRecord
 
 RICH = stats.StatisticSet(
@@ -25,7 +25,7 @@ def rich_record():
 
 
 def seal(blob: bytes) -> bytes:
-    """Recompute the manifest's CRC-32 trailer (format version 2)."""
+    """Recompute the manifest's CRC-32 trailer (format versions 2 and 3)."""
     (mlen,) = struct.unpack_from("<Q", blob, 8)
     end = 16 + mlen - 4
     return blob[:end] + struct.pack("<I", zlib.crc32(blob[:end])) + blob[end + 4 :]
@@ -182,33 +182,55 @@ def test_single_bit_flips_never_load():
             container.read(bytes(flipped))
 
 
-SAMPLE_HEAD = "<qqQqdII"
+SAMPLE_HEAD = "<qqQqII"
+OLD_SAMPLE_HEAD = "<qqQqdII"  # versions 1 and 2: a float64 weight follows the sid
+
+
+def old_sample(s: stats.SummarySample, weight: float = 1.0) -> bytes:
+    """``s`` with the 48-byte sample header of format versions 1 and 2."""
+    enc = container._encode_sample(s)
+    t0, t1, n, sid, d, n_blocks = struct.unpack_from(SAMPLE_HEAD, enc)
+    return struct.pack(OLD_SAMPLE_HEAD, t0, t1, n, sid, weight, d, n_blocks) + enc[struct.calcsize(SAMPLE_HEAD) :]
 
 
 def parent_sample(s: stats.SummarySample) -> bytes:
-    """``s`` as an older build wrote it: plus a family-hint (10) and a notes (11) block."""
-    enc = container._encode_sample(s)
-    *head, n_blocks = struct.unpack_from(SAMPLE_HEAD, enc)
+    """``s`` as an older build wrote it: weight 1.0 plus a family-hint (10) and a notes (11) block."""
+    enc = old_sample(s)
+    *head, n_blocks = struct.unpack_from(OLD_SAMPLE_HEAD, enc)
     hint = b"gaussian"
     note = b"dropped hull on merge at [0,8)"
     notes = struct.pack("<QQ", 1, len(note)) + note
     extra = struct.pack("<IQ", 10, len(hint)) + hint + struct.pack("<IQ", 11, len(notes)) + notes
-    return struct.pack(SAMPLE_HEAD, *head, n_blocks + 2) + enc[struct.calcsize(SAMPLE_HEAD) :] + extra
+    return struct.pack(OLD_SAMPLE_HEAD, *head, n_blocks + 2) + enc[struct.calcsize(OLD_SAMPLE_HEAD) :] + extra
+
+
+def old_container(rec: SummaryRecord, encode, version: int, edit=lambda m: None) -> bytes:
+    """``rec`` in format ``version`` (1 or 2), each sample written by ``encode``."""
+    data = struct.pack("<Q", len(rec.levels))
+    for level in rec.levels:
+        data += struct.pack("<Q", len(level)) + b"".join(encode(s) for s in level)
+    blob = container.write(rec)
+    (mlen,) = struct.unpack_from("<Q", blob, 8)
+    manifest = json.loads(blob[16 : 16 + mlen - 4])
+    manifest.update(format_version=version, data_len=len(data), data_crc32=zlib.crc32(data))
+    edit(manifest)
+    raw = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    if version == 1:
+        head = b"GFS1" + struct.pack("<IQ", 1, len(raw)) + raw
+    else:
+        head = b"GFS1" + struct.pack("<IQ", version, len(raw) + 4) + raw
+        head += struct.pack("<I", zlib.crc32(head))
+    return head + struct.pack("<Q", len(data)) + data
 
 
 def test_reads_version_1_file_with_retired_blocks_and_keys():
     rec = rich_record()
-    data = struct.pack("<Q", len(rec.levels))
-    for level in rec.levels:
-        data += struct.pack("<Q", len(level)) + b"".join(parent_sample(s) for s in level)
-    blob = container.write(rec)
-    (mlen,) = struct.unpack_from("<Q", blob, 8)
-    manifest = json.loads(blob[16 : 16 + mlen - 4])
-    manifest.update(format_version=1, data_len=len(data), data_crc32=zlib.crc32(data))
-    manifest["statistics"]["family_hint"] = None
-    manifest["rules"].update(kl_tau=0.1, access_half_life=16.0, drop_priority=None)
-    raw = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    v1 = b"GFS1" + struct.pack("<IQ", 1, len(raw)) + raw + struct.pack("<Q", len(data)) + data
+
+    def parent_format(manifest):
+        manifest["statistics"]["family_hint"] = None
+        manifest["rules"].update(kl_tau=0.1, access_half_life=16.0, drop_priority=None)
+
+    v1 = old_container(rec, parent_sample, 1, parent_format)
 
     back = container.read(v1)
     assert back.levels == rec.levels
@@ -225,5 +247,30 @@ def test_reads_version_1_file_with_retired_blocks_and_keys():
     assert notes[2].startswith(f"skipped {slots} statistic block(s) of unknown or retired type 11 (")
     assert back.event_counts[("read", None, None)] == 3
     rewritten = container.write(back)
-    assert struct.unpack_from("<I", rewritten, 4) == (container.FORMAT_VERSION,) == (2,)
+    assert struct.unpack_from("<I", rewritten, 4) == (container.FORMAT_VERSION,) == (3,)
     assert container.read(rewritten) == back
+
+
+def data_len(blob: bytes) -> int:
+    (mlen,) = struct.unpack_from("<Q", blob, 8)
+    return struct.unpack_from("<Q", blob, 16 + mlen)[0]
+
+
+def test_reads_version_2_file_with_unit_weights():
+    rec = rich_record()
+    v2 = old_container(rec, old_sample, 2)
+    back = container.read(v2)
+    assert back.levels == rec.levels
+    assert back.rules == rec.rules and back.opts == rec.opts
+    rewritten = container.write(back)
+    assert struct.unpack_from("<I", rewritten, 4) == (3,)
+    assert data_len(v2) - data_len(rewritten) == 8 * rec.slots()
+    assert container.read(rewritten) == back
+
+
+def test_version_2_file_with_another_weight_is_refused():
+    rec = rich_record()
+    first = next(rec.samples_in_time_order())
+    v2 = old_container(rec, lambda s: old_sample(s, 0.5 if s is first else 1.0), 2)
+    with pytest.raises(VersionUnsupported, match="weight 0.5"):
+        container.read(v2)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gfstore import stats
-from gfstore.errors import ChannelMismatch, DictionaryMismatch, NegativeWeight
-from gfstore.stats import StatisticSet, apply_weight, merge, merge_all, merge_hull, summarize
+from gfstore.errors import ChannelMismatch, DictionaryMismatch
+from gfstore.stats import StatisticSet, merge, merge_hull, summarize
 
 RTOL = 1e-9
 
@@ -136,6 +136,22 @@ def test_histogram_mismatch():
     b = summarize([0.5, 1.5], t_start=2, opts=o2)
     with pytest.raises(DictionaryMismatch):
         merge(a, b)
+    # same edges, disjoint bins: the merged histogram holds both keys
+    m = merge(summarize([0.5], opts=o1), summarize([1.5], t_start=1, opts=o1))
+    assert m.histogram == {0: 1, 1: 1}
+
+
+def test_histogram_merge_identity_and_doubling():
+    edges = StatisticSet(histogram_edges=(0.0, 1.0, 2.0, 3.0))
+    block = [0.2, 0.5, 0.8, 1.5]
+    h = summarize(block, t_start=0, opts=edges)
+    assert h.histogram == {0: 3, 1: 1}
+    m = merge(h, stats.empty(1, t=4))
+    assert m.histogram == {0: 3, 1: 1} and stats.OUTLIER_BIN not in m.histogram
+    m2 = merge(h, summarize(block, t_start=4, opts=edges))
+    assert m2.histogram == {0: 6, 1: 2}
+    assert (m2.t_start, m2.t_end) == (0, 8)
+    assert np.array_equal(m2.hist_edges, h.hist_edges)
 
 
 def test_histogram_counts_sum_to_n():
@@ -193,47 +209,6 @@ def test_sample_hull_contains_mean():
     raw = rng.normal(size=(50, 2))
     s = summarize(raw, opts=StatisticSet(hull=True))
     assert stats.hull_contains(s.hull, s.mean, margin=1e-9)
-
-
-# -- weights -----------------------------------------------------------------
-
-def test_weight_one_is_identity():
-    s = summarize([1.0, 2.0])
-    assert apply_weight(s, 1.0) == s
-
-
-def test_negative_weight_rejected():
-    with pytest.raises(NegativeWeight):
-        apply_weight(summarize([1.0]), -0.5)
-
-
-def test_zero_weight_excludes():
-    a = summarize([0.0, 0.0], 0)
-    b = apply_weight(summarize([4.0, 4.0], 2), 0.0)
-    m = merge(a, b)
-    assert close(m.mean, [0.0])
-    assert m.n == 4  # presence is still documented
-    assert close(m.max_v, [0.0])  # excluded data do not pollute extrema
-    assert m.weight == 0.5
-
-
-def test_half_weight_merge_example():
-    a = summarize([0.0, 0.0], 0)
-    b = apply_weight(summarize([4.0, 4.0], 2), 0.5)
-    m = merge(a, b)
-    assert close(m.mean, [4.0 * 1.0 / 3.0])
-
-
-def test_weighted_effective_count_is_conserved():
-    rng = np.random.default_rng(21)
-    parts = []
-    t = 0
-    for w in (1.0, 0.5, 2.0):
-        s = apply_weight(summarize(rng.normal(size=5), t), w)
-        parts.append(s)
-        t += 5
-    m = merge_all(parts)
-    assert np.isclose(m.effective, sum(p.effective for p in parts))
 
 
 def test_no_median_field():
