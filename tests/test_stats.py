@@ -136,22 +136,6 @@ def test_histogram_mismatch():
     b = summarize([0.5, 1.5], t_start=2, opts=o2)
     with pytest.raises(DictionaryMismatch):
         merge(a, b)
-    # same edges, disjoint bins: the merged histogram holds both keys
-    m = merge(summarize([0.5], opts=o1), summarize([1.5], t_start=1, opts=o1))
-    assert m.histogram == {0: 1, 1: 1}
-
-
-def test_histogram_merge_identity_and_doubling():
-    edges = StatisticSet(histogram_edges=(0.0, 1.0, 2.0, 3.0))
-    block = [0.2, 0.5, 0.8, 1.5]
-    h = summarize(block, t_start=0, opts=edges)
-    assert h.histogram == {0: 3, 1: 1}
-    m = merge(h, stats.empty(1, t=4))
-    assert m.histogram == {0: 3, 1: 1} and stats.OUTLIER_BIN not in m.histogram
-    m2 = merge(h, summarize(block, t_start=4, opts=edges))
-    assert m2.histogram == {0: 6, 1: 2}
-    assert (m2.t_start, m2.t_end) == (0, 8)
-    assert np.array_equal(m2.hist_edges, h.hist_edges)
 
 
 def test_histogram_counts_sum_to_n():
