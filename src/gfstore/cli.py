@@ -8,12 +8,16 @@
     gfs serve <store> --socket PATH
 
 CSV input is one row per time step, d comma-separated reals; an optional
-first line "#observation,action,reward" labels the channels.  A new store
-gets --budget slots, 256 when the flag is absent; an existing store keeps
+first line "#observation,action,reward" labels the channels.  Every row
+must hold as many values as the first, or nothing is ingested, and the rows
+go into the store as one block.  A new store gets --budget slots, 256 when
+the flag is absent, and the statistics of --stats; an existing store keeps
 its own budget unless --budget is given, and is then rebalanced to the new
-budget at once, before any new rows.  inspect --json prints the whole
-accounting as one JSON object, including the provenance event totals and
-the last events kept.  Exit codes: 0 success, 1 usage error, 2 data error.
+budget at once, before any new rows.  An existing store's statistics never
+change: --stats on it must name the same set, or nothing is saved.
+inspect --json prints the whole accounting as one JSON object, including
+the provenance event totals and the last events kept.  Exit codes:
+0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -65,6 +69,15 @@ def _parse_stats(spec: str | None) -> stats.StatisticSet:
     return stats.StatisticSet(**kw)
 
 
+def _stats_list(opts: stats.StatisticSet) -> str:
+    """The statistic ids of ``opts``, the histogram with its range and bin count."""
+    names = opts.names()
+    if opts.histogram_edges is not None:
+        edges = opts.histogram_edges
+        names[names.index("histogram")] = f"histogram[{_fmt(edges[0])}:{_fmt(edges[-1])}:{len(edges) - 1}]"
+    return ",".join(names)
+
+
 def _read_csv(stream):
     labels = None
     rows = []
@@ -79,9 +92,12 @@ def _read_csv(stream):
                 raise ValueError(f"line {lineno}: unknown channel label(s) {bad}")
             continue
         try:
-            rows.append([float(tok) for tok in line.split(",")])
+            row = [float(tok) for tok in line.split(",")]
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"line {lineno}: expected {len(rows[0])} values, got {len(row)}")
+        rows.append(row)
     return labels, rows
 
 
@@ -91,6 +107,11 @@ def cmd_ingest(args) -> int:
     labels, rows = _read_csv(sys.stdin)
     if os.path.exists(args.store):
         rec = container.load(args.store)
+        if args.stats is not None and _parse_stats(args.stats) != rec.opts:
+            raise ValueError(
+                f"the store keeps {_stats_list(rec.opts)}; "
+                f"--stats asks for {_stats_list(_parse_stats(args.stats))}"
+            )
         if args.budget is not None and args.budget != rec.budget:
             rec.rules.budget_slots = args.budget
             rec.rebalance(reason="budget")
@@ -104,8 +125,7 @@ def cmd_ingest(args) -> int:
             opts=_parse_stats(args.stats),
             labels=labels,
         )
-    for row in rows:
-        rec.ingest(row)
+    rec.ingest_block(rows)
     rec.validate()
     container.save(rec, args.store)
     print(f"ingested {len(rows)} rows; slots {rec.slots()}/{rec.budget}; t = {rec.now}")

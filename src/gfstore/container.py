@@ -369,7 +369,7 @@ def inspect_summary(rec: SummaryRecord) -> dict:
         "merge_count": rec.merge_count,
         "scalar_footprint": rec.scalar_footprint(),
         "levels": levels,
-        "statistics": rec._statistic_ids(),
+        "statistics": rec.opts.names(),
         "rules": dataclasses.asdict(rec.rules),
         "provenance_events": sum(rec.event_counts.values()),
         "event_counts": rec.event_rows(),

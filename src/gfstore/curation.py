@@ -90,6 +90,17 @@ class AccessLog:
             self._counts.pop(sid, None)
         self._counts[new_sid] = (total, self.tick)
 
+    def settle(self, retired, created) -> None:
+        """Drop the counters of ``retired`` sids and set each ``(sid, count)`` of ``created``.
+
+        This is the state a run of :meth:`register` and :meth:`pool` calls
+        within one tick leaves, given the pooled counts.
+        """
+        for sid in retired:
+            self._counts.pop(sid, None)
+        for sid, value in created:
+            self._counts[sid] = (value, self.tick)
+
     def advance(self, cycles: int = 1) -> None:
         self.tick += cycles
 

@@ -12,7 +12,9 @@ Medians and other non-mergeable quantities are deliberately absent.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,19 @@ class StatisticSet:
     hull: bool = False
     histogram_edges: tuple[float, ...] | None = None
     swv: bool = False
+
+    def names(self) -> list[str]:
+        """Ids of every statistic kept, the fixed five first."""
+        ids = ["count", "mean", "variance", "min", "max"]
+        if self.covariance:
+            ids.append("covariance")
+        if self.hull:
+            ids.append("hull")
+        if self.histogram_edges is not None:
+            ids.append("histogram")
+        if self.swv:
+            ids.append("swv")
+        return ids
 
     def edges_array(self) -> np.ndarray | None:
         if self.histogram_edges is None:
@@ -200,6 +215,20 @@ def point_sample(row, t: int, opts: StatisticSet | None = None) -> SummarySample
     return s
 
 
+def hist_bins(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Histogram bin of each value of ``x``, ``OUTLIER_BIN`` outside ``edges``.
+
+    The array form of :func:`point_sample`'s rule, which stays scalar because
+    the per-row path calls it once a row: bins are half-open except the last,
+    which is closed on the right, as in ``np.histogram``.
+    """
+    last = edges.shape[0] - 1
+    i = np.searchsorted(edges, x, side="right") - 1
+    i[(i == last) & (x == edges[-1])] -= 1
+    i[(i < 0) | (i >= last)] = OUTLIER_BIN
+    return i
+
+
 def in_range_counts(s: SummarySample) -> np.ndarray:
     """The histogram's counts per bin of ``hist_edges``; ``OUTLIER_BIN`` is left out."""
     counts = np.zeros(s.hist_edges.shape[0] - 1)
@@ -355,6 +384,139 @@ def merge_all(samples, *, allow_gap: bool = False) -> SummarySample:
     for s in it:
         acc = merge(acc, s, allow_gap=allow_gap)
     return acc
+
+
+def merge_runs(samples, rows: np.ndarray, t_rows: int, sizes, opts: StatisticSet) -> list[SummarySample]:
+    """Merge consecutive runs of sources, every run in one grouped reduction.
+
+    The sources are ``samples``, stored samples in time order, followed by
+    the point samples of ``rows`` (rows x channels) under ``opts``, row j
+    covering step ``t_rows + j``.  ``sizes[r]`` is the number of consecutive
+    sources that run r merges, and the runs take every source in turn.  The
+    sources of one run must be adjacent in time; runs need not be.
+
+    Each run gets the k-way form of :func:`merge`'s formulas: with
+    N = sum n_i and M = sum n_i m_i / N over the run's sources,
+
+        variance   = sum n_i (v_i + (m_i - M)^2) / N
+        covariance = sum n_i (C_i + (m_i - M)(m_i - M)^T) / N
+
+    A run of one row gets ``point_sample``'s values and a run of two
+    sources ``merge``'s own expressions.  Longer runs sum in another order
+    than a chain of merges, so their moments agree with it to rounding.
+    Counts, extrema and histograms are exact, and a hull is the hull of
+    every vertex and row of its run, as a chain of ``merge_hull`` gives it.
+    A statistic that any sample of a run lacks is None on the result.  Sids
+    are left at -1.  Scale-wise variance depends on the merge tree, not only
+    on the runs, so ``opts.swv`` is refused.
+    """
+    if opts.swv:
+        raise ValueError("merge_runs cannot build scale-wise variance")
+    m, d = rows.shape
+    k = len(samples)
+    n_runs = len(sizes)
+    first = [0, *itertools.accumulate(sizes[:-1])]
+    at = np.array(first, dtype=np.intp)
+    sample_run = []  # the run of each sample; samples come first, so few runs hold them
+    for r, size in enumerate(sizes):
+        if len(sample_run) >= k:
+            break
+        sample_run += [r] * size
+    del sample_run[k:]
+
+    # Sources x (mean, variance, min, max) x channels.  A statistic that a
+    # sample lacks reads as zero here and is None on the sample's run.
+    zero = np.zeros(d)
+    lost: dict[str, set[int]] = collections.defaultdict(set)
+    stored = []
+    for r, s in zip(sample_run, samples):
+        stored.append(s.mean)
+        for name in ("variance", "min_v", "max_v"):
+            v = getattr(s, name)
+            if v is None:
+                lost[name].add(r)
+                v = zero
+            stored.append(v)
+    src = np.empty((k + m, 4, d))
+    if k:
+        src[:k] = np.concatenate(stored).reshape(k, 4, d)
+    src[k:] = rows[:, np.newaxis, :]
+    src[k:, 1] = 0.0
+
+    def kept(name: str, values) -> list:
+        """``values`` per run, None on the runs that lost ``name``."""
+        values = list(values)
+        for r in lost[name]:
+            values[r] = None
+        return values
+
+    means = src[:, 0]
+    weight = np.array([s.n for s in samples] + [1] * m, dtype=np.float64)[:, np.newaxis]
+    total = np.add.reduceat(weight, at)
+    mean = np.add.reduceat(weight * means, at) / total
+    dev = means - np.repeat(mean, sizes, axis=0)
+    variance = kept("variance", np.add.reduceat(weight * (src[:, 1] + dev * dev), at) / total)
+    low = kept("min_v", np.minimum.reduceat(src[:, 2], at))
+    high = kept("max_v", np.maximum.reduceat(src[:, 3], at))
+
+    covariance = [None] * n_runs
+    if opts.covariance:
+        cov = np.zeros((k + m, d, d))
+        for i, (r, s) in enumerate(zip(sample_run, samples)):
+            if s.covariance is None:
+                lost["covariance"].add(r)
+            else:
+                cov[i] = s.covariance
+        cov += dev[:, :, np.newaxis] * dev[:, np.newaxis, :]
+        cov = np.add.reduceat(weight[:, :, np.newaxis] * cov, at) / total[:, :, np.newaxis]
+        covariance = kept("covariance", cov)
+
+    hulls = [None] * n_runs
+    if opts.hull and d == 2:
+        parts: list[list[np.ndarray]] = [[] for _ in range(n_runs)]
+        for r, s in zip(sample_run, samples):
+            parts[r].append(s.hull)
+        for r, i in enumerate(first):
+            parts[r].append(rows[max(i - k, 0) : max(i + sizes[r] - k, 0)])
+        hulls = [None if any(p is None for p in ps) else convex_hull(np.vstack(ps)) for ps in parts]
+
+    hists = [None] * n_runs
+    edges = opts.edges_array()
+    if edges is not None:
+        counts: list[dict[int, int]] = [{} for _ in range(n_runs)]
+        for r, s in zip(sample_run, samples):
+            if s.histogram is None:
+                lost["histogram"].add(r)
+                continue
+            for b, c in s.histogram.items():
+                counts[r][b] = counts[r].get(b, 0) + c
+        width = edges.shape[0]  # the bins plus the outlier bin, shifted to 0
+        row_run = np.repeat(np.arange(n_runs), sizes)[k:]
+        keys, tally = np.unique(row_run * width + hist_bins(edges, rows[:, 0]) + 1, return_counts=True)
+        for key, c in zip(keys.tolist(), tally.tolist()):
+            r, b = divmod(key, width)
+            counts[r][b - 1] = counts[r].get(b - 1, 0) + c
+        hists = kept("histogram", counts)
+
+    out = []
+    for r, (i, size, n, mu) in enumerate(zip(first, sizes, total[:, 0].tolist(), mean)):
+        j = i + size - 1
+        out.append(
+            SummarySample(
+                t_start=samples[i].t_start if i < k else t_rows + i - k,
+                t_end=samples[j].t_end if j < k else t_rows + j - k + 1,
+                n=int(n),
+                mean=mu,
+                variance=variance[r],
+                min_v=low[r],
+                max_v=high[r],
+                covariance=covariance[r],
+                hull=hulls[r],
+                histogram=hists[r],
+                hist_edges=None if hists[r] is None else edges,
+            )
+        )
+    return out
 
 
 def scalar_cost(s: SummarySample) -> tuple[int, int]:

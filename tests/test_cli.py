@@ -96,3 +96,33 @@ def test_budget_on_an_existing_store_rebalances_it(gfs, tmp_path):
     rc, out, err = gfs(["ingest", str(store), "--budget", "0"], csv_rows(10))
     assert rc == 2 and out == "" and "BudgetTooSmall" in err
     assert store.read_bytes() == before
+
+
+def test_ragged_csv_on_an_existing_store_exits_2_and_saves_nothing(gfs, tmp_path):
+    store = tmp_path / "s.gfs"
+    assert gfs(["ingest", str(store), "--budget", "8"], csv_rows(20))[0] == 0
+    before = store.read_bytes()
+    rc, out, err = gfs(["ingest", str(store)], "1.0,2.0\n3.0,4.0\n5.0\n6.0,7.0\n")
+    assert (rc, out) == (2, "")
+    assert err == "gfs: ValueError: line 3: expected 2 values, got 1\n"
+    assert store.read_bytes() == before
+
+
+def test_stats_on_an_existing_store_must_match_its_own(gfs, tmp_path):
+    store = tmp_path / "s.gfs"
+    assert gfs(["ingest", str(store), "--budget", "8"], csv_rows(20))[0] == 0
+    before = store.read_bytes()
+    rc, out, err = gfs(["ingest", str(store), "--stats", "cov,hist=0:10:5"], csv_rows(5))
+    assert (rc, out) == (2, "")
+    assert err == (
+        "gfs: ValueError: the store keeps count,mean,variance,min,max; "
+        "--stats asks for count,mean,variance,min,max,covariance,histogram[0:10:5]\n"
+    )
+    assert store.read_bytes() == before
+
+    rich = tmp_path / "rich.gfs"
+    assert gfs(["ingest", str(rich), "--stats", "cov,hist=0:10:5"], csv_rows(20))[0] == 0
+    rc, out, err = gfs(["ingest", str(rich), "--stats", "cov,hist=0:10:5"], csv_rows(5))
+    assert (rc, err) == (0, "") and out.endswith("t = 25\n")
+    rc, _, err = gfs(["ingest", str(rich), "--stats", "cov,hist=0:10:4"], csv_rows(5))
+    assert rc == 2 and "histogram[0:10:5]; --stats asks for" in err and err.endswith("histogram[0:10:4]\n")

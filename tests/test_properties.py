@@ -16,7 +16,7 @@ WEIGHTS = ("nonstationarity_w", "slowness_w", "recurrence_reprieve_w", "prior_ac
 
 @st.composite
 def streams(draw):
-    """(record fed the rows, raw rows) for one drawn configuration."""
+    """(record fed the rows in chunks, raw rows) for one drawn configuration."""
     d = draw(st.integers(1, 3))
     budget = draw(st.integers(1, 16))
     opts = stats.StatisticSet(
@@ -31,8 +31,10 @@ def streams(draw):
     loc = draw(st.integers(-5, 5))
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
     raw = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(loc, scale, size=(n, d))
+    chunk = draw(st.integers(1, max(n, 1)))
     rec = SummaryRecord(channels=d, opts=opts, rules=rules)
-    rec.ingest_block(raw)
+    for start in range(0, n, chunk):
+        rec.ingest_block(raw[start : start + chunk])
     return rec, raw
 
 

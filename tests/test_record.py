@@ -5,10 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gfstore import container, stats
-from gfstore.curation import compact
+from gfstore import container, record, stats
+from gfstore.curation import compact, record_access
 from gfstore.errors import BudgetTooSmall, ChannelMismatch, FutureRange
-from gfstore.record import PROVENANCE_RING, SummaryRecord, allocate_budget, recorder_span
+from gfstore.record import PROVENANCE_RING, SummaryRecord, allocate_budget, level_quotas, next_step, recorder_span
+
+#: Planned block ingest sums each new sample's moments in one k-way pass, a
+#: chain of merges pairwise; both stay within this share of the data's scale.
+BLOCK_RTOL = 1e-12
 
 
 def fill(rec, n, rng=None, d=1):
@@ -279,3 +283,76 @@ def test_container_stays_flat_under_scalar_bound_and_compaction():
     assert rec.scalar_footprint() <= 100
     assert any(op == "drop_statistic" for op, _, _ in rec.event_counts)
     assert sizes[40_000] <= 1.10 * sizes[5_000]
+
+
+def test_next_step_policy_on_level_lengths():
+    assert level_quotas(8, 3) == (3, 3, 2)
+    assert level_quotas(2, 3) == (0, 0, 0)
+    assert next_step([4, 3, 1], level_quotas(8, 3)) == (0, False)  # finest level over its quota
+    assert next_step([2, 4, 3], level_quotas(8, 3)) == (1, False)  # two fine slots stay unmerged
+    assert next_step([2, 1, 0], level_quotas(2, 3)) == (0, False)  # unless no other level can shed
+    assert next_step([1, 0, 1, 1], level_quotas(2, 4)) == (2, True)  # the second-coarsest lone sample moves up
+
+
+def assert_same_record(planned, per_row, scale):
+    """``planned`` equals ``per_row`` exactly, but for moments within ``BLOCK_RTOL * scale``."""
+    assert (planned.now, planned.merge_count, planned._next_sid, planned.slots()) == (
+        per_row.now,
+        per_row.merge_count,
+        per_row._next_sid,
+        per_row.slots(),
+    )
+    assert planned.event_counts == per_row.event_counts
+    assert list(planned.provenance) == list(per_row.provenance)
+    assert planned.access_log.to_dict() == per_row.access_log.to_dict()
+    assert [len(level) for level in planned.levels] == [len(level) for level in per_row.levels]
+    for a, b in zip(planned.samples_in_time_order(), per_row.samples_in_time_order()):
+        assert (a.t_start, a.t_end, a.n, a.sid) == (b.t_start, b.t_end, b.n, b.sid)
+        for name in ("min_v", "max_v", "hull", "hist_edges"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None) == (y is None) and (x is None or np.array_equal(x, y)), name
+        assert a.histogram == b.histogram
+        for name in ("mean", "variance", "covariance"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None) == (y is None), name
+            if x is not None:
+                assert np.allclose(x, y, rtol=BLOCK_RTOL, atol=BLOCK_RTOL * scale), name
+
+
+def test_planned_block_ingest_matches_per_row(monkeypatch):
+    # Every block size takes the planned path here, the shortest ones too.
+    monkeypatch.setattr(record, "PLANNED_MIN_ROWS", 1)
+    rich = stats.StatisticSet(covariance=True, hull=True, histogram_edges=tuple(np.linspace(-4, 4, 9)))
+    for d, opts in ((1, stats.StatisticSet()), (2, rich)):
+        for budget in (1, 2, 3, 5, 16, 64):
+            for block in (1, 7, 500):
+                rng = np.random.default_rng(budget * 1_000 + block)
+                rows = 3.0 * rng.normal(size=(min(3 * block, 1_000), d)) + 1.0
+                planned = SummaryRecord(channels=d, budget=budget, opts=opts)
+                per_row = SummaryRecord(channels=d, budget=budget, opts=opts)
+                for i, start in enumerate(range(0, rows.shape[0], block)):
+                    planned.ingest_block(rows[start : start + block])
+                    for row in rows[start : start + block]:
+                        per_row.ingest(row)
+                    if i == 0:  # stored samples that later merges absorb lose statistics
+                        for rec in (planned, per_row):
+                            rec.rules.max_scalars = rec.scalar_footprint() - 1
+                            compact(rec)
+                            rec.rules.max_scalars = None
+                    sids = [s.sid for s in planned.samples_in_time_order()][::2]
+                    for rec in (planned, per_row):
+                        record_access(rec.access_log, sids)
+                        rec.access_log.advance()
+                    assert_same_record(planned, per_row, float(np.abs(rows).max()))
+                planned.validate()
+                assert any(op == "drop_statistic" for op, _, _ in planned.event_counts)
+
+
+def test_wrong_channel_block_leaves_the_record_unchanged():
+    rec = SummaryRecord(channels=2, budget=4)
+    rec.ingest_block(np.ones((40, 2)))
+    before = copy.deepcopy(rec)
+    for bad in (np.ones((40, 3)), np.ones(40), np.ones((2, 40, 2))):
+        with pytest.raises((ChannelMismatch, ValueError)):
+            rec.ingest_block(bad)
+        assert rec == before

@@ -197,3 +197,13 @@ def test_sample_hull_contains_mean():
 
 def test_no_median_field():
     assert not hasattr(summarize([1.0, 2.0]), "median")
+
+
+def test_hist_bins_matches_point_sample_and_np_histogram():
+    edges = np.linspace(-1.0, 1.0, 5)
+    x = np.array([-2.0, -1.0, -0.75, -0.5, 0.0, 0.3, 0.5, 1.0, 1.5, np.nan])
+    opts = StatisticSet(histogram_edges=tuple(edges))
+    bins = stats.hist_bins(edges, x)
+    assert bins.tolist() == [next(iter(stats.point_sample([v], 0, opts).histogram)) for v in x]
+    in_range = bins[bins != stats.OUTLIER_BIN]
+    assert np.bincount(in_range, minlength=4).tolist() == np.histogram(x[~np.isnan(x)], bins=edges)[0].tolist()
