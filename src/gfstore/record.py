@@ -12,16 +12,15 @@ Under untuned rules the layout depends only on counts, never on values, so
 ``ingest_block`` plans a block on counts and then builds each new stored
 sample once, in one grouped reduction over the rows and the stored samples
 it absorbs.  Tuned rules score values and scale-wise variance follows the
-merge tree, so they, and blocks too short to pay for the reduction, go row
-by row through ``ingest`` and ``rebalance``.  Both paths take their steps
-from :func:`next_step`.
+merge tree, so they go row by row through ``ingest`` and ``rebalance``.
+Both paths take their steps from :func:`next_step`.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 
@@ -33,12 +32,6 @@ from .errors import BudgetTooSmall, ChannelMismatch, FutureRange, InvariantViola
 #: Provenance events kept verbatim; older events survive only as totals in
 #: ``SummaryRecord.event_counts``.
 PROVENANCE_RING = 64
-
-#: Shorter blocks ingest row by row.  A planned block pays a fixed cost of
-#: about two dozen numpy calls, so a 1-row block planned takes about three
-#: times as long as one ``ingest``; the two paths break even near 6 rows at
-#: budgets 64 and 256, and 8-row blocks plan about 1.1x as fast.
-PLANNED_MIN_ROWS = 8
 
 
 def allocate_budget(budget: int, levels_active: int) -> list[int]:
@@ -245,9 +238,11 @@ class SummaryRecord:
         the record is touched, and the planned path below changes the record
         only once every new stored sample is built.
 
-        With untuned rules and SWV off, a block of at least
-        ``PLANNED_MIN_ROWS`` rows is planned on counts and each new stored
-        sample is reduced once (:meth:`_ingest_planned`).  The record then
+        With untuned rules and SWV off, the block is planned on counts and
+        each new stored sample is reduced once (:meth:`_ingest_planned`).
+        The grouped reduction costs about two dozen numpy calls whatever the
+        block's size, so a block of one or two rows ingests slower than
+        :meth:`ingest` would; longer blocks gain.  The record then
         equals what ``for row in block: ingest(row)`` leaves, except for
         rounding: the layout, every sid, ``now``, ``merge_count``, the event
         counts and ring, the access counters, extrema, histograms and hulls
@@ -265,7 +260,7 @@ class SummaryRecord:
             return self
         if arr.shape[1] != self.channels:
             raise ChannelMismatch(f"got {arr.shape[1]} channels, expected {self.channels}")
-        if arr.shape[0] < PLANNED_MIN_ROWS or self.opts.swv or self.rules.tuned():
+        if self.opts.swv or self.rules.tuned():
             for row in arr:
                 self.ingest(row)
         else:
@@ -380,29 +375,21 @@ class SummaryRecord:
             s.sid = e[3]
             e.append(s)
 
-        # Commit: swap each new entry for its sample (entry[6]).  A level
-        # holds new entries only at its head or behind the stored samples it
-        # kept, so each is found from the ends.
-        for k, c in Counter(e[5] for e in fresh).items():
-            level = levels[k]
-            i = len(level) - 1
-            if level[0].__class__ is list:
-                level[0] = level[0][6]
-                c -= 1
-            while c:
-                if level[i].__class__ is list:
-                    level[i] = level[i][6]
-                    c -= 1
-                i -= 1
+        # Commit: swap each new entry for its sample (entry[6]).  Entries
+        # only ever enter the level lists the plan copied.
+        for k, mine in enumerate(owned):
+            if mine:
+                levels[k] = [e[6] if e.__class__ is list else e for e in levels[k]]
         self.levels[:] = levels
         self.access_log.settle([s.sid for s in absorbed], [(e[3], e[4]) for e in fresh])
         self.now = t_rows + rows.shape[0]
         self._next_sid, self._slots = sid, slots
         self.merge_count += sum(merges)
         counts = self.event_counts
-        for k, (merged, promoted) in enumerate(zip(merges, promotions)):
-            for key, n in ((("rescale", k, "ingest"), merged), (("promote", k, None), promoted)):
+        for op, reason, tally in (("rescale", "ingest", merges), ("promote", None, promotions)):
+            for k, n in enumerate(tally):
                 if n:
+                    key = (op, k, reason)
                     counts[key] = counts.get(key, 0) + n
         for k, dest, t0, t1 in events:
             if dest is None:

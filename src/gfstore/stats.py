@@ -401,14 +401,15 @@ def merge_runs(samples, rows: np.ndarray, t_rows: int, sizes, opts: StatisticSet
         variance   = sum n_i (v_i + (m_i - M)^2) / N
         covariance = sum n_i (C_i + (m_i - M)(m_i - M)^T) / N
 
-    A run of one row gets ``point_sample``'s values and a run of two
-    sources ``merge``'s own expressions.  Longer runs sum in another order
-    than a chain of merges, so their moments agree with it to rounding.
-    Counts, extrema and histograms are exact, and a hull is the hull of
-    every vertex and row of its run, as a chain of ``merge_hull`` gives it.
-    A statistic that any sample of a run lacks is None on the result.  Sids
-    are left at -1.  Scale-wise variance depends on the merge tree, not only
-    on the runs, so ``opts.swv`` is refused.
+    A run of one row gets ``point_sample``'s values, zero moments even for a
+    non-finite row, and a run of two sources ``merge``'s own expressions.
+    Longer runs sum in another order than a chain of merges, so their
+    moments agree with it to rounding.  Counts, extrema and histograms are
+    exact, and a hull is the hull of every vertex and row of its run, as a
+    chain of ``merge_hull`` gives it.  A statistic that any sample of a run
+    lacks is None on the result.  Sids are left at -1.  Scale-wise variance
+    depends on the merge tree, not only on the runs, so ``opts.swv`` is
+    refused.
     """
     if opts.swv:
         raise ValueError("merge_runs cannot build scale-wise variance")
@@ -455,7 +456,10 @@ def merge_runs(samples, rows: np.ndarray, t_rows: int, sizes, opts: StatisticSet
     total = np.add.reduceat(weight, at)
     mean = np.add.reduceat(weight * means, at) / total
     dev = means - np.repeat(mean, sizes, axis=0)
-    variance = kept("variance", np.add.reduceat(weight * (src[:, 1] + dev * dev), at) / total)
+    lone = (np.asarray(sizes) == 1) & (at >= k)  # a lone row, whose inf or NaN dev would read NaN
+    variance = np.add.reduceat(weight * (src[:, 1] + dev * dev), at) / total
+    variance[lone] = 0.0
+    variance = kept("variance", variance)
     low = kept("min_v", np.minimum.reduceat(src[:, 2], at))
     high = kept("max_v", np.maximum.reduceat(src[:, 3], at))
 
@@ -469,6 +473,7 @@ def merge_runs(samples, rows: np.ndarray, t_rows: int, sizes, opts: StatisticSet
                 cov[i] = s.covariance
         cov += dev[:, :, np.newaxis] * dev[:, np.newaxis, :]
         cov = np.add.reduceat(weight[:, :, np.newaxis] * cov, at) / total[:, :, np.newaxis]
+        cov[lone] = 0.0
         covariance = kept("covariance", cov)
 
     hulls = [None] * n_runs
