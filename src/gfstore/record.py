@@ -240,16 +240,17 @@ class SummaryRecord:
 
         With untuned rules and SWV off, the block is planned on counts and
         each new stored sample is reduced once (:meth:`_ingest_planned`).
-        The grouped reduction costs about two dozen numpy calls whatever the
-        block's size, so a block of one or two rows ingests slower than
-        :meth:`ingest` would; longer blocks gain.  The record then
-        equals what ``for row in block: ingest(row)`` leaves, except for
-        rounding: the layout, every sid, ``now``, ``merge_count``, the event
-        counts and ring, the access counters, extrema, histograms and hulls
-        are identical, and means, variances and covariances agree within
-        1e-12 relative to the data's magnitude (a run of n samples sums in
-        another order than a chain of n - 1 merges).  Tuned rules score
-        values and SWV follows the merge tree, so both ingest row by row.
+        Planning and the grouped reduction cost about three single-row
+        ingests whatever the block's size, so blocks under about six rows
+        ingest slower than a loop of :meth:`ingest`; longer blocks gain.
+        The record then equals what ``for row in block: ingest(row)``
+        leaves, except for rounding: the layout, every sid, ``now``,
+        ``merge_count``, the event counts and ring, the access counters,
+        extrema, histograms and hulls are identical, and means, variances
+        and covariances agree within 1e-12 relative to the data's magnitude
+        (a run of n samples sums in another order than a chain of n - 1
+        merges).  Tuned rules score values and SWV follows the merge tree,
+        so both ingest row by row.
         """
         arr = np.asarray(block, dtype=np.float64)
         if arr.ndim == 1:
