@@ -1,28 +1,32 @@
 """Self-describing container for a whole record.
 
-Layout (format version 3): magic "GFS1", u32 format version, u64 manifest
+Layout (format version 4): magic "GFS1", u32 format version, u64 manifest
 length, the manifest, u64 data length, then the data section.  The
-manifest is JSON (stream metadata, curation rules, provenance, access
-log, length and CRC-32 of the data section) plus a u32 CRC-32 trailer
-over magic, version, manifest length and JSON; the length counts the
-trailer.  The data section holds per-level arrays of samples: a 40-byte
-header (t_start, t_end, n, sid, channels, block count) followed by the
-statistics as length-prefixed blocks.  Versions 1 and 2 still load:
-version 1 has no manifest trailer, and both store a float64 per-sample
-weight after the sid (a 48-byte header).  A sample weight other than 1.0
-raises :class:`VersionUnsupported`, because this build keeps no weights.
-Provenance is bounded:
-the manifest holds the event totals as sorted ``[op, level, reason,
-count]`` rows under ``event_counts`` and the last ``PROVENANCE_RING``
-events under ``provenance``; a file without ``event_counts`` (an older
-build's unbounded event list) is folded into totals on read.  Length
-prefixes make unknown blocks skippable, and unknown statistics or rules
-keys in the manifest are dropped with a provenance note, so containers
-written by richer or older builds stay readable; the skipped blocks of
-each type (such as the retired types 10-12) get one note with their
-count and bytes.  All numbers are little-endian;
-reals are IEEE-754 64-bit, counts 64-bit unsigned, so round trips are
-bit-exact.  Any malformed input raises a :class:`StoreError`.
+manifest is JSON (stream metadata, statistics, curation rules, provenance,
+access log, length and CRC-32 of the data section) plus a u32 CRC-32
+trailer over magic, version, manifest length and JSON; the length counts
+the trailer.  The data section holds per-level arrays of samples: a
+40-byte header (t_start, t_end, n, sid, channels, block count) followed by
+the statistics as length-prefixed blocks.  Histogram bin edges are held
+once, in the manifest's statistics, and every sample with a histogram
+gets that one array on read.  Versions 1 to 3 still load: they also wrote
+the manifest's edges into each histogram sample as a type-8 block, which
+is read past without a note.  Version 1 has no manifest trailer, and
+versions 1 and 2 store a float64 per-sample weight after the sid (a
+48-byte header).  A sample weight other than 1.0 raises
+:class:`VersionUnsupported`, because this build keeps no weights.
+Provenance is bounded: the manifest holds the event totals as sorted
+``[op, level, reason, count]`` rows under ``event_counts`` and the last
+``PROVENANCE_RING`` events under ``provenance``; a file without
+``event_counts`` (an older build's unbounded event list) is folded into
+totals on read.  Length prefixes make unknown blocks skippable, and
+unknown statistics or rules keys in the manifest are dropped with a
+provenance note, so containers written by richer or older builds stay
+readable; the skipped blocks of each type (such as the retired types
+10-12, or 8 in version 4) get one note with their count and bytes.  All
+numbers are little-endian; reals are IEEE-754 64-bit, counts 64-bit
+unsigned, so round trips are bit-exact.  Any malformed input raises a
+:class:`StoreError`.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .errors import BadMagic, ChecksumMismatch, CorruptContainer, VersionUnsuppo
 from .record import PROVENANCE_RING, SummaryRecord
 
 MAGIC = b"GFS1"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _HEAD = struct.Struct("<qqQqII")
 _HEAD_V2 = struct.Struct("<qqQqdII")  # versions 1 and 2: a float64 weight follows the sid
@@ -54,10 +58,10 @@ _BLOCK_MAX = 4
 _BLOCK_COVARIANCE = 5
 _BLOCK_HULL = 6
 _BLOCK_HISTOGRAM = 7
-_BLOCK_HIST_EDGES = 8
 _BLOCK_SWV = 9
-# 10, 11, 12: retired (were the per-sample family hint, notes and dictionary
-# id); never reuse them
+# 8, 10, 11, 12: retired (were the per-sample histogram bin edges, family
+# hint, notes and dictionary id); never reuse them
+_BLOCK_OLD_EDGES = 8  # versions 1-3 wrote the manifest's edges here
 
 
 def _floats(arr) -> bytes:
@@ -91,10 +95,6 @@ def _encode_sample(s: stats.SummarySample) -> bytes:
         for k in sorted(s.histogram):
             payload += struct.pack("<qQ", k, s.histogram[k])
         blocks.append((_BLOCK_HISTOGRAM, payload))
-    if s.hist_edges is not None:
-        blocks.append(
-            (_BLOCK_HIST_EDGES, struct.pack("<Q", s.hist_edges.shape[0]) + _floats(s.hist_edges))
-        )
     if s.swv is not None:
         blocks.append((_BLOCK_SWV, struct.pack("<Q", s.swv.shape[0]) + _floats(s.swv)))
 
@@ -106,9 +106,12 @@ def _encode_sample(s: stats.SummarySample) -> bytes:
 
 
 def _decode_sample(
-    buf: memoryview, offset: int, skipped: dict, version: int
+    buf: memoryview, offset: int, skipped: dict, version: int, edges: np.ndarray | None
 ) -> tuple[stats.SummarySample, int]:
-    """Decode one sample; unknown blocks are tallied as ``skipped[type] = (count, bytes)``."""
+    """Decode one sample, its histogram on ``edges``.
+
+    Unknown blocks are tallied as ``skipped[type] = (count, bytes)``.
+    """
     if version < 3:
         t0, t1, n, sid, weight, d, n_blocks = _HEAD_V2.unpack_from(buf, offset)
         if weight != 1.0:
@@ -154,13 +157,11 @@ def _decode_sample(
                 pos += 16
                 hist[key] = cnt
             s.histogram = hist
-        elif btype == _BLOCK_HIST_EDGES:
-            (k,) = struct.unpack_from("<Q", payload)
-            s.hist_edges = _read_floats(payload[8:], k)
+            s.hist_edges = edges
         elif btype == _BLOCK_SWV:
             (depth,) = struct.unpack_from("<Q", payload)
             s.swv = _read_floats(payload[8:], depth * d).reshape(depth, d)
-        else:
+        elif btype != _BLOCK_OLD_EDGES or version > 3:
             count, total = skipped.get(btype, (0, 0))
             skipped[btype] = (count + 1, total + length)
     return s, offset
@@ -239,7 +240,7 @@ def _read(blob: bytes) -> SummaryRecord:
     if blob[:4] != MAGIC:
         raise BadMagic(f"expected {MAGIC!r}, found {blob[:4]!r}")
     (version,) = struct.unpack_from("<I", blob, 4)
-    if version not in (1, 2, FORMAT_VERSION):
+    if version not in (1, 2, 3, FORMAT_VERSION):
         raise VersionUnsupported(f"format version {version} not supported")
     (mlen,) = struct.unpack_from("<Q", blob, 8)
     pos = 16 + mlen
@@ -292,17 +293,17 @@ def _read(blob: bytes) -> SummaryRecord:
     (n_levels,) = struct.unpack_from("<Q", view, offset)
     offset += 8
     skipped: dict[int, tuple[int, int]] = {}
+    edges = opts.edges_array()
     levels: list[list[stats.SummarySample]] = []
     for _ in range(n_levels):
         (count,) = struct.unpack_from("<Q", view, offset)
         offset += 8
         level = []
         for _ in range(count):
-            s, offset = _decode_sample(view, offset, skipped, version)
+            s, offset = _decode_sample(view, offset, skipped, version, edges)
             level.append(s)
         levels.append(level)
     rec.levels = levels if levels else [[]]
-    rec._slots = sum(len(level) for level in rec.levels)
     for btype, (blocks, nbytes) in sorted(skipped.items()):
         note = f"skipped {blocks} statistic block(s) of unknown or retired type {btype} ({nbytes} bytes)"
         rec.note(("read", None, None), {"op": "read", "note": note})
@@ -333,6 +334,10 @@ def load(path) -> SummaryRecord:
 
 def inspect_summary(rec: SummaryRecord) -> dict:
     """Accounting as plain JSON values: spans, slot usage, per-sample storage cost, provenance.
+
+    ``floats``/``ints`` and ``scalar_footprint`` count what the samples hold
+    of their own (:func:`stats.scalar_cost`): histogram bin edges, held once
+    in the statistics, are not counted per sample.
 
     ``provenance_events`` is the total number of events ever counted;
     ``event_counts`` holds the ``[op, level, reason, count]`` rows and

@@ -18,9 +18,16 @@ import numpy as np
 from . import compare, stats
 from .errors import CannotSatisfyBudget, TooFewSamples, UnknownId
 
-#: Statistics a forced drop may remove, in canonical id order (ties in the
-#: KL ranking resolve alphabetically).  Count and mean are never droppable.
-DROPPABLE = ("covariance", "extrema", "histogram", "hull", "swv", "variance")
+#: The statistics a forced drop may remove, in canonical id order, with the
+#: sample fields that hold each.  Count and mean are never droppable.
+DROPPABLE = {
+    "covariance": ("covariance",),
+    "extrema": ("min_v", "max_v"),
+    "histogram": ("histogram", "hist_edges"),
+    "hull": ("hull",),
+    "swv": ("swv",),
+    "variance": ("variance",),
+}
 
 
 @dataclass
@@ -207,62 +214,37 @@ def _single_stat_model(s: stats.SummarySample, name: str) -> compare.Distributio
 
 
 def rank_statistics_for_drop(samples) -> list[tuple[str, float]]:
-    """Order droppable statistics by how little they discriminate.
+    """Order the droppable statistics that any of ``samples`` keeps by how little they discriminate.
 
-    For each statistic present on every sample, a model is built from that
-    statistic alone and the mean symmetric KL over adjacent pairs computed.
-    The least discriminative statistic comes first (drop it first).  Count
-    and mean are never candidates.
+    Each statistic is scored over the samples that keep it, in order: a
+    model is built from that statistic alone on each of them, and the score
+    is the mean symmetric KL over adjacent pairs whose models both exist,
+    0.0 when there is no such pair (as when fewer than two keep it).  The
+    least discriminative statistic comes first (drop it first); ties go
+    alphabetically.  Count and mean are never candidates.
     """
-    samples = list(samples)
-    if len(samples) < 2:
-        raise TooFewSamples("drop ranking needs at least two samples")
     rows: list[tuple[float, str]] = []
-    for name in DROPPABLE:
-        models = []
-        ok = True
-        for s in samples:
-            m = _single_stat_model(s, name)
-            if m is None:
-                ok = False
-                break
-            models.append(m)
-        if not ok:
+    for name, fields in DROPPABLE.items():
+        models = [
+            _single_stat_model(s, name) for s in samples if any(getattr(s, f) is not None for f in fields)
+        ]
+        if not models:
             continue
-        total = 0.0
-        pairs = 0
-        for ma, mb in zip(models[:-1], models[1:]):
-            total += min(compare.kl_divergence(ma, mb), compare.KL_CAP)
-            total += min(compare.kl_divergence(mb, ma), compare.KL_CAP)
-            pairs += 1
-        rows.append((total / pairs, name))
-    rows.sort(key=lambda r: (r[0], r[1]))
+        scores = [
+            min(compare.kl_divergence(ma, mb), compare.KL_CAP)
+            + min(compare.kl_divergence(mb, ma), compare.KL_CAP)
+            for ma, mb in zip(models[:-1], models[1:])
+            if ma is not None and mb is not None
+        ]
+        rows.append((sum(scores) / len(scores) if scores else 0.0, name))
+    rows.sort()
     return [(name, score) for score, name in rows]
 
 
-def _drop_statistic(sample: stats.SummarySample, name: str) -> bool:
-    """Remove one statistic from a sample in place; True if anything changed."""
-    if name == "variance" and sample.variance is not None:
-        sample.variance = None
-        return True
-    if name == "extrema" and (sample.min_v is not None or sample.max_v is not None):
-        sample.min_v = None
-        sample.max_v = None
-        return True
-    if name == "histogram" and sample.histogram is not None:
-        sample.histogram = None
-        sample.hist_edges = None
-        return True
-    if name == "covariance" and sample.covariance is not None:
-        sample.covariance = None
-        return True
-    if name == "hull" and sample.hull is not None:
-        sample.hull = None
-        return True
-    if name == "swv" and sample.swv is not None:
-        sample.swv = None
-        return True
-    return False
+def _drop_statistic(sample: stats.SummarySample, name: str) -> None:
+    """Remove one statistic from a sample in place."""
+    for field in DROPPABLE[name]:
+        setattr(sample, field, None)
 
 
 def compact(record):
@@ -271,7 +253,8 @@ def compact(record):
     Slot pressure is always resolvable by merging, so the scalar bound
     (``record.rules.max_scalars``) is what triggers statistic drops: the
     least discriminative statistic (see :func:`rank_statistics_for_drop`)
-    is removed from the oldest level first, and count+mean always survive.
+    is removed from the oldest level that keeps any, and count+mean always
+    survive.
     """
     rules = record.rules
     if rules.budget_slots < 1:
@@ -288,31 +271,20 @@ def compact(record):
 
     if rules.max_scalars is not None:
         while record.scalar_footprint() > rules.max_scalars:
-            dropped = False
             for level in range(len(record.levels) - 1, -1, -1):
-                samples = record.levels[level]
-                if not samples:
-                    continue
-                if len(samples) >= 2:
-                    order = rank_statistics_for_drop(samples)
-                else:
-                    order = [(name, 0.0) for name in DROPPABLE]
-                for name, _ in order:
-                    changed = False
-                    for s in samples:
-                        changed = _drop_statistic(s, name) or changed
-                    if changed:
-                        record.note(
-                            ("drop_statistic", level, name),
-                            {"op": "drop_statistic", "statistic": name, "level": level},
-                        )
-                        dropped = True
-                        break
-                if dropped:
+                order = rank_statistics_for_drop(record.levels[level])
+                if order:
                     break
-            if not dropped:
+            else:
                 raise CannotSatisfyBudget(
                     f"scalar footprint {record.scalar_footprint()} > {rules.max_scalars} "
                     "with nothing left to drop"
                 )
+            name = order[0][0]
+            for s in record.levels[level]:
+                _drop_statistic(s, name)
+            record.note(
+                ("drop_statistic", level, name),
+                {"op": "drop_statistic", "statistic": name, "level": level},
+            )
     return record

@@ -35,7 +35,12 @@ class IndexNode:
 
 
 def build(leaves, fanout: int = 8) -> IndexNode:
-    """Bottom-up construction by merging consecutive runs of ``fanout`` leaves."""
+    """Bottom-up construction by merging consecutive runs of ``fanout`` leaves.
+
+    The leaves must be adjacent in time order, as a record's stored samples
+    are: each node's aggregate is the merge of its run, which raises
+    ``ValueError`` on a gap or an overlap.
+    """
     if fanout < 2:
         raise ValueError("fanout must be >= 2")
     leaves = list(leaves)
@@ -49,7 +54,7 @@ def build(leaves, fanout: int = 8) -> IndexNode:
             if len(run) == 1:
                 grouped.append(run[0])
                 continue
-            agg = stats.merge_all([n.aggregate for n in run], allow_gap=True)
+            agg = stats.merge_all([n.aggregate for n in run])
             grouped.append(IndexNode(aggregate=agg, children=tuple(run)))
         nodes = grouped
     return nodes[0]

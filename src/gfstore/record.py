@@ -22,7 +22,7 @@ import bisect
 import functools
 from collections import deque
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 import numpy as np
 
@@ -129,6 +129,9 @@ class SummaryRecord:
     access counter per stored sample, the last ``PROVENANCE_RING`` events in
     ``provenance``, and exact event totals in ``event_counts``, keyed by
     ``(op, level, reason)``, which grow only with the number of levels.
+    Each fact is held once: the level lists are the slot count
+    (:meth:`slots` sums their lengths), and the histogram bin edges live
+    in ``opts``, whose one array every histogram sample shares.
 
     Single writer: ingest/compact must not run concurrently; readers may
     share the record between writes.
@@ -170,7 +173,6 @@ class SummaryRecord:
             },
         )
         self._next_sid = 0
-        self._slots = 0
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -194,9 +196,10 @@ class SummaryRecord:
         return self.rules.budget_slots
 
     def slots(self) -> int:
-        return self._slots
+        return sum(len(level) for level in self.levels)
 
     def scalar_footprint(self) -> int:
+        """Scalars the stored samples hold of their own (see :func:`stats.scalar_cost`)."""
         total = 0
         for level in self.levels:
             for s in level:
@@ -225,9 +228,8 @@ class SummaryRecord:
         s = stats.point_sample(row, self.now, self.opts)
         self._assign_sid(s)
         self.levels[0].append(s)
-        self._slots += 1
         self.now += 1
-        if self._slots > self.budget:
+        if self.slots() > self.budget:
             self.rebalance()
         return self
 
@@ -271,52 +273,42 @@ class SummaryRecord:
     def _ingest_planned(self, rows: np.ndarray) -> None:
         """Ingest rows under untuned rules: plan on counts, reduce once, then commit.
 
-        The plan replays ``rebalance`` on entries ``[t_start, t_end, n, sid,
-        access, level]`` beside the stored samples it has not touched:
-        ``next_step`` picks each step, the oldest pair merges and moves up
-        once its count exceeds 2^k, sids are numbered in event order and
-        access counts pool in ``AccessLog.pool``'s order.  It reads only the
-        stored samples it absorbs or moves and copies only the level lists it
-        changes.  ``stats.merge_runs`` then builds every new stored sample
-        from the absorbed samples and rows it covers, and only then does the
-        record change.
+        The plan replays ``rebalance`` on copies of the level lists, where
+        each new stored sample is an entry ``[t_start, t_end, n, sid, access,
+        level]``: ``next_step`` picks each step, the oldest pair merges and
+        moves up once its count exceeds 2^k, sids are numbered in event order
+        and access counts pool in ``AccessLog.pool``'s order.  The entries
+        left in the copies, read coarsest level first, are the new samples in
+        time order.  ``stats.merge_runs`` builds each from the stored samples
+        and rows it absorbed, and only then are the copies swapped in, so the
+        record changes all at once or not at all.
         """
         budget = self.rules.budget_slots
         count = self.access_log.count
         t_rows = self.now
-        levels = list(self.levels)
-        owned = [False] * len(levels)  # copied for writing
+        levels = [level[:] for level in self.levels]
         lengths = [len(level) for level in levels]
         quotas = level_quotas(budget, len(levels))
-        live = {}  # sid -> entry not merged away yet
         absorbed: list[stats.SummarySample] = []  # stored samples merged away
         # (level, out level or None for a promotion, t_start, t_end) of the
         # newest events; older ones survive only in the tallies below
         events = deque(maxlen=PROVENANCE_RING)
         merges = [0] * len(levels)  # per level, for event_counts
         promotions = [0] * len(levels)
-        sid, slots = self._next_sid, self._slots
+        sid, slots = self._next_sid, sum(lengths)
 
-        def own(k: int) -> list:
-            if not owned[k]:
-                levels[k] = levels[k][:]
-                owned[k] = True
-            return levels[k]
-
-        fine = own(0)
+        fine = levels[0]
         for t in range(t_rows, t_rows + rows.shape[0]):
-            e = [t, t + 1, 1, sid, 0.0, 0]
-            fine.append(e)
-            live[sid] = e
+            fine.append([t, t + 1, 1, sid, 0.0, 0])
             sid += 1
             lengths[0] += 1
             slots += 1
             while slots > budget:
                 k, promote = next_step(lengths, quotas)
-                level = levels[k] if owned[k] else own(k)
+                level = levels[k]
                 if promote:
                     e = level.pop()
-                    own(k + 1).append(e)
+                    levels[k + 1].append(e)
                     lengths[k] -= 1
                     lengths[k + 1] += 1
                     promotions[k] += 1
@@ -329,13 +321,11 @@ class SummaryRecord:
                 a, b = level[0], level[1]
                 if a.__class__ is list:
                     t0, n, pooled = a[0], a[2], 0.0 + a[4]
-                    del live[a[3]]
                 else:
                     t0, n, pooled = a.t_start, a.n, 0.0 + count(a.sid)
                     absorbed.append(a)
                 if b.__class__ is list:
                     t1, n, pooled = b[1], n + b[2], pooled + b[4]
-                    del live[b[3]]
                 else:
                     t1, n, pooled = b.t_end, n + b.n, pooled + count(b.sid)
                     absorbed.append(b)
@@ -345,25 +335,23 @@ class SummaryRecord:
                     lengths[k] -= 2
                     if k + 1 == len(levels):
                         levels.append([])
-                        owned.append(True)
                         lengths.append(0)
                         merges.append(0)
                         promotions.append(0)
                         quotas = level_quotas(budget, len(levels))
                     merged = [t0, t1, n, sid, pooled, k + 1]
-                    (levels[k + 1] if owned[k + 1] else own(k + 1)).append(merged)
+                    levels[k + 1].append(merged)
                     lengths[k + 1] += 1
                 else:
                     merged = [t0, t1, n, sid, pooled, k]
                     level[0:2] = [merged]
                     lengths[k] -= 1
-                live[sid] = merged
                 sid += 1
                 merges[k] += 1
                 events.append((k, merged[5], t0, t1))
 
         # Reduce: one run of absorbed samples and rows per new entry, in time order.
-        fresh = sorted(live.values(), key=itemgetter(0))
+        fresh = [e for level in reversed(levels) for e in level if e.__class__ is list]
         absorbed.sort(key=attrgetter("t_start"))
         starts = [s.t_start for s in absorbed]
         sizes = []
@@ -376,15 +364,11 @@ class SummaryRecord:
             s.sid = e[3]
             e.append(s)
 
-        # Commit: swap each new entry for its sample (entry[6]).  Entries
-        # only ever enter the level lists the plan copied.
-        for k, mine in enumerate(owned):
-            if mine:
-                levels[k] = [e[6] if e.__class__ is list else e for e in levels[k]]
-        self.levels[:] = levels
+        # Commit: swap every entry for its sample (entry[6]) in every level.
+        self.levels[:] = [[e[6] if e.__class__ is list else e for e in level] for level in levels]
         self.access_log.settle([s.sid for s in absorbed], [(e[3], e[4]) for e in fresh])
         self.now = t_rows + rows.shape[0]
-        self._next_sid, self._slots = sid, slots
+        self._next_sid = sid
         self.merge_count += sum(merges)
         counts = self.event_counts
         for op, reason, tally in (("rescale", "ingest", merges), ("promote", None, promotions)):
@@ -418,7 +402,6 @@ class SummaryRecord:
         else:
             self.levels[k][i : i + 2] = [merged]
             dest = k
-        self._slots -= 1
         self.merge_count += 1
         self.note(*_rescale_note(k, i, dest, [merged.t_start, merged.t_end], reason))
 
@@ -430,7 +413,7 @@ class SummaryRecord:
         """
         rules = self.rules
         budget = rules.budget_slots
-        while self._slots > budget:
+        while self.slots() > budget:
             levels = self.levels
             k, promote = next_step([len(level) for level in levels], level_quotas(budget, len(levels)))
             if promote:
@@ -497,10 +480,9 @@ class SummaryRecord:
 
     def validate(self) -> None:
         """Raise InvariantViolation unless the structure is sound."""
-        if self._slots != sum(len(level) for level in self.levels):
-            raise InvariantViolation("slot counter out of sync")
-        if self._slots > self.budget:
-            raise InvariantViolation(f"{self._slots} slots exceed budget {self.budget}")
+        slots = self.slots()
+        if slots > self.budget:
+            raise InvariantViolation(f"{slots} slots exceed budget {self.budget}")
         cursor = 0
         for s in self.samples_in_time_order():
             if s.t_start != cursor:

@@ -48,10 +48,16 @@ class StatisticSet:
             ids.append("swv")
         return ids
 
+    def __post_init__(self):
+        edges = None
+        if self.histogram_edges is not None:
+            edges = np.asarray(self.histogram_edges, dtype=np.float64)
+            edges.flags.writeable = False
+        object.__setattr__(self, "_edges", edges)
+
     def edges_array(self) -> np.ndarray | None:
-        if self.histogram_edges is None:
-            return None
-        return np.asarray(self.histogram_edges, dtype=np.float64)
+        """The bin edges as one read-only array, shared by every histogram sample of the set."""
+        return self._edges
 
 
 @dataclass(eq=False)
@@ -60,6 +66,9 @@ class SummarySample:
 
     ``n`` is the raw cardinality and the weight of the sample in every
     count-weighted merge formula.
+
+    ``hist_edges`` is the :meth:`StatisticSet.edges_array` the histogram
+    was built under, shared by reference and never copied.
 
     ``variance``/``min_v``/``max_v`` may be None after a curation drop, and
     stay None through every later merge; an empty sample (n == 0) instead
@@ -95,7 +104,6 @@ class SummarySample:
             covariance=None if self.covariance is None else self.covariance.copy(),
             hull=None if self.hull is None else self.hull.copy(),
             histogram=None if self.histogram is None else dict(self.histogram),
-            hist_edges=None if self.hist_edges is None else self.hist_edges.copy(),
             swv=None if self.swv is None else self.swv.copy(),
         )
 
@@ -309,28 +317,23 @@ def hull_contains(hull: np.ndarray, point, *, margin: float = 0.0) -> bool:
     return True
 
 
-def _merged_interval(a: SummarySample, b: SummarySample, allow_gap: bool):
-    if b.t_end <= a.t_start:
-        a, b = b, a
-    if a.t_end > b.t_start:
-        raise ValueError(f"intervals overlap: [{a.t_start},{a.t_end}) and [{b.t_start},{b.t_end})")
-    if a.t_end != b.t_start and not allow_gap:
-        raise ValueError("samples are not adjacent (pass allow_gap=True for episodic merges)")
-    return a, b
-
-
-def merge(a: SummarySample, b: SummarySample, *, allow_gap: bool = False) -> SummarySample:
+def merge(a: SummarySample, b: SummarySample) -> SummarySample:
     """Merge adjacent summaries into the summary of the union interval.
 
-    An optional statistic survives only when present on both sides; one
-    missing on either side is None on the result.  Means, variances,
-    covariances and scale-wise variances are weighted by ``n``.  Merging
-    with the empty sample is an exact identity.  Provenance is the
-    record's business, not the sample's.
+    The samples must be adjacent in time, in either order; a gap or an
+    overlap raises ``ValueError``.  An optional statistic survives only when
+    present on both sides; one missing on either side is None on the result.
+    Means, variances, covariances and scale-wise variances are weighted by
+    ``n``.  Histograms must share their bin edges, which the result holds
+    by reference.  Merging with the empty sample is an exact identity.
+    Provenance is the record's business, not the sample's.
     """
     if a.mean.shape[0] != b.mean.shape[0]:
         raise ChannelMismatch(f"channels {a.mean.shape[0]} != {b.mean.shape[0]}")
-    a, b = _merged_interval(a, b, allow_gap)
+    if b.t_end <= a.t_start:
+        a, b = b, a
+    if a.t_end != b.t_start:
+        raise ValueError(f"samples are not adjacent: [{a.t_start},{a.t_end}) and [{b.t_start},{b.t_end})")
     t0, t1 = a.t_start, b.t_end
 
     if a.n == 0 or b.n == 0:
@@ -360,29 +363,28 @@ def merge(a: SummarySample, b: SummarySample, *, allow_gap: bool = False) -> Sum
     if a.hull is not None and b.hull is not None:
         out.hull = merge_hull(a.hull, b.hull)
     if a.histogram is not None and b.histogram is not None:
-        if (a.hist_edges is None) != (b.hist_edges is None) or (
-            a.hist_edges is not None and not np.array_equal(a.hist_edges, b.hist_edges)
-        ):
+        ea, eb = a.hist_edges, b.hist_edges
+        if ea is not eb and (ea is None or eb is None or not np.array_equal(ea, eb)):
             raise DictionaryMismatch("histogram bin edges differ")
         hist = dict(a.histogram)
         for k, v in b.histogram.items():
             hist[k] = hist.get(k, 0) + v
         out.histogram = hist
-        out.hist_edges = None if a.hist_edges is None else a.hist_edges.copy()
+        out.hist_edges = ea
     if a.swv is not None and b.swv is not None:
         out.swv = spectrum.pool_terms(a.swv, a.mean, na, b.swv, b.mean, nb, mean)
     return out
 
 
-def merge_all(samples, *, allow_gap: bool = False) -> SummarySample:
-    """Left fold of :func:`merge` over a time-ordered sequence."""
+def merge_all(samples) -> SummarySample:
+    """Left fold of :func:`merge` over a time-ordered sequence of adjacent samples."""
     it = iter(samples)
     try:
         acc = next(it).copy()
     except StopIteration:
         raise ValueError("merge_all needs at least one sample") from None
     for s in it:
-        acc = merge(acc, s, allow_gap=allow_gap)
+        acc = merge(acc, s)
     return acc
 
 
@@ -418,12 +420,8 @@ def merge_runs(samples, rows: np.ndarray, t_rows: int, sizes, opts: StatisticSet
     n_runs = len(sizes)
     first = [0, *itertools.accumulate(sizes[:-1])]
     at = np.array(first, dtype=np.intp)
-    sample_run = []  # the run of each sample; samples come first, so few runs hold them
-    for r, size in enumerate(sizes):
-        if len(sample_run) >= k:
-            break
-        sample_run += [r] * size
-    del sample_run[k:]
+    run = np.repeat(np.arange(n_runs), sizes)  # the run of every source
+    sample_run = run[:k].tolist()
 
     # Sources x (mean, variance, min, max) x channels.  A statistic that a
     # sample lacks reads as zero here and is None on the sample's run.
@@ -496,8 +494,7 @@ def merge_runs(samples, rows: np.ndarray, t_rows: int, sizes, opts: StatisticSet
             for b, c in s.histogram.items():
                 counts[r][b] = counts[r].get(b, 0) + c
         width = edges.shape[0]  # the bins plus the outlier bin, shifted to 0
-        row_run = np.repeat(np.arange(n_runs), sizes)[k:]
-        keys, tally = np.unique(row_run * width + hist_bins(edges, rows[:, 0]) + 1, return_counts=True)
+        keys, tally = np.unique(run[k:] * width + hist_bins(edges, rows[:, 0]) + 1, return_counts=True)
         for key, c in zip(keys.tolist(), tally.tolist()):
             r, b = divmod(key, width)
             counts[r][b - 1] = counts[r].get(b - 1, 0) + c
@@ -525,7 +522,11 @@ def merge_runs(samples, rows: np.ndarray, t_rows: int, sizes, opts: StatisticSet
 
 
 def scalar_cost(s: SummarySample) -> tuple[int, int]:
-    """(floats, ints) stored by this sample; used for size accounting."""
+    """(floats, ints) this sample stores of its own; used for size accounting.
+
+    Histogram bin edges are not counted: the record's ``StatisticSet`` holds
+    them once for every sample.
+    """
     d = s.channels
     floats = d  # mean
     ints = 3  # t_start, t_end, n
@@ -538,8 +539,6 @@ def scalar_cost(s: SummarySample) -> tuple[int, int]:
         floats += 2 * s.hull.shape[0]
     if s.histogram is not None:
         ints += 2 * len(s.histogram)
-        if s.hist_edges is not None:
-            floats += s.hist_edges.shape[0]
     if s.swv is not None:
         floats += s.swv.size
     return floats, ints

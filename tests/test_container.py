@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gfstore import container, stats
-from gfstore.curation import CurationRules
+from gfstore.curation import CurationRules, compact
 from gfstore.errors import CorruptContainer, StoreError, VersionUnsupported
 from gfstore.record import PROVENANCE_RING, SummaryRecord
 
@@ -205,7 +205,7 @@ def parent_sample(s: stats.SummarySample) -> bytes:
 
 
 def old_container(rec: SummaryRecord, encode, version: int, edit=lambda m: None) -> bytes:
-    """``rec`` in format ``version`` (1 or 2), each sample written by ``encode``."""
+    """``rec`` in format ``version`` (1, 2 or 3), each sample written by ``encode``."""
     data = struct.pack("<Q", len(rec.levels))
     for level in rec.levels:
         data += struct.pack("<Q", len(level)) + b"".join(encode(s) for s in level)
@@ -247,7 +247,7 @@ def test_reads_version_1_file_with_retired_blocks_and_keys():
     assert notes[2].startswith(f"skipped {slots} statistic block(s) of unknown or retired type 11 (")
     assert back.event_counts[("read", None, None)] == 3
     rewritten = container.write(back)
-    assert struct.unpack_from("<I", rewritten, 4) == (container.FORMAT_VERSION,) == (3,)
+    assert struct.unpack_from("<I", rewritten, 4) == (container.FORMAT_VERSION,)
     assert container.read(rewritten) == back
 
 
@@ -263,7 +263,7 @@ def test_reads_version_2_file_with_unit_weights():
     assert back.levels == rec.levels
     assert back.rules == rec.rules and back.opts == rec.opts
     rewritten = container.write(back)
-    assert struct.unpack_from("<I", rewritten, 4) == (3,)
+    assert struct.unpack_from("<I", rewritten, 4) == (container.FORMAT_VERSION,)
     assert data_len(v2) - data_len(rewritten) == 8 * rec.slots()
     assert container.read(rewritten) == back
 
@@ -274,3 +274,73 @@ def test_version_2_file_with_another_weight_is_refused():
     v2 = old_container(rec, lambda s: old_sample(s, 0.5 if s is first else 1.0), 2)
     with pytest.raises(VersionUnsupported, match="weight 0.5"):
         container.read(v2)
+
+
+def blocks(enc: bytes) -> list[tuple[int, bytes]]:
+    """The ``(type, block bytes)`` of one encoded sample, in order."""
+    *_, n_blocks = struct.unpack_from(SAMPLE_HEAD, enc)
+    pos, out = struct.calcsize(SAMPLE_HEAD), []
+    for _ in range(n_blocks):
+        btype, length = struct.unpack_from("<IQ", enc, pos)
+        out.append((btype, enc[pos : pos + 12 + length]))
+        pos += 12 + length
+    return out
+
+
+def v3_sample(s: stats.SummarySample) -> bytes:
+    """``s`` byte for byte as format 3 wrote it: its bin edges follow the histogram as a type-8 block."""
+    enc = container._encode_sample(s)
+    parts = []
+    for btype, block in blocks(enc):
+        parts.append(block)
+        if btype == 7:
+            e = s.hist_edges
+            parts.append(struct.pack("<IQQ", 8, 8 + 8 * len(e), len(e)) + e.astype("<f8").tobytes())
+    *head, _ = struct.unpack_from(SAMPLE_HEAD, enc)
+    return struct.pack(SAMPLE_HEAD, *head, len(parts)) + b"".join(parts)
+
+
+def test_reads_version_3_file_with_per_sample_edges():
+    rec = rich_record()
+    blob = old_container(rec, v3_sample, 3)
+    v3 = container.read(blob)
+    assert v3.levels == rec.levels
+    assert not any(e["op"] == "read" for e in v3.provenance)  # the edges are read past without a note
+    assert_edges_shared(v3)
+    rewritten = container.write(v3)
+    assert struct.unpack_from("<I", rewritten, 4) == (container.FORMAT_VERSION,) == (4,)
+    for s in v3.samples_in_time_order():
+        assert 8 not in [btype for btype, _ in blocks(container._encode_sample(s))]
+    hists = sum(s.histogram is not None for s in v3.samples_in_time_order())
+    assert data_len(blob) - data_len(rewritten) == (20 + 8 * len(rec.opts.histogram_edges)) * hists
+    assert container.read(rewritten) == v3
+
+
+def assert_edges_shared(rec: SummaryRecord) -> None:
+    """Every histogram sample holds the record's one read-only edges array."""
+    edges = rec.opts.edges_array()
+    hists = [s for s in rec.samples_in_time_order() if s.histogram is not None]
+    assert hists and all(s.hist_edges is edges for s in hists)
+    with pytest.raises(ValueError, match="read-only"):
+        edges[0] = 0.0
+
+
+def test_histogram_samples_share_the_statistic_sets_edges():
+    opts = stats.StatisticSet(covariance=True, hull=True, histogram_edges=tuple(np.linspace(-2, 2, 6)))
+    rows = np.random.default_rng(8).normal(size=(200, 2))
+    tuned = SummaryRecord(channels=2, opts=opts, rules=CurationRules(budget_slots=8, nonstationarity_w=1.0))
+    planned = SummaryRecord(channels=2, opts=opts, rules=CurationRules(budget_slots=8))
+    compacted = SummaryRecord(channels=2, opts=opts, rules=CurationRules(budget_slots=8))
+    tuned.ingest_block(rows)  # row by row
+    planned.ingest_block(rows)
+    compacted.ingest_block(rows)
+    compacted.rules.budget_slots = 4
+    compact(compacted)  # merges
+    compacted.rules.max_scalars = compacted.scalar_footprint() - 1
+    compact(compacted)  # drops
+    assert any(op == "drop_statistic" for op, _, _ in compacted.event_counts)
+    for rec in (tuned, planned, compacted):
+        assert_edges_shared(rec)
+        back = container.read(container.write(rec))
+        assert back == rec
+        assert_edges_shared(back)

@@ -106,3 +106,15 @@ def test_max_scalars_drops_from_the_oldest_level_first():
         for s in samples:
             kept = s.variance is not None and s.min_v is not None and s.max_v is not None
             assert kept == (k != top)
+
+
+def test_compact_drops_statistics_that_only_some_samples_of_a_level_keep():
+    """A stripped sample beside one that keeps its statistics leaves them droppable."""
+    opts = stats.StatisticSet(covariance=True, hull=True, histogram_edges=tuple(np.linspace(-2, 2, 6)))
+    rec = SummaryRecord(channels=2, opts=opts, rules=CurationRules(budget_slots=2, max_scalars=14))
+    for row in np.random.default_rng(0).normal(size=(40, 2)):
+        rec.ingest(row)
+        compact(rec)
+        rec.validate()
+        assert rec.scalar_footprint() <= 14
+    assert any(op == "drop_statistic" for op, _, _ in rec.event_counts)

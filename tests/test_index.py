@@ -16,6 +16,12 @@ def leaves_from(raw, chunk, opts=None):
     return out
 
 
+def test_non_adjacent_leaves_raise():
+    leaves = leaves_from(np.arange(12.0), 4)
+    with pytest.raises(ValueError, match="not adjacent"):
+        build([leaves[0], leaves[2]])
+
+
 def test_single_leaf_root():
     leaf = summarize([1.0, 2.0])
     root = build([leaf])
