@@ -2,14 +2,18 @@
 
 Summaries are turned into parametric distributions (uniform from extrema,
 gaussian from mean+variance, piecewise-uniform from a histogram) and
-compared with closed-form Kullback-Leibler divergences.  An infinite
-divergence is a legitimate answer: it certifies that one dataset cannot
-be a subset of the other.  Finite small values only *corroborate* a
-subset or equality relation; raw data would be needed to confirm it.
+compared with closed-form Kullback-Leibler divergences.  Per channel the
+closed forms know three families, point, gaussian and piecewise: a
+uniform on [lo, hi] is the one-cell piecewise density, so both spellings
+of one density give the same bits.  An infinite divergence is a
+legitimate answer: it certifies that one dataset cannot be a subset of
+the other.  Finite small values only *corroborate* a subset or equality
+relation; raw data would be needed to confirm it.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -36,7 +40,8 @@ class DistributionModel:
     family is one of "uniform", "gaussian", "piecewise", "point".
     Uniform and gaussian models may span several channels (treated as a
     product of independent channels, or a full-covariance gaussian when
-    ``cov`` is set).  Piecewise models are single-channel.
+    ``cov`` is set).  Piecewise models are single-channel.  A uniform
+    channel is compared as the one-cell piecewise density on [lo, hi].
     """
 
     family: str
@@ -135,89 +140,61 @@ def model_from_sample(s: SummarySample) -> DistributionModel:
 def _kl_scalar(fa, pa, fb, pb) -> float:
     """KL between two scalar channel models given as (family, params)."""
     if fa == "point":
-        x = pa
         if fb == "point":
-            return 0.0 if x == pb else math.inf
-        if fb == "uniform":
-            a, b = pb
-            return 0.0 if a <= x <= b else math.inf
+            return 0.0 if pa == pb else math.inf
         if fb == "gaussian":
             return 0.0  # positive density everywhere
-        if fb == "piecewise":
-            return 0.0 if _piecewise_density(pb[0], pb[1], x) > 0 else math.inf
+        return 0.0 if _piecewise_density(pb[0], pb[1], pa) > 0 else math.inf
     if fb == "point":
         return math.inf  # a spread distribution never fits inside a point
-    if fa == "uniform":
-        a1, b1 = pa
-        if fb == "uniform":
-            a2, b2 = pb
-            if a1 >= a2 and b1 <= b2:
-                return math.log((b2 - a2) / (b1 - a1))
-            return math.inf
-        if fb == "gaussian":
-            mu, sg2 = pb
-            w = b1 - a1
-            m = 0.5 * (a1 + b1)
-            return 0.5 * math.log(2.0 * math.pi * sg2) - math.log(w) + (w * w / 12.0 + (m - mu) ** 2) / (2.0 * sg2)
-        if fb == "piecewise":
-            return _kl_piecewise(np.array([a1, b1]), np.array([1.0]), pb[0], pb[1], floor_b=True)
     if fa == "gaussian":
         mu1, s1 = pa
         if fb == "gaussian":
             mu2, s2 = pb
             return 0.5 * ((s1 + (mu1 - mu2) ** 2) / s2 - 1.0 + math.log(s2 / s1))
         return math.inf  # unbounded support cannot fit a bounded model
-    if fa == "piecewise":
-        ea, qa = pa
-        if fb == "uniform":
-            a2, b2 = pb
-            return _kl_piecewise(ea, qa, np.array([a2, b2]), np.array([1.0]), floor_b=False)
-        if fb == "gaussian":
-            mu, sg2 = pb
-            widths = np.diff(ea)
-            centers = 0.5 * (ea[:-1] + ea[1:])
-            mask = qa > 0
-            ent = float(np.sum(qa[mask] * np.log(qa[mask] / widths[mask])))
-            quad = float(np.sum(qa * ((centers - mu) ** 2 + widths ** 2 / 12.0)))
-            return ent + 0.5 * math.log(2.0 * math.pi * sg2) + quad / (2.0 * sg2)
-        if fb == "piecewise":
-            return _kl_piecewise(ea, qa, pb[0], pb[1], floor_b=True)
-    raise ValueError(f"unsupported families {fa!r} || {fb!r}")
+    ea, qa = pa
+    if not math.isfinite(ea[-1] - ea[0]) or (fb == "piecewise" and not math.isfinite(pb[0][-1] - pb[0][0])):
+        return math.inf  # an unbounded or NaN interval has no density
+    if fb == "gaussian":
+        mu, sg2 = pb
+        ent = 0.0
+        quad = 0.0
+        for x0, x1, q in zip(ea, ea[1:], qa):
+            w = x1 - x0
+            if q > 0:
+                ent += q * math.log(q / w)
+            quad += q * ((0.5 * (x0 + x1) - mu) ** 2 + w * w / 12.0)
+        return ent + 0.5 * math.log(2.0 * math.pi * sg2) + quad / (2.0 * sg2)
+    return _kl_piecewise(ea, qa, pb[0], pb[1])
 
 
 def _piecewise_density(edges, probs, x) -> float:
-    if x < edges[0] or x > edges[-1]:
+    if not edges[0] <= x <= edges[-1]:
         return 0.0
-    i = int(np.searchsorted(edges, x, side="right")) - 1
-    i = min(max(i, 0), probs.shape[0] - 1)
-    return float(probs[i] / (edges[i + 1] - edges[i]))
+    i = min(bisect.bisect_right(edges, x), len(probs)) - 1  # the last cell is closed on the right
+    return probs[i] / (edges[i + 1] - edges[i])
 
 
-def _kl_piecewise(ea, qa, eb, qb, *, floor_b: bool) -> float:
+def _kl_piecewise(ea, qa, eb, qb) -> float:
     """Exact divergence between piecewise-constant densities on a common refinement."""
-    lo_b, hi_b = float(eb[0]), float(eb[-1])
-    grid = np.unique(np.concatenate([ea, eb]))
-    grid = grid[(grid >= ea[0]) & (grid <= ea[-1])]
+    grid = sorted({x for x in ea + eb if ea[0] <= x <= ea[-1]})
     total = 0.0
-    wa = np.diff(ea)
-    wb = np.diff(eb)
-    for x0, x1 in zip(grid[:-1], grid[1:]):
+    for x0, x1 in zip(grid, grid[1:]):
         mid = 0.5 * (x0 + x1)
-        ia = int(np.searchsorted(ea, mid, side="right")) - 1
+        ia = bisect.bisect_right(ea, mid) - 1
         pa = qa[ia]
         if pa <= 0:
             continue
-        da = pa / wa[ia]
+        da = pa / (ea[ia + 1] - ea[ia])
         mass = da * (x1 - x0)
-        if mid < lo_b or mid > hi_b:
+        if not eb[0] <= mid <= eb[-1]:
             return math.inf
-        ib = int(np.searchsorted(eb, mid, side="right")) - 1
+        ib = bisect.bisect_right(eb, mid) - 1
         pb = qb[ib]
         if pb <= 0:
-            if not floor_b:
-                return math.inf
             pb = EPS_FLOOR
-        db = pb / wb[ib]
+        db = pb / (eb[ib + 1] - eb[ib])
         total += mass * math.log(da / db)
     return max(total, 0.0)
 
@@ -235,7 +212,7 @@ def _scalar_channels(m: DistributionModel):
             if hi == lo:
                 out.append(("point", lo))
             else:
-                out.append(("uniform", (lo, hi)))
+                out.append(("piecewise", ([lo, hi], [1.0])))  # the one-cell histogram
         elif m.family == "gaussian":
             v = float(m.var[c])
             if v == 0:
@@ -243,7 +220,7 @@ def _scalar_channels(m: DistributionModel):
             else:
                 out.append(("gaussian", (float(m.mean[c]), v)))
         elif m.family == "piecewise":
-            out.append(("piecewise", (m.edges, m.probs)))
+            out.append(("piecewise", (m.edges.tolist(), m.probs.tolist())))
         else:
             raise ValueError(f"unknown family {m.family!r}")
     return out
@@ -286,11 +263,9 @@ def kl_divergence(a: DistributionModel, b: DistributionModel) -> float:
     if b.family == "gaussian" and b.cov is not None:
         return _kl_full_cov(a, b)
     if a.family == "gaussian" and a.cov is not None:
-        if b.family == "gaussian":
-            return _kl_full_cov(a, gaussian_model(b.mean, cov=np.diag(b.var)))
-        if b.family == "point":
-            return math.inf
-        return math.inf  # unbounded support vs bounded reference
+        if b.family != "gaussian":
+            return math.inf  # unbounded support vs a point or bounded reference
+        return _kl_full_cov(a, gaussian_model(b.mean, cov=np.diag(b.var)))
     total = 0.0
     for (fa, pa), (fb, pb) in zip(_scalar_channels(a), _scalar_channels(b)):
         term = _kl_scalar(fa, pa, fb, pb)
@@ -318,9 +293,6 @@ def pdf(m: DistributionModel, x) -> float:
     for (fam, params), xc in zip(_scalar_channels(m), q):
         if fam == "point":
             out *= 1.0 if xc == params else 0.0
-        elif fam == "uniform":
-            a, b = params
-            out *= 1.0 / (b - a) if a <= xc <= b else 0.0
         elif fam == "gaussian":
             mu, s2 = params
             out *= math.exp(-0.5 * (xc - mu) ** 2 / s2) / math.sqrt(2.0 * math.pi * s2)
@@ -345,7 +317,10 @@ class Verdict:
     note: str = ""
 
 
-def verdict_from_models(ma: DistributionModel, mb: DistributionModel, tau: float = 0.1) -> Verdict:
+def subset_verdict(a: SummarySample, b: SummarySample, tau: float = 0.1) -> Verdict:
+    """Judge whether dataset A plausibly sits inside dataset B."""
+    ma = model_from_sample(a)
+    mb = model_from_sample(b)
     d_ab = kl_divergence(ma, mb)
     d_ba = kl_divergence(mb, ma)
     if d_ab == math.inf:
@@ -359,13 +334,11 @@ def verdict_from_models(ma: DistributionModel, mb: DistributionModel, tau: float
     return Verdict(v, d_ab, d_ba, note)
 
 
-def subset_verdict(a: SummarySample, b: SummarySample, tau: float = 0.1) -> Verdict:
-    """Judge whether dataset A plausibly sits inside dataset B."""
-    return verdict_from_models(model_from_sample(a), model_from_sample(b), tau)
+def symmetric_kl(ma: DistributionModel, mb: DistributionModel) -> float:
+    """D(a||b) + D(b||a) with infinities clamped to ``KL_CAP`` for ranking."""
+    return min(kl_divergence(ma, mb), KL_CAP) + min(kl_divergence(mb, ma), KL_CAP)
 
 
 def symmetric_merge_score(a: SummarySample, b: SummarySample) -> float:
-    """D(a||b) + D(b||a) with infinities clamped to ``KL_CAP`` for ranking."""
-    ma = model_from_sample(a)
-    mb = model_from_sample(b)
-    return min(kl_divergence(ma, mb), KL_CAP) + min(kl_divergence(mb, ma), KL_CAP)
+    """:func:`symmetric_kl` of the two samples' models."""
+    return symmetric_kl(model_from_sample(a), model_from_sample(b))

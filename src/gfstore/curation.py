@@ -198,8 +198,6 @@ def _single_stat_model(s: stats.SummarySample, name: str) -> compare.Distributio
             return None
         return compare.piecewise_model(s.hist_edges, counts)
     if name == "covariance" and s.covariance is not None:
-        if d == 1:
-            return compare.gaussian_model(np.zeros(1), s.covariance.reshape(1))
         return compare.gaussian_model(np.zeros(d), cov=s.covariance)
     if name == "hull" and s.hull is not None:
         return compare.uniform_model(s.hull.min(axis=0), s.hull.max(axis=0))
@@ -231,8 +229,7 @@ def rank_statistics_for_drop(samples) -> list[tuple[str, float]]:
         if not models:
             continue
         scores = [
-            min(compare.kl_divergence(ma, mb), compare.KL_CAP)
-            + min(compare.kl_divergence(mb, ma), compare.KL_CAP)
+            compare.symmetric_kl(ma, mb)
             for ma, mb in zip(models[:-1], models[1:])
             if ma is not None and mb is not None
         ]

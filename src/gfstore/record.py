@@ -133,6 +133,9 @@ class SummaryRecord:
     (:meth:`slots` sums their lengths), and the histogram bin edges live
     in ``opts``, whose one array every histogram sample shares.
 
+    ``budget`` sets the slot budget when ``rules`` is not given; given
+    beside ``rules``, it must equal ``rules.budget_slots``.
+
     Single writer: ingest/compact must not run concurrently; readers may
     share the record between writes.
     """
@@ -140,7 +143,7 @@ class SummaryRecord:
     def __init__(
         self,
         channels: int = 1,
-        budget: int = 64,
+        budget: int | None = None,
         opts: stats.StatisticSet | None = None,
         rules: curation.CurationRules | None = None,
         labels: tuple[str, ...] | None = None,
@@ -150,7 +153,9 @@ class SummaryRecord:
         self.channels = channels
         self.opts = opts or stats.StatisticSet()
         if rules is None:
-            rules = curation.CurationRules(budget_slots=budget)
+            rules = curation.CurationRules() if budget is None else curation.CurationRules(budget_slots=budget)
+        elif budget is not None and budget != rules.budget_slots:
+            raise ValueError(f"budget {budget} disagrees with rules.budget_slots {rules.budget_slots}")
         if rules.budget_slots < 1:
             raise BudgetTooSmall("budget must be at least one slot")
         self.rules = rules

@@ -52,6 +52,11 @@ class StatisticSet:
         edges = None
         if self.histogram_edges is not None:
             edges = np.asarray(self.histogram_edges, dtype=np.float64)
+            if edges.ndim != 1 or edges.shape[0] < 2 or not np.isfinite(edges).all() or np.any(np.diff(edges) <= 0):
+                raise ValueError(
+                    f"histogram edges must be two or more finite, strictly increasing values, "
+                    f"got {self.histogram_edges!r}"
+                )
             edges.flags.writeable = False
         object.__setattr__(self, "_edges", edges)
 
@@ -69,6 +74,9 @@ class SummarySample:
 
     ``hist_edges`` is the :meth:`StatisticSet.edges_array` the histogram
     was built under, shared by reference and never copied.
+
+    ``hull`` is kept over finite rows only: a sample that covers an inf or
+    NaN row has none, and neither has any merge it enters.
 
     ``variance``/``min_v``/``max_v`` may be None after a curation drop, and
     stay None through every later merge; an empty sample (n == 0) instead
@@ -206,7 +214,7 @@ def point_sample(row, t: int, opts: StatisticSet | None = None) -> SummarySample
     )
     if opts.covariance:
         s.covariance = np.zeros((d, d))
-    if opts.hull and d == 2:
+    if opts.hull and d == 2 and np.isfinite(v).all():
         s.hull = v[np.newaxis, :].copy()
     edges = opts.edges_array()
     if edges is not None:
@@ -246,13 +254,18 @@ def in_range_counts(s: SummarySample) -> np.ndarray:
     return counts
 
 
-def convex_hull(points) -> np.ndarray:
+def convex_hull(points) -> np.ndarray | None:
     """Convex hull of 2D points via the monotone chain, counter-clockwise.
 
     Degenerate inputs collapse: one distinct point gives a 1-vertex hull,
-    collinear points a 2-vertex segment.
+    collinear points a 2-vertex segment.  A hull is kept over finite points
+    only: any inf or NaN coordinate gives None, since the vertex set of such
+    points would depend on their order.
     """
-    pts = np.unique(np.asarray(points, dtype=np.float64).reshape(-1, 2), axis=0)
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    if not np.isfinite(pts).all():
+        return None
+    pts = np.unique(pts, axis=0)
     if pts.shape[0] <= 2:
         return pts
 
@@ -277,7 +290,7 @@ def convex_hull(points) -> np.ndarray:
     return np.vstack(hull)
 
 
-def merge_hull(h1, h2) -> np.ndarray:
+def merge_hull(h1, h2) -> np.ndarray | None:
     """Hull of the union: the hull of both vertex sets together."""
     a = np.asarray(h1, dtype=np.float64).reshape(-1, 2)
     b = np.asarray(h2, dtype=np.float64).reshape(-1, 2)

@@ -70,6 +70,15 @@ def test_data_errors_exit_2_with_one_line(gfs, tmp_path):
     assert rc == 2 and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spec", ["hist=10:0:4", "hist=0:0:3", "hist=0:10:0"])
+def test_bad_histogram_spec_exits_2_and_writes_nothing(gfs, tmp_path, spec):
+    store = tmp_path / "s.gfs"
+    rc, out, err = gfs(["ingest", str(store), "--stats", spec], csv_rows(20))
+    assert (rc, out) == (2, "")
+    assert err.startswith("gfs: ValueError: histogram edges") and err.count("\n") == 1
+    assert not store.exists()
+
+
 def test_inspect_truncated_store_exits_2_without_traceback(gfs, tmp_path):
     store = tmp_path / "s.gfs"
     assert gfs(["ingest", str(store), "--budget", "8"], csv_rows(40))[0] == 0

@@ -259,6 +259,40 @@ def test_asymmetry_is_reported():
     assert kl_divergence(a, b) != kl_divergence(b, a)
 
 
+def test_uniform_is_the_one_cell_piecewise_density():
+    rng = np.random.default_rng(53)
+    for _ in range(300):
+        lo = float(rng.uniform(-3, 2))
+        hi = lo + float(rng.uniform(0.05, 4))
+        u = uniform_model([lo], [hi])
+        cell = piecewise_model([lo, hi], [1.0])
+        e = np.sort(rng.uniform(-3, 6, size=4))
+        refs = [
+            point_model([rng.uniform(-3, 6)]),
+            gaussian_model([rng.uniform(-3, 3)], [rng.uniform(0.05, 4)]),
+            uniform_model([lo - rng.uniform(0, 1)], [lo + rng.uniform(0.05, 5)]),
+            piecewise_model(e, rng.uniform(0, 1, size=3) + [0.1, 0.0, 0.0]),
+        ]
+        for ref in refs:
+            assert kl_divergence(u, ref).hex() == kl_divergence(cell, ref).hex()
+            assert kl_divergence(ref, u).hex() == kl_divergence(ref, cell).hex()
+        for x in (lo, hi, rng.uniform(lo - 1, hi + 1)):
+            assert compare.pdf(u, x).hex() == compare.pdf(cell, x).hex()
+
+
+def test_uniform_without_a_finite_width_has_no_density():
+    # extrema of a stream with an inf or NaN row
+    spread = [gaussian_model([0.0], [1.0]), uniform_model([0.0], [1.0]), piecewise_model([0.0, 1.0, 2.0], [0.5, 0.5])]
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf), (math.nan, 1.0), (0.0, math.nan)):
+        u = uniform_model([lo], [hi])
+        assert kl_divergence(u, u) == math.inf
+        assert kl_divergence(point_model([0.5]), u) == math.inf
+        for m in spread:
+            assert kl_divergence(u, m) == kl_divergence(m, u) == math.inf
+            assert compare.symmetric_kl(u, m) == 2 * compare.KL_CAP
+        assert compare.pdf(u, 0.5) == 0.0
+
+
 def test_kl_nonnegative_fuzz():
     rng = np.random.default_rng(47)
     for _ in range(200):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gfstore import container, stats
-from gfstore.curation import compact, record_access
+from gfstore.curation import CurationRules, compact, record_access
 from gfstore.errors import BudgetTooSmall, ChannelMismatch, FutureRange
 from gfstore.record import PROVENANCE_RING, SummaryRecord, allocate_budget, level_quotas, next_step, recorder_span
 
@@ -54,6 +54,15 @@ def test_single_ingest_no_merge():
     assert rec.merge_count == 0
     assert rec.slots() == 1
     assert len(rec.levels[0]) == 1 and rec.levels[0][0].n == 1
+
+
+def test_budget_beside_rules_must_agree():
+    assert SummaryRecord().budget == CurationRules().budget_slots
+    assert SummaryRecord(budget=8).budget == 8
+    assert SummaryRecord(rules=CurationRules(budget_slots=8)).budget == 8
+    assert SummaryRecord(budget=8, rules=CurationRules(budget_slots=8)).budget == 8
+    with pytest.raises(ValueError, match="budget 8"):
+        SummaryRecord(budget=8, rules=CurationRules(slowness_w=1.0))
 
 
 def test_laziness_within_budget():
@@ -328,8 +337,8 @@ def test_planned_block_ingest_matches_per_row():
                 rng = np.random.default_rng(budget * 1_000 + block)
                 rows = 3.0 * rng.normal(size=(min(3 * block, 1_000), d)) + 1.0
                 scale = float(np.abs(rows).max())
-                if d == 1:  # a lone inf or NaN row keeps zero moments (2-D hulls of them differ)
-                    rows[-3], rows[-1] = np.inf, np.nan
+                # a lone inf or NaN row keeps zero moments, and no sample covering it keeps a hull
+                rows[-3, -1], rows[-1, -1] = np.inf, np.nan
                 planned = SummaryRecord(channels=d, budget=budget, opts=opts)
                 per_row = SummaryRecord(channels=d, budget=budget, opts=opts)
                 for i, start in enumerate(range(0, rows.shape[0], block)):

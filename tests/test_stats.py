@@ -138,6 +138,14 @@ def test_histogram_mismatch():
         merge(a, b)
 
 
+@pytest.mark.parametrize(
+    "edges", [(10.0, 7.5, 5.0), (0.0, 0.0, 0.0), (0.0,), (), (0.0, np.inf), (np.nan, 1.0), (0.0, 1.0, 1.0, 2.0)]
+)
+def test_histogram_edges_are_checked_where_they_enter(edges):
+    with pytest.raises(ValueError, match="histogram edges"):
+        StatisticSet(histogram_edges=edges)
+
+
 def test_histogram_counts_sum_to_n():
     opts = StatisticSet(histogram_edges=(0.0, 1.0, 2.0))
     s = summarize([0.5, 1.5, 5.0, -3.0], opts=opts)  # two in range, two outliers
@@ -176,6 +184,20 @@ def test_hull_two_triangles_matches_brute_force():
 def test_hull_degenerate_points():
     h = merge_hull(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]))
     assert h.shape == (2, 2)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the moments
+def test_hull_is_kept_over_finite_rows_only():
+    opts = StatisticSet(hull=True)
+    clean = summarize(SQUARE, opts=opts)
+    for bad in (np.inf, -np.inf, np.nan):
+        row = [0.5, bad]
+        assert stats.convex_hull(np.vstack([SQUARE, row])) is None
+        assert summarize(np.vstack([SQUARE, row]), opts=opts).hull is None
+        lone = stats.point_sample(row, 4, opts)
+        assert lone.hull is None
+        assert merge(clean, lone).hull is None
+    assert stats.point_sample([0.5, 2.0], 4, opts).hull.shape == (1, 2)
 
 
 def test_hull_contains_all_inputs():
