@@ -26,6 +26,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -238,6 +239,9 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_compact)
 
     sp = sub.add_parser("query", help="interval, membership, or range-count query")
+    # a value may start with "-" then a digit or "." (--range -1:1, --member -0.5,0.2);
+    # argparse takes such a token for an option unless the whole token is one number
+    sp._negative_number_matcher = re.compile(r"^-[\d.]")
     sp.add_argument("store")
     sp.add_argument("--interval", default=None, metavar="T0:T1")
     sp.add_argument("--member", default=None, metavar="V1,..,VD")

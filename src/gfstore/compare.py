@@ -99,7 +99,7 @@ def piecewise_model(edges, probs) -> DistributionModel:
     probs = np.asarray(probs, dtype=np.float64)
     if edges.ndim != 1 or edges.shape[0] != probs.shape[0] + 1:
         raise ValueError("need K+1 edges for K probabilities")
-    if np.any(np.diff(edges) <= 0):
+    if not np.all(np.diff(edges) > 0):  # a NaN edge fails this too
         raise ValueError("edges must be strictly increasing")
     if np.any(probs < 0):
         raise ValueError("probabilities must be >= 0")
@@ -335,8 +335,9 @@ def subset_verdict(a: SummarySample, b: SummarySample, tau: float = 0.1) -> Verd
 
 
 def symmetric_kl(ma: DistributionModel, mb: DistributionModel) -> float:
-    """D(a||b) + D(b||a) with infinities clamped to ``KL_CAP`` for ranking."""
-    return min(kl_divergence(ma, mb), KL_CAP) + min(kl_divergence(mb, ma), KL_CAP)
+    """D(a||b) + D(b||a) with inf and NaN clamped to ``KL_CAP`` for ranking (NaN is no evidence of likeness)."""
+    d_ab, d_ba = kl_divergence(ma, mb), kl_divergence(mb, ma)
+    return (d_ab if d_ab < KL_CAP else KL_CAP) + (d_ba if d_ba < KL_CAP else KL_CAP)
 
 
 def symmetric_merge_score(a: SummarySample, b: SummarySample) -> float:

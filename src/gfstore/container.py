@@ -1,20 +1,26 @@
 """Self-describing container for a whole record.
 
-Layout (format version 4): magic "GFS1", u32 format version, u64 manifest
+Layout (format version 5): magic "GFS1", u32 format version, u64 manifest
 length, the manifest, u64 data length, then the data section.  The
 manifest is JSON (stream metadata, statistics, curation rules, provenance,
 access log, length and CRC-32 of the data section) plus a u32 CRC-32
 trailer over magic, version, manifest length and JSON; the length counts
 the trailer.  The data section holds per-level arrays of samples: a
-40-byte header (t_start, t_end, n, sid, channels, block count) followed by
-the statistics as length-prefixed blocks.  Histogram bin edges are held
-once, in the manifest's statistics, and every sample with a histogram
-gets that one array on read.  Versions 1 to 3 still load: they also wrote
-the manifest's edges into each histogram sample as a type-8 block, which
-is read past without a note.  Version 1 has no manifest trailer, and
-versions 1 and 2 store a float64 per-sample weight after the sid (a
-48-byte header).  A sample weight other than 1.0 raises
-:class:`VersionUnsupported`, because this build keeps no weights.
+32-byte header (t_start, t_end, n, channels, block count) followed by the
+statistics as length-prefixed blocks.  The access log's counts are keyed
+by sample start, and a key that no sample carries raises
+:class:`CorruptContainer`.  Histogram bin edges are held once, in the
+manifest's statistics, and every sample with a histogram gets that one
+array on read.  Versions 1 to 4 still load.  They put a sample id after n
+(a 40-byte header) and key the access log by it, which is re-keyed by
+start on read.  Their manifest's ``counters`` must agree with the ``now``
+and ``merge_count`` that the record derives, or
+:class:`InvariantViolation` is raised.  Versions 1 to 3 also wrote the
+manifest's edges into each histogram sample as a type-8 block, which is
+read past without a note.  Version 1 has no manifest trailer, and versions
+1 and 2 store a float64 per-sample weight after the id (a 48-byte header).
+A sample weight other than 1.0 raises :class:`VersionUnsupported`, because
+this build keeps no weights.
 Provenance is bounded: the manifest holds the event totals as sorted
 ``[op, level, reason, count]`` rows under ``event_counts`` and the last
 ``PROVENANCE_RING`` events under ``provenance``; a file without
@@ -42,14 +48,15 @@ from collections import deque
 import numpy as np
 
 from . import curation, stats
-from .errors import BadMagic, ChecksumMismatch, CorruptContainer, VersionUnsupported
+from .errors import BadMagic, ChecksumMismatch, CorruptContainer, InvariantViolation, VersionUnsupported
 from .record import PROVENANCE_RING, SummaryRecord
 
 MAGIC = b"GFS1"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
-_HEAD = struct.Struct("<qqQqII")
-_HEAD_V2 = struct.Struct("<qqQqdII")  # versions 1 and 2: a float64 weight follows the sid
+_HEAD = struct.Struct("<qqQII")
+_HEAD_V4 = struct.Struct("<qqQqII")  # versions 3 and 4: a sample id follows n
+_HEAD_V2 = struct.Struct("<qqQqdII")  # versions 1 and 2: a float64 weight follows the id
 
 _BLOCK_MEAN = 1
 _BLOCK_VARIANCE = 2
@@ -99,32 +106,30 @@ def _encode_sample(s: stats.SummarySample) -> bytes:
         blocks.append((_BLOCK_SWV, struct.pack("<Q", s.swv.shape[0]) + _floats(s.swv)))
 
     out = io.BytesIO()
-    out.write(_HEAD.pack(s.t_start, s.t_end, s.n, s.sid, d, len(blocks)))
+    out.write(_HEAD.pack(s.t_start, s.t_end, s.n, d, len(blocks)))
     for btype, payload in blocks:
         _write_block(out, btype, payload)
     return out.getvalue()
 
 
 def _decode_sample(
-    buf: memoryview, offset: int, skipped: dict, version: int, edges: np.ndarray | None
+    buf: memoryview, offset: int, skipped: dict, version: int, edges: np.ndarray | None, starts: dict
 ) -> tuple[stats.SummarySample, int]:
     """Decode one sample, its histogram on ``edges``.
 
-    Unknown blocks are tallied as ``skipped[type] = (count, bytes)``.
+    Unknown blocks are tallied as ``skipped[type] = (count, bytes)``, and
+    the sample's start is entered in ``starts`` under its access-log key:
+    the start itself, or the sample id in versions 1 to 4.
     """
-    if version < 3:
-        t0, t1, n, sid, weight, d, n_blocks = _HEAD_V2.unpack_from(buf, offset)
-        if weight != 1.0:
-            raise VersionUnsupported(
-                f"sample [{t0},{t1}) has weight {weight!r}; only weight 1.0 loads into format {FORMAT_VERSION}"
-            )
-        offset += _HEAD_V2.size
-    else:
-        t0, t1, n, sid, d, n_blocks = _HEAD.unpack_from(buf, offset)
-        offset += _HEAD.size
-    s = stats.SummarySample(
-        t_start=t0, t_end=t1, n=n, mean=np.zeros(d), variance=None, min_v=None, max_v=None, sid=sid
-    )
+    head = _HEAD if version > 4 else _HEAD_V4 if version > 2 else _HEAD_V2
+    t0, t1, n, *old, d, n_blocks = head.unpack_from(buf, offset)
+    offset += head.size
+    starts[old[0] if old else t0] = t0  # versions 1-4: the sample id, then in 1 and 2 a weight
+    if len(old) > 1 and old[1] != 1.0:
+        raise VersionUnsupported(
+            f"sample [{t0},{t1}) has weight {old[1]!r}; only weight 1.0 loads into format {FORMAT_VERSION}"
+        )
+    s = stats.SummarySample(t_start=t0, t_end=t1, n=n, mean=np.zeros(d), variance=None, min_v=None, max_v=None)
     for _ in range(n_blocks):
         btype, length = struct.unpack_from("<IQ", buf, offset)
         offset += struct.calcsize("<IQ")
@@ -182,7 +187,6 @@ def _manifest(rec: SummaryRecord, data: bytes) -> dict:
     if opts["histogram_edges"] is not None:
         opts["histogram_edges"] = list(opts["histogram_edges"])
     return {
-        "format_version": FORMAT_VERSION,
         "data_len": len(data),
         "data_crc32": zlib.crc32(data) & 0xFFFFFFFF,
         "channels": rec.channels,
@@ -192,11 +196,6 @@ def _manifest(rec: SummaryRecord, data: bytes) -> dict:
         "provenance": list(rec.provenance),
         "event_counts": rec.event_rows(),
         "access_log": rec.access_log.to_dict(),
-        "counters": {
-            "now": rec.now,
-            "next_sid": rec._next_sid,
-            "merge_count": rec.merge_count,
-        },
     }
 
 
@@ -240,7 +239,7 @@ def _read(blob: bytes) -> SummaryRecord:
     if blob[:4] != MAGIC:
         raise BadMagic(f"expected {MAGIC!r}, found {blob[:4]!r}")
     (version,) = struct.unpack_from("<I", blob, 4)
-    if version not in (1, 2, 3, FORMAT_VERSION):
+    if not 1 <= version <= FORMAT_VERSION:
         raise VersionUnsupported(f"format version {version} not supported")
     (mlen,) = struct.unpack_from("<Q", blob, 8)
     pos = 16 + mlen
@@ -280,19 +279,16 @@ def _read(blob: bytes) -> SummaryRecord:
     else:
         rec.event_counts = _fold_events(events)
     rec.provenance = deque(events, maxlen=PROVENANCE_RING)
-    rec.access_log = curation.AccessLog.from_dict(manifest["access_log"])
     if ignored:
         note = f"ignored unknown manifest keys {', '.join(ignored)}"
         rec.note(("read", None, None), {"op": "read", "note": note})
-    rec.now = manifest["counters"]["now"]
-    rec._next_sid = manifest["counters"]["next_sid"]
-    rec.merge_count = manifest["counters"]["merge_count"]
 
     view = memoryview(data)
     offset = 0
     (n_levels,) = struct.unpack_from("<Q", view, offset)
     offset += 8
     skipped: dict[int, tuple[int, int]] = {}
+    starts: dict[int, int] = {}  # access-log key -> t_start
     edges = opts.edges_array()
     levels: list[list[stats.SummarySample]] = []
     for _ in range(n_levels):
@@ -300,14 +296,21 @@ def _read(blob: bytes) -> SummaryRecord:
         offset += 8
         level = []
         for _ in range(count):
-            s, offset = _decode_sample(view, offset, skipped, version, edges)
+            s, offset = _decode_sample(view, offset, skipped, version, edges, starts)
             level.append(s)
         levels.append(level)
     rec.levels = levels if levels else [[]]
     for btype, (blocks, nbytes) in sorted(skipped.items()):
         note = f"skipped {blocks} statistic block(s) of unknown or retired type {btype} ({nbytes} bytes)"
         rec.note(("read", None, None), {"op": "read", "note": note})
+    log = manifest["access_log"]  # a key that no stored sample carries is a KeyError
+    log = {**log, "counts": {starts[int(k)]: v for k, v in log.get("counts", {}).items()}}
+    rec.access_log = curation.AccessLog.from_dict(log)
     rec.validate()
+    if version < 5:
+        old = manifest["counters"]
+        if (old["now"], old["merge_count"]) != (rec.now, rec.merge_count):
+            raise InvariantViolation(f"counters {old} disagree with now {rec.now} after {rec.merge_count} merges")
     return rec
 
 

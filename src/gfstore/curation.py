@@ -60,10 +60,10 @@ class CurationRules:
 
 
 class AccessLog:
-    """Per-sample usage counters with exponential decay.
+    """Per-sample usage counters with exponential decay, keyed by sample start.
 
     Time is measured in compaction cycles; counters halve every
-    ``half_life`` cycles.  Merged samples pool their counters.
+    ``half_life`` cycles.  A merged sample pools its parts' counters under its start.
     """
 
     def __init__(self, half_life: float = 16.0):
@@ -71,12 +71,12 @@ class AccessLog:
         self.tick = 0
         self._counts: dict[int, tuple[float, int]] = {}
 
-    def register(self, sid: int) -> None:
-        if sid not in self._counts:
-            self._counts[sid] = (0.0, self.tick)
+    def register(self, start: int) -> None:
+        if start not in self._counts:
+            self._counts[start] = (0.0, self.tick)
 
-    def count(self, sid: int) -> float:
-        entry = self._counts.get(sid)
+    def count(self, start: int) -> float:
+        entry = self._counts.get(start)
         if entry is None:
             return 0.0
         value, last = entry
@@ -84,29 +84,29 @@ class AccessLog:
             return 0.0
         return value * 0.5 ** ((self.tick - last) / self.half_life)
 
-    def record(self, sids) -> None:
-        for sid in sids:
-            if sid not in self._counts:
-                raise UnknownId(f"sample id {sid} is not registered")
-            self._counts[sid] = (self.count(sid) + 1.0, self.tick)
+    def record(self, starts) -> None:
+        for start in starts:
+            if start not in self._counts:
+                raise UnknownId(f"no sample starting at {start} is registered")
+            self._counts[start] = (self.count(start) + 1.0, self.tick)
 
-    def pool(self, sids, new_sid: int) -> None:
+    def pool(self, starts, new_start: int) -> None:
         total = 0.0
-        for sid in sids:
-            total += self.count(sid)
-            self._counts.pop(sid, None)
-        self._counts[new_sid] = (total, self.tick)
+        for start in starts:
+            total += self.count(start)
+            self._counts.pop(start, None)
+        self._counts[new_start] = (total, self.tick)
 
     def settle(self, retired, created) -> None:
-        """Drop the counters of ``retired`` sids and set each ``(sid, count)`` of ``created``.
+        """Drop the counters of the ``retired`` starts and set each ``(start, count)`` of ``created``.
 
         This is the state a run of :meth:`register` and :meth:`pool` calls
         within one tick leaves, given the pooled counts.
         """
-        for sid in retired:
-            self._counts.pop(sid, None)
-        for sid, value in created:
-            self._counts[sid] = (value, self.tick)
+        for start in retired:
+            self._counts.pop(start, None)
+        for start, value in created:
+            self._counts[start] = (value, self.tick)
 
     def advance(self, cycles: int = 1) -> None:
         self.tick += cycles
@@ -126,9 +126,9 @@ class AccessLog:
         return log
 
 
-def record_access(log: AccessLog, sids) -> AccessLog:
-    """Bump the usage counters of the given samples."""
-    log.record(sids)
+def record_access(log: AccessLog, starts) -> AccessLog:
+    """Bump the usage counters of the samples that start at ``starts``."""
+    log.record(starts)
     return log
 
 
@@ -176,7 +176,7 @@ def score_merge_candidates(samples, rules: CurationRules, log: AccessLog | None 
         if rules.nonstationarity_w > 0:
             score += rules.nonstationarity_w * compare.symmetric_merge_score(a, b)
         if rules.prior_access_w > 0 and log is not None:
-            score += rules.prior_access_w * (log.count(a.sid) + log.count(b.sid))
+            score += rules.prior_access_w * (log.count(a.t_start) + log.count(b.t_start))
         if rules.recurrence_reprieve_w > 0:
             score += rules.recurrence_reprieve_w * 0.5 * (_in_range_share(a) + _in_range_share(b))
         if rules.slowness_w > 0:

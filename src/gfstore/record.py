@@ -129,9 +129,11 @@ class SummaryRecord:
     access counter per stored sample, the last ``PROVENANCE_RING`` events in
     ``provenance``, and exact event totals in ``event_counts``, keyed by
     ``(op, level, reason)``, which grow only with the number of levels.
-    Each fact is held once: the level lists are the slot count
-    (:meth:`slots` sums their lengths), and the histogram bin edges live
-    in ``opts``, whose one array every histogram sample shares.
+    Each fact is held once: a stored sample is known by its ``t_start``
+    (the samples tile ``[0, now)``), which keys its access counter; the
+    slot count, :attr:`now` and :attr:`merge_count` derive from the level
+    lists and event totals; the histogram bin edges live in ``opts``, whose
+    one array every histogram sample shares.
 
     ``budget`` sets the slot budget when ``rules`` is not given; given
     beside ``rules``, it must equal ``rules.budget_slots``.
@@ -164,8 +166,6 @@ class SummaryRecord:
             raise ChannelMismatch("one label per channel")
         self.levels: list[list[stats.SummarySample]] = [[]]
         self.access_log = curation.AccessLog()
-        self.merge_count = 0
-        self.now = 0
         self.event_counts: dict[tuple[str, int | None, str | None], int] = {}
         self.provenance: deque[dict] = deque(maxlen=PROVENANCE_RING)
         self.note(
@@ -177,7 +177,6 @@ class SummaryRecord:
                 "statistics": self.opts.names(),
             },
         )
-        self._next_sid = 0
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -200,6 +199,16 @@ class SummaryRecord:
     def budget(self) -> int:
         return self.rules.budget_slots
 
+    @property
+    def now(self) -> int:
+        """Steps ingested: the end of the newest sample, the last of the finest non-empty level."""
+        return next((level[-1].t_end for level in self.levels if level), 0)
+
+    @property
+    def merge_count(self) -> int:
+        """Merges ever made: the sum of the ``rescale`` event totals."""
+        return sum(n for (op, _, _), n in self.event_counts.items() if op == "rescale")
+
     def slots(self) -> int:
         return sum(len(level) for level in self.levels)
 
@@ -217,12 +226,6 @@ class SummaryRecord:
         for k in range(len(self.levels) - 1, -1, -1):
             yield from self.levels[k]
 
-    def _assign_sid(self, s: stats.SummarySample) -> stats.SummarySample:
-        s.sid = self._next_sid
-        self._next_sid += 1
-        self.access_log.register(s.sid)
-        return s
-
     # -- ingest and rescaling ----------------------------------------------
 
     def ingest(self, x) -> "SummaryRecord":
@@ -231,9 +234,8 @@ class SummaryRecord:
         if row.shape[0] != self.channels:
             raise ChannelMismatch(f"got {row.shape[0]} channels, expected {self.channels}")
         s = stats.point_sample(row, self.now, self.opts)
-        self._assign_sid(s)
+        self.access_log.register(s.t_start)
         self.levels[0].append(s)
-        self.now += 1
         if self.slots() > self.budget:
             self.rebalance()
         return self
@@ -251,13 +253,12 @@ class SummaryRecord:
         ingests whatever the block's size, so blocks under about six rows
         ingest slower than a loop of :meth:`ingest`; longer blocks gain.
         The record then equals what ``for row in block: ingest(row)``
-        leaves, except for rounding: the layout, every sid, ``now``,
-        ``merge_count``, the event counts and ring, the access counters,
-        extrema, histograms and hulls are identical, and means, variances
-        and covariances agree within 1e-12 relative to the data's magnitude
-        (a run of n samples sums in another order than a chain of n - 1
-        merges).  Tuned rules score values and SWV follows the merge tree,
-        so both ingest row by row.
+        leaves, except for rounding: the layout, the event counts and ring,
+        the access counters, extrema, histograms and hulls are identical,
+        and means, variances and covariances agree within 1e-12 relative to
+        the data's magnitude (a run of n samples sums in another order than
+        a chain of n - 1 merges).  Tuned rules score values and SWV follows
+        the merge tree, so both ingest row by row.
         """
         arr = np.asarray(block, dtype=np.float64)
         if arr.ndim == 1:
@@ -279,13 +280,13 @@ class SummaryRecord:
         """Ingest rows under untuned rules: plan on counts, reduce once, then commit.
 
         The plan replays ``rebalance`` on copies of the level lists, where
-        each new stored sample is an entry ``[t_start, t_end, n, sid, access,
-        level]``: ``next_step`` picks each step, the oldest pair merges and
-        moves up once its count exceeds 2^k, sids are numbered in event order
-        and access counts pool in ``AccessLog.pool``'s order.  The entries
-        left in the copies, read coarsest level first, are the new samples in
-        time order.  ``stats.merge_runs`` builds each from the stored samples
-        and rows it absorbed, and only then are the copies swapped in, so the
+        each new stored sample is an entry ``[t_start, t_end, n, access]``:
+        ``next_step`` picks each step, the oldest pair merges and moves up
+        once its count exceeds 2^k, and access counts pool under the older
+        start in ``AccessLog.pool``'s order.  The entries left in the
+        copies, read coarsest level first, are the new samples in time
+        order.  ``stats.merge_runs`` builds each from the stored samples and
+        rows it absorbed, and only then are the copies swapped in, so the
         record changes all at once or not at all.
         """
         budget = self.rules.budget_slots
@@ -300,12 +301,11 @@ class SummaryRecord:
         events = deque(maxlen=PROVENANCE_RING)
         merges = [0] * len(levels)  # per level, for event_counts
         promotions = [0] * len(levels)
-        sid, slots = self._next_sid, sum(lengths)
+        slots = sum(lengths)
 
         fine = levels[0]
         for t in range(t_rows, t_rows + rows.shape[0]):
-            fine.append([t, t + 1, 1, sid, 0.0, 0])
-            sid += 1
+            fine.append([t, t + 1, 1, 0.0])
             lengths[0] += 1
             slots += 1
             while slots > budget:
@@ -318,23 +318,23 @@ class SummaryRecord:
                     lengths[k + 1] += 1
                     promotions[k] += 1
                     if e.__class__ is list:
-                        e[5] = k + 1
                         events.append((k, None, e[0], e[1]))
                     else:
                         events.append((k, None, e.t_start, e.t_end))
                     continue
                 a, b = level[0], level[1]
                 if a.__class__ is list:
-                    t0, n, pooled = a[0], a[2], 0.0 + a[4]
+                    t0, n, pooled = a[0], a[2], 0.0 + a[3]
                 else:
-                    t0, n, pooled = a.t_start, a.n, 0.0 + count(a.sid)
+                    t0, n, pooled = a.t_start, a.n, 0.0 + count(a.t_start)
                     absorbed.append(a)
                 if b.__class__ is list:
-                    t1, n, pooled = b[1], n + b[2], pooled + b[4]
+                    t1, n, pooled = b[1], n + b[2], pooled + b[3]
                 else:
-                    t1, n, pooled = b.t_end, n + b.n, pooled + count(b.sid)
+                    t1, n, pooled = b.t_end, n + b.n, pooled + count(b.t_start)
                     absorbed.append(b)
                 slots -= 1
+                merged = [t0, t1, n, pooled]
                 if n > 1 << k:  # as in _merge_pair: the oldest pair outgrew level k
                     del level[0:2]
                     lengths[k] -= 2
@@ -344,16 +344,15 @@ class SummaryRecord:
                         merges.append(0)
                         promotions.append(0)
                         quotas = level_quotas(budget, len(levels))
-                    merged = [t0, t1, n, sid, pooled, k + 1]
-                    levels[k + 1].append(merged)
-                    lengths[k + 1] += 1
+                    dest = k + 1
+                    levels[dest].append(merged)
+                    lengths[dest] += 1
                 else:
-                    merged = [t0, t1, n, sid, pooled, k]
+                    dest = k
                     level[0:2] = [merged]
                     lengths[k] -= 1
-                sid += 1
                 merges[k] += 1
-                events.append((k, merged[5], t0, t1))
+                events.append((k, dest, t0, t1))
 
         # Reduce: one run of absorbed samples and rows per new entry, in time order.
         fresh = [e for level in reversed(levels) for e in level if e.__class__ is list]
@@ -366,15 +365,11 @@ class SummaryRecord:
             sizes.append(j - i + max(0, e[1] - max(e[0], t_rows)))
             i = j
         for e, s in zip(fresh, stats.merge_runs(absorbed, rows, t_rows, sizes, self.opts)):
-            s.sid = e[3]
             e.append(s)
 
-        # Commit: swap every entry for its sample (entry[6]) in every level.
-        self.levels[:] = [[e[6] if e.__class__ is list else e for e in level] for level in levels]
-        self.access_log.settle([s.sid for s in absorbed], [(e[3], e[4]) for e in fresh])
-        self.now = t_rows + rows.shape[0]
-        self._next_sid = sid
-        self.merge_count += sum(merges)
+        # Commit: swap every entry for its sample (entry[4]) in every level.
+        self.levels[:] = [[e[4] if e.__class__ is list else e for e in level] for level in levels]
+        self.access_log.settle([s.t_start for s in absorbed], [(e[0], e[3]) for e in fresh])
         counts = self.event_counts
         for op, reason, tally in (("rescale", "ingest", merges), ("promote", None, promotions)):
             for k, n in enumerate(tally):
@@ -396,8 +391,7 @@ class SummaryRecord:
     def _merge_pair(self, k: int, i: int, reason: str) -> None:
         a, b = self.levels[k][i], self.levels[k][i + 1]
         merged = stats.merge(a, b)
-        self._assign_sid(merged)
-        self.access_log.pool([a.sid, b.sid], merged.sid)
+        self.access_log.pool([a.t_start, b.t_start], merged.t_start)
         if i == 0 and merged.n > (1 << k):
             del self.levels[k][0:2]
             if k + 1 == len(self.levels):
@@ -407,7 +401,6 @@ class SummaryRecord:
         else:
             self.levels[k][i : i + 2] = [merged]
             dest = k
-        self.merge_count += 1
         self.note(*_rescale_note(k, i, dest, [merged.t_start, merged.t_end], reason))
 
     def rebalance(self, reason: str = "ingest") -> None:
@@ -494,11 +487,9 @@ class SummaryRecord:
                 raise InvariantViolation(
                     f"coverage gap: expected t_start {cursor}, found {s.t_start}"
                 )
-            if s.t_end < s.t_start:
-                raise InvariantViolation("negative-length interval")
+            if s.t_end <= s.t_start:
+                raise InvariantViolation(f"sample [{s.t_start},{s.t_end}) covers no step")
             cursor = s.t_end
-        if cursor != self.now:
-            raise InvariantViolation(f"coverage ends at {cursor}, stream is at {self.now}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SummaryRecord):
@@ -508,9 +499,6 @@ class SummaryRecord:
             and self.opts == other.opts
             and self.rules == other.rules
             and self.labels == other.labels
-            and self.now == other.now
-            and self.merge_count == other.merge_count
-            and self._next_sid == other._next_sid
             and self.provenance == other.provenance
             and self.event_counts == other.event_counts
             and len(self.levels) == len(other.levels)

@@ -29,7 +29,6 @@ def _jsonable(x):
 
 def _sample_dict(s, coarse: bool | None = None) -> dict:
     d = {
-        "sid": s.sid,
         "t_start": s.t_start,
         "t_end": s.t_end,
         "n": s.n,
@@ -78,7 +77,7 @@ class QueryService:
     def _interval(self, t0: int, t1: int) -> dict:
         with self.lock:
             parts = self.rec.query_interval(t0, t1)
-            curation.record_access(self.rec.access_log, [p.sample.sid for p in parts])
+            curation.record_access(self.rec.access_log, [p.sample.t_start for p in parts])
             return {
                 "ok": True,
                 "result": [_sample_dict(p.sample, p.coarse) for p in parts],
@@ -87,7 +86,7 @@ class QueryService:
     def _member(self, value) -> dict:
         with self.lock:
             res = self.rec.membership(value)
-            curation.record_access(self.rec.access_log, [s.sid for s, _ in res.candidates])
+            curation.record_access(self.rec.access_log, [s.t_start for s, _ in res.candidates])
             return {
                 "ok": True,
                 "result": {

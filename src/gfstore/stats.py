@@ -96,7 +96,6 @@ class SummarySample:
     histogram: dict[int, int] | None = None
     hist_edges: np.ndarray | None = None
     swv: np.ndarray | None = None
-    sid: int = -1
 
     @property
     def channels(self) -> int:
@@ -137,7 +136,6 @@ class SummarySample:
             and self.histogram == other.histogram
             and arr_eq(self.hist_edges, other.hist_edges)
             and arr_eq(self.swv, other.swv)
-            and self.sid == other.sid
         )
 
 
@@ -352,7 +350,6 @@ def merge(a: SummarySample, b: SummarySample) -> SummarySample:
     if a.n == 0 or b.n == 0:
         out = (b if a.n == 0 else a).copy()
         out.t_start, out.t_end = t0, t1
-        out.sid = -1
         return out
 
     n = a.n + b.n
@@ -422,9 +419,8 @@ def merge_runs(samples, rows: np.ndarray, t_rows: int, sizes, opts: StatisticSet
     moments agree with it to rounding.  Counts, extrema and histograms are
     exact, and a hull is the hull of every vertex and row of its run, as a
     chain of ``merge_hull`` gives it.  A statistic that any sample of a run
-    lacks is None on the result.  Sids are left at -1.  Scale-wise variance
-    depends on the merge tree, not only on the runs, so ``opts.swv`` is
-    refused.
+    lacks is None on the result.  Scale-wise variance depends on the merge
+    tree, not only on the runs, so ``opts.swv`` is refused.
     """
     if opts.swv:
         raise ValueError("merge_runs cannot build scale-wise variance")

@@ -1,11 +1,20 @@
 import io
 import json
+import os
+import re
+import signal
+import socket
+import subprocess
 import sys
+import time
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gfstore import cli, container
+from gfstore import cli, compare, container, index
+from gfstore.curation import compact
 from gfstore.record import PROVENANCE_RING
 
 
@@ -135,3 +144,131 @@ def test_stats_on_an_existing_store_must_match_its_own(gfs, tmp_path):
     assert (rc, err) == (0, "") and out.endswith("t = 25\n")
     rc, _, err = gfs(["ingest", str(rich), "--stats", "cov,hist=0:10:4"], csv_rows(5))
     assert rc == 2 and "histogram[0:10:5]; --stats asks for" in err and err.endswith("histogram[0:10:4]\n")
+
+
+def spans(text: str) -> list[tuple[int, int, int]]:
+    """The ``[t0,t1) n=N`` of every sample line that ``gfs query`` printed."""
+    return [tuple(map(int, m)) for m in re.findall(r"\[(\d+),(\d+)\) n=(\d+)", text)]
+
+
+def test_query_prints_the_records_own_answers(gfs, tmp_path):
+    store = str(tmp_path / "s.gfs")
+    assert gfs(["ingest", store, "--budget", "16"], csv_rows(100))[0] == 0
+    rec = container.load(store)
+
+    rc, out, err = gfs(["query", store, "--interval", "40:90"])
+    assert (rc, err) == (0, "")
+    parts = rec.query_interval(40, 90)
+    assert spans(out) == [(p.sample.t_start, p.sample.t_end, p.sample.n) for p in parts]
+    assert out.count(" coarse\n") == sum(p.coarse for p in parts) > 0
+
+    hit = rec.levels[0][-1].mean.tolist()
+    rc, out, err = gfs(["query", store, "--member", ",".join(map(repr, hit))])
+    res = rec.membership(hit)
+    assert (rc, err) == (0, "") and not res.absent_certain
+    assert out.startswith(f"{len(res.candidates)} candidate leaf/leaves, {res.nodes_visited} node(s) visited\n")
+    assert spans(out) == [(s.t_start, s.t_end, s.n) for s, _ in res.candidates]
+
+    rc, out, err = gfs(["query", store, "--member", "1e6,1e6"])
+    assert (rc, err) == (0, "")
+    assert out == f"absent (certain), {rec.membership([1e6, 1e6]).nodes_visited} node(s) visited\n"
+
+    rc, out, err = gfs(["query", store, "--range", "-1:1,-0.5:2"])
+    low, up = index.range_count_bounds(index.build(list(rec.samples_in_time_order())), [-1.0, -0.5], [1.0, 2.0])
+    assert (rc, out, err) == (0, f"count in [{low}, {up}]\n", "")
+    assert 0 <= low <= up <= 100
+
+
+@pytest.mark.parametrize(
+    "option, value, answer",
+    [
+        ("--range", "-1:1", "count in [5, 5]"),
+        ("--member", "-0.5,0.2", "5 candidate"),
+        ("--member", "-.5,.2", "5 candidate"),
+    ],
+)
+def test_query_values_may_start_with_a_minus(gfs, tmp_path, option, value, answer):
+    store = str(tmp_path / "s.gfs")
+    row = "-0.5" if option == "--range" else "-0.5,0.2"
+    assert gfs(["ingest", store], f"{row}\n" * 5)[0] == 0
+    rc, out, err = gfs(["query", store, option, value])
+    assert (rc, err) == (0, "") and out.startswith(answer)
+    assert (rc, out, err) == gfs(["query", store, f"{option}={value}"])
+
+
+def test_compact_applies_the_stores_own_rules(gfs, tmp_path):
+    store = tmp_path / "s.gfs"
+    assert gfs(["ingest", str(store), "--budget", "8"], csv_rows(100))[0] == 0
+    rec = container.load(store)
+    rec.rules.max_scalars = rec.scalar_footprint() - 1
+    container.save(rec, store)
+    rc, out, err = gfs(["compact", str(store)])
+    assert (rc, out, err) == (0, "compacted; slots 8/8\n", "")
+    compact(rec)
+    assert container.load(store) == rec
+    assert any(op == "drop_statistic" for op, _, _ in rec.event_counts)
+
+
+def test_compare_prints_the_verdict_of_the_two_aggregates(gfs, tmp_path):
+    a, b = str(tmp_path / "a.gfs"), str(tmp_path / "b.gfs")
+    assert gfs(["ingest", a, "--budget", "8"], csv_rows(100))[0] == 0
+    assert gfs(["ingest", b, "--budget", "8"], csv_rows(40, seed=3))[0] == 0
+    rc, out, err = gfs(["compare", a, b, "--tau", "0.5"])
+    want = compare.subset_verdict(container.load(a).aggregate(), container.load(b).aggregate(), tau=0.5)
+    lines = [f"verdict: {want.verdict}", f"D(A||B): {cli._fmt(want.d_ab)}", f"D(B||A): {cli._fmt(want.d_ba)}"]
+    lines += [f"note: {want.note}"] if want.note else []
+    assert (rc, out, err) == (0, "".join(f"{line}\n" for line in lines), "")
+
+
+def ask_server(proc, sock, requests) -> list[dict]:
+    """Wait up to 10 s for ``sock`` to appear, then send ``requests`` one line each and read the replies."""
+    deadline = time.monotonic() + 10
+    while not sock.exists():
+        assert proc.poll() is None, proc.stderr.read()
+        assert time.monotonic() < deadline, "the server made no socket"
+        time.sleep(0.02)
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+        conn.settimeout(10)
+        conn.connect(str(sock))
+        with conn.makefile("rb") as replies:
+            answers = []
+            for req in requests:
+                conn.sendall(json.dumps(req).encode() + b"\n")
+                answers.append(json.loads(replies.readline()))
+    return answers
+
+
+def test_serve_answers_on_its_socket_and_saves_the_access_counters_on_sigint(gfs, tmp_path):
+    store, other, sock = tmp_path / "s.gfs", tmp_path / "other.gfs", tmp_path / "gfs.sock"
+    assert gfs(["ingest", str(store), "--budget", "16"], csv_rows(100))[0] == 0
+    assert gfs(["ingest", str(other), "--budget", "8"], csv_rows(40, seed=3))[0] == 0
+    rec = container.load(store)
+    newest = rec.levels[0][-1].mean.tolist()
+    requests = [
+        {"op": "interval", "t0": 60, "t1": 100},
+        {"op": "member", "value": newest},
+        {"op": "compare", "store": "other.gfs"},
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    cmd = [sys.executable, "-m", "gfstore.cli", "serve", str(store), "--socket", str(sock)]
+    with subprocess.Popen(cmd, env=env, cwd=tmp_path, stderr=subprocess.PIPE, text=True) as proc:
+        try:
+            answers = ask_server(proc, sock, requests)
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10) == 0, proc.stderr.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+    assert all(answer["ok"] for answer in answers), answers
+    interval, member, verdict = (answer["result"] for answer in answers)
+    assert [p["t_start"] for p in interval] == [p.sample.t_start for p in rec.query_interval(60, 100)]
+    candidates = [c["sample"]["t_start"] for c in member["candidates"]]
+    assert candidates == [s.t_start for s, _ in rec.membership(newest).candidates]
+    assert verdict["verdict"] == compare.subset_verdict(rec.aggregate(), container.load(other).aggregate()).verdict
+    touched = Counter([p["t_start"] for p in interval] + candidates)
+    assert touched[rec.levels[0][-1].t_start] == 2  # the newest sample answered both queries
+    saved = container.load(store)
+    assert {s.t_start: saved.access_log.count(s.t_start) for s in saved.samples_in_time_order()} == {
+        s.t_start: float(touched[s.t_start]) for s in rec.samples_in_time_order()
+    }
+    assert not sock.exists()

@@ -293,6 +293,17 @@ def test_uniform_without_a_finite_width_has_no_density():
         assert compare.pdf(u, 0.5) == 0.0
 
 
+def test_a_nan_divergence_scores_the_cap_and_nan_edges_are_refused():
+    nan_variance = gaussian_model([0.0], [math.nan])  # a sample that covers an inf row
+    spread = [gaussian_model([0.0], [1.0]), uniform_model([0.0], [1.0]), piecewise_model([0.0, 1.0, 2.0], [0.5, 0.5])]
+    for m in (nan_variance, *spread):
+        assert math.isnan(kl_divergence(nan_variance, m)) or math.isnan(kl_divergence(m, nan_variance))
+        assert compare.symmetric_kl(nan_variance, m) == 2 * compare.KL_CAP
+    for edges in ([0.0, math.nan, 2.0], [math.nan, 1.0, 2.0], [0.0, 1.0, math.nan], [0.0, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            piecewise_model(edges, [0.5, 0.5])
+
+
 def test_kl_nonnegative_fuzz():
     rng = np.random.default_rng(47)
     for _ in range(200):

@@ -1,14 +1,16 @@
+import importlib.util
 import json
 import os
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gfstore import container, stats
 from gfstore.curation import CurationRules, compact
-from gfstore.errors import CorruptContainer, StoreError, VersionUnsupported
+from gfstore.errors import CorruptContainer, InvariantViolation, StoreError, VersionUnsupported
 from gfstore.record import PROVENANCE_RING, SummaryRecord
 
 RICH = stats.StatisticSet(
@@ -125,11 +127,12 @@ def test_every_prefix_raises_store_error():
 
 
 MALFORMED = {
-    "missing-key": lambda m: m.pop("counters"),
+    "missing-key": lambda m: m.pop("access_log"),
     "labels-not-a-list": lambda m: m.update(labels=7),
     "short-counts-row": lambda m: m.update(event_counts=[["rescale", 0]]),
     "non-numeric-sid": lambda m: m.update(access_log={"counts": {"x": [0.0, 0]}}),
-    "infinite-tick": lambda m: m.update(access_log={"counts": {"1": [0.0, float("inf")]}}),
+    "infinite-tick": lambda m: m.update(access_log={"counts": {"0": [0.0, float("inf")]}}),
+    "count-of-no-sample": lambda m: m.update(access_log={"counts": {"1": [0.0, 0]}}),
     "statistics-not-an-object": lambda m: m.update(statistics=[1]),
     "edges-not-a-list": lambda m: m["statistics"].update(histogram_edges=3),
 }
@@ -182,20 +185,28 @@ def test_single_bit_flips_never_load():
             container.read(bytes(flipped))
 
 
-SAMPLE_HEAD = "<qqQqII"
-OLD_SAMPLE_HEAD = "<qqQqdII"  # versions 1 and 2: a float64 weight follows the sid
+SAMPLE_HEAD = "<qqQII"
+V4_SAMPLE_HEAD = "<qqQqII"  # versions 3 and 4: a sample id follows n
+OLD_SAMPLE_HEAD = "<qqQqdII"  # versions 1 and 2: a float64 weight follows the id
 
 
-def old_sample(s: stats.SummarySample, weight: float = 1.0) -> bytes:
-    """``s`` with the 48-byte sample header of format versions 1 and 2."""
+def v4_sample(s: stats.SummarySample, old_id: int) -> bytes:
+    """``s`` with the 40-byte sample header of format versions 3 and 4, carrying ``old_id``."""
     enc = container._encode_sample(s)
-    t0, t1, n, sid, d, n_blocks = struct.unpack_from(SAMPLE_HEAD, enc)
-    return struct.pack(OLD_SAMPLE_HEAD, t0, t1, n, sid, weight, d, n_blocks) + enc[struct.calcsize(SAMPLE_HEAD) :]
+    t0, t1, n, d, n_blocks = struct.unpack_from(SAMPLE_HEAD, enc)
+    return struct.pack(V4_SAMPLE_HEAD, t0, t1, n, old_id, d, n_blocks) + enc[struct.calcsize(SAMPLE_HEAD) :]
 
 
-def parent_sample(s: stats.SummarySample) -> bytes:
+def old_sample(s: stats.SummarySample, old_id: int, weight: float = 1.0) -> bytes:
+    """``s`` with the 48-byte sample header of format versions 1 and 2, carrying ``old_id``."""
+    enc = container._encode_sample(s)
+    t0, t1, n, d, n_blocks = struct.unpack_from(SAMPLE_HEAD, enc)
+    return struct.pack(OLD_SAMPLE_HEAD, t0, t1, n, old_id, weight, d, n_blocks) + enc[struct.calcsize(SAMPLE_HEAD) :]
+
+
+def parent_sample(s: stats.SummarySample, old_id: int) -> bytes:
     """``s`` as an older build wrote it: weight 1.0 plus a family-hint (10) and a notes (11) block."""
-    enc = old_sample(s)
+    enc = old_sample(s, old_id)
     *head, n_blocks = struct.unpack_from(OLD_SAMPLE_HEAD, enc)
     hint = b"gaussian"
     note = b"dropped hull on merge at [0,8)"
@@ -204,15 +215,30 @@ def parent_sample(s: stats.SummarySample) -> bytes:
     return struct.pack(OLD_SAMPLE_HEAD, *head, n_blocks + 2) + enc[struct.calcsize(OLD_SAMPLE_HEAD) :] + extra
 
 
+def old_ids(rec: SummaryRecord) -> dict[int, int]:
+    """An id per stored sample, keyed by its start, numbered newest first so that no id is its start."""
+    samples = list(rec.samples_in_time_order())
+    return {s.t_start: 3 * (len(samples) - i) + 1 for i, s in enumerate(samples)}
+
+
 def old_container(rec: SummaryRecord, encode, version: int, edit=lambda m: None) -> bytes:
-    """``rec`` in format ``version`` (1, 2 or 3), each sample written by ``encode``."""
+    """``rec`` in format ``version`` (1 to 4), each sample written by ``encode(s, id)``.
+
+    As those versions wrote it, every sample carries an id that the access
+    log's counts are keyed by, and the manifest holds ``format_version`` and
+    the ``counters``.
+    """
+    ids = old_ids(rec)
     data = struct.pack("<Q", len(rec.levels))
     for level in rec.levels:
-        data += struct.pack("<Q", len(level)) + b"".join(encode(s) for s in level)
+        data += struct.pack("<Q", len(level)) + b"".join(encode(s, ids[s.t_start]) for s in level)
     blob = container.write(rec)
     (mlen,) = struct.unpack_from("<Q", blob, 8)
     manifest = json.loads(blob[16 : 16 + mlen - 4])
-    manifest.update(format_version=version, data_len=len(data), data_crc32=zlib.crc32(data))
+    log = manifest["access_log"]
+    log["counts"] = {str(ids[int(start)]): value for start, value in log["counts"].items()}
+    counters = {"now": rec.now, "next_sid": max(ids.values(), default=0) + 1, "merge_count": rec.merge_count}
+    manifest.update(format_version=version, data_len=len(data), data_crc32=zlib.crc32(data), counters=counters)
     edit(manifest)
     raw = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     if version == 1:
@@ -264,14 +290,14 @@ def test_reads_version_2_file_with_unit_weights():
     assert back.rules == rec.rules and back.opts == rec.opts
     rewritten = container.write(back)
     assert struct.unpack_from("<I", rewritten, 4) == (container.FORMAT_VERSION,)
-    assert data_len(v2) - data_len(rewritten) == 8 * rec.slots()
+    assert data_len(v2) - data_len(rewritten) == 16 * rec.slots()
     assert container.read(rewritten) == back
 
 
 def test_version_2_file_with_another_weight_is_refused():
     rec = rich_record()
     first = next(rec.samples_in_time_order())
-    v2 = old_container(rec, lambda s: old_sample(s, 0.5 if s is first else 1.0), 2)
+    v2 = old_container(rec, lambda s, old_id: old_sample(s, old_id, 0.5 if s is first else 1.0), 2)
     with pytest.raises(VersionUnsupported, match="weight 0.5"):
         container.read(v2)
 
@@ -287,7 +313,7 @@ def blocks(enc: bytes) -> list[tuple[int, bytes]]:
     return out
 
 
-def v3_sample(s: stats.SummarySample) -> bytes:
+def v3_sample(s: stats.SummarySample, old_id: int) -> bytes:
     """``s`` byte for byte as format 3 wrote it: its bin edges follow the histogram as a type-8 block."""
     enc = container._encode_sample(s)
     parts = []
@@ -296,8 +322,8 @@ def v3_sample(s: stats.SummarySample) -> bytes:
         if btype == 7:
             e = s.hist_edges
             parts.append(struct.pack("<IQQ", 8, 8 + 8 * len(e), len(e)) + e.astype("<f8").tobytes())
-    *head, _ = struct.unpack_from(SAMPLE_HEAD, enc)
-    return struct.pack(SAMPLE_HEAD, *head, len(parts)) + b"".join(parts)
+    t0, t1, n, d, _ = struct.unpack_from(SAMPLE_HEAD, enc)
+    return struct.pack(V4_SAMPLE_HEAD, t0, t1, n, old_id, d, len(parts)) + b"".join(parts)
 
 
 def test_reads_version_3_file_with_per_sample_edges():
@@ -308,11 +334,11 @@ def test_reads_version_3_file_with_per_sample_edges():
     assert not any(e["op"] == "read" for e in v3.provenance)  # the edges are read past without a note
     assert_edges_shared(v3)
     rewritten = container.write(v3)
-    assert struct.unpack_from("<I", rewritten, 4) == (container.FORMAT_VERSION,) == (4,)
+    assert struct.unpack_from("<I", rewritten, 4) == (container.FORMAT_VERSION,) == (5,)
     for s in v3.samples_in_time_order():
         assert 8 not in [btype for btype, _ in blocks(container._encode_sample(s))]
     hists = sum(s.histogram is not None for s in v3.samples_in_time_order())
-    assert data_len(blob) - data_len(rewritten) == (20 + 8 * len(rec.opts.histogram_edges)) * hists
+    assert data_len(blob) - data_len(rewritten) == (20 + 8 * len(rec.opts.histogram_edges)) * hists + 8 * rec.slots()
     assert container.read(rewritten) == v3
 
 
@@ -344,3 +370,41 @@ def test_histogram_samples_share_the_statistic_sets_edges():
         back = container.read(container.write(rec))
         assert back == rec
         assert_edges_shared(back)
+
+
+@pytest.mark.parametrize("counter", ["now", "merge_count"])
+def test_version_4_counters_must_agree_with_what_the_record_derives(counter):
+    rec = rich_record()
+    assert container.read(old_container(rec, v4_sample, 4)) == rec
+
+    def disagree(manifest):
+        manifest["counters"][counter] += 1
+
+    with pytest.raises(InvariantViolation, match="disagree"):
+        container.read(old_container(rec, v4_sample, 4, disagree))
+
+
+def test_version_4_access_count_for_an_id_no_sample_carries_is_corrupt():
+    rec = rich_record()
+    stray = str(max(old_ids(rec).values()) + 1)
+    with pytest.raises(CorruptContainer):
+        container.read(old_container(rec, v4_sample, 4, lambda m: m["access_log"]["counts"].update({stray: [1.0, 0]})))
+
+
+DATA = Path(__file__).resolve().parent / "data"
+_spec = importlib.util.spec_from_file_location("make_format4_stores", DATA / "make_format4_stores.py")
+FORMAT4 = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(FORMAT4)
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT4.STORES))
+def test_format_4_store_of_the_parent_build_loads_equal_to_the_same_stream_now(name):
+    blob = (DATA / name).read_bytes()
+    assert struct.unpack_from("<I", blob, 4) == (4,)
+    back = container.read(blob)
+    assert back == FORMAT4.STORES[name]()
+    bumped = [s.t_start for s in back.samples_in_time_order() if back.access_log.count(s.t_start) > 0]
+    assert bool(bumped) == (name == "accessed.gfs")
+    rewritten = container.write(back)
+    assert data_len(blob) - data_len(rewritten) == 8 * back.slots()
+    assert container.read(rewritten) == back

@@ -1,20 +1,20 @@
 import numpy as np
+import pytest
 
 from gfstore import container, stats
-from gfstore.curation import AccessLog, CurationRules, compact, score_merge_candidates
+from gfstore.curation import AccessLog, CurationRules, compact, rank_statistics_for_drop, score_merge_candidates
 from gfstore.record import SummaryRecord
 
 OPTS = stats.StatisticSet(histogram_edges=tuple(np.linspace(-2.0, 2.0, 9)), swv=True)
 
 
 def level(blocks):
-    """Consecutive samples of the given raw blocks, with sids 0.. registered in a fresh log."""
+    """Consecutive samples of the given raw blocks, their starts registered in a fresh log."""
     samples, t = [], 0
     log = AccessLog()
-    for sid, raw in enumerate(blocks):
+    for raw in blocks:
         s = stats.summarize(raw, t_start=t, opts=OPTS)
-        s.sid = sid
-        log.register(sid)
+        log.register(s.t_start)
         samples.append(s)
         t += len(raw)
     return samples, log
@@ -60,6 +60,20 @@ def test_slowness_merges_erratic_pairs_first():
     samples, log = level([SMOOTH, SMOOTH, ERRATIC, *NOISE[3:]])
     assert first_pick(samples, log) == 0
     assert first_pick(samples, log, slowness_w=1.0) == 1
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the variance of [2, inf]
+def test_drop_ranking_counts_a_nan_score_as_the_cap():
+    samples = [stats.summarize(x) for x in ([0, 1], [2, np.inf], [0.5, 3])]
+    assert rank_statistics_for_drop(samples) == [("extrema", 2e9), ("variance", 2e9)]
+
+
+def test_drop_ranking_scores_scale_wise_variance_by_where_the_variance_sits():
+    alike, _ = level(NOISE[:3])
+    unlike, _ = level([SMOOTH, ERRATIC, SMOOTH])
+    scores = [dict(rank_statistics_for_drop(samples)) for samples in (alike, unlike)]
+    assert all(set(s) == {"extrema", "histogram", "swv", "variance"} for s in scores)
+    assert 0.0 < scores[0]["swv"] < scores[1]["swv"] < 1e9
 
 
 def filled(budget=16, rows=100) -> SummaryRecord:

@@ -7,7 +7,7 @@ import pytest
 
 from gfstore import container, stats
 from gfstore.curation import CurationRules, compact, record_access
-from gfstore.errors import BudgetTooSmall, ChannelMismatch, FutureRange
+from gfstore.errors import BudgetTooSmall, ChannelMismatch, FutureRange, InvariantViolation
 from gfstore.record import PROVENANCE_RING, SummaryRecord, allocate_budget, level_quotas, next_step, recorder_span
 
 #: Planned block ingest sums each new sample's moments in one k-way pass, a
@@ -222,6 +222,28 @@ def test_newest_datum_not_merged_immediately():
         assert rec.levels[0][-1].t_end == rec.now
 
 
+def test_now_and_merge_count_derive_from_the_samples_and_events():
+    rec = SummaryRecord(budget=4)
+    assert (rec.now, rec.merge_count) == (0, 0)
+    rec.ingest_block(np.arange(10.0))
+    assert rec.now == 10 == rec.levels[0][-1].t_end
+    assert rec.merge_count == sum(n for (op, _, _), n in rec.event_counts.items() if op == "rescale") == 6
+    with pytest.raises(AttributeError):
+        rec.now = 11
+
+
+def test_validate_wants_samples_that_tile_the_stream_and_cover_a_step_each():
+    rec = SummaryRecord(budget=16)
+    rec.ingest_block(np.arange(10.0))
+    rec.validate()
+    rec.levels[0].append(stats.empty(1, rec.now))  # [10, 10)
+    with pytest.raises(InvariantViolation, match=r"sample \[10,10\) covers no step"):
+        rec.validate()
+    rec.levels[0][-1] = stats.point_sample([1.0], 11)
+    with pytest.raises(InvariantViolation, match="coverage gap"):
+        rec.validate()
+
+
 def test_labels_stored():
     rec = SummaryRecord(channels=3, budget=4, labels=("observation", "action", "reward"))
     assert rec.labels == ("observation", "action", "reward")
@@ -305,10 +327,9 @@ def test_next_step_policy_on_level_lengths():
 
 def assert_same_record(planned, per_row, scale):
     """``planned`` equals ``per_row`` exactly, but for moments within ``BLOCK_RTOL * scale``."""
-    assert (planned.now, planned.merge_count, planned._next_sid, planned.slots()) == (
+    assert (planned.now, planned.merge_count, planned.slots()) == (
         per_row.now,
         per_row.merge_count,
-        per_row._next_sid,
         per_row.slots(),
     )
     assert planned.event_counts == per_row.event_counts
@@ -316,7 +337,7 @@ def assert_same_record(planned, per_row, scale):
     assert planned.access_log.to_dict() == per_row.access_log.to_dict()
     assert [len(level) for level in planned.levels] == [len(level) for level in per_row.levels]
     for a, b in zip(planned.samples_in_time_order(), per_row.samples_in_time_order()):
-        assert (a.t_start, a.t_end, a.n, a.sid) == (b.t_start, b.t_end, b.n, b.sid)
+        assert (a.t_start, a.t_end, a.n) == (b.t_start, b.t_end, b.n)
         for name in ("min_v", "max_v", "hull", "hist_edges"):
             x, y = getattr(a, name), getattr(b, name)
             assert (x is None) == (y is None) and (x is None or np.array_equal(x, y, equal_nan=True)), name
@@ -350,13 +371,37 @@ def test_planned_block_ingest_matches_per_row():
                             rec.rules.max_scalars = rec.scalar_footprint() - 1
                             compact(rec)
                             rec.rules.max_scalars = None
-                    sids = [s.sid for s in planned.samples_in_time_order()][::2]
+                    starts = [s.t_start for s in planned.samples_in_time_order()][::2]
                     for rec in (planned, per_row):
-                        record_access(rec.access_log, sids)
+                        record_access(rec.access_log, starts)
                         rec.access_log.advance()
                     assert_same_record(planned, per_row, scale)
                 planned.validate()
                 assert any(op == "drop_statistic" for op, _, _ in planned.event_counts)
+
+
+def without_histogram(rec) -> list[tuple[int, int]]:
+    return [(s.t_start, s.t_end) for s in rec.samples_in_time_order() if s.histogram is None]
+
+
+def test_planned_runs_absorb_stored_samples_whose_histogram_was_dropped():
+    # one bin holds every row alike, so the histogram is the first statistic dropped
+    opts = stats.StatisticSet(histogram_edges=(-50.0, 50.0))
+    rows = 3.0 * np.random.default_rng(7).normal(size=(60, 1)) + 1.0
+    planned, per_row = (SummaryRecord(budget=5, opts=opts) for _ in range(2))
+    for i, start in enumerate(range(0, 60, 20)):
+        planned.ingest_block(rows[start : start + 20])
+        for row in rows[start : start + 20]:
+            per_row.ingest(row)
+        if i == 0:
+            for rec in (planned, per_row):
+                rec.rules.max_scalars = rec.scalar_footprint() - 1
+                compact(rec)
+                rec.rules.max_scalars = None
+            assert without_histogram(planned) == [(0, 8), (8, 16)]
+        assert_same_record(planned, per_row, float(np.abs(rows).max()))
+    # the next block's run merged both into one sample, which keeps no histogram either
+    assert without_histogram(planned) == [(0, 32)]
 
 
 def test_wrong_channel_block_leaves_the_record_unchanged():

@@ -46,11 +46,11 @@ def test_interval_bumps_access_counters(served):
     svc, rec, _, _ = served
     reply = ask(svc, {"op": "interval", "t0": 150, "t1": 200})
     assert reply["ok"]
-    sids = [part["sid"] for part in reply["result"]]
-    assert sids and sids == [p.sample.sid for p in rec.query_interval(150, 200)]
-    before = [rec.access_log.count(sid) for sid in sids]
+    starts = [part["t_start"] for part in reply["result"]]
+    assert starts and starts == [p.sample.t_start for p in rec.query_interval(150, 200)]
+    before = [rec.access_log.count(start) for start in starts]
     ask(svc, {"op": "interval", "t0": 150, "t1": 200})
-    assert [rec.access_log.count(sid) for sid in sids] == [c + 1.0 for c in before]
+    assert [rec.access_log.count(start) for start in starts] == [c + 1.0 for c in before]
 
 
 def test_member(served):
