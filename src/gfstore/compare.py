@@ -143,7 +143,7 @@ def _kl_scalar(fa, pa, fb, pb) -> float:
         if fb == "point":
             return 0.0 if pa == pb else math.inf
         if fb == "gaussian":
-            return 0.0  # positive density everywhere
+            return 0.0 if math.isfinite(pb[1]) else math.inf  # a finite variance has density everywhere
         return 0.0 if _piecewise_density(pb[0], pb[1], pa) > 0 else math.inf
     if fb == "point":
         return math.inf  # a spread distribution never fits inside a point

@@ -48,14 +48,11 @@ class CurationRules:
     max_scalars: int | None = None
 
     def tuned(self) -> bool:
-        return any(
-            w > 0
-            for w in (
-                self.nonstationarity_w,
-                self.slowness_w,
-                self.recurrence_reprieve_w,
-                self.prior_access_w,
-            )
+        return (
+            self.nonstationarity_w > 0
+            or self.slowness_w > 0
+            or self.recurrence_reprieve_w > 0
+            or self.prior_access_w > 0
         )
 
 
@@ -63,17 +60,15 @@ class AccessLog:
     """Per-sample usage counters with exponential decay, keyed by sample start.
 
     Time is measured in compaction cycles; counters halve every
-    ``half_life`` cycles.  A merged sample pools its parts' counters under its start.
+    ``half_life`` cycles.  The record's curation loop sets the counters of
+    the samples it makes in one :meth:`settle`: a merged sample pools its
+    parts' counters under its start, and a new row's counter starts at 0.
     """
 
     def __init__(self, half_life: float = 16.0):
         self.half_life = float(half_life)
         self.tick = 0
         self._counts: dict[int, tuple[float, int]] = {}
-
-    def register(self, start: int) -> None:
-        if start not in self._counts:
-            self._counts[start] = (0.0, self.tick)
 
     def count(self, start: int) -> float:
         entry = self._counts.get(start)
@@ -87,22 +82,11 @@ class AccessLog:
     def record(self, starts) -> None:
         for start in starts:
             if start not in self._counts:
-                raise UnknownId(f"no sample starting at {start} is registered")
+                raise UnknownId(f"no sample starting at {start} has a counter")
             self._counts[start] = (self.count(start) + 1.0, self.tick)
 
-    def pool(self, starts, new_start: int) -> None:
-        total = 0.0
-        for start in starts:
-            total += self.count(start)
-            self._counts.pop(start, None)
-        self._counts[new_start] = (total, self.tick)
-
     def settle(self, retired, created) -> None:
-        """Drop the counters of the ``retired`` starts and set each ``(start, count)`` of ``created``.
-
-        This is the state a run of :meth:`register` and :meth:`pool` calls
-        within one tick leaves, given the pooled counts.
-        """
+        """Drop the counters of the ``retired`` starts, then set each ``(start, count)`` of ``created`` at this tick."""
         for start in retired:
             self._counts.pop(start, None)
         for start, value in created:
@@ -154,7 +138,7 @@ def _in_range_share(s: stats.SummarySample) -> float:
     return hits / s.n
 
 
-def score_merge_candidates(samples, rules: CurationRules, log: AccessLog | None = None):
+def score_merge_candidates(samples, rules: CurationRules, access=None):
     """Rank adjacent pairs in the oldest quartile; lowest score merges first.
 
     score = nonstationarity_w * symmetric KL        (similar pairs go first)
@@ -162,8 +146,9 @@ def score_merge_candidates(samples, rules: CurationRules, log: AccessLog | None 
           + recurrence_w      * share of rows inside the histogram bins
           - slowness_w        * fast-scale SWV share(erratic data go early)
 
-    Ties break toward the oldest pair, which is the whole policy when all
-    weights are zero.
+    ``access`` holds each sample's access count, aligned with ``samples``;
+    without it the access term is zero.  Ties break toward the oldest
+    pair, which is the whole policy when all weights are zero.
     """
     m = len(samples)
     if m < 2:
@@ -175,8 +160,8 @@ def score_merge_candidates(samples, rules: CurationRules, log: AccessLog | None 
         score = 0.0
         if rules.nonstationarity_w > 0:
             score += rules.nonstationarity_w * compare.symmetric_merge_score(a, b)
-        if rules.prior_access_w > 0 and log is not None:
-            score += rules.prior_access_w * (log.count(a.t_start) + log.count(b.t_start))
+        if rules.prior_access_w > 0 and access is not None:
+            score += rules.prior_access_w * (access[i] + access[i + 1])
         if rules.recurrence_reprieve_w > 0:
             score += rules.recurrence_reprieve_w * 0.5 * (_in_range_share(a) + _in_range_share(b))
         if rules.slowness_w > 0:

@@ -8,12 +8,16 @@ The oldest data therefore sit at the coarsest scales and the newest at full
 resolution, and the concatenation of all levels tiles the whole stream
 exactly once.
 
-Under untuned rules the layout depends only on counts, never on values, so
+Curation is one loop, :meth:`SummaryRecord._curate`, which ``ingest``,
+``ingest_block`` and ``rebalance`` all run: :func:`next_step` picks each
+step on level lengths alone, and the record changes only once the loop is
+done, so every ingest and rebalance is all or nothing.  Under untuned
+rules the layout depends only on counts, never on values, so
 ``ingest_block`` plans a block on counts and then builds each new stored
-sample once, in one grouped reduction over the rows and the stored samples
-it absorbs.  Tuned rules score values and scale-wise variance follows the
-merge tree, so they go row by row through ``ingest`` and ``rebalance``.
-Both paths take their steps from :func:`next_step`.
+sample once, in one grouped reduction over the rows and the stored
+samples it absorbs.  Tuned rules score values and scale-wise variance
+follows the merge tree, so there, as in ``ingest`` and ``rebalance``, the
+loop builds each sample as it is made.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ def level_quotas(budget: int, levels: int) -> tuple[int, ...]:
 
 
 def next_step(lengths, quotas) -> tuple[int, bool]:
-    """The next step of ``rebalance``, decided on level lengths and quotas alone.
+    """The next step of the curation loop, decided on level lengths and quotas alone.
 
     ``(k, False)``: merge a pair at level k, the finest level holding at
     least two samples and more than its quota.  Level 0 with only two
@@ -74,24 +78,6 @@ def next_step(lengths, quotas) -> tuple[int, bool]:
     if fine:
         return 0, False
     return [k for k, n in enumerate(lengths) if n][-2], True
-
-
-def _rescale_note(level: int, pair_index: int, out_level: int, span: list[int], reason: str):
-    """Key and provenance event of one merge."""
-    event = {
-        "op": "rescale",
-        "level": level,
-        "pair_index": pair_index,
-        "out_level": out_level,
-        "span": span,
-        "reason": reason,
-    }
-    return ("rescale", level, reason), event
-
-
-def _promote_note(level: int, span: list[int]):
-    """Key and provenance event of one move up a level."""
-    return ("promote", level, None), {"op": "promote", "level": level, "span": span}
 
 
 def recorder_span(levels: int, base: int = 1) -> int:
@@ -233,32 +219,28 @@ class SummaryRecord:
         row = np.atleast_1d(np.asarray(x, dtype=np.float64))
         if row.shape[0] != self.channels:
             raise ChannelMismatch(f"got {row.shape[0]} channels, expected {self.channels}")
-        s = stats.point_sample(row, self.now, self.opts)
-        self.access_log.register(s.t_start)
-        self.levels[0].append(s)
-        if self.slots() > self.budget:
-            self.rebalance()
+        self._curate(row[np.newaxis], "ingest", planned=False)
         return self
 
     def ingest_block(self, block) -> "SummaryRecord":
         """Append the rows of ``block`` (rows x channels; 1-D is one channel) in order.
 
-        All or nothing: the block's shape and channel count are checked before
-        the record is touched, and the planned path below changes the record
-        only once every new stored sample is built.
+        All or nothing, as every ingest: the block's shape and channel count
+        are checked before the record is touched, and :meth:`_curate`
+        changes the record only once every new stored sample is built.  The
+        record equals what ``for row in block: ingest(row)`` leaves.
 
         With untuned rules and SWV off, the block is planned on counts and
-        each new stored sample is reduced once (:meth:`_ingest_planned`).
-        Planning and the grouped reduction cost about three single-row
-        ingests whatever the block's size, so blocks under about six rows
-        ingest slower than a loop of :meth:`ingest`; longer blocks gain.
-        The record then equals what ``for row in block: ingest(row)``
-        leaves, except for rounding: the layout, the event counts and ring,
-        the access counters, extrema, histograms and hulls are identical,
-        and means, variances and covariances agree within 1e-12 relative to
-        the data's magnitude (a run of n samples sums in another order than
-        a chain of n - 1 merges).  Tuned rules score values and SWV follows
-        the merge tree, so both ingest row by row.
+        each new stored sample is reduced once.  Planning and the grouped
+        reduction cost about three single-row ingests whatever the block's
+        size, so blocks under about five rows ingest slower than a loop of
+        :meth:`ingest`; longer blocks gain.  A planned record differs from
+        the row-by-row one only in rounding: means, variances and
+        covariances agree within 1e-12 relative to the data's magnitude (a
+        run of n samples sums in another order than a chain of n - 1
+        merges), and everything else is identical.  Tuned rules score
+        values and SWV follows the merge tree, so under either the block
+        builds each sample as it is made, exactly as ``ingest`` does.
         """
         arr = np.asarray(block, dtype=np.float64)
         if arr.ndim == 1:
@@ -269,45 +251,55 @@ class SummaryRecord:
             return self
         if arr.shape[1] != self.channels:
             raise ChannelMismatch(f"got {arr.shape[1]} channels, expected {self.channels}")
-        if self.opts.swv or self.rules.tuned():
-            for row in arr:
-                self.ingest(row)
-        else:
-            self._ingest_planned(arr)
+        self._curate(arr, "ingest", planned=not (self.opts.swv or self.rules.tuned()))
         return self
 
-    def _ingest_planned(self, rows: np.ndarray) -> None:
-        """Ingest rows under untuned rules: plan on counts, reduce once, then commit.
+    def rebalance(self, reason: str = "ingest") -> None:
+        """Merge oldest/lowest-scored pairs until the slot budget holds: :meth:`_curate` with no rows.
 
-        The plan replays ``rebalance`` on copies of the level lists, where
-        each new stored sample is an entry ``[t_start, t_end, n, access]``:
-        ``next_step`` picks each step, the oldest pair merges and moves up
-        once its count exceeds 2^k, and access counts pool under the older
-        start in ``AccessLog.pool``'s order.  The entries left in the
-        copies, read coarsest level first, are the new samples in time
-        order.  ``stats.merge_runs`` builds each from the stored samples and
-        rows it absorbed, and only then are the copies swapped in, so the
-        record changes all at once or not at all.
+        The policy is the record's own ``rules`` and ``access_log``;
+        ``next_step`` picks the level, the scores the pair within it.
         """
-        budget = self.rules.budget_slots
+        self._curate(np.empty((0, self.channels)), reason, planned=False)
+
+    def _curate(self, rows: np.ndarray, reason: str, planned: bool) -> None:
+        """The record's one curation loop: merge while over budget, then append each row and merge again.
+
+        The loop runs on copies of the level lists.  ``next_step`` picks
+        each step; the pair is the oldest of its level, or the best-scored
+        one under tuned rules, and the oldest pair moves up once its count
+        exceeds 2^k.  Merged access counts pool under the older start.
+
+        Unplanned, each new sample is built as it is made (``point_sample``
+        and ``stats.merge``), and ``pooled`` holds the access count of each
+        under its start.  Planned, each new stored sample is an entry
+        ``[t_start, t_end, n, access]``; the entries left in the copies,
+        read coarsest level first, are the new samples in time order, and
+        ``stats.merge_runs`` builds each from the stored samples and rows
+        it absorbed.  Either way the copies are swapped in only then, with
+        the access counters and the event tallies and ring, so the record
+        changes all at once or not at all.
+        """
+        rules = self.rules
+        budget = rules.budget_slots
+        tuned = rules.tuned()
         count = self.access_log.count
-        t_rows = self.now
+        t_rows = t = self.now
+        t_end = t_rows + rows.shape[0]
         levels = [level[:] for level in self.levels]
         lengths = [len(level) for level in levels]
         quotas = level_quotas(budget, len(levels))
+        slots = sum(lengths)
         absorbed: list[stats.SummarySample] = []  # stored samples merged away
-        # (level, out level or None for a promotion, t_start, t_end) of the
-        # newest events; older ones survive only in the tallies below
+        pooled: dict[int, float] = {}  # unplanned: access count of each new sample, by start
+        # (level, pair index, out level or None for a promotion, t_start,
+        # t_end) of the newest events; older ones survive only in the tallies
         events = deque(maxlen=PROVENANCE_RING)
         merges = [0] * len(levels)  # per level, for event_counts
         promotions = [0] * len(levels)
-        slots = sum(lengths)
 
         fine = levels[0]
-        for t in range(t_rows, t_rows + rows.shape[0]):
-            fine.append([t, t + 1, 1, 0.0])
-            lengths[0] += 1
-            slots += 1
+        while True:
             while slots > budget:
                 k, promote = next_step(lengths, quotas)
                 level = levels[k]
@@ -317,25 +309,39 @@ class SummaryRecord:
                     lengths[k] -= 1
                     lengths[k + 1] += 1
                     promotions[k] += 1
-                    if e.__class__ is list:
-                        events.append((k, None, e[0], e[1]))
-                    else:
-                        events.append((k, None, e.t_start, e.t_end))
+                    t0, t1 = (e[0], e[1]) if e.__class__ is list else (e.t_start, e.t_end)
+                    events.append((k, 0, None, t0, t1))
                     continue
-                a, b = level[0], level[1]
-                if a.__class__ is list:
-                    t0, n, pooled = a[0], a[2], 0.0 + a[3]
+                i = 0
+                if tuned:
+                    access = [pooled[s.t_start] if s.t_start in pooled else count(s.t_start) for s in level]
+                    i = curation.score_merge_candidates(level, rules, access)[0].index
+                a, b = level[i], level[i + 1]
+                if planned:
+                    if a.__class__ is list:
+                        t0, n, access = a[0], a[2], 0.0 + a[3]
+                    else:
+                        t0, n, access = a.t_start, a.n, 0.0 + count(a.t_start)
+                        absorbed.append(a)
+                    if b.__class__ is list:
+                        t1, n, access = b[1], n + b[2], access + b[3]
+                    else:
+                        t1, n, access = b.t_end, n + b.n, access + count(b.t_start)
+                        absorbed.append(b)
+                    merged = [t0, t1, n, access]
                 else:
-                    t0, n, pooled = a.t_start, a.n, 0.0 + count(a.t_start)
-                    absorbed.append(a)
-                if b.__class__ is list:
-                    t1, n, pooled = b[1], n + b[2], pooled + b[3]
-                else:
-                    t1, n, pooled = b.t_end, n + b.n, pooled + count(b.t_start)
-                    absorbed.append(b)
+                    access = 0.0
+                    for s in (a, b):
+                        if s.t_start in pooled:
+                            access += pooled.pop(s.t_start)
+                        else:
+                            access += count(s.t_start)
+                            absorbed.append(s)
+                    merged = stats.merge(a, b)
+                    t0, t1, n = merged.t_start, merged.t_end, merged.n
+                    pooled[t0] = access
                 slots -= 1
-                merged = [t0, t1, n, pooled]
-                if n > 1 << k:  # as in _merge_pair: the oldest pair outgrew level k
+                if i == 0 and n > 1 << k:  # the oldest pair outgrew level k
                     del level[0:2]
                     lengths[k] -= 2
                     if k + 1 == len(levels):
@@ -349,78 +355,52 @@ class SummaryRecord:
                     lengths[dest] += 1
                 else:
                     dest = k
-                    level[0:2] = [merged]
+                    level[i : i + 2] = [merged]
                     lengths[k] -= 1
                 merges[k] += 1
-                events.append((k, dest, t0, t1))
+                events.append((k, i, dest, t0, t1))
+            if t == t_end:
+                break
+            if planned:
+                fine.append([t, t + 1, 1, 0.0])
+            else:
+                fine.append(stats.point_sample(rows[t - t_rows], t, self.opts))
+                pooled[t] = 0.0
+            lengths[0] += 1
+            slots += 1
+            t += 1
 
-        # Reduce: one run of absorbed samples and rows per new entry, in time order.
-        fresh = [e for level in reversed(levels) for e in level if e.__class__ is list]
-        absorbed.sort(key=attrgetter("t_start"))
-        starts = [s.t_start for s in absorbed]
-        sizes = []
-        i = 0
-        for e in fresh:
-            j = bisect.bisect_left(starts, e[1], i)
-            sizes.append(j - i + max(0, e[1] - max(e[0], t_rows)))
-            i = j
-        for e, s in zip(fresh, stats.merge_runs(absorbed, rows, t_rows, sizes, self.opts)):
-            e.append(s)
+        if planned:
+            # Reduce: one run of absorbed samples and rows per new entry, in time order.
+            fresh = [e for level in reversed(levels) for e in level if e.__class__ is list]
+            absorbed.sort(key=attrgetter("t_start"))
+            starts = [s.t_start for s in absorbed]
+            sizes = []
+            i = 0
+            for e in fresh:
+                j = bisect.bisect_left(starts, e[1], i)
+                sizes.append(j - i + max(0, e[1] - max(e[0], t_rows)))
+                i = j
+            for e, s in zip(fresh, stats.merge_runs(absorbed, rows, t_rows, sizes, self.opts)):
+                e.append(s)
+            levels = [[e[4] if e.__class__ is list else e for e in level] for level in levels]
+            pooled = {e[0]: e[3] for e in fresh}
 
-        # Commit: swap every entry for its sample (entry[4]) in every level.
-        self.levels[:] = [[e[4] if e.__class__ is list else e for e in level] for level in levels]
-        self.access_log.settle([s.t_start for s in absorbed], [(e[0], e[3]) for e in fresh])
+        # Commit.
+        self.levels[:] = levels
+        self.access_log.settle([s.t_start for s in absorbed], pooled.items())
         counts = self.event_counts
-        for op, reason, tally in (("rescale", "ingest", merges), ("promote", None, promotions)):
+        for op, why, tally in (("rescale", reason, merges), ("promote", None, promotions)):
             for k, n in enumerate(tally):
                 if n:
-                    key = (op, k, reason)
+                    key = (op, k, why)
                     counts[key] = counts.get(key, 0) + n
-        for k, dest, t0, t1 in events:
-            if dest is None:
-                self.provenance.append(_promote_note(k, [t0, t1])[1])
-            else:
-                self.provenance.append(_rescale_note(k, 0, dest, [t0, t1], "ingest")[1])
-
-    def _relocate(self, k: int) -> None:
-        """Move the newest sample of level k up one level (no data loss)."""
-        s = self.levels[k].pop()
-        self.levels[k + 1].append(s)
-        self.note(*_promote_note(k, [s.t_start, s.t_end]))
-
-    def _merge_pair(self, k: int, i: int, reason: str) -> None:
-        a, b = self.levels[k][i], self.levels[k][i + 1]
-        merged = stats.merge(a, b)
-        self.access_log.pool([a.t_start, b.t_start], merged.t_start)
-        if i == 0 and merged.n > (1 << k):
-            del self.levels[k][0:2]
-            if k + 1 == len(self.levels):
-                self.levels.append([])
-            self.levels[k + 1].append(merged)
-            dest = k + 1
-        else:
-            self.levels[k][i : i + 2] = [merged]
-            dest = k
-        self.note(*_rescale_note(k, i, dest, [merged.t_start, merged.t_end], reason))
-
-    def rebalance(self, reason: str = "ingest") -> None:
-        """Merge oldest/lowest-scored pairs until the slot budget holds.
-
-        The policy is the record's own ``rules`` and ``access_log``;
-        ``next_step`` picks the level, the scores the pair within it.
-        """
-        rules = self.rules
-        budget = rules.budget_slots
-        while self.slots() > budget:
-            levels = self.levels
-            k, promote = next_step([len(level) for level in levels], level_quotas(budget, len(levels)))
-            if promote:
-                self._relocate(k)
-            elif rules.tuned():
-                ranked = curation.score_merge_candidates(levels[k], rules, self.access_log)
-                self._merge_pair(k, ranked[0].index, reason)
-            else:
-                self._merge_pair(k, 0, reason)  # pure recency: the oldest adjacent pair
+        self.provenance.extend(
+            {"op": "promote", "level": k, "span": [t0, t1]}
+            if dest is None
+            else {"op": "rescale", "level": k, "pair_index": i, "out_level": dest, "span": [t0, t1], "reason": reason}
+            for k, i, dest, t0, t1 in events
+        )
 
     # -- reporting and queries ----------------------------------------------
 

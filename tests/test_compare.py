@@ -299,6 +299,9 @@ def test_a_nan_divergence_scores_the_cap_and_nan_edges_are_refused():
     for m in (nan_variance, *spread):
         assert math.isnan(kl_divergence(nan_variance, m)) or math.isnan(kl_divergence(m, nan_variance))
         assert compare.symmetric_kl(nan_variance, m) == 2 * compare.KL_CAP
+    point = point_model([0.5])  # a gaussian without a finite variance has no density at the point either
+    assert kl_divergence(point, nan_variance) == math.inf
+    assert compare.symmetric_kl(point, nan_variance) == 2 * compare.KL_CAP
     for edges in ([0.0, math.nan, 2.0], [math.nan, 1.0, 2.0], [0.0, 1.0, math.nan], [0.0, 1.0, 1.0]):
         with pytest.raises(ValueError, match="strictly increasing"):
             piecewise_model(edges, [0.5, 0.5])

@@ -9,19 +9,19 @@ OPTS = stats.StatisticSet(histogram_edges=tuple(np.linspace(-2.0, 2.0, 9)), swv=
 
 
 def level(blocks):
-    """Consecutive samples of the given raw blocks, their starts registered in a fresh log."""
+    """Consecutive samples of the given raw blocks, each with a zero counter in a fresh log."""
     samples, t = [], 0
-    log = AccessLog()
     for raw in blocks:
-        s = stats.summarize(raw, t_start=t, opts=OPTS)
-        log.register(s.t_start)
-        samples.append(s)
+        samples.append(stats.summarize(raw, t_start=t, opts=OPTS))
         t += len(raw)
+    log = AccessLog()
+    log.settle([], [(s.t_start, 0.0) for s in samples])
     return samples, log
 
 
 def first_pick(samples, log, **weights) -> int:
-    return score_merge_candidates(samples, CurationRules(**weights), log)[0].index
+    access = [log.count(s.t_start) for s in samples]
+    return score_merge_candidates(samples, CurationRules(**weights), access)[0].index
 
 
 rng = np.random.default_rng(0)

@@ -325,8 +325,8 @@ def test_next_step_policy_on_level_lengths():
     assert next_step([1, 0, 1, 1], level_quotas(2, 4)) == (2, True)  # the second-coarsest lone sample moves up
 
 
-def assert_same_record(planned, per_row, scale):
-    """``planned`` equals ``per_row`` exactly, but for moments within ``BLOCK_RTOL * scale``."""
+def assert_same_record(planned, per_row, scale, rtol=BLOCK_RTOL):
+    """``planned`` equals ``per_row`` exactly, but for moments within ``rtol * scale`` (NaN equals NaN)."""
     assert (planned.now, planned.merge_count, planned.slots()) == (
         per_row.now,
         per_row.merge_count,
@@ -338,7 +338,7 @@ def assert_same_record(planned, per_row, scale):
     assert [len(level) for level in planned.levels] == [len(level) for level in per_row.levels]
     for a, b in zip(planned.samples_in_time_order(), per_row.samples_in_time_order()):
         assert (a.t_start, a.t_end, a.n) == (b.t_start, b.t_end, b.n)
-        for name in ("min_v", "max_v", "hull", "hist_edges"):
+        for name in ("min_v", "max_v", "hull", "hist_edges", "swv"):
             x, y = getattr(a, name), getattr(b, name)
             assert (x is None) == (y is None) and (x is None or np.array_equal(x, y, equal_nan=True)), name
         assert a.histogram == b.histogram
@@ -346,13 +346,22 @@ def assert_same_record(planned, per_row, scale):
             x, y = getattr(a, name), getattr(b, name)
             assert (x is None) == (y is None), name
             if x is not None:
-                assert np.allclose(x, y, rtol=BLOCK_RTOL, atol=BLOCK_RTOL * scale, equal_nan=True), name
+                assert np.allclose(x, y, rtol=rtol, atol=rtol * scale, equal_nan=True), name
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in both paths
 def test_planned_block_ingest_matches_per_row():
-    rich = stats.StatisticSet(covariance=True, hull=True, histogram_edges=tuple(np.linspace(-4, 4, 9)))
-    for d, opts in ((1, stats.StatisticSet()), (2, rich)):
+    rich = dict(covariance=True, hull=True, histogram_edges=tuple(np.linspace(-4, 4, 9)))
+    # (channels, statistics, weights, moment tolerance): untuned blocks without
+    # SWV are planned; tuned or SWV blocks build each sample as ingest does,
+    # so they must agree exactly
+    configs = (
+        (1, stats.StatisticSet(), {}, BLOCK_RTOL),
+        (2, stats.StatisticSet(**rich), {}, BLOCK_RTOL),
+        (1, stats.StatisticSet(), {"prior_access_w": 1.0}, 0.0),  # scores read counts pooled in the block
+        (1, stats.StatisticSet(swv=True), {}, 0.0),
+    )
+    for d, opts, weights, rtol in configs:
         for budget in (1, 2, 3, 5, 16, 64):
             for block in (1, 7, 500):
                 rng = np.random.default_rng(budget * 1_000 + block)
@@ -360,8 +369,10 @@ def test_planned_block_ingest_matches_per_row():
                 scale = float(np.abs(rows).max())
                 # a lone inf or NaN row keeps zero moments, and no sample covering it keeps a hull
                 rows[-3, -1], rows[-1, -1] = np.inf, np.nan
-                planned = SummaryRecord(channels=d, budget=budget, opts=opts)
-                per_row = SummaryRecord(channels=d, budget=budget, opts=opts)
+                planned, per_row = (
+                    SummaryRecord(channels=d, opts=opts, rules=CurationRules(budget_slots=budget, **weights))
+                    for _ in range(2)
+                )
                 for i, start in enumerate(range(0, rows.shape[0], block)):
                     planned.ingest_block(rows[start : start + block])
                     for row in rows[start : start + block]:
@@ -375,7 +386,7 @@ def test_planned_block_ingest_matches_per_row():
                     for rec in (planned, per_row):
                         record_access(rec.access_log, starts)
                         rec.access_log.advance()
-                    assert_same_record(planned, per_row, scale)
+                    assert_same_record(planned, per_row, scale, rtol)
                 planned.validate()
                 assert any(op == "drop_statistic" for op, _, _ in planned.event_counts)
 
@@ -412,3 +423,38 @@ def test_wrong_channel_block_leaves_the_record_unchanged():
         with pytest.raises((ChannelMismatch, ValueError)):
             rec.ingest_block(bad)
         assert rec == before
+
+
+def failing_on_third_merge(monkeypatch):
+    """Patch ``stats.merge`` to raise on its third call from now on."""
+    merge, calls = stats.merge, []
+
+    def flaky(a, b):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("third merge fails")
+        return merge(a, b)
+
+    monkeypatch.setattr(stats, "merge", flaky)
+
+
+def test_a_failed_ingest_or_rebalance_leaves_the_record_unchanged(monkeypatch):
+    opts = stats.StatisticSet(covariance=True, swv=True)
+    rec = SummaryRecord(channels=2, opts=opts, rules=CurationRules(budget_slots=8, nonstationarity_w=1.0))
+    rows = np.random.default_rng(3).normal(size=(60, 2))
+    rec.ingest_block(rows[:40])
+    with monkeypatch.context() as patch:
+        before = copy.deepcopy(rec)
+        failing_on_third_merge(patch)
+        with pytest.raises(RuntimeError, match="third merge"):
+            rec.ingest_block(rows[40:])
+        assert rec == before
+    rec.rules.budget_slots = 4
+    with monkeypatch.context() as patch:
+        before = copy.deepcopy(rec)
+        failing_on_third_merge(patch)
+        with pytest.raises(RuntimeError, match="third merge"):
+            rec.rebalance()
+        assert rec == before
+    rec.rebalance()
+    rec.validate()
