@@ -1,14 +1,13 @@
 """Distribution models over summaries and KL-divergence comparison.
 
-Summaries are turned into parametric distributions (uniform from extrema,
-gaussian from mean+variance, piecewise-uniform from a histogram) and
-compared with closed-form Kullback-Leibler divergences.  Per channel the
-closed forms know three families, point, gaussian and piecewise: a
-uniform on [lo, hi] is the one-cell piecewise density, so both spellings
-of one density give the same bits.  An infinite divergence is a
-legitimate answer: it certifies that one dataset cannot be a subset of
-the other.  Finite small values only *corroborate* a subset or equality
-relation; raw data would be needed to confirm it.
+A summary is modelled per channel as a point mass, a gaussian (mean and
+variance) or a piecewise-uniform density (a histogram, or the extrema as
+its one cell), and divergences sum over channels in closed form.  Only
+:func:`covariance_kl` sees a full covariance, for statistic drop ranking.
+An infinite divergence is a legitimate answer: it certifies that one
+dataset cannot be a subset of the other.  Finite small values only
+*corroborate* a subset or equality relation; raw data would be needed to
+confirm it.
 """
 
 from __future__ import annotations
@@ -30,39 +29,22 @@ KL_CAP = 1e9
 #: keeping genuine support mismatches infinite.
 EPS_FLOOR = 1e-12
 
-_LOG_2PI = math.log(2.0 * math.pi)
-
 
 @dataclass
 class DistributionModel:
-    """One parametric family fitted from summary statistics.
+    """A product of independent channels: one ``(family, params)`` per channel, in Python floats and lists.
 
-    family is one of "uniform", "gaussian", "piecewise", "point".
-    Uniform and gaussian models may span several channels (treated as a
-    product of independent channels, or a full-covariance gaussian when
-    ``cov`` is set).  Piecewise models are single-channel.  A uniform
-    channel is compared as the one-cell piecewise density on [lo, hi].
+    The parts are ``("point", x)``, ``("gaussian", (mean, var))`` or
+    ``("piecewise", (edges, probs))``, built by the constructors below: a
+    uniform on [lo, hi] is the one-cell ``([lo, hi], [1.0])``, and a zero
+    width or variance is a point.
     """
 
-    family: str
-    lo: np.ndarray | None = None
-    hi: np.ndarray | None = None
-    mean: np.ndarray | None = None
-    var: np.ndarray | None = None
-    cov: np.ndarray | None = None
-    edges: np.ndarray | None = None
-    probs: np.ndarray | None = None
-    loc: np.ndarray | None = None
+    parts: list[tuple[str, object]]
 
     @property
     def channels(self) -> int:
-        if self.family == "uniform":
-            return self.lo.shape[0]
-        if self.family == "gaussian":
-            return self.mean.shape[0]
-        if self.family == "point":
-            return self.loc.shape[0]
-        return 1
+        return len(self.parts)
 
 
 def uniform_model(lo, hi) -> DistributionModel:
@@ -70,28 +52,19 @@ def uniform_model(lo, hi) -> DistributionModel:
     hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
     if np.any(hi < lo):
         raise ValueError("uniform requires hi >= lo")
-    if np.all(hi == lo):
-        return DistributionModel(family="point", loc=lo.copy())
-    return DistributionModel(family="uniform", lo=lo, hi=hi)
+    return DistributionModel(
+        [("point", a) if a == b else ("piecewise", ([a, b], [1.0])) for a, b in zip(lo.tolist(), hi.tolist())]
+    )
 
 
-def gaussian_model(mean, var=None, cov=None) -> DistributionModel:
+def gaussian_model(mean, var) -> DistributionModel:
     mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
-    if cov is not None:
-        cov = np.asarray(cov, dtype=np.float64)
-        if mean.shape[0] == 1:  # scalar covariance is just a variance
-            var, cov = cov.reshape(1), None
-        else:
-            var = np.diag(cov).copy()
-    elif var is None:
-        raise ValueError("gaussian needs var or cov")
-    else:
-        var = np.atleast_1d(np.asarray(var, dtype=np.float64))
+    var = np.atleast_1d(np.asarray(var, dtype=np.float64))
     if np.any(var < 0):
         raise ValueError("variance must be >= 0")
-    if np.all(var == 0):
-        return DistributionModel(family="point", loc=mean.copy())
-    return DistributionModel(family="gaussian", mean=mean, var=var, cov=cov)
+    return DistributionModel(
+        [("point", m) if v == 0 else ("gaussian", (m, v)) for m, v in zip(mean.tolist(), var.tolist())]
+    )
 
 
 def piecewise_model(edges, probs) -> DistributionModel:
@@ -106,13 +79,11 @@ def piecewise_model(edges, probs) -> DistributionModel:
     total = probs.sum()
     if total <= 0:
         raise ValueError("piecewise model has no mass")
-    probs = probs / total
-    return DistributionModel(family="piecewise", edges=edges, probs=probs)
+    return DistributionModel([("piecewise", (edges.tolist(), (probs / total).tolist()))])
 
 
 def point_model(loc) -> DistributionModel:
-    loc = np.atleast_1d(np.asarray(loc, dtype=np.float64))
-    return DistributionModel(family="point", loc=loc)
+    return DistributionModel([("point", x) for x in np.atleast_1d(np.asarray(loc, dtype=np.float64)).tolist()])
 
 
 def model_from_sample(s: SummarySample) -> DistributionModel:
@@ -201,73 +172,12 @@ def _kl_piecewise(ea, qa, eb, qb) -> float:
 
 # --- model level dispatch -------------------------------------------------
 
-def _scalar_channels(m: DistributionModel):
-    """Split a product model into per-channel (family, params) tuples."""
-    out = []
-    for c in range(m.channels):
-        if m.family == "point":
-            out.append(("point", float(m.loc[c])))
-        elif m.family == "uniform":
-            lo, hi = float(m.lo[c]), float(m.hi[c])
-            if hi == lo:
-                out.append(("point", lo))
-            else:
-                out.append(("piecewise", ([lo, hi], [1.0])))  # the one-cell histogram
-        elif m.family == "gaussian":
-            v = float(m.var[c])
-            if v == 0:
-                out.append(("point", float(m.mean[c])))
-            else:
-                out.append(("gaussian", (float(m.mean[c]), v)))
-        elif m.family == "piecewise":
-            out.append(("piecewise", (m.edges.tolist(), m.probs.tolist())))
-        else:
-            raise ValueError(f"unknown family {m.family!r}")
-    return out
-
-
-def _kl_full_cov(a: DistributionModel, b: DistributionModel) -> float:
-    """Closed forms involving a full-covariance gaussian reference."""
-    d = b.mean.shape[0]
-    cov_b = b.cov + np.eye(d) * (EPS_FLOOR * max(np.trace(b.cov) / d, 1.0))
-    sign, logdet_b = np.linalg.slogdet(cov_b)
-    if sign <= 0:
-        return math.inf
-    inv_b = np.linalg.inv(cov_b)
-    if a.family == "point":
-        return 0.0
-    if a.family == "gaussian":
-        cov_a = a.cov if a.cov is not None else np.diag(a.var)
-        if np.all(np.diag(cov_a) == 0):
-            return 0.0
-        cov_a = cov_a + np.eye(d) * (EPS_FLOOR * max(np.trace(cov_a) / d, 1.0))
-        sign_a, logdet_a = np.linalg.slogdet(cov_a)
-        if sign_a <= 0:
-            return math.inf
-        delta = b.mean - a.mean
-        return max(0.0, 0.5 * (np.trace(inv_b @ cov_a) + delta @ inv_b @ delta - d + logdet_b - logdet_a))
-    if a.family == "uniform":
-        w = a.hi - a.lo
-        vol = float(np.prod(w[w > 0]))
-        delta = 0.5 * (a.lo + a.hi) - b.mean
-        c_box = np.diag(w * w / 12.0)
-        quad = float(np.trace(inv_b @ c_box) + delta @ inv_b @ delta)
-        return -math.log(vol) + 0.5 * (d * _LOG_2PI + logdet_b) + 0.5 * quad
-    raise ValueError(f"unsupported pair {a.family!r} || gaussian(cov)")
-
-
 def kl_divergence(a: DistributionModel, b: DistributionModel) -> float:
     """D(a || b) in nats; >= 0, and +inf exactly when a's support exceeds b's."""
     if a.channels != b.channels:
         raise ChannelMismatch(f"model channels {a.channels} != {b.channels}")
-    if b.family == "gaussian" and b.cov is not None:
-        return _kl_full_cov(a, b)
-    if a.family == "gaussian" and a.cov is not None:
-        if b.family != "gaussian":
-            return math.inf  # unbounded support vs a point or bounded reference
-        return _kl_full_cov(a, gaussian_model(b.mean, cov=np.diag(b.var)))
     total = 0.0
-    for (fa, pa), (fb, pb) in zip(_scalar_channels(a), _scalar_channels(b)):
+    for (fa, pa), (fb, pb) in zip(a.parts, b.parts):
         term = _kl_scalar(fa, pa, fb, pb)
         if term == math.inf:
             return math.inf
@@ -275,22 +185,37 @@ def kl_divergence(a: DistributionModel, b: DistributionModel) -> float:
     return max(total, 0.0)
 
 
+def covariance_kl(cov_a: np.ndarray, cov_b: np.ndarray) -> float:
+    """D(N(0, cov_a) || N(0, cov_b)) in nats; +inf when either holds an inf or NaN entry.
+
+    An all-zero diagonal is the point mass at 0, which fits inside every
+    reference.  Any other covariance gets a ridge of ``EPS_FLOOR`` times its
+    mean variance (at least 1), and is +inf unless then positive definite.
+    """
+    if np.any(np.diag(cov_a) < 0) or np.any(np.diag(cov_b) < 0):
+        raise ValueError("variance must be >= 0")
+    if not (np.isfinite(cov_a).all() and np.isfinite(cov_b).all()):
+        return math.inf
+    a_point = not np.diag(cov_a).any()
+    if not np.diag(cov_b).any():
+        return 0.0 if a_point else math.inf
+    d = len(cov_a)
+    lifted_a, lifted_b = (c + np.eye(d) * (EPS_FLOOR * max(np.trace(c) / d, 1.0)) for c in (cov_a, cov_b))
+    (sign_a, logdet_a), (sign_b, logdet_b) = np.linalg.slogdet(lifted_a), np.linalg.slogdet(lifted_b)
+    if sign_b <= 0 or (sign_a <= 0 and not a_point):
+        return math.inf
+    if a_point:
+        return 0.0
+    return max(0.0, 0.5 * (np.trace(np.linalg.inv(lifted_b) @ lifted_a) - d + logdet_b - logdet_a))
+
+
 def pdf(m: DistributionModel, x) -> float:
     """Density of the model at x (product over channels)."""
     q = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if q.shape[0] != m.channels:
         raise ChannelMismatch(f"point has {q.shape[0]} channels, model {m.channels}")
-    if m.family == "gaussian" and m.cov is not None:
-        d = m.channels
-        cov = m.cov + np.eye(d) * (EPS_FLOOR * max(np.trace(m.cov) / d, 1.0))
-        delta = q - m.mean
-        sign, logdet = np.linalg.slogdet(cov)
-        if sign <= 0:
-            return 0.0
-        quad = delta @ np.linalg.solve(cov, delta)
-        return float(math.exp(-0.5 * (d * _LOG_2PI + logdet + quad)))
     out = 1.0
-    for (fam, params), xc in zip(_scalar_channels(m), q):
+    for (fam, params), xc in zip(m.parts, q):
         if fam == "point":
             out *= 1.0 if xc == params else 0.0
         elif fam == "gaussian":
@@ -334,9 +259,13 @@ def subset_verdict(a: SummarySample, b: SummarySample, tau: float = 0.1) -> Verd
     return Verdict(v, d_ab, d_ba, note)
 
 
-def symmetric_kl(ma: DistributionModel, mb: DistributionModel) -> float:
-    """D(a||b) + D(b||a) with inf and NaN clamped to ``KL_CAP`` for ranking (NaN is no evidence of likeness)."""
-    d_ab, d_ba = kl_divergence(ma, mb), kl_divergence(mb, ma)
+def symmetric_kl(a, b) -> float:
+    """D(a||b) + D(b||a) of two models, or of two covariances by :func:`covariance_kl`, for ranking.
+
+    Inf and NaN are each clamped to ``KL_CAP`` (NaN is no evidence of likeness).
+    """
+    divergence = covariance_kl if isinstance(a, np.ndarray) else kl_divergence
+    d_ab, d_ba = divergence(a, b), divergence(b, a)
     return (d_ab if d_ab < KL_CAP else KL_CAP) + (d_ba if d_ba < KL_CAP else KL_CAP)
 
 

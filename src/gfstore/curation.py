@@ -171,7 +171,8 @@ def score_merge_candidates(samples, rules: CurationRules, access=None):
     return ranked
 
 
-def _single_stat_model(s: stats.SummarySample, name: str) -> compare.DistributionModel | None:
+def _single_stat_model(s: stats.SummarySample, name: str) -> compare.DistributionModel | np.ndarray | None:
+    """The model of statistic ``name`` of ``s`` alone, or None; a multi-channel covariance is the matrix itself."""
     d = s.channels
     if name == "variance" and s.variance is not None:
         return compare.gaussian_model(np.zeros(d), s.variance)
@@ -183,7 +184,7 @@ def _single_stat_model(s: stats.SummarySample, name: str) -> compare.Distributio
             return None
         return compare.piecewise_model(s.hist_edges, counts)
     if name == "covariance" and s.covariance is not None:
-        return compare.gaussian_model(np.zeros(d), cov=s.covariance)
+        return s.covariance if d > 1 else compare.gaussian_model(np.zeros(1), s.covariance.reshape(1))
     if name == "hull" and s.hull is not None:
         return compare.uniform_model(s.hull.min(axis=0), s.hull.max(axis=0))
     if name == "swv" and s.swv is not None and s.swv.shape[0] > 0:
@@ -200,11 +201,12 @@ def rank_statistics_for_drop(samples) -> list[tuple[str, float]]:
     """Order the droppable statistics that any of ``samples`` keeps by how little they discriminate.
 
     Each statistic is scored over the samples that keep it, in order: a
-    model is built from that statistic alone on each of them, and the score
-    is the mean symmetric KL over adjacent pairs whose models both exist,
-    0.0 when there is no such pair (as when fewer than two keep it).  The
-    least discriminative statistic comes first (drop it first); ties go
-    alphabetically.  Count and mean are never candidates.
+    model is built from that statistic alone on each of them (a covariance
+    of two or more channels is the matrix, scored by ``covariance_kl``), and
+    the score is the mean ``compare.symmetric_kl``, capped at 2e9, over the
+    adjacent pairs whose models both exist, 0.0 when there is none (as when
+    fewer than two keep it).  The least discriminative statistic comes first
+    (drop it first); ties go alphabetically.  Count and mean never compete.
     """
     rows: list[tuple[float, str]] = []
     for name, fields in DROPPABLE.items():

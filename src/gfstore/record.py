@@ -457,10 +457,12 @@ class SummaryRecord:
     # -- invariants ----------------------------------------------------------
 
     def validate(self) -> None:
-        """Raise InvariantViolation unless the structure is sound."""
+        """Raise InvariantViolation unless the samples tile ``[0, now)``, hold a row a step and fit the record."""
         slots = self.slots()
         if slots > self.budget:
             raise InvariantViolation(f"{slots} slots exceed budget {self.budget}")
+        bins = len(self.opts.histogram_edges or ()) - 1  # no edges: no key is a bin
+        where = "sample [{0.t_start},{0.t_end})".format  # formatted for a message only
         cursor = 0
         for s in self.samples_in_time_order():
             if s.t_start != cursor:
@@ -468,7 +470,13 @@ class SummaryRecord:
                     f"coverage gap: expected t_start {cursor}, found {s.t_start}"
                 )
             if s.t_end <= s.t_start:
-                raise InvariantViolation(f"sample [{s.t_start},{s.t_end}) covers no step")
+                raise InvariantViolation(f"{where(s)} covers no step")
+            if s.channels != self.channels or s.n != s.t_end - s.t_start:
+                raise InvariantViolation(f"{where(s)}: n = {s.n} in {s.channels} channels; record has {self.channels}")
+            if s.histogram is not None and (
+                sum(s.histogram.values()) != s.n or not all(stats.OUTLIER_BIN <= k < bins for k in s.histogram)
+            ):
+                raise InvariantViolation(f"{where(s)} of n = {s.n} has histogram {s.histogram} on {bins} bins")
             cursor = s.t_end
 
     def __eq__(self, other) -> bool:

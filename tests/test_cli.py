@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gfstore import cli, compare, container, index
+from gfstore import cli, compare, container, index, stats
 from gfstore.curation import compact
 from gfstore.record import PROVENANCE_RING
 
@@ -77,6 +77,23 @@ def test_data_errors_exit_2_with_one_line(gfs, tmp_path):
     assert rc == 2 and err.count("\n") == 1 and "line 2" in err
     rc, _, err = gfs(["inspect", str(tmp_path / "missing.gfs")])
     assert rc == 2 and err.count("\n") == 1
+    for args, stdin_text, message in (
+        (["--stats", "cov,median"], csv_rows(5), "unknown statistic token 'median'"),
+        ([], "#observation,bogus\n1.0,2.0\n", "line 1: unknown channel label(s) ['bogus']"),
+        ([], "", "no data on stdin and no existing store"),
+    ):
+        rc, out, err = gfs(["ingest", store, *args], stdin_text)
+        assert (rc, out, err) == (2, "", f"gfs: ValueError: {message}\n")
+        assert not os.path.exists(store)
+    assert gfs(["ingest", store], csv_rows(5))[0] == 0
+    rc, out, err = gfs(["query", store])
+    assert (rc, out) == (2, "") and err == "gfs: ValueError: one of --interval/--member/--range is required\n"
+
+
+def test_stats_list_names_the_statistics_of_a_new_store(gfs, tmp_path):
+    store = tmp_path / "s.gfs"
+    assert gfs(["ingest", str(store), "--stats", "cov,hull,swv"], csv_rows(20))[0] == 0
+    assert container.load(store).opts == stats.StatisticSet(covariance=True, hull=True, swv=True)
 
 
 @pytest.mark.parametrize("spec", ["hist=10:0:4", "hist=0:0:3", "hist=0:10:0"])

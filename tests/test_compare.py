@@ -18,30 +18,26 @@ from gfstore.errors import EmptySample
 
 
 def density_fn(m):
-    """Vectorized density built straight from model parameters (oracle-side)."""
-    if m.family == "uniform":
-        lo, hi = float(m.lo[0]), float(m.hi[0])
-        return lambda xs: np.where((xs >= lo) & (xs <= hi), 1.0 / (hi - lo), 0.0)
-    if m.family == "gaussian":
-        mu, s2 = float(m.mean[0]), float(m.var[0])
+    """Vectorized density built straight from the one channel's parameters (oracle-side)."""
+    ((fam, params),) = m.parts
+    if fam == "gaussian":
+        mu, s2 = params
         return lambda xs: np.exp(-0.5 * (xs - mu) ** 2 / s2) / np.sqrt(2 * np.pi * s2)
-    if m.family == "piecewise":
-        e, dens = m.edges, m.probs / np.diff(m.edges)
+    if fam == "piecewise":
+        e = np.array(params[0])
+        dens = np.array(params[1]) / np.diff(e)
 
         def f(xs):
             i = np.clip(np.searchsorted(e, xs, side="right") - 1, 0, len(dens) - 1)
             return np.where((xs >= e[0]) & (xs <= e[-1]), dens[i], 0.0)
 
         return f
-    raise ValueError(f"oracle cannot handle family {m.family}")
+    raise ValueError(f"oracle cannot handle family {fam}")
 
 
 def support_edges(m):
-    if m.family == "uniform":
-        return np.array([float(m.lo[0]), float(m.hi[0])])
-    if m.family == "piecewise":
-        return m.edges.copy()
-    return None
+    ((fam, params),) = m.parts
+    return np.array(params[0]) if fam == "piecewise" else None
 
 
 def numeric_kl(ma, mb, n=100_000):
@@ -140,8 +136,7 @@ def test_point_mass_rules():
 def test_piecewise_zero_bin_smoothing_vs_true_mismatch():
     a = piecewise_model([0.0, 1.0], [1.0])
     # empty bin inside B's declared support: smoothed, finite but large
-    b = piecewise_model([0.0, 0.5, 1.0], [1.0, 1e-300])
-    b.probs = np.array([1.0, 0.0])
+    b = piecewise_model([0.0, 0.5, 1.0], [1.0, 0.0])
     assert math.isfinite(kl_divergence(a, b))
     # support truly ends before A's: genuinely infinite
     c = piecewise_model([0.0, 0.5], [1.0])
@@ -152,25 +147,24 @@ def test_model_from_sample_defaults():
     s = stats.summarize([0.0, 2.0])
     s.variance = None
     m = model_from_sample(s)
-    assert m.family == "uniform" and m.lo[0] == 0.0 and m.hi[0] == 2.0
+    assert m.parts == [("piecewise", ([0.0, 2.0], [1.0]))]  # the uniform on the extrema
 
     g = model_from_sample(stats.summarize(np.random.default_rng(0).normal(size=50)))
-    assert g.family == "gaussian"
+    assert g.parts[0][0] == "gaussian"
 
     opts = stats.StatisticSet(histogram_edges=(0.0, 1.0, 2.0))
     h = stats.summarize([0.5, 0.5, 0.5, 1.5], opts=opts)
     p = model_from_sample(h)
-    assert p.family == "piecewise"
-    assert np.allclose(p.probs, [0.75, 0.25])
+    assert p.parts[0][0] == "piecewise"
+    assert np.allclose(p.parts[0][1][1], [0.75, 0.25])
 
     # no in-range count: the histogram falls through to the next statistic
     out = stats.summarize([5.0, 7.0], opts=opts)
-    assert model_from_sample(out).family == "gaussian"
+    assert model_from_sample(out).parts[0][0] == "gaussian"
     out.variance = None
-    assert model_from_sample(out).family == "uniform"
+    assert model_from_sample(out).parts == [("piecewise", ([5.0, 7.0], [1.0]))]
     out.min_v = out.max_v = None
-    q = model_from_sample(out)
-    assert q.family == "point" and q.loc[0] == 6.0
+    assert model_from_sample(out).parts == [("point", 6.0)]
 
 
 def test_model_from_empty_sample():
@@ -183,7 +177,7 @@ def test_family_hint_and_override():
     s = stats.summarize([0.0, 1.0, 2.0])
     assert not hasattr(s, "family_hint")
     assert not hasattr(stats.StatisticSet(), "family_hint")
-    assert model_from_sample(s).family == "gaussian"
+    assert model_from_sample(s).parts[0][0] == "gaussian"
 
 
 def test_subset_verdict_equal():
@@ -305,6 +299,23 @@ def test_a_nan_divergence_scores_the_cap_and_nan_edges_are_refused():
     for edges in ([0.0, math.nan, 2.0], [math.nan, 1.0, 2.0], [0.0, 1.0, math.nan], [0.0, 1.0, 1.0]):
         with pytest.raises(ValueError, match="strictly increasing"):
             piecewise_model(edges, [0.5, 0.5])
+
+
+def test_covariance_kl_closed_form_point_rules_and_non_finite_entries():
+    a = np.array([[2.0, 0.5], [0.5, 1.0]])
+    b = np.array([[1.0, -0.2], [-0.2, 3.0]])
+    want = 0.5 * (np.trace(np.linalg.inv(b) @ a) - 2 + math.log(np.linalg.det(b) / np.linalg.det(a)))
+    assert abs(compare.covariance_kl(a, b) - want) < 1e-9
+    assert compare.covariance_kl(a, a) < 1e-12
+    point = np.zeros((2, 2))  # all rows equal: the point mass at the mean
+    assert compare.covariance_kl(point, b) == compare.covariance_kl(point, point) == 0.0
+    assert compare.covariance_kl(b, point) == math.inf
+    # a covariance over an inf row has no density: it matches nothing, itself included
+    for bad in ([[math.nan, 0.0], [0.0, 1.0]], [[1.0, math.nan], [math.nan, 1.0]], [[math.inf, 0.0], [0.0, 1.0]]):
+        bad = np.array(bad)
+        for other in (np.eye(2), point, bad):
+            assert compare.covariance_kl(bad, other) == compare.covariance_kl(other, bad) == math.inf
+            assert compare.symmetric_kl(bad, other) == 2 * compare.KL_CAP
 
 
 def test_kl_nonnegative_fuzz():

@@ -144,6 +144,40 @@ def test_malformed_manifest_raises_corrupt_container(edit):
         container.read(repack_manifest(small_blob(), edit))
 
 
+def newest_in_two_channels(rec):
+    rec.levels[0][-1] = stats.point_sample([0.5, 0.5], rec.now - 1, rec.opts)
+
+
+def newest_holds_seven_rows(rec):
+    rec.levels[0][-1].n = 7
+
+
+def newest_counts_a_stray_bin(rec):
+    rec.levels[0][-1].histogram = {7: 1}
+
+
+def newest_counts_two_rows(rec):
+    rec.levels[0][-1].histogram = {0: 2}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (newest_in_two_channels, r"\[19,20\): n = 1 in 2 channels; record has 1"),
+        (newest_holds_seven_rows, r"\[19,20\): n = 7 in 1 channels; record has 1"),
+        (newest_counts_a_stray_bin, r"\{7: 1\} on 2 bins"),
+        (newest_counts_two_rows, r"n = 1 has histogram \{0: 2\}"),
+    ],
+)
+def test_a_sample_that_disagrees_with_its_record_does_not_load(edit, message):
+    rec = SummaryRecord(budget=8, opts=stats.StatisticSet(histogram_edges=(0.0, 1.0, 2.0)))
+    rec.ingest_block(np.random.default_rng(4).uniform(-1, 3, size=20))
+    container.read(container.write(rec))
+    edit(rec)
+    with pytest.raises(InvariantViolation, match=message):
+        container.read(container.write(rec))
+
+
 def test_non_utf8_manifest_raises_corrupt_container():
     blob = bytearray(small_blob())
     blob[17] = 0xFF

@@ -66,6 +66,11 @@ def test_slowness_merges_erratic_pairs_first():
 def test_drop_ranking_counts_a_nan_score_as_the_cap():
     samples = [stats.summarize(x) for x in ([0, 1], [2, np.inf], [0.5, 3])]
     assert rank_statistics_for_drop(samples) == [("extrema", 2e9), ("variance", 2e9)]
+    # a covariance of two channels over an inf row scores the cap as well
+    cov = stats.StatisticSet(covariance=True)
+    rows = ([[0, 1], [1, 3]], [[0, np.inf], [1, 2]], [[0.5, 1], [2, 2.5]])
+    samples = [stats.summarize(x, 2 * i, cov) for i, x in enumerate(rows)]
+    assert rank_statistics_for_drop(samples) == [("covariance", 2e9), ("extrema", 2e9), ("variance", 2e9)]
 
 
 def test_drop_ranking_scores_scale_wise_variance_by_where_the_variance_sits():

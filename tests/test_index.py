@@ -4,6 +4,7 @@ import pytest
 from gfstore import stats
 from gfstore.errors import DimensionMismatch, EmptyLeaves
 from gfstore.index import build, membership, range_count_bounds
+from gfstore.record import SummaryRecord
 from gfstore.stats import StatisticSet, summarize
 
 
@@ -116,6 +117,17 @@ def test_hull_pruning_tightens_2d():
     visited_box = membership(build(without, 4), q)
     assert visited_hull.absent_certain
     assert not visited_box.absent_certain  # boxes alone cannot rule it out
+
+
+def test_no_ingested_row_is_certainly_absent_from_a_hull_record_with_one_row_samples():
+    rec = SummaryRecord(channels=2, budget=16, opts=StatisticSet(hull=True))
+    raw = np.random.default_rng(8).normal(size=(100, 2)) * [1.0, 1e3]
+    rec.ingest_block(raw)
+    assert [s.hull.shape for s in rec.levels[0]] == [(1, 2)] * len(rec.levels[0])  # one vertex each
+    for t, row in enumerate(raw):
+        res = rec.membership(row)
+        assert not res.absent_certain
+        assert any(s.t_start <= t < s.t_end for s, _ in res.candidates)
 
 
 def test_aggregate_consistency_after_build():

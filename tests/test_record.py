@@ -391,6 +391,37 @@ def test_planned_block_ingest_matches_per_row():
                 assert any(op == "drop_statistic" for op, _, _ in planned.event_counts)
 
 
+def test_every_stored_sample_is_the_summary_of_the_rows_it_covers():
+    every = dict(covariance=True, hull=True, histogram_edges=tuple(np.linspace(-2, 8, 6)))
+    # (statistics, weights, per row): untuned blocks plan, which refuses SWV;
+    # per-row ingest and tuned blocks build each sample as it is made
+    configs = (
+        (stats.StatisticSet(**every), {}, False),
+        (stats.StatisticSet(**every, swv=True), {}, True),
+        (stats.StatisticSet(**every, swv=True), {"nonstationarity_w": 1.0}, False),
+    )
+    rows = 2.0 * np.random.default_rng(17).normal(size=(300, 2)) + 3.0
+    scale = float(np.abs(rows).max())
+    for opts, weights, per_row in configs:
+        for budget in (1, 5, 64):
+            rec = SummaryRecord(channels=2, opts=opts, rules=CurationRules(budget_slots=budget, **weights))
+            for start in range(0, rows.shape[0], 60):
+                block = rows[start : start + 60]
+                for row in block if per_row else (block,):
+                    (rec.ingest if per_row else rec.ingest_block)(row)
+            assert rec.merge_count > 0
+            for s in rec.samples_in_time_order():
+                want = stats.summarize(rows[s.t_start : s.t_end], s.t_start, opts)
+                assert (s.t_start, s.t_end, s.n, s.histogram) == (want.t_start, want.t_end, want.n, want.histogram)
+                for name in ("min_v", "max_v", "hull"):
+                    assert np.array_equal(getattr(s, name), getattr(want, name)), name
+                assert np.allclose(s.mean, want.mean, rtol=0.0, atol=BLOCK_RTOL * scale)
+                for name in ("variance", "covariance"):
+                    assert np.allclose(getattr(s, name), getattr(want, name), rtol=0.0, atol=BLOCK_RTOL * scale**2)
+                if opts.swv:
+                    assert np.allclose(s.swv.sum(axis=0), want.variance, rtol=0.0, atol=BLOCK_RTOL * scale**2)
+
+
 def without_histogram(rec) -> list[tuple[int, int]]:
     return [(s.t_start, s.t_end) for s in rec.samples_in_time_order() if s.histogram is None]
 

@@ -210,6 +210,26 @@ def test_hull_contains_all_inputs():
             assert stats.hull_contains(h, p, margin=1e-9)
 
 
+def test_hull_contains_on_degenerate_hulls_and_merge_with_an_empty_side():
+    none = np.zeros((0, 2))
+    assert not stats.hull_contains(none, [0.0, 0.0]) and not stats.hull_contains(none, [0.0, 0.0], margin=1.0)
+    vertex = np.array([[1.0, 2.0]])
+    assert stats.hull_contains(vertex, [1.0, 2.0])
+    assert not stats.hull_contains(vertex, [1.0, 2.0 + 1e-6])
+    assert stats.hull_contains(vertex, [1.0 - 1e-6, 2.0 + 1e-6], margin=1e-5)
+    segment = np.array([[0.0, 0.0], [2.0, 2.0]])
+    for inside in ([0.0, 0.0], [1.0, 1.0], [2.0, 2.0]):
+        assert stats.hull_contains(segment, inside)
+    for outside in ([1.0, 1.0 + 1e-6], [2.0 + 1e-6, 2.0 + 1e-6], [-1e-6, -1e-6]):
+        assert not stats.hull_contains(segment, outside)
+        assert stats.hull_contains(segment, outside, margin=1e-5)
+    assert not stats.hull_contains(segment, [1.0, 1.5], margin=1e-5)
+    assert merge_hull(none, none).shape == (0, 2)
+    for side in (SQUARE, np.vstack([SQUARE, [0.5, 0.5]])):
+        assert np.array_equal(merge_hull(none, side), stats.convex_hull(SQUARE))
+        assert np.array_equal(merge_hull(side, none), stats.convex_hull(SQUARE))
+
+
 def test_sample_hull_contains_mean():
     rng = np.random.default_rng(9)
     raw = rng.normal(size=(50, 2))
