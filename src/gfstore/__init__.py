@@ -17,7 +17,7 @@ from .compare import (
 )
 from .curation import AccessLog, CurationRules, compact, rank_statistics_for_drop, record_access, score_merge_candidates
 from .errors import StoreError
-from .index import IndexNode, build, membership, range_count_bounds
+from .index import build, membership, range_count_bounds
 from .record import SummaryRecord, allocate_budget, recorder_span
 from .stats import (
     OUTLIER_BIN,
@@ -35,7 +35,6 @@ __all__ = [
     "AccessLog",
     "CurationRules",
     "DistributionModel",
-    "IndexNode",
     "OUTLIER_BIN",
     "StatisticSet",
     "StoreError",

@@ -31,7 +31,7 @@ import sys
 
 import numpy as np
 
-from . import compare, container, curation, service, stats
+from . import compare, container, curation, index, service, stats
 from .errors import BudgetTooSmall, StoreError
 from .record import SummaryRecord
 
@@ -164,8 +164,6 @@ def cmd_query(args) -> int:
                 print(f"  [{s.t_start},{s.t_end}) n={s.n} likelihood={_fmt(like)}")
         return 0
     if args.range:
-        from . import index as index_mod
-
         lo, hi = [], []
         for tok in args.range.split(","):
             a, b = tok.split(":")
@@ -175,7 +173,7 @@ def cmd_query(args) -> int:
         if not leaves:
             print("count in [0, 0]")
             return 0
-        low, up = index_mod.range_count_bounds(index_mod.build(leaves), lo, hi)
+        low, up = index.range_count_bounds(index.build(leaves), lo, hi)
         print(f"count in [{low}, {up}]")
         return 0
     raise ValueError("one of --interval/--member/--range is required")

@@ -11,6 +11,7 @@ here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,9 +105,15 @@ class AccessLog:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AccessLog":
+        """Raise ValueError on a half-life, count or tick that :meth:`settle` and :meth:`record` never make."""
         log = cls(half_life=d.get("half_life", 16.0))
         log.tick = int(d.get("tick", 0))
         log._counts = {int(k): (float(v[0]), int(v[1])) for k, v in d.get("counts", {}).items()}
+        if not 0.0 < log.half_life < math.inf:
+            raise ValueError(f"access half-life {log.half_life} is not finite and positive")
+        for start, (value, last) in log._counts.items():
+            if not (0.0 <= value < math.inf and 0 <= last <= log.tick):
+                raise ValueError(f"access count {value} at tick {last} for start {start} (log tick {log.tick})")
         return log
 
 

@@ -30,11 +30,7 @@ class EmptySample(StoreError):
 
 
 class EmptyLeaves(StoreError):
-    """A search tree needs at least one leaf."""
-
-
-class DimensionMismatch(StoreError):
-    """Query vector does not match the indexed channel count."""
+    """An index needs at least one stored sample."""
 
 
 class TooFewSamples(StoreError):

@@ -30,7 +30,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from . import curation, stats
+from . import curation, index, stats
 from .errors import BudgetTooSmall, ChannelMismatch, FutureRange, InvariantViolation
 
 #: Provenance events kept verbatim; older events survive only as totals in
@@ -90,6 +90,17 @@ def recorder_span(levels: int, base: int = 1) -> int:
     if levels < 1:
         raise ValueError("need at least one level")
     return base * ((1 << levels) - 1)
+
+
+def _crossed(samples) -> bool:
+    """In one pass: is a variance or covariance diagonal negative, or a minimum above its maximum (NaN passes)?"""
+    spread = [s.variance for s in samples if s.variance is not None]
+    spread += [s.covariance.diagonal() for s in samples if s.covariance is not None]
+    if spread and np.any(np.concatenate(spread) < 0):
+        return True
+    bounded = [s for s in samples if s.min_v is not None and s.max_v is not None]
+    lows, highs = [s.min_v for s in bounded], [s.max_v for s in bounded]
+    return bool(bounded) and bool(np.any(np.concatenate(lows) > np.concatenate(highs)))
 
 
 @dataclass
@@ -445,26 +456,25 @@ class SummaryRecord:
         return stats.merge_all(samples)
 
     def membership(self, q):
-        """Search the stored summaries for a value; see :mod:`gfstore.index`."""
-        from . import index  # local import: index depends on stats only
-
+        """Test a value against every stored sample (an empty record holds none); see :mod:`gfstore.index`."""
         leaves = list(self.samples_in_time_order())
         if not leaves:
             return index.MembershipResult(True, [], 0)
-        root = index.build(leaves)
-        return index.membership(root, q)
+        return index.membership(index.build(leaves), q)
 
     # -- invariants ----------------------------------------------------------
 
     def validate(self) -> None:
-        """Raise InvariantViolation unless the samples tile ``[0, now)``, hold a row a step and fit the record."""
+        """Raise InvariantViolation unless the samples tile ``[0, now)``, hold a row a step, fit the record
+        and have no negative variance and no minimum above its maximum."""
         slots = self.slots()
         if slots > self.budget:
             raise InvariantViolation(f"{slots} slots exceed budget {self.budget}")
         bins = len(self.opts.histogram_edges or ()) - 1  # no edges: no key is a bin
         where = "sample [{0.t_start},{0.t_end})".format  # formatted for a message only
         cursor = 0
-        for s in self.samples_in_time_order():
+        samples = list(self.samples_in_time_order())
+        for s in samples:
             if s.t_start != cursor:
                 raise InvariantViolation(
                     f"coverage gap: expected t_start {cursor}, found {s.t_start}"
@@ -478,6 +488,9 @@ class SummaryRecord:
             ):
                 raise InvariantViolation(f"{where(s)} of n = {s.n} has histogram {s.histogram} on {bins} bins")
             cursor = s.t_end
+        if _crossed(samples):
+            s = next(s for s in samples if _crossed([s]))
+            raise InvariantViolation(f"{where(s)} has a negative variance or a minimum above its maximum")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SummaryRecord):

@@ -280,12 +280,8 @@ def convex_hull(points) -> np.ndarray | None:
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if not hull:  # all points collinear
-        return np.vstack([pts[0], pts[-1]])
-    if len(hull) == 1:
-        return hull[0][np.newaxis, :]
-    return np.vstack(hull)
+    # lower keeps pts[0] and upper pts[-1], so three or more distinct points give two or more vertices
+    return np.vstack(lower[:-1] + upper[:-1])
 
 
 def merge_hull(h1, h2) -> np.ndarray | None:

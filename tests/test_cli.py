@@ -15,7 +15,7 @@ import pytest
 
 from gfstore import cli, compare, container, index, stats
 from gfstore.curation import compact
-from gfstore.record import PROVENANCE_RING
+from gfstore.record import PROVENANCE_RING, SummaryRecord
 
 
 @pytest.fixture
@@ -211,6 +211,13 @@ def test_query_values_may_start_with_a_minus(gfs, tmp_path, option, value, answe
     rc, out, err = gfs(["query", store, option, value])
     assert (rc, err) == (0, "") and out.startswith(answer)
     assert (rc, out, err) == gfs(["query", store, f"{option}={value}"])
+
+
+def test_queries_on_a_saved_empty_record_find_nothing(gfs, tmp_path):
+    store = str(tmp_path / "s.gfs")
+    container.save(SummaryRecord(channels=2), store)
+    assert gfs(["query", store, "--range", "-1:1,-1:1"]) == (0, "count in [0, 0]\n", "")
+    assert gfs(["query", store, "--member", "0,0"]) == (0, "absent (certain), 0 node(s) visited\n", "")
 
 
 def test_compact_applies_the_stores_own_rules(gfs, tmp_path):

@@ -133,6 +133,15 @@ MALFORMED = {
     "non-numeric-sid": lambda m: m.update(access_log={"counts": {"x": [0.0, 0]}}),
     "infinite-tick": lambda m: m.update(access_log={"counts": {"0": [0.0, float("inf")]}}),
     "count-of-no-sample": lambda m: m.update(access_log={"counts": {"1": [0.0, 0]}}),
+    "zero-half-life": lambda m: m["access_log"].update(half_life=0.0),
+    "negative-half-life": lambda m: m["access_log"].update(half_life=-16.0),
+    "nan-half-life": lambda m: m["access_log"].update(half_life=float("nan")),
+    "infinite-half-life": lambda m: m["access_log"].update(half_life=float("inf")),
+    "negative-count": lambda m: m["access_log"]["counts"].update({"0": [-1.0, 0]}),
+    "nan-count": lambda m: m["access_log"]["counts"].update({"0": [float("nan"), 0]}),
+    "infinite-count": lambda m: m["access_log"]["counts"].update({"0": [float("inf"), 0]}),
+    "counter-tick-below-zero": lambda m: m["access_log"]["counts"].update({"0": [1.0, -1]}),
+    "counter-tick-after-the-logs": lambda m: m["access_log"]["counts"].update({"0": [1.0, 1]}),
     "statistics-not-an-object": lambda m: m.update(statistics=[1]),
     "edges-not-a-list": lambda m: m["statistics"].update(histogram_edges=3),
 }
@@ -160,6 +169,18 @@ def newest_counts_two_rows(rec):
     rec.levels[0][-1].histogram = {0: 2}
 
 
+def newest_variance_negative(rec):
+    rec.levels[0][-1].variance = np.array([-1.0])
+
+
+def newest_covariance_negative(rec):
+    rec.levels[0][-1].covariance = np.array([[-1.0]])
+
+
+def newest_minimum_above_maximum(rec):
+    rec.levels[0][-1].min_v = rec.levels[0][-1].max_v + 1.0
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -167,15 +188,29 @@ def newest_counts_two_rows(rec):
         (newest_holds_seven_rows, r"\[19,20\): n = 7 in 1 channels; record has 1"),
         (newest_counts_a_stray_bin, r"\{7: 1\} on 2 bins"),
         (newest_counts_two_rows, r"n = 1 has histogram \{0: 2\}"),
+        (newest_variance_negative, r"\[19,20\) has a negative variance or a minimum above its maximum"),
+        (newest_covariance_negative, r"\[19,20\) has a negative variance or a minimum above its maximum"),
+        (newest_minimum_above_maximum, r"\[19,20\) has a negative variance or a minimum above its maximum"),
     ],
 )
 def test_a_sample_that_disagrees_with_its_record_does_not_load(edit, message):
-    rec = SummaryRecord(budget=8, opts=stats.StatisticSet(histogram_edges=(0.0, 1.0, 2.0)))
+    rec = SummaryRecord(budget=8, opts=stats.StatisticSet(covariance=True, histogram_edges=(0.0, 1.0, 2.0)))
     rec.ingest_block(np.random.default_rng(4).uniform(-1, 3, size=20))
     container.read(container.write(rec))
     edit(rec)
     with pytest.raises(InvariantViolation, match=message):
         container.read(container.write(rec))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nan_spreads_and_extrema_of_inf_and_nan_rows_still_load():
+    rec = SummaryRecord(channels=2, budget=8, opts=stats.StatisticSet(covariance=True))
+    raw = np.random.default_rng(6).normal(size=(40, 2))
+    raw[3, 0], raw[12, 1], raw[30, 1] = np.nan, np.inf, np.nan
+    rec.ingest_block(raw)
+    assert np.isnan(rec.levels[-1][0].variance).all() and np.isnan(rec.levels[-1][0].min_v[0])
+    blob = container.write(rec)
+    assert container.write(container.read(blob)) == blob
 
 
 def test_non_utf8_manifest_raises_corrupt_container():

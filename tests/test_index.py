@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gfstore import stats
-from gfstore.errors import DimensionMismatch, EmptyLeaves
+from gfstore import curation
+from gfstore.errors import ChannelMismatch, EmptyLeaves
 from gfstore.index import build, membership, range_count_bounds
 from gfstore.record import SummaryRecord
 from gfstore.stats import StatisticSet, summarize
@@ -17,39 +17,10 @@ def leaves_from(raw, chunk, opts=None):
     return out
 
 
-def test_non_adjacent_leaves_raise():
-    leaves = leaves_from(np.arange(12.0), 4)
-    with pytest.raises(ValueError, match="not adjacent"):
-        build([leaves[0], leaves[2]])
-
-
 def test_single_leaf_root():
     leaf = summarize([1.0, 2.0])
-    root = build([leaf])
-    assert root.leaf is leaf and root.children == ()
-
-
-def test_four_leaves_fanout2():
-    rng = np.random.default_rng(1)
-    raw = rng.normal(size=(32, 1))
-    leaves = leaves_from(raw, 8)
-    root = build(leaves, fanout=2)
-    assert root.height == 2
-    assert root.node_count() == 2 * 4 - 1
-    agg = root.aggregate
-    whole = summarize(raw)
-    assert agg.n == whole.n
-    assert np.allclose(agg.mean, whole.mean, rtol=1e-9)
-    assert np.allclose(agg.variance, whole.variance, rtol=1e-9)
-
-
-def test_power_of_two_node_count():
-    rng = np.random.default_rng(2)
-    for n_leaves in (2, 8, 16):
-        leaves = leaves_from(rng.normal(size=(n_leaves * 4, 1)), 4)
-        root = build(leaves, fanout=2)
-        assert root.node_count() == 2 * n_leaves - 1
-        assert root.height == int(np.log2(n_leaves))
+    index = build([leaf])
+    assert index.leaves[0] is leaf and index.node_count() == 1
 
 
 def test_empty_leaves_rejected():
@@ -57,20 +28,26 @@ def test_empty_leaves_rejected():
         build([])
 
 
-def test_membership_out_of_bounds_visits_root_only():
+def test_membership_out_of_bounds_tests_every_sample():
     leaves = leaves_from(np.linspace(0, 1, 64), 8)
-    root = build(leaves)
-    res = membership(root, [5.0])
-    assert res.absent_certain and res.nodes_visited == 1
+    res = membership(build(leaves), [5.0])
+    assert res.absent_certain and res.candidates == [] and res.nodes_visited == 8
+
+
+def test_a_nan_on_either_side_rules_nothing_out():
+    leaves = leaves_from(np.linspace(0, 1, 64), 8)
+    assert len(membership(build(leaves), [np.nan]).candidates) == 8
+    with_nan = summarize([2.0, np.nan], t_start=64)  # its extrema read NaN
+    res = membership(build(leaves + [with_nan]), [5.0])
+    assert [s for s, _ in res.candidates] == [with_nan]
 
 
 def test_membership_single_candidate():
     # value-disjoint leaves: each chunk of sorted data owns one value range
     raw = np.sort(np.random.default_rng(3).normal(size=64))
     leaves = leaves_from(raw, 8)
-    root = build(leaves, fanout=2)
     q = raw[20]
-    res = membership(root, [q])
+    res = membership(build(leaves), [q])
     assert not res.absent_certain
     inside = [s for s, _ in res.candidates]
     oracle = [l for l in leaves if l.min_v[0] <= q <= l.max_v[0]]
@@ -78,9 +55,11 @@ def test_membership_single_candidate():
 
 
 def test_membership_dimension_mismatch():
-    root = build([summarize(np.zeros((4, 2)))])
-    with pytest.raises(DimensionMismatch):
-        membership(root, [1.0])
+    index = build([summarize(np.zeros((4, 2)))])
+    with pytest.raises(ChannelMismatch):
+        membership(index, [1.0])
+    with pytest.raises(ChannelMismatch):
+        range_count_bounds(index, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
 
 
 def test_no_false_negatives_fuzz():
@@ -90,19 +69,10 @@ def test_no_false_negatives_fuzz():
         raw = rng.normal(size=(int(rng.integers(16, 200)), d))
         opts = StatisticSet(hull=(d == 2))
         leaves = leaves_from(raw, int(rng.integers(4, 32)), opts=opts)
-        root = build(leaves, fanout=int(rng.integers(2, 9)))
+        index = build(leaves)
         for _ in range(30):
             q = raw[int(rng.integers(0, raw.shape[0]))]
-            assert not membership(root, q).absent_certain
-
-
-def test_pruning_bound_on_sorted_leaves():
-    raw = np.sort(np.random.default_rng(5).normal(size=256))
-    leaves = leaves_from(raw, 8)
-    fanout = 4
-    root = build(leaves, fanout=fanout)
-    res = membership(root, [raw[100]])
-    assert res.nodes_visited <= fanout * root.height + len(res.candidates)
+            assert not membership(index, q).absent_certain
 
 
 def test_hull_pruning_tightens_2d():
@@ -113,8 +83,8 @@ def test_hull_pruning_tightens_2d():
     with_hull = leaves_from(raw, 16, opts=StatisticSet(hull=True))
     without = leaves_from(raw, 16)
     q = [0.9, 0.1]  # inside every box, far outside every hull
-    visited_hull = membership(build(with_hull, 4), q)
-    visited_box = membership(build(without, 4), q)
+    visited_hull = membership(build(with_hull), q)
+    visited_box = membership(build(without), q)
     assert visited_hull.absent_certain
     assert not visited_box.absent_certain  # boxes alone cannot rule it out
 
@@ -130,23 +100,19 @@ def test_no_ingested_row_is_certainly_absent_from_a_hull_record_with_one_row_sam
         assert any(s.t_start <= t < s.t_end for s, _ in res.candidates)
 
 
-def test_aggregate_consistency_after_build():
-    rng = np.random.default_rng(7)
-    raw = rng.normal(size=(96, 2))
-    leaves = leaves_from(raw, 8, opts=StatisticSet(covariance=True))
-    root = build(leaves, fanout=3)
-    whole = summarize(raw, opts=StatisticSet(covariance=True))
-    assert np.allclose(root.aggregate.mean, whole.mean, rtol=1e-9)
-    assert np.allclose(root.aggregate.covariance, whole.covariance, rtol=1e-9, atol=1e-12)
+def test_an_empty_record_holds_no_value():
+    rec = SummaryRecord(channels=2)
+    res = rec.membership([0.0, 0.0])
+    assert (res.absent_certain, res.candidates, res.nodes_visited) == (True, [], 0)
 
 
 def test_range_count_bounds_trivial_cases():
     rng = np.random.default_rng(8)
     raw = rng.normal(size=(128, 1))
-    root = build(leaves_from(raw, 8))
+    index = build(leaves_from(raw, 8))
     lo, hi = raw.min() - 1, raw.max() + 1
-    assert range_count_bounds(root, [lo], [hi]) == (128, 128)
-    assert range_count_bounds(root, [hi + 1], [hi + 2]) == (0, 0)
+    assert range_count_bounds(index, [lo], [hi]) == (128, 128)
+    assert range_count_bounds(index, [hi + 1], [hi + 2]) == (0, 0)
 
 
 def test_range_count_brackets_truth():
@@ -154,9 +120,24 @@ def test_range_count_brackets_truth():
     for _ in range(25):
         d = int(rng.integers(1, 3))
         raw = rng.normal(size=(200, d))
-        root = build(leaves_from(raw, int(rng.integers(5, 40))), fanout=4)
+        index = build(leaves_from(raw, int(rng.integers(5, 40))))
         lo = rng.uniform(-1.5, 0, size=d)
         hi = lo + rng.uniform(0.2, 2.0, size=d)
         truth = int(np.sum(np.all((raw >= lo) & (raw <= hi), axis=1)))
-        low, up = range_count_bounds(root, lo, hi)
+        low, up = range_count_bounds(index, lo, hi)
         assert low <= truth <= up
+
+
+def test_rows_of_samples_that_lost_their_extrema_count_only_in_the_upper_bound():
+    raw = np.random.default_rng(10).normal(size=500)
+    rec = SummaryRecord(budget=16)
+    rec.ingest_block(raw)
+    rec.rules.max_scalars = rec.scalar_footprint() - 1
+    curation.compact(rec)
+    oldest = rec.levels[-1]
+    assert all(s.min_v is None and s.max_v is None for s in oldest)  # compact dropped them
+    lost = sum(s.n for s in oldest)
+    index = build(rec.samples_in_time_order())
+    assert range_count_bounds(index, [raw.min()], [raw.max()]) == (500 - lost, 500)
+    assert range_count_bounds(index, [raw.max() + 1], [raw.max() + 2]) == (0, lost)
+    assert range_count_bounds(index, [-np.inf], [np.inf]) == (500 - lost, 500)
