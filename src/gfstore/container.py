@@ -29,7 +29,10 @@ totals on read.  Length prefixes make unknown blocks skippable, and
 unknown statistics or rules keys in the manifest are dropped with a
 provenance note, so containers written by richer or older builds stay
 readable; the skipped blocks of each type (such as the retired types
-10-12, or 8 in version 4) get one note with their count and bytes.  All
+10-12, or 8 in version 4) get one note with their count and bytes.  The
+retired merge weights ``slowness_w`` and ``recurrence_reprieve_w``, which
+older builds wrote into every manifest, are dropped without a note when
+they hold 0.0, since the policy is then unchanged.  All
 numbers are little-endian; reals are IEEE-754 64-bit, counts 64-bit
 unsigned, so round trips are bit-exact.  Any malformed input raises a
 :class:`StoreError`.
@@ -69,6 +72,9 @@ _BLOCK_SWV = 9
 # 8, 10, 11, 12: retired (were the per-sample histogram bin edges, family
 # hint, notes and dictionary id); never reuse them
 _BLOCK_OLD_EDGES = 8  # versions 1-3 wrote the manifest's edges here
+
+# rules keys of retired merge weights; at 0.0 they left the policy as it is now
+_RETIRED_RULES = ("slowness_w", "recurrence_reprieve_w")
 
 
 def _floats(arr) -> bytes:
@@ -263,9 +269,8 @@ def _read(blob: bytes) -> SummaryRecord:
     if opts_d.get("histogram_edges") is not None:
         opts_d["histogram_edges"] = tuple(opts_d["histogram_edges"])
     opts = stats.StatisticSet(**opts_d)
-    rules = curation.CurationRules(
-        **_known_fields(curation.CurationRules, manifest["rules"], "rules", ignored)
-    )
+    rules_d = {k: v for k, v in manifest["rules"].items() if not (k in _RETIRED_RULES and v == 0.0)}
+    rules = curation.CurationRules(**_known_fields(curation.CurationRules, rules_d, "rules", ignored))
 
     rec = SummaryRecord(
         channels=manifest["channels"],

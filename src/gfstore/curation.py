@@ -1,12 +1,12 @@
-"""Curation: heuristic merge scoring, statistic drop ranking, compaction.
+"""Curation: merge scoring, statistic drop ranking, compaction.
 
 The rules and the access log travel with the record (``record.rules``,
 ``record.access_log``) and are saved with it, so any future process
-resumes the same policy; no call takes a policy of its own.  All
-heuristic weights default to zero: with nothing tuned, behaviour reduces
-exactly to the pure recency scheme (oldest pair merges first).  Weights
-are static configuration; learning them from feedback is out of scope
-here.
+resumes the same policy; no call takes a policy of its own.  Two merge
+weights remain, ``nonstationarity_w`` and ``prior_access_w``, and both
+default to zero: with nothing tuned, behaviour reduces exactly to the
+pure recency scheme (oldest pair merges first).  Weights are static
+configuration; learning them from feedback is out of scope here.
 """
 
 from __future__ import annotations
@@ -43,18 +43,11 @@ class CurationRules:
 
     budget_slots: int = 64
     nonstationarity_w: float = 0.0
-    slowness_w: float = 0.0
-    recurrence_reprieve_w: float = 0.0
     prior_access_w: float = 0.0
     max_scalars: int | None = None
 
     def tuned(self) -> bool:
-        return (
-            self.nonstationarity_w > 0
-            or self.slowness_w > 0
-            or self.recurrence_reprieve_w > 0
-            or self.prior_access_w > 0
-        )
+        return self.nonstationarity_w > 0 or self.prior_access_w > 0
 
 
 class AccessLog:
@@ -123,36 +116,13 @@ def record_access(log: AccessLog, starts) -> AccessLog:
     return log
 
 
-@dataclass
-class ScoredPair:
-    index: int  # pair = (index, index + 1) within the level
-    score: float
-
-
-def _fast_share(s: stats.SummarySample) -> float:
-    if s.swv is None or s.swv.shape[0] == 0:
-        return 0.0
-    total = float(s.swv.sum())
-    if total <= 0:
-        return 0.0
-    return float(s.swv[:2].sum()) / total
-
-
-def _in_range_share(s: stats.SummarySample) -> float:
-    if s.histogram is None or s.n == 0:
-        return 0.0
-    hits = sum(v for k, v in s.histogram.items() if k != stats.OUTLIER_BIN)
-    return hits / s.n
-
-
-def score_merge_candidates(samples, rules: CurationRules, access=None):
+def score_merge_candidates(samples, rules: CurationRules, access=None) -> list[int]:
     """Rank adjacent pairs in the oldest quartile; lowest score merges first.
 
     score = nonstationarity_w * symmetric KL        (similar pairs go first)
           + prior_access_w    * pooled access count (used data get reprieve)
-          + recurrence_w      * share of rows inside the histogram bins
-          - slowness_w        * fast-scale SWV share(erratic data go early)
 
+    Returns the index ``i`` of each pair ``(i, i + 1)``, best first.
     ``access`` holds each sample's access count, aligned with ``samples``;
     without it the access term is zero.  Ties break toward the oldest
     pair, which is the whole policy when all weights are zero.
@@ -161,21 +131,16 @@ def score_merge_candidates(samples, rules: CurationRules, access=None):
     if m < 2:
         raise TooFewSamples(f"need >= 2 samples, got {m}")
     quartile = max(1, m // 4)
-    ranked: list[ScoredPair] = []
+    scores = []
     for i in range(min(quartile, m - 1)):
-        a, b = samples[i], samples[i + 1]
         score = 0.0
         if rules.nonstationarity_w > 0:
-            score += rules.nonstationarity_w * compare.symmetric_merge_score(a, b)
+            score += rules.nonstationarity_w * compare.symmetric_merge_score(samples[i], samples[i + 1])
         if rules.prior_access_w > 0 and access is not None:
             score += rules.prior_access_w * (access[i] + access[i + 1])
-        if rules.recurrence_reprieve_w > 0:
-            score += rules.recurrence_reprieve_w * 0.5 * (_in_range_share(a) + _in_range_share(b))
-        if rules.slowness_w > 0:
-            score -= rules.slowness_w * 0.5 * (_fast_share(a) + _fast_share(b))
-        ranked.append(ScoredPair(i, score))
-    ranked.sort(key=lambda p: (p.score, p.index))
-    return ranked
+        scores.append((score, i))
+    scores.sort()
+    return [i for _, i in scores]
 
 
 def _single_stat_model(s: stats.SummarySample, name: str) -> compare.DistributionModel | np.ndarray | None:

@@ -42,7 +42,7 @@ class CannotSatisfyBudget(StoreError):
 
 
 class UnknownId(StoreError):
-    """Referenced sample id does not exist."""
+    """No stored sample starts at the referenced step, so it has no access counter."""
 
 
 class BadMagic(StoreError):

@@ -325,8 +325,10 @@ class SummaryRecord:
                     continue
                 i = 0
                 if tuned:
-                    access = [pooled[s.t_start] if s.t_start in pooled else count(s.t_start) for s in level]
-                    i = curation.score_merge_candidates(level, rules, access)[0].index
+                    access = None
+                    if rules.prior_access_w > 0:
+                        access = [pooled[s.t_start] if s.t_start in pooled else count(s.t_start) for s in level]
+                    i = curation.score_merge_candidates(level, rules, access)[0]
                 a, b = level[i], level[i + 1]
                 if planned:
                     if a.__class__ is list:
@@ -465,8 +467,8 @@ class SummaryRecord:
     # -- invariants ----------------------------------------------------------
 
     def validate(self) -> None:
-        """Raise InvariantViolation unless the samples tile ``[0, now)``, hold a row a step, fit the record
-        and have no negative variance and no minimum above its maximum."""
+        """Raise InvariantViolation unless the samples tile ``[0, now)``, hold a row a step, fit the record,
+        keep no hull without a vertex and have no negative variance and no minimum above its maximum."""
         slots = self.slots()
         if slots > self.budget:
             raise InvariantViolation(f"{slots} slots exceed budget {self.budget}")
@@ -487,6 +489,8 @@ class SummaryRecord:
                 sum(s.histogram.values()) != s.n or not all(stats.OUTLIER_BIN <= k < bins for k in s.histogram)
             ):
                 raise InvariantViolation(f"{where(s)} of n = {s.n} has histogram {s.histogram} on {bins} bins")
+            if s.hull is not None and not s.hull.shape[0]:
+                raise InvariantViolation(f"{where(s)} of n = {s.n} has a hull with no vertex")
             cursor = s.t_end
         if _crossed(samples):
             s = next(s for s in samples if _crossed([s]))

@@ -82,6 +82,28 @@ def test_reads_parent_format_manifest():
     assert back.event_counts == {**rec.event_counts, ("read", None, None): 1}
 
 
+def test_retired_merge_weights_drop_silently_at_zero_and_with_a_note_otherwise():
+    rec = rich_record()
+    blob = container.write(rec)
+
+    def parent_format(manifest):  # the parent build wrote both keys, at 0.0 unless set
+        manifest["rules"].update(slowness_w=0.0, recurrence_reprieve_w=0.0)
+
+    assert container.read(repack_manifest(blob, parent_format)) == rec
+
+    def slowness_set(manifest):
+        manifest["rules"].update(slowness_w=1.0, recurrence_reprieve_w=0.0)
+
+    back = container.read(repack_manifest(blob, slowness_set))
+    assert back.rules == rec.rules
+    assert [e["note"] for e in back.provenance if e["op"] == "read"] == ["ignored unknown manifest keys rules.slowness_w"]
+    rows = np.random.default_rng(9).normal(size=(40, 2))
+    back.ingest_block(rows)
+    back.validate()
+    rec.ingest_block(rows)
+    assert back.levels == rec.levels  # the rest of the policy goes on as it was
+
+
 def small_blob() -> bytes:
     rec = SummaryRecord(budget=8)
     rec.ingest_block(np.random.default_rng(11).normal(size=40))
@@ -199,6 +221,15 @@ def test_a_sample_that_disagrees_with_its_record_does_not_load(edit, message):
     container.read(container.write(rec))
     edit(rec)
     with pytest.raises(InvariantViolation, match=message):
+        container.read(container.write(rec))
+
+
+def test_a_hull_with_no_vertex_does_not_load():
+    rec = SummaryRecord(channels=2, budget=2, opts=stats.StatisticSet(hull=True))
+    rec.ingest_block([[0, 0], [1, 1], [0, 1], [5, 5], [6, 6]])
+    assert not rec.membership([0.0, 1.0]).absent_certain
+    next(rec.samples_in_time_order()).hull = np.empty((0, 2))  # would rule out every value
+    with pytest.raises(InvariantViolation, match=r"\[0,4\) of n = 4 has a hull with no vertex"):
         container.read(container.write(rec))
 
 
@@ -472,6 +503,7 @@ def test_format_4_store_of_the_parent_build_loads_equal_to_the_same_stream_now(n
     assert struct.unpack_from("<I", blob, 4) == (4,)
     back = container.read(blob)
     assert back == FORMAT4.STORES[name]()
+    assert ("read", None, None) not in back.event_counts  # their zero retired weights leave no note
     bumped = [s.t_start for s in back.samples_in_time_order() if back.access_log.count(s.t_start) > 0]
     assert bool(bumped) == (name == "accessed.gfs")
     rewritten = container.write(back)

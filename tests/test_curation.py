@@ -21,7 +21,7 @@ def level(blocks):
 
 def first_pick(samples, log, **weights) -> int:
     access = [log.count(s.t_start) for s in samples]
-    return score_merge_candidates(samples, CurationRules(**weights), access)[0].index
+    return score_merge_candidates(samples, CurationRules(**weights), access)[0]
 
 
 rng = np.random.default_rng(0)
@@ -47,19 +47,6 @@ def test_prior_access_reprieves_used_samples():
     log.record([0, 0, 0])
     assert first_pick(samples, log) == 0
     assert first_pick(samples, log, prior_access_w=1.0) == 1
-
-
-def test_recurrence_reprieves_rows_inside_the_histogram():
-    # sample 0 lies inside the bins, sample 2 entirely in the outlier bin
-    samples, log = level([NOISE[0] * 0.1, NOISE[1] * 0.1, np.full(64, 9.0), *NOISE[3:]])
-    assert first_pick(samples, log) == 0
-    assert first_pick(samples, log, recurrence_reprieve_w=1.0) == 1
-
-
-def test_slowness_merges_erratic_pairs_first():
-    samples, log = level([SMOOTH, SMOOTH, ERRATIC, *NOISE[3:]])
-    assert first_pick(samples, log) == 0
-    assert first_pick(samples, log, slowness_w=1.0) == 1
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the variance of [2, inf]

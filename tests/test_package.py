@@ -1,9 +1,11 @@
-import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import gfstore
 
@@ -23,17 +25,37 @@ def test_import_is_light_and_exports_resolve():
     assert proc.returncode == 0, proc.stderr
 
 
+def _tracing():
+    """``perfbench/tracing.py``, imported from its file without touching it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_traced_name_resolves():
     # perfbench/tracing.py patches these by name; a renamed or deleted one breaks --trace 1
-    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text())
-    (traced,) = [
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets)
-    ]
-    assert traced
-    for module, path in traced:
+    tracing = _tracing()
+    assert tracing.TRACED
+    for module, path in tracing.TRACED:
         obj = importlib.import_module(f"gfstore.{module}")
         for name in path.split("."):
             assert hasattr(obj, name), f"{module}.{path} is traced but does not exist"
             obj = getattr(obj, name)
+        assert callable(obj), f"{module}.{path} is traced but is not callable"
+    spans = {tracing.span_name(module, path) for module, path in tracing.TRACED}
+    assert set(tracing.HOOKS) <= spans
+
+
+def test_traced_tuned_ingest_counts_its_scored_pairs():
+    tracing = _tracing()
+    rec = gfstore.SummaryRecord(budget=8, rules=gfstore.CurationRules(budget_slots=8, nonstationarity_w=1.0))
+    with tracing.Tracer() as tracer:
+        tracing.install(tracer)
+        rec.ingest_block(np.arange(40.0))
+    metrics = tracing.layer_metrics(tracer)
+    # one scoring per merge, each ranking at least one pair
+    assert metrics["curation.score_merge_candidates.calls"] == rec.merge_count > 0
+    assert metrics["curation.pairs_scored"] >= rec.merge_count

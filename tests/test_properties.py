@@ -11,7 +11,7 @@ from gfstore.record import SummaryRecord
 #: Relative tolerance of merged moments against ``summarize`` of the raw rows.
 MOMENT_RTOL = 2.0**-30
 
-WEIGHTS = ("nonstationarity_w", "slowness_w", "recurrence_reprieve_w", "prior_access_w")
+WEIGHTS = ("nonstationarity_w", "prior_access_w")
 
 
 @st.composite

@@ -62,7 +62,7 @@ def test_budget_beside_rules_must_agree():
     assert SummaryRecord(rules=CurationRules(budget_slots=8)).budget == 8
     assert SummaryRecord(budget=8, rules=CurationRules(budget_slots=8)).budget == 8
     with pytest.raises(ValueError, match="budget 8"):
-        SummaryRecord(budget=8, rules=CurationRules(slowness_w=1.0))
+        SummaryRecord(budget=8, rules=CurationRules(nonstationarity_w=1.0))
 
 
 def test_laziness_within_budget():

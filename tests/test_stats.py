@@ -3,7 +3,7 @@ import pytest
 
 from gfstore import stats
 from gfstore.errors import ChannelMismatch, DictionaryMismatch
-from gfstore.stats import StatisticSet, merge, merge_hull, summarize
+from gfstore.stats import OUTLIER_BIN, StatisticSet, merge, merge_hull, summarize
 
 RTOL = 1e-9
 
@@ -151,6 +151,34 @@ def test_histogram_counts_sum_to_n():
     s = summarize([0.5, 1.5, 5.0, -3.0], opts=opts)  # two in range, two outliers
     assert sum(s.histogram.values()) == s.n
     assert s.histogram[stats.OUTLIER_BIN] == 2
+
+
+# The per-sample histogram (bin index -> count, with OUTLIER_BIN for rows
+# outside the edges) is the store's one dictionary of values: bin counts add
+# key by key, and a merge over different bin edges raises DictionaryMismatch.
+EDGES = StatisticSet(histogram_edges=(0.0, 1.0, 2.0, 3.0))
+
+
+def test_histogram_merge_identity_and_doubling():
+    block = [0.2, 0.5, 0.8, 1.5]
+    h = summarize(block, t_start=0, opts=EDGES)
+    assert h.histogram == {0: 3, 1: 1}
+    m = merge(h, stats.empty(1, t=4))
+    assert m.histogram == {0: 3, 1: 1} and OUTLIER_BIN not in m.histogram
+    m2 = merge(h, summarize(block, t_start=4, opts=EDGES))
+    assert m2.histogram == {0: 6, 1: 2}
+    assert (m2.t_start, m2.t_end) == (0, 8)
+    assert np.array_equal(m2.hist_edges, h.hist_edges)
+
+
+def test_histogram_merge_requires_same_dictionary():
+    h1 = summarize([0.5], t_start=0, opts=EDGES)
+    h2 = summarize([0.5], t_start=1, opts=StatisticSet(histogram_edges=(0.0, 2.0, 4.0)))
+    with pytest.raises(DictionaryMismatch):
+        merge(h1, h2)
+    # same edges, disjoint bins: the merged histogram holds both keys
+    m = merge(h1, summarize([1.5], t_start=1, opts=EDGES))
+    assert m.histogram == {0: 1, 1: 1}
 
 
 def test_intersection_semantics_notes_drop():
