@@ -86,7 +86,7 @@ def test_retired_merge_weights_drop_silently_at_zero_and_with_a_note_otherwise()
     rec = rich_record()
     blob = container.write(rec)
 
-    def parent_format(manifest):  # the parent build wrote both keys, at 0.0 unless set
+    def parent_format(manifest):  # older builds wrote both keys, at 0.0 unless set
         manifest["rules"].update(slowness_w=0.0, recurrence_reprieve_w=0.0)
 
     assert container.read(repack_manifest(blob, parent_format)) == rec

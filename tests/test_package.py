@@ -51,7 +51,7 @@ def test_every_traced_name_resolves():
 
 def test_traced_tuned_ingest_counts_its_scored_pairs():
     tracing = _tracing()
-    rec = gfstore.SummaryRecord(budget=8, rules=gfstore.CurationRules(budget_slots=8, nonstationarity_w=1.0))
+    rec = gfstore.SummaryRecord(rules=gfstore.CurationRules(budget_slots=8, nonstationarity_w=1.0))
     with tracing.Tracer() as tracer:
         tracing.install(tracer)
         rec.ingest_block(np.arange(40.0))
