@@ -451,11 +451,18 @@ class SummaryRecord:
         return out
 
     def aggregate(self) -> stats.SummarySample:
-        """Merge of everything stored; equals summarize() of the whole stream."""
+        """Merge of everything stored, in one grouped reduction (:func:`stats.merge_runs`).
+
+        Its moments equal summarize() of the whole stream to rounding;
+        counts, span, extrema, histogram and hull are exact.  A store that
+        keeps scale-wise variance folds :func:`stats.merge` pairwise instead.
+        """
         samples = list(self.samples_in_time_order())
         if not samples:
             return stats.empty(self.channels)
-        return stats.merge_all(samples)
+        if self.opts.swv:
+            return stats.merge_all(samples)
+        return stats.merge_runs(samples, np.empty((0, self.channels)), self.now, [len(samples)], self.opts)[0]
 
     def membership(self, q):
         """Test a value against every stored sample (an empty record holds none); see :mod:`gfstore.index`."""

@@ -7,6 +7,11 @@ access counters of the samples it touched.  ``compare`` opens only stores
 inside the served store's directory: its path, read like the store path
 given to ``serve`` (relative to the working directory), is resolved with
 ``realpath`` and refused, unopened, if it lands outside that directory.
+A service keeps the aggregates of the last ``OTHER_AGGREGATES`` other
+stores it read, keyed by the resolved path and the device, inode,
+modification time and size of the opened file, so repeated compares
+against an unchanged store read it once.  ``container.save`` replaces a
+store with a new file, so a saved store is read again.
 """
 
 from __future__ import annotations
@@ -17,8 +22,12 @@ import os
 import socketserver
 import threading
 
-from . import container, curation
+from . import compare as cmp
+from . import container, curation, stats
 from .record import SummaryRecord
+
+#: How many other stores' aggregates a service keeps; the oldest read goes first.
+OTHER_AGGREGATES = 16
 
 
 def _jsonable(x):
@@ -47,12 +56,18 @@ class QueryService:
 
     ``store_dir`` is the directory of the served store, the only place
     ``compare`` reads other stores from; without it ``compare`` reads none.
+    ``other_aggregates`` maps ``(realpath, st_dev, st_ino, st_mtime_ns,
+    st_size)`` of another store's opened file to its aggregate.  It holds
+    at most ``OTHER_AGGREGATES`` entries, in the order they were read, and
+    only stores that loaded.  The served record's own aggregate is
+    computed afresh on every request.
     """
 
     def __init__(self, rec: SummaryRecord, store_dir: str | None = None):
         self.rec = rec
         self.lock = threading.Lock()
         self.store_dir = None if store_dir is None else os.path.realpath(store_dir)
+        self.other_aggregates: dict[tuple, stats.SummarySample] = {}
 
     def handle_line(self, line: bytes | str) -> dict:
         try:
@@ -101,15 +116,13 @@ class QueryService:
             }
 
     def _compare(self, other_path: str) -> dict:
-        from . import compare as cmp
-
         root = self.store_dir
         path = os.path.realpath(other_path)
         if root is None or os.path.commonpath([root, path]) != root:
             raise PermissionError("compare reads only stores in the served store's directory")
-        other = container.load(path)
+        other = self._other_aggregate(path)
         with self.lock:
-            verdict = cmp.subset_verdict(self.rec.aggregate(), other.aggregate())
+            verdict = cmp.subset_verdict(self.rec.aggregate(), other)
         return {
             "ok": True,
             "result": {
@@ -119,6 +132,25 @@ class QueryService:
                 "note": verdict.note,
             },
         }
+
+    def _other_aggregate(self, path: str) -> stats.SummarySample:
+        """The aggregate of the store at ``path``, read only when its file is not in the cache.
+
+        The key is taken from the open descriptor, so it belongs to the bytes read.
+        """
+        with open(path, "rb") as fh:
+            st = os.fstat(fh.fileno())
+            key = (path, st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
+            with self.lock:
+                agg = self.other_aggregates.get(key)
+            if agg is None:
+                agg = container.read(fh.read()).aggregate()
+                with self.lock:
+                    cache = self.other_aggregates
+                    cache[key] = agg
+                    while len(cache) > OTHER_AGGREGATES:
+                        del cache[next(iter(cache))]
+        return agg
 
 
 class _Handler(socketserver.StreamRequestHandler):

@@ -401,7 +401,9 @@ def merge_runs(samples, rows: np.ndarray, t_rows: int, sizes, opts: StatisticSet
     the point samples of ``rows`` (rows x channels) under ``opts``, row j
     covering step ``t_rows + j``.  ``sizes[r]`` is the number of consecutive
     sources that run r merges, and the runs take every source in turn.  The
-    sources of one run must be adjacent in time; runs need not be.
+    sources of one run must be adjacent in time; runs need not be.  Empty
+    ``rows`` with the one run ``[len(samples)]`` gives the aggregate of
+    ``samples``.
 
     Each run gets the k-way form of :func:`merge`'s formulas: with
     N = sum n_i and M = sum n_i m_i / N over the run's sources,

@@ -10,7 +10,7 @@ from gfstore.curation import CurationRules, compact, record_access
 from gfstore.errors import BudgetTooSmall, ChannelMismatch, FutureRange, InvariantViolation
 from gfstore.record import PROVENANCE_RING, SummaryRecord, allocate_budget, level_quotas, next_step, recorder_span
 
-#: Planned block ingest sums each new sample's moments in one k-way pass, a
+#: Planned block ingest and ``aggregate()`` sum moments in one k-way pass, a
 #: chain of merges pairwise; both stay within this share of the data's scale.
 BLOCK_RTOL = 1e-12
 
@@ -337,16 +337,21 @@ def assert_same_record(planned, per_row, scale, rtol=BLOCK_RTOL):
     assert planned.access_log.to_dict() == per_row.access_log.to_dict()
     assert [len(level) for level in planned.levels] == [len(level) for level in per_row.levels]
     for a, b in zip(planned.samples_in_time_order(), per_row.samples_in_time_order()):
-        assert (a.t_start, a.t_end, a.n) == (b.t_start, b.t_end, b.n)
-        for name in ("min_v", "max_v", "hull", "hist_edges", "swv"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert (x is None) == (y is None) and (x is None or np.array_equal(x, y, equal_nan=True)), name
-        assert a.histogram == b.histogram
-        for name in ("mean", "variance", "covariance"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert (x is None) == (y is None), name
-            if x is not None:
-                assert np.allclose(x, y, rtol=rtol, atol=rtol * scale, equal_nan=True), name
+        assert_same_sample(a, b, scale, rtol)
+
+
+def assert_same_sample(a, b, scale, rtol=BLOCK_RTOL):
+    """``a`` equals ``b`` exactly, but for moments within ``rtol`` relative or ``rtol * scale`` (NaN equals NaN)."""
+    assert (a.t_start, a.t_end, a.n) == (b.t_start, b.t_end, b.n)
+    for name in ("min_v", "max_v", "hull", "hist_edges", "swv"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None) and (x is None or np.array_equal(x, y, equal_nan=True)), name
+    assert a.histogram == b.histogram
+    for name in ("mean", "variance", "covariance"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert np.allclose(x, y, rtol=rtol, atol=rtol * scale, equal_nan=True), name
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in both paths
@@ -420,6 +425,44 @@ def test_every_stored_sample_is_the_summary_of_the_rows_it_covers():
                     assert np.allclose(getattr(s, name), getattr(want, name), rtol=0.0, atol=BLOCK_RTOL * scale**2)
                 if opts.swv:
                     assert np.allclose(s.swv.sum(axis=0), want.variance, rtol=0.0, atol=BLOCK_RTOL * scale**2)
+
+
+def test_aggregate_is_the_fold_of_merge_over_the_stored_samples():
+    rich = dict(covariance=True, hull=True)
+    # (channels, statistics, histogram, budget, scalars to drop after ingest)
+    configs = (
+        (1, {}, False, 64, 0),
+        (1, {}, True, 64, 0),
+        (2, rich, True, 64, 0),
+        (2, rich, True, 16, 40),
+        (2, rich, True, 1, 0),
+        (1, {"swv": True}, True, 16, 0),
+    )
+    for d, kw, binned, budget, drop in configs:
+        for scale in (1e-3, 1.0, 1e3):
+            rng = np.random.default_rng(budget * 10 + d)
+            rows = scale * (2.0 * rng.normal(size=(1_000, d)) + 1.0)
+            edges = tuple(np.linspace(-3, 3, 7) * scale) if binned else None
+            rec = SummaryRecord(channels=d, budget=budget, opts=stats.StatisticSet(histogram_edges=edges, **kw))
+            for start in range(0, 1_000, 100):
+                rec.ingest_block(rows[start : start + 100])
+            if drop:  # the oldest samples lose statistics that the newest keep
+                rec.rules.max_scalars = rec.scalar_footprint() - drop
+                compact(rec)
+            rec.validate()
+            samples = list(rec.samples_in_time_order())
+            want = stats.merge_all(samples)
+            agg = rec.aggregate()
+            assert_same_sample(agg, want, float(np.abs(rows).max()))
+            if rec.opts.swv:  # scale-wise variance is folded pairwise, as merge_all does
+                assert agg == want
+            if budget == 1:
+                assert len(samples) == 1
+            if drop:
+                names = ("variance", "min_v", "max_v", "covariance", "hull", "histogram")
+                lost = [name for name in names if getattr(agg, name) is None]
+                assert lost and all(any(getattr(s, name) is not None for s in samples) for name in lost)
+    assert SummaryRecord(channels=2).aggregate() == stats.empty(2)
 
 
 def without_histogram(rec) -> list[tuple[int, int]]:

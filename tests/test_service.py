@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -91,7 +93,8 @@ def test_compare_outside_the_store_directory_is_refused_unopened(served, monkeyp
     svc, _, _, tmp_path = served
     os.symlink(tmp_path / "secret.gfs", tmp_path / "stores" / "link.gfs")
     opened = []
-    monkeypatch.setattr(container, "load", lambda path: opened.append(path))
+    for owner, name in ((container, "load"), (container, "read"), (os, "stat"), (os, "fstat"), (service, "open")):
+        monkeypatch.setattr(owner, name, lambda *args, name=name: opened.append((name, args)), raising=False)
     for path in (str(tmp_path / "secret.gfs"), "../secret.gfs", "link.gfs", "/etc/hostname"):
         reply = ask(svc, {"op": "compare", "store": path})
         assert reply["ok"] is False
@@ -100,6 +103,92 @@ def test_compare_outside_the_store_directory_is_refused_unopened(served, monkeyp
     monkeypatch.chdir(tmp_path)
     assert ask(svc, {"op": "compare", "store": "secret.gfs"})["ok"] is False
     assert opened == []
+    assert svc.other_aggregates == {}
+
+
+def verdict_of(rec, other) -> dict:
+    want = compare.subset_verdict(rec.aggregate(), other.aggregate())
+    return {"verdict": want.verdict, "d_ab": jsonable(want.d_ab), "d_ba": jsonable(want.d_ba), "note": want.note}
+
+
+def count_reads(monkeypatch) -> list:
+    reads = []
+    read = container.read
+    monkeypatch.setattr(container, "read", lambda blob: reads.append(len(blob)) or read(blob))
+    return reads
+
+
+def test_compare_reads_a_store_once_until_it_is_saved_again(served, monkeypatch):
+    svc, rec, other, tmp_path = served
+    path = tmp_path / "stores" / "other.gfs"
+    reads = count_reads(monkeypatch)
+    first = ask(svc, {"op": "compare", "store": "other.gfs"})
+    assert first["ok"] and first["result"] == verdict_of(rec, other)
+    assert ask(svc, {"op": "compare", "store": str(path)}) == first
+    assert len(reads) == 1 and len(svc.other_aggregates) == 1
+    other.ingest_block(np.random.default_rng(3).normal(-5.0, 0.5, size=300))
+    container.save(other, path)
+    again = ask(svc, {"op": "compare", "store": "other.gfs"})
+    assert again["ok"] and again["result"] == verdict_of(rec, other) != first["result"]
+    assert len(reads) == 2
+
+
+def test_compare_keeps_at_most_its_bound_of_other_aggregates(served):
+    svc, rec, other, tmp_path = served
+    names = [f"other{k}.gfs" for k in range(service.OTHER_AGGREGATES + 2)]
+    for k, name in enumerate(names):
+        other.ingest_block(np.full(1, float(k)))  # each store holds other data
+        container.save(other, tmp_path / "stores" / name)
+        reply = ask(svc, {"op": "compare", "store": name})
+        assert reply["ok"] and reply["result"] == verdict_of(rec, other)
+        assert len(svc.other_aggregates) == min(k + 1, service.OTHER_AGGREGATES)
+    held = {key[0] for key in svc.other_aggregates}
+    assert held == {os.path.realpath(tmp_path / "stores" / name) for name in names[2:]}  # the oldest two went first
+
+
+def test_concurrent_compares_share_the_bounded_cache(served):
+    svc, rec, other, tmp_path = served
+    want = {}
+    for k in range(service.OTHER_AGGREGATES + 4):
+        other.ingest_block(np.full(1, float(k)))
+        container.save(other, tmp_path / "stores" / f"other{k}.gfs")
+        want[f"other{k}.gfs"] = verdict_of(rec, other)
+    replies = []
+
+    def client(offset):
+        for i in range(40):
+            name = f"other{(offset + i) % len(want)}.gfs"
+            replies.append((name, ask(svc, {"op": "compare", "store": name})))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=client, args=(7 * t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(replies) == 4 * 40
+    assert all(reply["ok"] and reply["result"] == want[name] for name, reply in replies)
+    assert len(svc.other_aggregates) <= service.OTHER_AGGREGATES
+
+
+def test_a_missing_or_corrupt_store_is_not_cached(served):
+    svc, rec, other, tmp_path = served
+    path = tmp_path / "stores" / "fixed.gfs"
+    for blob in (None, b"", SECRET, container.write(other)[:-1]):
+        if blob is not None:
+            path.write_bytes(blob)
+        reply = ask(svc, {"op": "compare", "store": "fixed.gfs"})
+        assert reply["ok"] is False and reply["error"]
+        assert svc.other_aggregates == {}
+    container.save(other, path)
+    reply = ask(svc, {"op": "compare", "store": "fixed.gfs"})
+    assert reply["ok"] and reply["result"] == verdict_of(rec, other)
+    assert len(svc.other_aggregates) == 1
 
 
 def test_compare_without_a_store_directory_is_refused(served):
