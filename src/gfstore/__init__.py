@@ -15,10 +15,10 @@ from .compare import (
     subset_verdict,
     symmetric_merge_score,
 )
-from .curation import AccessLog, CurationRules, compact, rank_statistics_for_drop, record_access, score_merge_candidates
+from .curation import CurationRules, compact, rank_statistics_for_drop, record_access, score_merge_candidates
 from .errors import StoreError
 from .index import build, membership, range_count_bounds
-from .record import SummaryRecord, allocate_budget, recorder_span
+from .record import SummaryRecord, allocate_budget
 from .stats import (
     OUTLIER_BIN,
     StatisticSet,
@@ -32,7 +32,6 @@ from .stats import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccessLog",
     "CurationRules",
     "DistributionModel",
     "OUTLIER_BIN",
@@ -58,7 +57,6 @@ __all__ = [
     "rank_statistics_for_drop",
     "record",
     "record_access",
-    "recorder_span",
     "score_merge_candidates",
     "spectrum",
     "stats",

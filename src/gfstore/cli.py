@@ -15,9 +15,11 @@ the flag is absent, and the statistics of --stats; an existing store keeps
 its own budget unless --budget is given, and is then rebalanced to the new
 budget at once, before any new rows.  An existing store's statistics never
 change: --stats on it must name the same set, or nothing is saved.
-inspect --json prints the whole accounting as one JSON object, including
-the provenance event totals and the last events kept.  Exit codes:
-0 success, 1 usage error, 2 data error.
+inspect lists the event totals, among them the per-level access tallies
+of the requests gfs serve answered, which it saves on exit; inspect --json
+prints the whole accounting as one JSON object, including the event totals
+and the last events kept.  Exit codes: 0 success, 1 usage error, 2 data
+error.
 """
 
 from __future__ import annotations

@@ -3,38 +3,41 @@
 Layout (format version 5): magic "GFS1", u32 format version, u64 manifest
 length, the manifest, u64 data length, then the data section.  The
 manifest is JSON (stream metadata, statistics, curation rules, provenance,
-access log, length and CRC-32 of the data section) plus a u32 CRC-32
-trailer over magic, version, manifest length and JSON; the length counts
-the trailer.  The data section holds per-level arrays of samples: a
-32-byte header (t_start, t_end, n, channels, block count) followed by the
-statistics as length-prefixed blocks.  The access log's counts are keyed
-by sample start, and a key that no sample carries raises
-:class:`CorruptContainer`.  Histogram bin edges are held once, in the
+length and CRC-32 of the data section) plus a u32 CRC-32 trailer over
+magic, version, manifest length and JSON; the length counts the trailer.
+The data section holds per-level arrays of samples: a 32-byte header
+(t_start, t_end, n, channels, block count) followed by the statistics as
+length-prefixed blocks.  Histogram bin edges are held once, in the
 manifest's statistics, and every sample with a histogram gets that one
 array on read.  Versions 1 to 4 still load.  They put a sample id after n
-(a 40-byte header) and key the access log by it, which is re-keyed by
-start on read.  Their manifest's ``counters`` must agree with the ``now``
-and ``merge_count`` that the record derives, or
-:class:`InvariantViolation` is raised.  Versions 1 to 3 also wrote the
+(a 40-byte header), which is read past.  Their manifest's ``counters``
+must agree with the ``now`` and ``merge_count`` that the record derives,
+or :class:`InvariantViolation` is raised.  Versions 1 to 3 also wrote the
 manifest's edges into each histogram sample as a type-8 block, which is
 read past without a note.  Version 1 has no manifest trailer, and versions
 1 and 2 store a float64 per-sample weight after the id (a 48-byte header).
 A sample weight other than 1.0 raises :class:`VersionUnsupported`, because
 this build keeps no weights.
 Provenance is bounded: the manifest holds the event totals as sorted
-``[op, level, reason, count]`` rows under ``event_counts`` and the last
+``[op, level, reason, count]`` rows under ``event_counts``, the per-level
+``access`` tallies of served requests among them, and the last
 ``PROVENANCE_RING`` events under ``provenance``; a file without
 ``event_counts`` (an older build's unbounded event list) is folded into
-totals on read.  Length prefixes make unknown blocks skippable, and
-unknown statistics or rules keys in the manifest are dropped with a
-provenance note, so containers written by richer or older builds stay
-readable; the skipped blocks of each type (such as the retired types
-10-12, or 8 in version 4) get one note with their count and bytes.  The
-retired merge weights ``slowness_w`` and ``recurrence_reprieve_w``, which
+totals on read.  A row whose op is not a string, whose level is not null
+or a count, whose reason is not null or a string, or whose count is not a
+non-negative integer, and a second row of one key, raise
+:class:`CorruptContainer`.  Older builds also
+wrote a per-sample ``access_log``, which is ignored without a note.
+Length prefixes make unknown blocks skippable, and unknown statistics or
+rules keys in the manifest are dropped with a provenance note, so
+containers written by richer or older builds stay readable; the skipped
+blocks of each type (such as the retired types 10-12, or 8 in version 4)
+get one note with their count and bytes.  The retired merge weights
+``slowness_w``, ``recurrence_reprieve_w`` and ``prior_access_w``, which
 older builds wrote into every manifest, are dropped without a note when
-they hold 0.0, since the policy is then unchanged.  All
-numbers are little-endian; reals are IEEE-754 64-bit, counts 64-bit
-unsigned, so round trips are bit-exact.  Any malformed input raises a
+they hold 0.0, since the policy is then unchanged.  All numbers are
+little-endian; reals are IEEE-754 64-bit, counts 64-bit unsigned, so
+round trips are bit-exact.  Any malformed input raises a
 :class:`StoreError`.
 """
 
@@ -74,7 +77,7 @@ _BLOCK_SWV = 9
 _BLOCK_OLD_EDGES = 8  # versions 1-3 wrote the manifest's edges here
 
 # rules keys of retired merge weights; at 0.0 they left the policy as it is now
-_RETIRED_RULES = ("slowness_w", "recurrence_reprieve_w")
+_RETIRED_RULES = ("slowness_w", "recurrence_reprieve_w", "prior_access_w")
 
 
 def _floats(arr) -> bytes:
@@ -82,6 +85,11 @@ def _floats(arr) -> bytes:
 
 def _read_floats(buf: bytes, count: int) -> np.ndarray:
     return np.frombuffer(buf, dtype="<f8", count=count).copy()
+
+
+def _is_count(x) -> bool:
+    """An integer >= 0, as JSON holds one (a bool is not one)."""
+    return type(x) is int and x >= 0
 
 
 def _write_block(out: io.BytesIO, btype: int, payload: bytes) -> None:
@@ -119,19 +127,13 @@ def _encode_sample(s: stats.SummarySample) -> bytes:
 
 
 def _decode_sample(
-    buf: memoryview, offset: int, skipped: dict, version: int, edges: np.ndarray | None, starts: dict
+    buf: memoryview, offset: int, skipped: dict, version: int, edges: np.ndarray | None
 ) -> tuple[stats.SummarySample, int]:
-    """Decode one sample, its histogram on ``edges``.
-
-    Unknown blocks are tallied as ``skipped[type] = (count, bytes)``, and
-    the sample's start is entered in ``starts`` under its access-log key:
-    the start itself, or the sample id in versions 1 to 4.
-    """
+    """Decode one sample, its histogram on ``edges``; unknown blocks are tallied as ``skipped[type] = (count, bytes)``."""
     head = _HEAD if version > 4 else _HEAD_V4 if version > 2 else _HEAD_V2
     t0, t1, n, *old, d, n_blocks = head.unpack_from(buf, offset)
     offset += head.size
-    starts[old[0] if old else t0] = t0  # versions 1-4: the sample id, then in 1 and 2 a weight
-    if len(old) > 1 and old[1] != 1.0:
+    if len(old) > 1 and old[1] != 1.0:  # versions 1-4: the sample id, then in 1 and 2 a weight
         raise VersionUnsupported(
             f"sample [{t0},{t1}) has weight {old[1]!r}; only weight 1.0 loads into format {FORMAT_VERSION}"
         )
@@ -201,7 +203,6 @@ def _manifest(rec: SummaryRecord, data: bytes) -> dict:
         "rules": dataclasses.asdict(rec.rules),
         "provenance": list(rec.provenance),
         "event_counts": rec.event_rows(),
-        "access_log": rec.access_log.to_dict(),
     }
 
 
@@ -280,9 +281,20 @@ def _read(blob: bytes) -> SummaryRecord:
     )
     events = manifest["provenance"]
     if "event_counts" in manifest:
-        rec.event_counts = {(op, level, reason): n for op, level, reason, n in manifest["event_counts"]}
+        rows = manifest["event_counts"]
+        rec.event_counts = {(op, level, reason): n for op, level, reason, n in rows}
+        if len(rec.event_counts) != len(rows):
+            raise CorruptContainer("two event rows share an (op, level, reason) key")
     else:
         rec.event_counts = _fold_events(events)
+    for (op, level, reason), n in rec.event_counts.items():
+        if not (
+            isinstance(op, str)
+            and (level is None or _is_count(level))
+            and (reason is None or isinstance(reason, str))
+            and _is_count(n)
+        ):
+            raise CorruptContainer(f"malformed event row {[op, level, reason, n]}")
     rec.provenance = deque(events, maxlen=PROVENANCE_RING)
     if ignored:
         note = f"ignored unknown manifest keys {', '.join(ignored)}"
@@ -293,7 +305,6 @@ def _read(blob: bytes) -> SummaryRecord:
     (n_levels,) = struct.unpack_from("<Q", view, offset)
     offset += 8
     skipped: dict[int, tuple[int, int]] = {}
-    starts: dict[int, int] = {}  # access-log key -> t_start
     edges = opts.edges_array()
     levels: list[list[stats.SummarySample]] = []
     for _ in range(n_levels):
@@ -301,16 +312,13 @@ def _read(blob: bytes) -> SummaryRecord:
         offset += 8
         level = []
         for _ in range(count):
-            s, offset = _decode_sample(view, offset, skipped, version, edges, starts)
+            s, offset = _decode_sample(view, offset, skipped, version, edges)
             level.append(s)
         levels.append(level)
     rec.levels = levels if levels else [[]]
     for btype, (blocks, nbytes) in sorted(skipped.items()):
         note = f"skipped {blocks} statistic block(s) of unknown or retired type {btype} ({nbytes} bytes)"
         rec.note(("read", None, None), {"op": "read", "note": note})
-    log = manifest["access_log"]  # a key that no stored sample carries is a KeyError
-    log = {**log, "counts": {starts[int(k)]: v for k, v in log.get("counts", {}).items()}}
-    rec.access_log = curation.AccessLog.from_dict(log)
     rec.validate()
     if version < 5:
         old = manifest["counters"]
@@ -347,9 +355,12 @@ def inspect_summary(rec: SummaryRecord) -> dict:
     of their own (:func:`stats.scalar_cost`): histogram bin edges, held once
     in the statistics, are not counted per sample.
 
-    ``provenance_events`` is the total number of events ever counted;
-    ``event_counts`` holds the ``[op, level, reason, count]`` rows and
-    ``provenance`` the last ``PROVENANCE_RING`` events.
+    ``provenance_events`` is the total number of events ever noted (create,
+    read, and curation's merges, promotions and drops); it leaves out the
+    ``access`` tallies of served requests, which no provenance event
+    records.  ``event_counts`` holds the ``[op, level, reason, count]``
+    rows, the ``access`` tallies among them, and ``provenance`` the last
+    ``PROVENANCE_RING`` events.
     """
     levels = []
     for row in rec.span_report():
@@ -384,7 +395,7 @@ def inspect_summary(rec: SummaryRecord) -> dict:
         "levels": levels,
         "statistics": rec.opts.names(),
         "rules": dataclasses.asdict(rec.rules),
-        "provenance_events": sum(rec.event_counts.values()),
+        "provenance_events": sum(n for (op, _, _), n in rec.event_counts.items() if op != "access"),
         "event_counts": rec.event_rows(),
         "provenance": list(rec.provenance),
     }

@@ -1,23 +1,23 @@
 """Curation: merge scoring, statistic drop ranking, compaction.
 
-The rules and the access log travel with the record (``record.rules``,
-``record.access_log``) and are saved with it, so any future process
-resumes the same policy; no call takes a policy of its own.  Two merge
-weights remain, ``nonstationarity_w`` and ``prior_access_w``, and both
-default to zero: with nothing tuned, behaviour reduces exactly to the
-pure recency scheme (oldest pair merges first).  Weights are static
-configuration; learning them from feedback is out of scope here.
+The rules travel with the record (``record.rules``) and are saved with it,
+so any future process resumes the same policy; no call takes a policy of
+its own.  One merge weight remains, ``nonstationarity_w``, and it defaults
+to zero: with nothing tuned, behaviour reduces exactly to the pure recency
+scheme (oldest pair merges first).  The weight is static configuration.
+Usage steers nothing: :func:`record_access` only tallies, per level, the
+stored samples that served requests touched.
 """
 
 from __future__ import annotations
 
-import math
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import compare, stats
-from .errors import CannotSatisfyBudget, TooFewSamples, UnknownId
+from .errors import CannotSatisfyBudget, TooFewSamples
 
 #: The statistics a forced drop may remove, in canonical id order, with the
 #: sample fields that hold each.  Count and mean are never droppable.
@@ -33,99 +33,46 @@ DROPPABLE = {
 
 @dataclass
 class CurationRules:
-    """Policy stored with the data: slot budget, heuristic weights, scalar bound.
+    """Policy stored with the data: slot budget, merge weight, scalar bound.
 
     Recency is implicit and always on (it is the tie-break of the merge
     ranking).  ``max_scalars``, when set, bounds the total number of stored
-    scalars; forced statistic drops only happen under that bound.  The
-    access counters' half-life belongs to :class:`AccessLog`.
+    scalars; forced statistic drops only happen under that bound.
     """
 
     budget_slots: int = 64
     nonstationarity_w: float = 0.0
-    prior_access_w: float = 0.0
     max_scalars: int | None = None
 
     def tuned(self) -> bool:
-        return self.nonstationarity_w > 0 or self.prior_access_w > 0
+        return self.nonstationarity_w > 0
 
 
-class AccessLog:
-    """Per-sample usage counters with exponential decay, keyed by sample start.
+def record_access(record, samples, op: str) -> None:
+    """Count each of ``samples``, stored samples of ``record``, under ``("access", level, op)``.
 
-    Time is measured in compaction cycles; counters halve every
-    ``half_life`` cycles.  The record's curation loop sets the counters of
-    the samples it makes in one :meth:`settle`: a merged sample pools its
-    parts' counters under its start, and a new row's counter starts at 0.
+    The counts go into ``record.event_counts`` only, never into the
+    provenance ring, so they add at most one key per level and op.  The
+    levels tile ``[0, now)`` from the coarsest level down, so a sample's
+    level is the non-empty level with the last first start at or before
+    the sample's own start.
     """
-
-    def __init__(self, half_life: float = 16.0):
-        self.half_life = float(half_life)
-        self.tick = 0
-        self._counts: dict[int, tuple[float, int]] = {}
-
-    def count(self, start: int) -> float:
-        entry = self._counts.get(start)
-        if entry is None:
-            return 0.0
-        value, last = entry
-        if value == 0.0:
-            return 0.0
-        return value * 0.5 ** ((self.tick - last) / self.half_life)
-
-    def record(self, starts) -> None:
-        for start in starts:
-            if start not in self._counts:
-                raise UnknownId(f"no sample starting at {start} has a counter")
-            self._counts[start] = (self.count(start) + 1.0, self.tick)
-
-    def settle(self, retired, created) -> None:
-        """Drop the counters of the ``retired`` starts, then set each ``(start, count)`` of ``created`` at this tick."""
-        for start in retired:
-            self._counts.pop(start, None)
-        for start, value in created:
-            self._counts[start] = (value, self.tick)
-
-    def advance(self, cycles: int = 1) -> None:
-        self.tick += cycles
-
-    def to_dict(self) -> dict:
-        return {
-            "half_life": self.half_life,
-            "tick": self.tick,
-            "counts": {str(k): [v, t] for k, (v, t) in sorted(self._counts.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AccessLog":
-        """Raise ValueError on a half-life, count or tick that :meth:`settle` and :meth:`record` never make."""
-        log = cls(half_life=d.get("half_life", 16.0))
-        log.tick = int(d.get("tick", 0))
-        log._counts = {int(k): (float(v[0]), int(v[1])) for k, v in d.get("counts", {}).items()}
-        if not 0.0 < log.half_life < math.inf:
-            raise ValueError(f"access half-life {log.half_life} is not finite and positive")
-        for start, (value, last) in log._counts.items():
-            if not (0.0 <= value < math.inf and 0 <= last <= log.tick):
-                raise ValueError(f"access count {value} at tick {last} for start {start} (log tick {log.tick})")
-        return log
+    occupied = [k for k in range(len(record.levels) - 1, -1, -1) if record.levels[k]]
+    firsts = [record.levels[k][0].t_start for k in occupied]
+    counts = record.event_counts
+    for s in samples:
+        key = ("access", occupied[bisect.bisect_right(firsts, s.t_start) - 1], op)
+        counts[key] = counts.get(key, 0) + 1
 
 
-def record_access(log: AccessLog, starts) -> AccessLog:
-    """Bump the usage counters of the samples that start at ``starts``."""
-    log.record(starts)
-    return log
-
-
-def score_merge_candidates(samples, rules: CurationRules, access=None) -> list[int]:
+def score_merge_candidates(samples, rules: CurationRules) -> list[int]:
     """Rank adjacent pairs in the oldest quartile; lowest score merges first.
 
-    score = nonstationarity_w * symmetric KL        (similar pairs go first)
-          + prior_access_w    * pooled access count (used data get reprieve)
+    score = nonstationarity_w * symmetric KL (similar pairs go first)
 
-    Returns the index ``i`` of each pair ``(i, i + 1)``, best first.
-    ``access`` holds each sample's access count, aligned with ``samples``;
-    without it the access term is zero.  Ties break toward the oldest
-    pair, which is the whole policy when all weights are zero.
+    Returns the index ``i`` of each pair ``(i, i + 1)``, best first.  Ties
+    break toward the oldest pair, which is the whole policy when the weight
+    is zero.
     """
     m = len(samples)
     if m < 2:
@@ -136,8 +83,6 @@ def score_merge_candidates(samples, rules: CurationRules, access=None) -> list[i
         score = 0.0
         if rules.nonstationarity_w > 0:
             score += rules.nonstationarity_w * compare.symmetric_merge_score(samples[i], samples[i + 1])
-        if rules.prior_access_w > 0 and access is not None:
-            score += rules.prior_access_w * (access[i] + access[i + 1])
         scores.append((score, i))
     scores.sort()
     return [i for _, i in scores]
@@ -221,7 +166,6 @@ def compact(record):
     if not (over_slots or over_scalars):
         return record  # lazy: nothing to do, nothing is touched
 
-    record.access_log.advance()
     if over_slots:
         record.rebalance(reason="compact")
 

@@ -41,10 +41,6 @@ class CannotSatisfyBudget(StoreError):
     """No sequence of merges/drops can fit the record into the budget."""
 
 
-class UnknownId(StoreError):
-    """No stored sample starts at the referenced step, so it has no access counter."""
-
-
 class BadMagic(StoreError):
     """Byte stream does not start with the container magic."""
 

@@ -80,18 +80,6 @@ def next_step(lengths, quotas) -> tuple[int, bool]:
     return [k for k, n in enumerate(lengths) if n][-2], True
 
 
-def recorder_span(levels: int, base: int = 1) -> int:
-    """Total time span covered when every level stores ``base`` worth of time.
-
-    Level k covers ``base * 2**k``, so the span is ``base * (2**levels - 1)``,
-    exactly (integer arithmetic).  A recorder whose budget holds 24 h at full
-    resolution covers more than a year with 9 levels of the same storage.
-    """
-    if levels < 1:
-        raise ValueError("need at least one level")
-    return base * ((1 << levels) - 1)
-
-
 def _crossed(samples) -> bool:
     """In one pass: is a variance or covariance diagonal negative, or a minimum above its maximum (NaN passes)?"""
     spread = [s.variance for s in samples if s.variance is not None]
@@ -122,15 +110,16 @@ class QueryPart:
 class SummaryRecord:
     """Bounded-memory summary of an unbounded stream.
 
-    Everything the record keeps is bounded: at most ``budget`` samples, one
-    access counter per stored sample, the last ``PROVENANCE_RING`` events in
-    ``provenance``, and exact event totals in ``event_counts``, keyed by
-    ``(op, level, reason)``, which grow only with the number of levels.
+    Everything the record keeps is bounded: at most ``budget`` samples, the
+    last ``PROVENANCE_RING`` events in ``provenance``, and exact event
+    totals in ``event_counts``, keyed by ``(op, level, reason)``, which grow
+    only with the number of levels.  The totals include the served
+    requests' per-level ``access`` tallies (:func:`curation.record_access`).
     Each fact is held once: a stored sample is known by its ``t_start``
-    (the samples tile ``[0, now)``), which keys its access counter; the
-    slot count, :attr:`now` and :attr:`merge_count` derive from the level
-    lists and event totals; the histogram bin edges live in ``opts``, whose
-    one array every histogram sample shares.
+    (the samples tile ``[0, now)``); the slot count, :attr:`now` and
+    :attr:`merge_count` derive from the level lists and event totals; the
+    histogram bin edges live in ``opts``, whose one array every histogram
+    sample shares.
 
     ``budget`` sets the slot budget when ``rules`` is not given; given
     beside ``rules``, it must equal ``rules.budget_slots``.
@@ -162,7 +151,6 @@ class SummaryRecord:
         if len(self.labels) != channels:
             raise ChannelMismatch("one label per channel")
         self.levels: list[list[stats.SummarySample]] = [[]]
-        self.access_log = curation.AccessLog()
         self.event_counts: dict[tuple[str, int | None, str | None], int] = {}
         self.provenance: deque[dict] = deque(maxlen=PROVENANCE_RING)
         self.note(
@@ -249,9 +237,9 @@ class SummaryRecord:
         the row-by-row one only in rounding: means, variances and
         covariances agree within 1e-12 relative to the data's magnitude (a
         run of n samples sums in another order than a chain of n - 1
-        merges), and everything else is identical.  Tuned rules score
-        values and SWV follows the merge tree, so under either the block
-        builds each sample as it is made, exactly as ``ingest`` does.
+        merges), and everything else is identical.  The tuned merge weight
+        scores values and SWV follows the merge tree, so under either the
+        block builds each sample as it is made, exactly as ``ingest`` does.
         """
         arr = np.asarray(block, dtype=np.float64)
         if arr.ndim == 1:
@@ -268,8 +256,8 @@ class SummaryRecord:
     def rebalance(self, reason: str = "ingest") -> None:
         """Merge oldest/lowest-scored pairs until the slot budget holds: :meth:`_curate` with no rows.
 
-        The policy is the record's own ``rules`` and ``access_log``;
-        ``next_step`` picks the level, the scores the pair within it.
+        The policy is the record's own ``rules``; ``next_step`` picks the
+        level, the scores the pair within it.
         """
         self._curate(np.empty((0, self.channels)), reason, planned=False)
 
@@ -279,30 +267,27 @@ class SummaryRecord:
         The loop runs on copies of the level lists.  ``next_step`` picks
         each step; the pair is the oldest of its level, or the best-scored
         one under tuned rules, and the oldest pair moves up once its count
-        exceeds 2^k.  Merged access counts pool under the older start.
+        exceeds 2^k.
 
         Unplanned, each new sample is built as it is made (``point_sample``
-        and ``stats.merge``), and ``pooled`` holds the access count of each
-        under its start.  Planned, each new stored sample is an entry
-        ``[t_start, t_end, n, access]``; the entries left in the copies,
-        read coarsest level first, are the new samples in time order, and
+        and ``stats.merge``).  Planned, each new stored sample is an entry
+        ``[t_start, t_end, n]``; the entries left in the copies, read
+        coarsest level first, are the new samples in time order, and
         ``stats.merge_runs`` builds each from the stored samples and rows
-        it absorbed.  Either way the copies are swapped in only then, with
-        the access counters and the event tallies and ring, so the record
-        changes all at once or not at all.
+        it absorbed, appended to its entry.  Either way the copies are
+        swapped in only then, with the event tallies and ring, so the
+        record changes all at once or not at all.
         """
         rules = self.rules
         budget = rules.budget_slots
         tuned = rules.tuned()
-        count = self.access_log.count
         t_rows = t = self.now
         t_end = t_rows + rows.shape[0]
         levels = [level[:] for level in self.levels]
         lengths = [len(level) for level in levels]
         quotas = level_quotas(budget, len(levels))
         slots = sum(lengths)
-        absorbed: list[stats.SummarySample] = []  # stored samples merged away
-        pooled: dict[int, float] = {}  # unplanned: access count of each new sample, by start
+        absorbed: list[stats.SummarySample] = []  # planned: stored samples merged away
         # (level, pair index, out level or None for a promotion, t_start,
         # t_end) of the newest events; older ones survive only in the tallies
         events = deque(maxlen=PROVENANCE_RING)
@@ -323,36 +308,23 @@ class SummaryRecord:
                     t0, t1 = (e[0], e[1]) if e.__class__ is list else (e.t_start, e.t_end)
                     events.append((k, 0, None, t0, t1))
                     continue
-                i = 0
-                if tuned:
-                    access = None
-                    if rules.prior_access_w > 0:
-                        access = [pooled[s.t_start] if s.t_start in pooled else count(s.t_start) for s in level]
-                    i = curation.score_merge_candidates(level, rules, access)[0]
+                i = curation.score_merge_candidates(level, rules)[0] if tuned else 0
                 a, b = level[i], level[i + 1]
                 if planned:
                     if a.__class__ is list:
-                        t0, n, access = a[0], a[2], 0.0 + a[3]
+                        t0, n = a[0], a[2]
                     else:
-                        t0, n, access = a.t_start, a.n, 0.0 + count(a.t_start)
+                        t0, n = a.t_start, a.n
                         absorbed.append(a)
                     if b.__class__ is list:
-                        t1, n, access = b[1], n + b[2], access + b[3]
+                        t1, n = b[1], n + b[2]
                     else:
-                        t1, n, access = b.t_end, n + b.n, access + count(b.t_start)
+                        t1, n = b.t_end, n + b.n
                         absorbed.append(b)
-                    merged = [t0, t1, n, access]
+                    merged = [t0, t1, n]
                 else:
-                    access = 0.0
-                    for s in (a, b):
-                        if s.t_start in pooled:
-                            access += pooled.pop(s.t_start)
-                        else:
-                            access += count(s.t_start)
-                            absorbed.append(s)
                     merged = stats.merge(a, b)
                     t0, t1, n = merged.t_start, merged.t_end, merged.n
-                    pooled[t0] = access
                 slots -= 1
                 if i == 0 and n > 1 << k:  # the oldest pair outgrew level k
                     del level[0:2]
@@ -375,10 +347,9 @@ class SummaryRecord:
             if t == t_end:
                 break
             if planned:
-                fine.append([t, t + 1, 1, 0.0])
+                fine.append([t, t + 1, 1])
             else:
                 fine.append(stats.point_sample(rows[t - t_rows], t, self.opts))
-                pooled[t] = 0.0
             lengths[0] += 1
             slots += 1
             t += 1
@@ -396,12 +367,10 @@ class SummaryRecord:
                 i = j
             for e, s in zip(fresh, stats.merge_runs(absorbed, rows, t_rows, sizes, self.opts)):
                 e.append(s)
-            levels = [[e[4] if e.__class__ is list else e for e in level] for level in levels]
-            pooled = {e[0]: e[3] for e in fresh}
+            levels = [[e[3] if e.__class__ is list else e for e in level] for level in levels]
 
         # Commit.
         self.levels[:] = levels
-        self.access_log.settle([s.t_start for s in absorbed], pooled.items())
         counts = self.event_counts
         for op, why, tally in (("rescale", reason, merges), ("promote", None, promotions)):
             for k, n in enumerate(tally):
@@ -515,5 +484,4 @@ class SummaryRecord:
             and self.event_counts == other.event_counts
             and len(self.levels) == len(other.levels)
             and all(a == b for a, b in zip(self.levels, other.levels))
-            and self.access_log.to_dict() == other.access_log.to_dict()
         )

@@ -2,16 +2,19 @@
 
 One JSON object per line in, one per line out: {"ok": true, "result": ...}
 or {"ok": false, "error": "..."}.  Serving queries through the store is
-what lets the curation side observe usage: every answered query bumps the
-access counters of the samples it touched.  ``compare`` opens only stores
-inside the served store's directory: its path, read like the store path
-given to ``serve`` (relative to the working directory), is resolved with
-``realpath`` and refused, unopened, if it lands outside that directory.
-A service keeps the aggregates of the last ``OTHER_AGGREGATES`` other
-stores it read, keyed by the resolved path and the device, inode,
-modification time and size of the opened file, so repeated compares
-against an unchanged store read it once.  ``container.save`` replaces a
-store with a new file, so a saved store is read again.
+what lets the store observe its usage: every answered ``interval`` or
+``member`` request counts the stored samples it returned under
+``("access", level, op)`` in the record's event totals
+(:func:`curation.record_access`), and ``serve`` saves those tallies on
+exit.  ``compare`` opens only stores inside the served store's directory:
+its path, read like the store path given to ``serve`` (relative to the
+working directory), is resolved with ``realpath`` and refused, unopened,
+if it lands outside that directory.  A service keeps the aggregates of the
+last ``OTHER_AGGREGATES`` other stores it read, keyed by the resolved path
+and the device, inode, modification time and size of the opened file, so
+repeated compares against an unchanged store read it once.
+``container.save`` replaces a store with a new file, so a saved store is
+read again.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ class QueryService:
     def _interval(self, t0: int, t1: int) -> dict:
         with self.lock:
             parts = self.rec.query_interval(t0, t1)
-            curation.record_access(self.rec.access_log, [p.sample.t_start for p in parts])
+            curation.record_access(self.rec, [p.sample for p in parts], "interval")
             return {
                 "ok": True,
                 "result": [_sample_dict(p.sample, p.coarse) for p in parts],
@@ -101,7 +104,7 @@ class QueryService:
     def _member(self, value) -> dict:
         with self.lock:
             res = self.rec.membership(value)
-            curation.record_access(self.rec.access_log, [s.t_start for s, _ in res.candidates])
+            curation.record_access(self.rec, [s for s, _ in res.candidates], "member")
             return {
                 "ok": True,
                 "result": {
@@ -178,7 +181,7 @@ def make_server(rec: SummaryRecord, socket_path: str, store_dir: str | None = No
 
 
 def serve(store_path: str, socket_path: str) -> None:
-    """Load a store and answer queries until interrupted; saves on exit."""
+    """Load a store and answer queries until interrupted; saves it, with its access tallies, on exit."""
     rec = container.load(store_path)
     server = make_server(rec, socket_path, os.path.dirname(os.path.realpath(store_path)))
     try:
@@ -187,6 +190,6 @@ def serve(store_path: str, socket_path: str) -> None:
         pass
     finally:
         server.server_close()
-        container.save(rec, store_path)  # persist collected access counters
+        container.save(rec, store_path)  # persist the access tallies
         if os.path.exists(socket_path):
             os.unlink(socket_path)

@@ -292,7 +292,11 @@ def test_serve_answers_on_its_socket_and_saves_the_access_counters_on_sigint(gfs
     touched = Counter([p["t_start"] for p in interval] + candidates)
     assert touched[rec.levels[0][-1].t_start] == 2  # the newest sample answered both queries
     saved = container.load(store)
-    assert {s.t_start: saved.access_log.count(s.t_start) for s in saved.samples_in_time_order()} == {
-        s.t_start: float(touched[s.t_start]) for s in rec.samples_in_time_order()
-    }
+    level_of = {s.t_start: k for k, level in enumerate(rec.levels) for s in level}
+    returned = {"interval": [p["t_start"] for p in interval], "member": candidates}
+    want = Counter(("access", level_of[start], op) for op, starts in returned.items() for start in starts)
+    assert {key: n for key, n in saved.event_counts.items() if key[0] == "access"} == dict(want)
+    assert saved.levels == rec.levels and list(saved.provenance) == list(rec.provenance)
     assert not sock.exists()
+    shown = gfs(["inspect", str(store)])[1]
+    assert all(f"  access level {k} ({op}): {n}\n" in shown for (_, k, op), n in want.items())

@@ -2,26 +2,23 @@ import numpy as np
 import pytest
 
 from gfstore import container, stats
-from gfstore.curation import AccessLog, CurationRules, compact, rank_statistics_for_drop, score_merge_candidates
+from gfstore.curation import CurationRules, compact, rank_statistics_for_drop, score_merge_candidates
 from gfstore.record import SummaryRecord
 
 OPTS = stats.StatisticSet(histogram_edges=tuple(np.linspace(-2.0, 2.0, 9)), swv=True)
 
 
 def level(blocks):
-    """Consecutive samples of the given raw blocks, each with a zero counter in a fresh log."""
+    """Consecutive samples of the given raw blocks."""
     samples, t = [], 0
     for raw in blocks:
         samples.append(stats.summarize(raw, t_start=t, opts=OPTS))
         t += len(raw)
-    log = AccessLog()
-    log.settle([], [(s.t_start, 0.0) for s in samples])
-    return samples, log
+    return samples
 
 
-def first_pick(samples, log, **weights) -> int:
-    access = [log.count(s.t_start) for s in samples]
-    return score_merge_candidates(samples, CurationRules(**weights), access)[0]
+def first_pick(samples, **weights) -> int:
+    return score_merge_candidates(samples, CurationRules(**weights))[0]
 
 
 rng = np.random.default_rng(0)
@@ -31,22 +28,15 @@ ERRATIC = np.tile([-0.5, 0.5], 32)  # fast: all variance at the finest scale
 
 
 def test_untuned_picks_the_oldest_pair():
-    samples, log = level([np.full(64, 5.0), *NOISE[1:]])
-    assert first_pick(samples, log) == 0
+    samples = level([np.full(64, 5.0), *NOISE[1:]])
+    assert first_pick(samples) == 0
 
 
 def test_nonstationarity_merges_similar_pairs_first():
     # pair 0 straddles a shift of the mean; pair 1 is two draws of one regime
-    samples, log = level([np.full(64, 5.0) + NOISE[0], *NOISE[1:]])
-    assert first_pick(samples, log) == 0
-    assert first_pick(samples, log, nonstationarity_w=1.0) == 1
-
-
-def test_prior_access_reprieves_used_samples():
-    samples, log = level(NOISE)
-    log.record([0, 0, 0])
-    assert first_pick(samples, log) == 0
-    assert first_pick(samples, log, prior_access_w=1.0) == 1
+    samples = level([np.full(64, 5.0) + NOISE[0], *NOISE[1:]])
+    assert first_pick(samples) == 0
+    assert first_pick(samples, nonstationarity_w=1.0) == 1
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the variance of [2, inf]
@@ -61,8 +51,8 @@ def test_drop_ranking_counts_a_nan_score_as_the_cap():
 
 
 def test_drop_ranking_scores_scale_wise_variance_by_where_the_variance_sits():
-    alike, _ = level(NOISE[:3])
-    unlike, _ = level([SMOOTH, ERRATIC, SMOOTH])
+    alike = level(NOISE[:3])
+    unlike = level([SMOOTH, ERRATIC, SMOOTH])
     scores = [dict(rank_statistics_for_drop(samples)) for samples in (alike, unlike)]
     assert all(set(s) == {"extrema", "histogram", "swv", "variance"} for s in scores)
     assert 0.0 < scores[0]["swv"] < scores[1]["swv"] < 1e9
@@ -76,24 +66,25 @@ def filled(budget=16, rows=100) -> SummaryRecord:
 
 def test_compact_is_lazy_within_budget():
     rec = filled()
-    before = container.write(rec)
+    before, events = container.write(rec), dict(rec.event_counts)
     assert compact(rec) is rec
-    assert rec.access_log.tick == 0
-    assert container.write(rec) == before  # no event, no tick, no change
+    assert container.write(rec) == before  # no event, no change
     rec.rules.max_scalars = rec.scalar_footprint()  # at the bound is within it
     compact(rec)
-    assert rec.access_log.tick == 0
-    assert not any(op == "drop_statistic" for op, _, _ in rec.event_counts)
+    assert rec.event_counts == events
+    rec.rules.max_scalars = None
+    assert container.write(rec) == before
 
 
 def test_compact_uses_the_rules_and_log_of_the_record():
     rec = filled()
+    events = dict(rec.event_counts)
     rec.rules.budget_slots = 8
     compact(rec)
     rec.validate()
     assert rec.slots() <= 8
-    assert rec.access_log.tick == 1
-    assert sum(n for (op, _, why), n in rec.event_counts.items() if (op, why) == ("rescale", "compact")) > 0
+    changed = {key for key, n in rec.event_counts.items() if n != events.get(key)}
+    assert changed and all((op, why) == ("rescale", "compact") for op, _, why in changed)
 
 
 def test_max_scalars_drops_from_the_oldest_level_first():
@@ -102,7 +93,6 @@ def test_max_scalars_drops_from_the_oldest_level_first():
     rec.rules.max_scalars = rec.scalar_footprint() - 1  # one drop at the top level suffices
     compact(rec)
     assert rec.scalar_footprint() <= rec.rules.max_scalars
-    assert rec.access_log.tick == 1
     drops = {key: n for key, n in rec.event_counts.items() if key[0] == "drop_statistic"}
     assert len(drops) == 1
     ((_, lvl, name), n), = drops.items()

@@ -11,7 +11,7 @@ from gfstore.record import SummaryRecord
 #: Relative tolerance of merged moments against ``summarize`` of the raw rows.
 MOMENT_RTOL = 2.0**-30
 
-WEIGHTS = ("nonstationarity_w", "prior_access_w")
+WEIGHTS = ("nonstationarity_w",)
 
 
 @st.composite
@@ -25,7 +25,7 @@ def streams(draw):
         histogram_edges=tuple(np.linspace(-3.0, 3.0, 7)) if draw(st.booleans()) else None,
         swv=draw(st.booleans()),
     )
-    tuned = draw(st.lists(st.sampled_from(WEIGHTS), unique=True, max_size=2))
+    tuned = draw(st.lists(st.sampled_from(WEIGHTS), unique=True, max_size=len(WEIGHTS)))
     rules = CurationRules(budget_slots=budget, **{w: 1.0 for w in tuned})
     n = draw(st.integers(0, 300))
     loc = draw(st.integers(-5, 5))

@@ -8,7 +8,7 @@ import pytest
 from gfstore import container, stats
 from gfstore.curation import CurationRules, compact, record_access
 from gfstore.errors import BudgetTooSmall, ChannelMismatch, FutureRange, InvariantViolation
-from gfstore.record import PROVENANCE_RING, SummaryRecord, allocate_budget, level_quotas, next_step, recorder_span
+from gfstore.record import PROVENANCE_RING, SummaryRecord, allocate_budget, level_quotas, next_step
 
 #: Planned block ingest and ``aggregate()`` sum moments in one k-way pass, a
 #: chain of merges pairwise; both stay within this share of the data's scale.
@@ -36,16 +36,6 @@ def test_allocate_remainder_to_finest():
 def test_allocate_too_small():
     with pytest.raises(BudgetTooSmall):
         allocate_budget(2, 3)
-
-
-def test_recorder_span_arithmetic():
-    # one level of storage covers 24 h; 9 levels cover more than a year,
-    # 45 levels more than 1e10 years, all in exact integer hours
-    hours_per_year = 365 * 24
-    assert recorder_span(9, 24) == (2**9 - 1) * 24
-    assert recorder_span(9, 24) >= hours_per_year
-    assert recorder_span(45, 24) > 10**10 * hours_per_year
-    assert recorder_span(1, 24) == 24
 
 
 def test_single_ingest_no_merge():
@@ -334,7 +324,6 @@ def assert_same_record(planned, per_row, scale, rtol=BLOCK_RTOL):
     )
     assert planned.event_counts == per_row.event_counts
     assert list(planned.provenance) == list(per_row.provenance)
-    assert planned.access_log.to_dict() == per_row.access_log.to_dict()
     assert [len(level) for level in planned.levels] == [len(level) for level in per_row.levels]
     for a, b in zip(planned.samples_in_time_order(), per_row.samples_in_time_order()):
         assert_same_sample(a, b, scale, rtol)
@@ -363,7 +352,6 @@ def test_planned_block_ingest_matches_per_row():
     configs = (
         (1, stats.StatisticSet(), {}, BLOCK_RTOL),
         (2, stats.StatisticSet(**rich), {}, BLOCK_RTOL),
-        (1, stats.StatisticSet(), {"prior_access_w": 1.0}, 0.0),  # scores read counts pooled in the block
         (1, stats.StatisticSet(swv=True), {}, 0.0),
     )
     for d, opts, weights, rtol in configs:
@@ -387,10 +375,8 @@ def test_planned_block_ingest_matches_per_row():
                             rec.rules.max_scalars = rec.scalar_footprint() - 1
                             compact(rec)
                             rec.rules.max_scalars = None
-                    starts = [s.t_start for s in planned.samples_in_time_order()][::2]
-                    for rec in (planned, per_row):
-                        record_access(rec.access_log, starts)
-                        rec.access_log.advance()
+                    for rec in (planned, per_row):  # tallied usage changes no curation
+                        record_access(rec, list(rec.samples_in_time_order())[::2], "interval")
                     assert_same_record(planned, per_row, scale, rtol)
                 planned.validate()
                 assert any(op == "drop_statistic" for op, _, _ in planned.event_counts)

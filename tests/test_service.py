@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -44,15 +45,64 @@ def test_inspect(served):
     assert reply["result"]["slots"] == rec.slots() == 16
 
 
+def level_of(rec, t_start) -> int:
+    """The level of ``rec`` that holds the stored sample starting at ``t_start``."""
+    return next(k for k, level in enumerate(rec.levels) if any(s.t_start == t_start for s in level))
+
+
+def access_tallies(rec) -> dict:
+    return {key: n for key, n in rec.event_counts.items() if key[0] == "access"}
+
+
+def returned_starts(req, result) -> list[int]:
+    """The starts of the stored samples a reply to ``req`` returned."""
+    if req["op"] == "interval":
+        return [part["t_start"] for part in result]
+    return [c["sample"]["t_start"] for c in result["candidates"]]
+
+
 def test_interval_bumps_access_counters(served):
     svc, rec, _, _ = served
-    reply = ask(svc, {"op": "interval", "t0": 150, "t1": 200})
-    assert reply["ok"]
-    starts = [part["t_start"] for part in reply["result"]]
-    assert starts and starts == [p.sample.t_start for p in rec.query_interval(150, 200)]
-    before = [rec.access_log.count(start) for start in starts]
-    ask(svc, {"op": "interval", "t0": 150, "t1": 200})
-    assert [rec.access_log.count(start) for start in starts] == [c + 1.0 for c in before]
+    events, noted = list(rec.provenance), container.inspect_summary(rec)["provenance_events"]
+    requests = [
+        {"op": "interval", "t0": 0, "t1": 200},
+        {"op": "interval", "t0": 150, "t1": 200},
+        {"op": "member", "value": [0.0]},
+        {"op": "member", "value": [float(rec.levels[0][-1].mean[0])]},
+        {"op": "member", "value": [1e6]},
+    ]
+    want = Counter()
+    for req in requests:
+        reply = ask(svc, req)
+        assert reply["ok"]
+        for start in returned_starts(req, reply["result"]):
+            want["access", level_of(rec, start), req["op"]] += 1
+    assert {k for _, k, _ in want} == {k for k, level in enumerate(rec.levels) if level}  # every level answered
+    assert access_tallies(rec) == dict(want)
+    assert list(rec.provenance) == events  # no request enters the ring
+    assert container.inspect_summary(rec)["provenance_events"] == noted
+
+
+def test_access_tallies_stay_bounded_and_round_trip(served):
+    svc, rec, _, _ = served
+    events = list(rec.provenance)
+    rng = np.random.default_rng(5)
+    returned = 0
+    for i in range(10_000):
+        if i % 2:
+            t0 = int(rng.integers(0, rec.now))
+            req = {"op": "interval", "t0": t0, "t1": int(rng.integers(t0 + 1, rec.now + 1))}
+        else:
+            req = {"op": "member", "value": [float(rng.normal(0.0, 2.0))]}
+        reply = ask(svc, req)
+        assert reply["ok"]
+        returned += len(returned_starts(req, reply["result"]))
+    tallies = access_tallies(rec)
+    assert sum(tallies.values()) == returned
+    assert len(tallies) <= 2 * len(rec.levels)
+    assert list(rec.provenance) == events
+    back = container.read(container.write(rec))
+    assert back == rec and access_tallies(back) == tallies
 
 
 def test_member(served):
