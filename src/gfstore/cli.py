@@ -159,9 +159,9 @@ def cmd_query(args) -> int:
         q = [float(tok) for tok in args.member.split(",")]
         res = rec.membership(q)
         if res.absent_certain:
-            print(f"absent (certain), {res.nodes_visited} node(s) visited")
+            print(f"absent (certain), {res.nodes_visited} stored sample(s) tested")
         else:
-            print(f"{len(res.candidates)} candidate leaf/leaves, {res.nodes_visited} node(s) visited")
+            print(f"{len(res.candidates)} candidate sample(s), {res.nodes_visited} stored sample(s) tested")
             for s, like in res.candidates:
                 print(f"  [{s.t_start},{s.t_end}) n={s.n} likelihood={_fmt(like)}")
         return 0

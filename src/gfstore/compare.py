@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChannelMismatch, EmptySample
-from .stats import SummarySample, in_range_counts
+from .stats import OUTLIER_BIN, SummarySample
 
 #: Finite stand-in for infinite divergences when ranking merge candidates.
 KL_CAP = 1e9
@@ -96,8 +96,8 @@ def model_from_sample(s: SummarySample) -> DistributionModel:
     if s.n == 0:
         raise EmptySample("cannot model an empty sample")
     if s.histogram is not None and s.hist_edges is not None and s.channels == 1:
-        counts = in_range_counts(s)
-        if counts.sum() > 0:
+        counts = s.histogram[:OUTLIER_BIN]
+        if sum(counts) > 0:
             return piecewise_model(s.hist_edges, counts)
     if s.variance is not None:
         return gaussian_model(s.mean, s.variance)

@@ -7,10 +7,15 @@ length and CRC-32 of the data section) plus a u32 CRC-32 trailer over
 magic, version, manifest length and JSON; the length counts the trailer.
 The data section holds per-level arrays of samples: a 32-byte header
 (t_start, t_end, n, channels, block count) followed by the statistics as
-length-prefixed blocks.  Histogram bin edges are held once, in the
-manifest's statistics, and every sample with a histogram gets that one
-array on read.  Versions 1 to 4 still load.  They put a sample id after n
-(a 40-byte header), which is read past.  Their manifest's ``counters``
+length-prefixed blocks; each sample has the manifest's channel count and a
+mean block.  Histogram bin edges are held once, in the manifest's
+statistics, and every sample with a histogram gets that one array on read.
+The histogram block (type 7) is sparse: a u64 pair count, then an (i64
+key, u64 count) pair per non-zero entry of the sample's count tuple, the
+outliers under key ``OUTLIER_BIN`` (-1) first, then the bins in order; a
+key outside ``[OUTLIER_BIN, bins)`` or a repeated key does not load.
+Versions 1 to 4 still load.  They put a sample id after n (a 40-byte
+header), which is read past.  Their manifest's ``counters``
 must agree with the ``now`` and ``merge_count`` that the record derives,
 or :class:`InvariantViolation` is raised.  Versions 1 to 3 also wrote the
 manifest's edges into each histogram sample as a type-8 block, which is
@@ -26,8 +31,10 @@ Provenance is bounded: the manifest holds the event totals as sorted
 totals on read.  A row whose op is not a string, whose level is not null
 or a count, whose reason is not null or a string, or whose count is not a
 non-negative integer, and a second row of one key, raise
-:class:`CorruptContainer`.  Older builds also
-wrote a per-sample ``access_log``, which is ignored without a note.
+:class:`CorruptContainer`, as do rules other than a ``budget_slots`` count
+of at least 1, a finite real ``nonstationarity_w`` >= 0 and a null or
+count ``max_scalars``.  Older builds also wrote a per-sample
+``access_log``, which is ignored without a note.
 Length prefixes make unknown blocks skippable, and unknown statistics or
 rules keys in the manifest are dropped with a provenance note, so
 containers written by richer or older builds stay readable; the skipped
@@ -44,7 +51,9 @@ round trips are bit-exact.  Any malformed input raises a
 from __future__ import annotations
 
 import dataclasses
+import functools
 import io
+import itertools
 import json
 import os
 import struct
@@ -63,6 +72,7 @@ FORMAT_VERSION = 5
 _HEAD = struct.Struct("<qqQII")
 _HEAD_V4 = struct.Struct("<qqQqII")  # versions 3 and 4: a sample id follows n
 _HEAD_V2 = struct.Struct("<qqQqdII")  # versions 1 and 2: a float64 weight follows the id
+_PAIR = struct.Struct("<qQ")  # a histogram key and its count
 
 _BLOCK_MEAN = 1
 _BLOCK_VARIANCE = 2
@@ -87,14 +97,17 @@ def _read_floats(buf: bytes, count: int) -> np.ndarray:
     return np.frombuffer(buf, dtype="<f8", count=count).copy()
 
 
+@functools.lru_cache(maxsize=16)
+def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the upper triangle of a d x d matrix, the covariance block's order; shared, so read-only."""
+    iu = np.triu_indices(d)
+    iu[0].flags.writeable = iu[1].flags.writeable = False
+    return iu
+
+
 def _is_count(x) -> bool:
     """An integer >= 0, as JSON holds one (a bool is not one)."""
     return type(x) is int and x >= 0
-
-
-def _write_block(out: io.BytesIO, btype: int, payload: bytes) -> None:
-    out.write(struct.pack("<IQ", btype, len(payload)))
-    out.write(payload)
 
 
 def _encode_sample(s: stats.SummarySample) -> bytes:
@@ -107,29 +120,26 @@ def _encode_sample(s: stats.SummarySample) -> bytes:
     if s.max_v is not None:
         blocks.append((_BLOCK_MAX, _floats(s.max_v)))
     if s.covariance is not None:
-        iu = np.triu_indices(d)
-        blocks.append((_BLOCK_COVARIANCE, _floats(s.covariance[iu])))
+        blocks.append((_BLOCK_COVARIANCE, _floats(s.covariance[_upper(d)])))
     if s.hull is not None:
         blocks.append((_BLOCK_HULL, struct.pack("<Q", s.hull.shape[0]) + _floats(s.hull)))
-    if s.histogram is not None:
-        payload = struct.pack("<Q", len(s.histogram))
-        for k in sorted(s.histogram):
-            payload += struct.pack("<qQ", k, s.histogram[k])
-        blocks.append((_BLOCK_HISTOGRAM, payload))
+    h = s.histogram
+    if h is not None:
+        keys = list(itertools.compress(range(len(h) - 1), h))
+        if h[stats.OUTLIER_BIN]:
+            keys.insert(0, stats.OUTLIER_BIN)
+        pairs = b"".join([_PAIR.pack(k, h[k]) for k in keys])
+        blocks.append((_BLOCK_HISTOGRAM, struct.pack("<Q", len(keys)) + pairs))
     if s.swv is not None:
         blocks.append((_BLOCK_SWV, struct.pack("<Q", s.swv.shape[0]) + _floats(s.swv)))
-
-    out = io.BytesIO()
-    out.write(_HEAD.pack(s.t_start, s.t_end, s.n, d, len(blocks)))
-    for btype, payload in blocks:
-        _write_block(out, btype, payload)
-    return out.getvalue()
+    framed = [struct.pack("<IQ", btype, len(payload)) + payload for btype, payload in blocks]
+    return _HEAD.pack(s.t_start, s.t_end, s.n, d, len(blocks)) + b"".join(framed)
 
 
 def _decode_sample(
-    buf: memoryview, offset: int, skipped: dict, version: int, edges: np.ndarray | None
+    buf: memoryview, offset: int, skipped: dict, version: int, channels: int, edges: np.ndarray | None
 ) -> tuple[stats.SummarySample, int]:
-    """Decode one sample, its histogram on ``edges``; unknown blocks are tallied as ``skipped[type] = (count, bytes)``."""
+    """One sample of a ``channels``-channel record; unknown blocks are tallied in ``skipped[type] = (count, bytes)``."""
     head = _HEAD if version > 4 else _HEAD_V4 if version > 2 else _HEAD_V2
     t0, t1, n, *old, d, n_blocks = head.unpack_from(buf, offset)
     offset += head.size
@@ -137,7 +147,10 @@ def _decode_sample(
         raise VersionUnsupported(
             f"sample [{t0},{t1}) has weight {old[1]!r}; only weight 1.0 loads into format {FORMAT_VERSION}"
         )
-    s = stats.SummarySample(t_start=t0, t_end=t1, n=n, mean=np.zeros(d), variance=None, min_v=None, max_v=None)
+    if d != channels:
+        raise InvariantViolation(f"sample [{t0},{t1}): n = {n} in {d} channels; record has {channels}")
+    width = 0 if edges is None else edges.shape[0]  # the bins and the outlier count
+    s = stats.SummarySample(t_start=t0, t_end=t1, n=n, mean=None, variance=None, min_v=None, max_v=None)
     for _ in range(n_blocks):
         btype, length = struct.unpack_from("<IQ", buf, offset)
         offset += struct.calcsize("<IQ")
@@ -154,7 +167,7 @@ def _decode_sample(
         elif btype == _BLOCK_COVARIANCE:
             tri = _read_floats(payload, d * (d + 1) // 2)
             cov = np.zeros((d, d))
-            iu = np.triu_indices(d)
+            iu = _upper(d)
             cov[iu] = tri
             cov[(iu[1], iu[0])] = tri
             s.covariance = cov
@@ -163,13 +176,15 @@ def _decode_sample(
             s.hull = _read_floats(payload[8:], 2 * m).reshape(m, 2)
         elif btype == _BLOCK_HISTOGRAM:
             (k,) = struct.unpack_from("<Q", payload)
-            hist = {}
-            pos = 8
-            for _ in range(k):
-                key, cnt = struct.unpack_from("<qQ", payload, pos)
-                pos += 16
-                hist[key] = cnt
-            s.histogram = hist
+            pairs = list(_PAIR.iter_unpack(payload[8 : 8 + 16 * k]))
+            if len(pairs) != k or len({key for key, _ in pairs}) != k:
+                raise CorruptContainer(f"sample [{t0},{t1}): histogram block of {k} pairs is short or repeats a key")
+            hist = [0] * width
+            for key, count in pairs:
+                if not stats.OUTLIER_BIN <= key < width - 1:
+                    raise InvariantViolation(f"sample [{t0},{t1}) of n = {n} has histogram key {key} on {width - 1} bins")
+                hist[key] = count
+            s.histogram = tuple(hist)
             s.hist_edges = edges
         elif btype == _BLOCK_SWV:
             (depth,) = struct.unpack_from("<Q", payload)
@@ -177,6 +192,8 @@ def _decode_sample(
         elif btype != _BLOCK_OLD_EDGES or version > 3:
             count, total = skipped.get(btype, (0, 0))
             skipped[btype] = (count + 1, total + length)
+    if s.mean is None:
+        raise CorruptContainer(f"sample [{t0},{t1}) has no mean block")
     return s, offset
 
 
@@ -191,15 +208,12 @@ def _encode_data(rec: SummaryRecord) -> bytes:
 
 
 def _manifest(rec: SummaryRecord, data: bytes) -> dict:
-    opts = dataclasses.asdict(rec.opts)
-    if opts["histogram_edges"] is not None:
-        opts["histogram_edges"] = list(opts["histogram_edges"])
     return {
         "data_len": len(data),
         "data_crc32": zlib.crc32(data) & 0xFFFFFFFF,
         "channels": rec.channels,
         "labels": list(rec.labels),
-        "statistics": opts,
+        "statistics": dataclasses.asdict(rec.opts),
         "rules": dataclasses.asdict(rec.rules),
         "provenance": list(rec.provenance),
         "event_counts": rec.event_rows(),
@@ -272,6 +286,10 @@ def _read(blob: bytes) -> SummaryRecord:
     opts = stats.StatisticSet(**opts_d)
     rules_d = {k: v for k, v in manifest["rules"].items() if not (k in _RETIRED_RULES and v == 0.0)}
     rules = curation.CurationRules(**_known_fields(curation.CurationRules, rules_d, "rules", ignored))
+    w, cap = rules.nonstationarity_w, rules.max_scalars
+    counts = _is_count(rules.budget_slots) and rules.budget_slots >= 1 and (cap is None or _is_count(cap))
+    if not (counts and type(w) in (int, float) and np.isfinite(w) and w >= 0):
+        raise CorruptContainer(f"malformed rules {dataclasses.asdict(rules)}")
 
     rec = SummaryRecord(
         channels=manifest["channels"],
@@ -312,7 +330,7 @@ def _read(blob: bytes) -> SummaryRecord:
         offset += 8
         level = []
         for _ in range(count):
-            s, offset = _decode_sample(view, offset, skipped, version, edges)
+            s, offset = _decode_sample(view, offset, skipped, version, rec.channels, edges)
             level.append(s)
         levels.append(level)
     rec.levels = levels if levels else [[]]

@@ -96,8 +96,8 @@ def _single_stat_model(s: stats.SummarySample, name: str) -> compare.Distributio
     if name == "extrema" and s.min_v is not None and s.max_v is not None:
         return compare.uniform_model(s.min_v, s.max_v)
     if name == "histogram" and s.histogram is not None and s.hist_edges is not None:
-        counts = stats.in_range_counts(s)
-        if counts.sum() <= 0:
+        counts = s.histogram[: stats.OUTLIER_BIN]
+        if sum(counts) <= 0:
             return None
         return compare.piecewise_model(s.hist_edges, counts)
     if name == "covariance" and s.covariance is not None:

@@ -443,12 +443,12 @@ class SummaryRecord:
     # -- invariants ----------------------------------------------------------
 
     def validate(self) -> None:
-        """Raise InvariantViolation unless the samples tile ``[0, now)``, hold a row a step, fit the record,
-        keep no hull without a vertex and have no negative variance and no minimum above its maximum."""
+        """Raise InvariantViolation unless the samples tile ``[0, now)``, hold a row a step, fit the record (histograms
+        too), keep no hull without a vertex and have no negative variance and no minimum above its maximum."""
         slots = self.slots()
         if slots > self.budget:
             raise InvariantViolation(f"{slots} slots exceed budget {self.budget}")
-        bins = len(self.opts.histogram_edges or ()) - 1  # no edges: no key is a bin
+        width = len(self.opts.histogram_edges or ())  # the bins and the outlier count; no edges: no histogram fits
         where = "sample [{0.t_start},{0.t_end})".format  # formatted for a message only
         cursor = 0
         samples = list(self.samples_in_time_order())
@@ -461,10 +461,8 @@ class SummaryRecord:
                 raise InvariantViolation(f"{where(s)} covers no step")
             if s.channels != self.channels or s.n != s.t_end - s.t_start:
                 raise InvariantViolation(f"{where(s)}: n = {s.n} in {s.channels} channels; record has {self.channels}")
-            if s.histogram is not None and (
-                sum(s.histogram.values()) != s.n or not all(stats.OUTLIER_BIN <= k < bins for k in s.histogram)
-            ):
-                raise InvariantViolation(f"{where(s)} of n = {s.n} has histogram {s.histogram} on {bins} bins")
+            if s.histogram is not None and (len(s.histogram) != width or sum(s.histogram) != s.n):
+                raise InvariantViolation(f"{where(s)} of n = {s.n} has histogram {s.histogram} on {width - 1} bins")
             if s.hull is not None and not s.hull.shape[0]:
                 raise InvariantViolation(f"{where(s)} of n = {s.n} has a hull with no vertex")
             cursor = s.t_end

@@ -15,6 +15,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import spectrum
 from .errors import ChannelMismatch, DictionaryMismatch
 
-#: Histogram bin id reserved for out-of-range counts.
+#: Index of the out-of-range count, the last entry of every histogram.
 OUTLIER_BIN = -1
 
 
@@ -72,6 +73,10 @@ class SummarySample:
     ``n`` is the raw cardinality and the weight of the sample in every
     count-weighted merge formula.
 
+    ``histogram`` is a tuple of ``len(hist_edges)`` counts: one per bin of
+    ``hist_edges``, then the count of rows outside the edges, so
+    ``histogram[:OUTLIER_BIN]`` are the in-range counts and
+    ``histogram[OUTLIER_BIN]`` the outliers.  The counts sum to ``n``.
     ``hist_edges`` is the :meth:`StatisticSet.edges_array` the histogram
     was built under, shared by reference and never copied.
 
@@ -93,7 +98,7 @@ class SummarySample:
     max_v: np.ndarray | None
     covariance: np.ndarray | None = None
     hull: np.ndarray | None = None
-    histogram: dict[int, int] | None = None
+    histogram: tuple[int, ...] | None = None
     hist_edges: np.ndarray | None = None
     swv: np.ndarray | None = None
 
@@ -110,7 +115,6 @@ class SummarySample:
             max_v=None if self.max_v is None else self.max_v.copy(),
             covariance=None if self.covariance is None else self.covariance.copy(),
             hull=None if self.hull is None else self.hull.copy(),
-            histogram=None if self.histogram is None else dict(self.histogram),
             swv=None if self.swv is None else self.swv.copy(),
         )
 
@@ -184,12 +188,8 @@ def summarize(raw, t_start: int = 0, opts: StatisticSet | None = None) -> Summar
         s.hull = convex_hull(x)
     edges = opts.edges_array()
     if edges is not None:
-        counts, _ = np.histogram(x[:, 0], bins=edges)
-        hist = {i: int(c) for i, c in enumerate(counts) if c}
-        out = n - int(counts.sum())
-        if out:
-            hist[OUTLIER_BIN] = out
-        s.histogram = hist
+        counts = np.histogram(x[:, 0], bins=edges)[0].tolist()
+        s.histogram = (*counts, n - sum(counts))
         s.hist_edges = edges
     if opts.swv:
         s.swv = spectrum.swv_ladder(x)
@@ -219,10 +219,9 @@ def point_sample(row, t: int, opts: StatisticSet | None = None) -> SummarySample
         i = int(np.searchsorted(edges, v[0], side="right")) - 1
         if i == len(edges) - 1 and v[0] == edges[-1]:
             i -= 1  # histogram's last bin is closed on the right
-        if 0 <= i < len(edges) - 1:
-            s.histogram = {i: 1}
-        else:
-            s.histogram = {OUTLIER_BIN: 1}
+        hist = [0] * len(edges)
+        hist[i if 0 <= i < len(edges) - 1 else OUTLIER_BIN] = 1
+        s.histogram = tuple(hist)
         s.hist_edges = edges
     if opts.swv:
         s.swv = np.zeros((0, d))
@@ -241,15 +240,6 @@ def hist_bins(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
     i[(i == last) & (x == edges[-1])] -= 1
     i[(i < 0) | (i >= last)] = OUTLIER_BIN
     return i
-
-
-def in_range_counts(s: SummarySample) -> np.ndarray:
-    """The histogram's counts per bin of ``hist_edges``; ``OUTLIER_BIN`` is left out."""
-    counts = np.zeros(s.hist_edges.shape[0] - 1)
-    for k, v in s.histogram.items():
-        if k != OUTLIER_BIN:
-            counts[k] = v
-    return counts
 
 
 def convex_hull(points) -> np.ndarray | None:
@@ -332,8 +322,8 @@ def merge(a: SummarySample, b: SummarySample) -> SummarySample:
     present on both sides; one missing on either side is None on the result.
     Means, variances, covariances and scale-wise variances are weighted by
     ``n``.  Histograms must share their bin edges, which the result holds
-    by reference.  Merging with the empty sample is an exact identity.
-    Provenance is the record's business, not the sample's.
+    by reference, and add bin by bin.  Merging with the empty sample is an
+    exact identity.  Provenance is the record's business, not the sample's.
     """
     if a.mean.shape[0] != b.mean.shape[0]:
         raise ChannelMismatch(f"channels {a.mean.shape[0]} != {b.mean.shape[0]}")
@@ -372,10 +362,7 @@ def merge(a: SummarySample, b: SummarySample) -> SummarySample:
         ea, eb = a.hist_edges, b.hist_edges
         if ea is not eb and (ea is None or eb is None or not np.array_equal(ea, eb)):
             raise DictionaryMismatch("histogram bin edges differ")
-        hist = dict(a.histogram)
-        for k, v in b.histogram.items():
-            hist[k] = hist.get(k, 0) + v
-        out.histogram = hist
+        out.histogram = tuple(map(operator.add, a.histogram, b.histogram))
         out.hist_edges = ea
     if a.swv is not None and b.swv is not None:
         out.swv = spectrum.pool_terms(a.swv, a.mean, na, b.swv, b.mean, nb, mean)
@@ -493,19 +480,15 @@ def merge_runs(samples, rows: np.ndarray, t_rows: int, sizes, opts: StatisticSet
     hists = [None] * n_runs
     edges = opts.edges_array()
     if edges is not None:
-        counts: list[dict[int, int]] = [{} for _ in range(n_runs)]
+        # one row of counts per run, not per source, so a long block costs O(rows + runs x bins)
+        counts = np.zeros((n_runs, edges.shape[0]), dtype=np.int64)
         for r, s in zip(sample_run, samples):
             if s.histogram is None:
                 lost["histogram"].add(r)
-                continue
-            for b, c in s.histogram.items():
-                counts[r][b] = counts[r].get(b, 0) + c
-        width = edges.shape[0]  # the bins plus the outlier bin, shifted to 0
-        keys, tally = np.unique(run[k:] * width + hist_bins(edges, rows[:, 0]) + 1, return_counts=True)
-        for key, c in zip(keys.tolist(), tally.tolist()):
-            r, b = divmod(key, width)
-            counts[r][b - 1] = counts[r].get(b - 1, 0) + c
-        hists = kept("histogram", counts)
+            else:
+                counts[r] += s.histogram
+        np.add.at(counts, (run[k:], hist_bins(edges, rows[:, 0])), 1)  # OUTLIER_BIN indexes the last column
+        hists = kept("histogram", map(tuple, counts.tolist()))
 
     out = []
     for r, (i, size, n, mu) in enumerate(zip(first, sizes, total[:, 0].tolist(), mean)):
@@ -545,7 +528,7 @@ def scalar_cost(s: SummarySample) -> tuple[int, int]:
     if s.hull is not None:
         floats += 2 * s.hull.shape[0]
     if s.histogram is not None:
-        ints += 2 * len(s.histogram)
+        ints += 2 * (len(s.histogram) - s.histogram.count(0))  # as stored: a key and a count per non-zero bin
     if s.swv is not None:
         floats += s.swv.size
     return floats, ints

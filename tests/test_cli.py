@@ -183,12 +183,12 @@ def test_query_prints_the_records_own_answers(gfs, tmp_path):
     rc, out, err = gfs(["query", store, "--member", ",".join(map(repr, hit))])
     res = rec.membership(hit)
     assert (rc, err) == (0, "") and not res.absent_certain
-    assert out.startswith(f"{len(res.candidates)} candidate leaf/leaves, {res.nodes_visited} node(s) visited\n")
+    assert out.startswith(f"{len(res.candidates)} candidate sample(s), {res.nodes_visited} stored sample(s) tested\n")
     assert spans(out) == [(s.t_start, s.t_end, s.n) for s, _ in res.candidates]
 
     rc, out, err = gfs(["query", store, "--member", "1e6,1e6"])
     assert (rc, err) == (0, "")
-    assert out == f"absent (certain), {rec.membership([1e6, 1e6]).nodes_visited} node(s) visited\n"
+    assert out == f"absent (certain), {rec.membership([1e6, 1e6]).nodes_visited} stored sample(s) tested\n"
 
     rc, out, err = gfs(["query", store, "--range", "-1:1,-0.5:2"])
     low, up = index.range_count_bounds(index.build(list(rec.samples_in_time_order())), [-1.0, -0.5], [1.0, 2.0])
@@ -217,7 +217,7 @@ def test_queries_on_a_saved_empty_record_find_nothing(gfs, tmp_path):
     store = str(tmp_path / "s.gfs")
     container.save(SummaryRecord(channels=2), store)
     assert gfs(["query", store, "--range", "-1:1,-1:1"]) == (0, "count in [0, 0]\n", "")
-    assert gfs(["query", store, "--member", "0,0"]) == (0, "absent (certain), 0 node(s) visited\n", "")
+    assert gfs(["query", store, "--member", "0,0"]) == (0, "absent (certain), 0 stored sample(s) tested\n", "")
 
 
 def test_compact_applies_the_stores_own_rules(gfs, tmp_path):
@@ -231,6 +231,19 @@ def test_compact_applies_the_stores_own_rules(gfs, tmp_path):
     compact(rec)
     assert container.load(store) == rec
     assert any(op == "drop_statistic" for op, _, _ in rec.event_counts)
+
+
+def test_compact_of_a_store_with_malformed_rules_exits_2_with_one_line(gfs, tmp_path):
+    store = tmp_path / "s.gfs"
+    assert gfs(["ingest", str(store), "--budget", "8"], csv_rows(100))[0] == 0
+    rec = container.load(store)
+    rec.rules.max_scalars = "x"
+    container.save(rec, store)
+    before = store.read_bytes()
+    rc, out, err = gfs(["compact", str(store)])
+    assert (rc, out) == (2, "") and err.count("\n") == 1
+    assert err.startswith("gfs: CorruptContainer: malformed rules")
+    assert store.read_bytes() == before
 
 
 def test_compare_prints_the_verdict_of_the_two_aggregates(gfs, tmp_path):

@@ -181,6 +181,17 @@ MALFORMED = {
     "infinite-count": newest_row(3, float("inf")),
     "statistics-not-an-object": lambda m: m.update(statistics=[1]),
     "edges-not-a-list": lambda m: m["statistics"].update(histogram_edges=3),
+    "budget-zero": lambda m: m["rules"].update(budget_slots=0),
+    "fractional-budget": lambda m: m["rules"].update(budget_slots=8.5),
+    "budget-a-bool": lambda m: m["rules"].update(budget_slots=True),
+    "weight-a-string": lambda m: m["rules"].update(nonstationarity_w="1"),
+    "nan-weight": lambda m: m["rules"].update(nonstationarity_w=float("nan")),
+    "infinite-weight": lambda m: m["rules"].update(nonstationarity_w=float("inf")),
+    "negative-weight": lambda m: m["rules"].update(nonstationarity_w=-1.0),
+    "weight-a-bool": lambda m: m["rules"].update(nonstationarity_w=True),
+    "max-scalars-a-string": lambda m: m["rules"].update(max_scalars="x"),
+    "negative-max-scalars": lambda m: m["rules"].update(max_scalars=-3),
+    "fractional-max-scalars": lambda m: m["rules"].update(max_scalars=2.5),
 }
 
 
@@ -202,11 +213,11 @@ def newest_holds_seven_rows(rec):
 
 
 def newest_counts_a_stray_bin(rec):
-    rec.levels[0][-1].histogram = {7: 1}
+    rec.levels[0][-1].histogram = (0,) * 7 + (1, 0)  # written as key 7
 
 
 def newest_counts_two_rows(rec):
-    rec.levels[0][-1].histogram = {0: 2}
+    rec.levels[0][-1].histogram = (2, 0, 0)
 
 
 def newest_variance_negative(rec):
@@ -226,8 +237,8 @@ def newest_minimum_above_maximum(rec):
     [
         (newest_in_two_channels, r"\[19,20\): n = 1 in 2 channels; record has 1"),
         (newest_holds_seven_rows, r"\[19,20\): n = 7 in 1 channels; record has 1"),
-        (newest_counts_a_stray_bin, r"\{7: 1\} on 2 bins"),
-        (newest_counts_two_rows, r"n = 1 has histogram \{0: 2\}"),
+        (newest_counts_a_stray_bin, r"\[19,20\) of n = 1 has histogram key 7 on 2 bins"),
+        (newest_counts_two_rows, r"n = 1 has histogram \(2, 0, 0\) on 2 bins"),
         (newest_variance_negative, r"\[19,20\) has a negative variance or a minimum above its maximum"),
         (newest_covariance_negative, r"\[19,20\) has a negative variance or a minimum above its maximum"),
         (newest_minimum_above_maximum, r"\[19,20\) has a negative variance or a minimum above its maximum"),
@@ -502,9 +513,17 @@ def test_version_4_counters_must_agree_with_what_the_record_derives(counter):
 
 
 DATA = Path(__file__).resolve().parent / "data"
-_spec = importlib.util.spec_from_file_location("make_format4_stores", DATA / "make_format4_stores.py")
-FORMAT4 = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(FORMAT4)
+
+
+def generator(name: str):
+    """The seeded store generator ``tests/data/<name>.py`` as a module."""
+    spec = importlib.util.spec_from_file_location(name, DATA / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+FORMAT4 = generator("make_format4_stores")
 
 
 @pytest.mark.parametrize("name", sorted(FORMAT4.STORES))
@@ -524,3 +543,72 @@ def test_format_4_store_of_the_parent_build_loads_equal_to_the_same_stream_now(n
     assert container.read(rewritten) == back
     back.ingest_block(np.random.default_rng(7).normal(size=(100, back.channels)))
     back.validate()
+
+
+FORMAT5 = generator("make_format5_stores")
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT5.STORES))
+def test_format_5_store_of_the_dict_histogram_build_is_written_back_byte_for_byte(name):
+    blob = (DATA / name).read_bytes()
+    assert struct.unpack_from("<I", blob, 4) == (5,)
+    back = container.read(blob)
+    assert container.write(back) == blob
+    assert back == FORMAT5.STORES[name]()
+    hists = [s.histogram for s in back.samples_in_time_order()]
+    assert None in hists and any(h is not None and h[stats.OUTLIER_BIN] for h in hists)
+
+
+FIRST_SAMPLE = 16  # data offset of the first sample: after the level count and level 0's sample count
+
+
+def repack_data(blob: bytes, edit) -> bytes:
+    """Rewrite the data section with ``edit(bytearray)``, then re-seal the manifest's data CRC-32 and its own."""
+    (mlen,) = struct.unpack_from("<Q", blob, 8)
+    data = bytes(edit(bytearray(blob[16 + mlen + 8 :])))
+
+    def reseal(manifest):
+        manifest.update(data_len=len(data), data_crc32=zlib.crc32(data))
+
+    return repack_manifest(blob[: 16 + mlen] + struct.pack("<Q", len(data)) + data, reseal)
+
+
+def two_row_blob(opts=stats.StatisticSet()) -> bytes:
+    rec = SummaryRecord(budget=8, opts=opts)
+    rec.ingest_block([0.5, 7.0])
+    return container.write(rec)
+
+
+def test_a_sample_without_a_mean_block_does_not_load():
+    def drop_first_mean(data):
+        at = FIRST_SAMPLE + struct.calcsize(SAMPLE_HEAD)
+        assert struct.unpack_from("<IQ", data, at) == (1, 8)  # the mean block of [0, 1)
+        (n_blocks,) = struct.unpack_from("<I", data, at - 4)
+        struct.pack_into("<I", data, at - 4, n_blocks - 1)
+        del data[at : at + 20]
+        return data
+
+    with pytest.raises(CorruptContainer, match=r"sample \[0,1\) has no mean block"):
+        container.read(repack_data(two_row_blob(), drop_first_mean))
+
+
+@pytest.mark.parametrize("d", [2, 1 << 20])
+def test_a_sample_header_with_another_channel_count_does_not_load(d):
+    def recount(data):
+        struct.pack_into("<I", data, FIRST_SAMPLE + 24, d)
+        return data
+
+    with pytest.raises(InvariantViolation, match=rf"sample \[0,1\): n = 1 in {d} channels; record has 1"):
+        container.read(repack_data(two_row_blob(), recount))
+
+
+def test_a_histogram_block_that_repeats_a_key_does_not_load():
+    blob = two_row_blob(stats.StatisticSet(histogram_edges=(0.0, 1.0, 2.0)))
+    once = struct.pack("<IQQqQ", 7, 24, 1, 0, 1)  # the histogram of [0, 1): bin 0 counts its row
+    assert container.read(blob).levels[0][0].histogram == (1, 0, 0)
+
+    def repeat(data):
+        return data.replace(once, struct.pack("<IQQqQqQ", 7, 40, 2, 0, 1, 0, 1), 1)
+
+    with pytest.raises(CorruptContainer, match=r"sample \[0,1\): histogram block of 2 pairs"):
+        container.read(repack_data(blob, repeat))

@@ -234,6 +234,15 @@ def test_validate_wants_samples_that_tile_the_stream_and_cover_a_step_each():
         rec.validate()
 
 
+def test_validate_wants_one_histogram_count_per_bin_and_the_outliers():
+    rec = SummaryRecord(budget=16, opts=stats.StatisticSet(histogram_edges=(0.0, 1.0, 2.0)))
+    rec.ingest_block([0.5, 1.5, 9.0])
+    rec.validate()
+    rec.levels[0][-1].histogram = (0, 1)  # the outlier dropped: it still sums to n
+    with pytest.raises(InvariantViolation, match=r"\[2,3\) of n = 1 has histogram \(0, 1\) on 2 bins"):
+        rec.validate()
+
+
 def test_labels_stored():
     rec = SummaryRecord(channels=3, budget=4, labels=("observation", "action", "reward"))
     assert rec.labels == ("observation", "action", "reward")

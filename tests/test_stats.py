@@ -149,24 +149,24 @@ def test_histogram_edges_are_checked_where_they_enter(edges):
 def test_histogram_counts_sum_to_n():
     opts = StatisticSet(histogram_edges=(0.0, 1.0, 2.0))
     s = summarize([0.5, 1.5, 5.0, -3.0], opts=opts)  # two in range, two outliers
-    assert sum(s.histogram.values()) == s.n
-    assert s.histogram[stats.OUTLIER_BIN] == 2
+    assert sum(s.histogram) == s.n
+    assert s.histogram == (1, 1, 2) and s.histogram[stats.OUTLIER_BIN] == 2
 
 
-# The per-sample histogram (bin index -> count, with OUTLIER_BIN for rows
-# outside the edges) is the store's one dictionary of values: bin counts add
-# key by key, and a merge over different bin edges raises DictionaryMismatch.
+# The per-sample histogram (one count per bin, then the count of rows outside
+# the edges at OUTLIER_BIN) is the store's one dictionary of values: counts
+# add bin by bin, and a merge over different bin edges raises DictionaryMismatch.
 EDGES = StatisticSet(histogram_edges=(0.0, 1.0, 2.0, 3.0))
 
 
 def test_histogram_merge_identity_and_doubling():
     block = [0.2, 0.5, 0.8, 1.5]
     h = summarize(block, t_start=0, opts=EDGES)
-    assert h.histogram == {0: 3, 1: 1}
+    assert h.histogram == (3, 1, 0, 0)
     m = merge(h, stats.empty(1, t=4))
-    assert m.histogram == {0: 3, 1: 1} and OUTLIER_BIN not in m.histogram
+    assert m.histogram == (3, 1, 0, 0) and m.histogram[OUTLIER_BIN] == 0
     m2 = merge(h, summarize(block, t_start=4, opts=EDGES))
-    assert m2.histogram == {0: 6, 1: 2}
+    assert m2.histogram == (6, 2, 0, 0)
     assert (m2.t_start, m2.t_end) == (0, 8)
     assert np.array_equal(m2.hist_edges, h.hist_edges)
 
@@ -176,9 +176,9 @@ def test_histogram_merge_requires_same_dictionary():
     h2 = summarize([0.5], t_start=1, opts=StatisticSet(histogram_edges=(0.0, 2.0, 4.0)))
     with pytest.raises(DictionaryMismatch):
         merge(h1, h2)
-    # same edges, disjoint bins: the merged histogram holds both keys
+    # same edges, disjoint bins: the merged histogram counts both
     m = merge(h1, summarize([1.5], t_start=1, opts=EDGES))
-    assert m.histogram == {0: 1, 1: 1}
+    assert m.histogram == (1, 1, 0, 0)
 
 
 def test_intersection_semantics_notes_drop():
@@ -274,6 +274,7 @@ def test_hist_bins_matches_point_sample_and_np_histogram():
     x = np.array([-2.0, -1.0, -0.75, -0.5, 0.0, 0.3, 0.5, 1.0, 1.5, np.nan])
     opts = StatisticSet(histogram_edges=tuple(edges))
     bins = stats.hist_bins(edges, x)
-    assert bins.tolist() == [next(iter(stats.point_sample([v], 0, opts).histogram)) for v in x]
+    one_hot = np.eye(len(edges), dtype=np.int64)[bins]  # OUTLIER_BIN selects the last row
+    assert list(map(tuple, one_hot.tolist())) == [stats.point_sample([v], 0, opts).histogram for v in x]
     in_range = bins[bins != stats.OUTLIER_BIN]
     assert np.bincount(in_range, minlength=4).tolist() == np.histogram(x[~np.isnan(x)], bins=edges)[0].tolist()
