@@ -34,7 +34,7 @@ import sys
 import numpy as np
 
 from . import compare, container, curation, index, service, stats
-from .errors import BudgetTooSmall, StoreError
+from .errors import StoreError
 from .record import SummaryRecord
 
 DEFAULT_BUDGET = 256
@@ -105,8 +105,6 @@ def _read_csv(stream):
 
 
 def cmd_ingest(args) -> int:
-    if args.budget is not None and args.budget < 1:
-        raise BudgetTooSmall(f"budget {args.budget} is below one slot")
     labels, rows = _read_csv(sys.stdin)
     if os.path.exists(args.store):
         rec = container.load(args.store)
@@ -117,6 +115,7 @@ def cmd_ingest(args) -> int:
             )
         if args.budget is not None and args.budget != rec.budget:
             rec.rules.budget_slots = args.budget
+            rec.rules.check()
             rec.rebalance(reason="budget")
     else:
         if not rows:

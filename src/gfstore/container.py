@@ -31,10 +31,9 @@ Provenance is bounded: the manifest holds the event totals as sorted
 totals on read.  A row whose op is not a string, whose level is not null
 or a count, whose reason is not null or a string, or whose count is not a
 non-negative integer, and a second row of one key, raise
-:class:`CorruptContainer`, as do rules other than a ``budget_slots`` count
-of at least 1, a finite real ``nonstationarity_w`` >= 0 and a null or
-count ``max_scalars``.  Older builds also wrote a per-sample
-``access_log``, which is ignored without a note.
+:class:`CorruptContainer`, as do rules that ``CurationRules.check``
+refuses.  Older builds also wrote a per-sample ``access_log``, which is
+ignored without a note.
 Length prefixes make unknown blocks skippable, and unknown statistics or
 rules keys in the manifest are dropped with a provenance note, so
 containers written by richer or older builds stay readable; the skipped
@@ -52,7 +51,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import io
 import itertools
 import json
 import os
@@ -63,7 +61,7 @@ from collections import deque
 import numpy as np
 
 from . import curation, stats
-from .errors import BadMagic, ChecksumMismatch, CorruptContainer, InvariantViolation, VersionUnsupported
+from .errors import BadMagic, BudgetTooSmall, ChecksumMismatch, CorruptContainer, InvariantViolation, VersionUnsupported
 from .record import PROVENANCE_RING, SummaryRecord
 
 MAGIC = b"GFS1"
@@ -198,13 +196,11 @@ def _decode_sample(
 
 
 def _encode_data(rec: SummaryRecord) -> bytes:
-    out = io.BytesIO()
-    out.write(struct.pack("<Q", len(rec.levels)))
+    parts = [struct.pack("<Q", len(rec.levels))]
     for level in rec.levels:
-        out.write(struct.pack("<Q", len(level)))
-        for s in level:
-            out.write(_encode_sample(s))
-    return out.getvalue()
+        parts.append(struct.pack("<Q", len(level)))
+        parts.extend(map(_encode_sample, level))
+    return b"".join(parts)
 
 
 def _manifest(rec: SummaryRecord, data: bytes) -> dict:
@@ -252,7 +248,7 @@ def read(blob: bytes) -> SummaryRecord:
     """
     try:
         return _read(blob)
-    except (ValueError, KeyError, TypeError, AttributeError, OverflowError, struct.error) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError, struct.error, BudgetTooSmall) as exc:
         raise CorruptContainer(f"malformed container ({type(exc).__name__}: {exc})") from exc
 
 
@@ -286,10 +282,6 @@ def _read(blob: bytes) -> SummaryRecord:
     opts = stats.StatisticSet(**opts_d)
     rules_d = {k: v for k, v in manifest["rules"].items() if not (k in _RETIRED_RULES and v == 0.0)}
     rules = curation.CurationRules(**_known_fields(curation.CurationRules, rules_d, "rules", ignored))
-    w, cap = rules.nonstationarity_w, rules.max_scalars
-    counts = _is_count(rules.budget_slots) and rules.budget_slots >= 1 and (cap is None or _is_count(cap))
-    if not (counts and type(w) in (int, float) and np.isfinite(w) and w >= 0):
-        raise CorruptContainer(f"malformed rules {dataclasses.asdict(rules)}")
 
     rec = SummaryRecord(
         channels=manifest["channels"],

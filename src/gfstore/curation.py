@@ -12,12 +12,12 @@ stored samples that served requests touched.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+import dataclasses
 
 import numpy as np
 
 from . import compare, stats
-from .errors import CannotSatisfyBudget, TooFewSamples
+from .errors import BudgetTooSmall, CannotSatisfyBudget, TooFewSamples
 
 #: The statistics a forced drop may remove, in canonical id order, with the
 #: sample fields that hold each.  Count and mean are never droppable.
@@ -31,7 +31,7 @@ DROPPABLE = {
 }
 
 
-@dataclass
+@dataclasses.dataclass
 class CurationRules:
     """Policy stored with the data: slot budget, merge weight, scalar bound.
 
@@ -46,6 +46,16 @@ class CurationRules:
 
     def tuned(self) -> bool:
         return self.nonstationarity_w > 0
+
+    def check(self) -> None:
+        """Raise unless ``budget_slots`` is an int >= 1 (``BudgetTooSmall`` below), ``max_scalars`` None or an
+        int >= 0 and ``nonstationarity_w`` a finite int or float >= 0 (``ValueError``); a bool is none of these."""
+        b, w, cap = self.budget_slots, self.nonstationarity_w, self.max_scalars
+        counts = type(b) is int and (cap is None or (type(cap) is int and cap >= 0))
+        if not (counts and type(w) in (int, float) and np.isfinite(w) and w >= 0):
+            raise ValueError(f"malformed rules {dataclasses.asdict(self)}")
+        if b < 1:
+            raise BudgetTooSmall(f"budget {b} is below one slot")
 
 
 def record_access(record, samples, op: str) -> None:
@@ -158,8 +168,7 @@ def compact(record):
     survive.
     """
     rules = record.rules
-    if rules.budget_slots < 1:
-        raise CannotSatisfyBudget("budget must be at least one slot")
+    rules.check()
 
     over_slots = record.slots() > rules.budget_slots
     over_scalars = rules.max_scalars is not None and record.scalar_footprint() > rules.max_scalars

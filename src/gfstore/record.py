@@ -144,8 +144,7 @@ class SummaryRecord:
             rules = curation.CurationRules() if budget is None else curation.CurationRules(budget_slots=budget)
         elif budget is not None and budget != rules.budget_slots:
             raise ValueError(f"budget {budget} disagrees with rules.budget_slots {rules.budget_slots}")
-        if rules.budget_slots < 1:
-            raise BudgetTooSmall("budget must be at least one slot")
+        rules.check()
         self.rules = rules
         self.labels = labels or ("observation",) * channels
         if len(self.labels) != channels:

@@ -480,15 +480,15 @@ def merge_runs(samples, rows: np.ndarray, t_rows: int, sizes, opts: StatisticSet
     hists = [None] * n_runs
     edges = opts.edges_array()
     if edges is not None:
-        # one row of counts per run, not per source, so a long block costs O(rows + runs x bins)
-        counts = np.zeros((n_runs, edges.shape[0]), dtype=np.int64)
-        for r, s in zip(sample_run, samples):
+        # sources x (bins + 1) counts; a row counts one in its bin, OUTLIER_BIN indexing the last column
+        counts = np.zeros((k + m, edges.shape[0]), dtype=np.int64)
+        for i, (r, s) in enumerate(zip(sample_run, samples)):
             if s.histogram is None:
                 lost["histogram"].add(r)
             else:
-                counts[r] += s.histogram
-        np.add.at(counts, (run[k:], hist_bins(edges, rows[:, 0])), 1)  # OUTLIER_BIN indexes the last column
-        hists = kept("histogram", map(tuple, counts.tolist()))
+                counts[i] = s.histogram
+        counts[np.arange(k, k + m), hist_bins(edges, rows[:, 0])] = 1
+        hists = kept("histogram", map(tuple, np.add.reduceat(counts, at).tolist()))
 
     out = []
     for r, (i, size, n, mu) in enumerate(zip(first, sizes, total[:, 0].tolist(), mean)):

@@ -242,7 +242,7 @@ def test_compact_of_a_store_with_malformed_rules_exits_2_with_one_line(gfs, tmp_
     before = store.read_bytes()
     rc, out, err = gfs(["compact", str(store)])
     assert (rc, out) == (2, "") and err.count("\n") == 1
-    assert err.startswith("gfs: CorruptContainer: malformed rules")
+    assert err.startswith("gfs: CorruptContainer: malformed container (ValueError: malformed rules")
     assert store.read_bytes() == before
 
 

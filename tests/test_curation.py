@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gfstore import container, stats
 from gfstore.curation import CurationRules, compact, rank_statistics_for_drop, score_merge_candidates
+from gfstore.errors import BudgetTooSmall
 from gfstore.record import SummaryRecord
 
 OPTS = stats.StatisticSet(histogram_edges=tuple(np.linspace(-2.0, 2.0, 9)), swv=True)
@@ -62,6 +65,32 @@ def filled(budget=16, rows=100) -> SummaryRecord:
     rec = SummaryRecord(budget=budget)
     rec.ingest_block(np.random.default_rng(4).normal(size=rows))
     return rec
+
+
+BAD_RULES = {
+    "budget-zero": (dict(budget_slots=0), BudgetTooSmall),
+    "fractional-budget": (dict(budget_slots=8.5), ValueError),
+    "weight-a-string": (dict(nonstationarity_w="1"), ValueError),
+    "nan-weight": (dict(nonstationarity_w=float("nan")), ValueError),
+    "weight-a-bool": (dict(nonstationarity_w=True), ValueError),
+    "max-scalars-a-string": (dict(max_scalars="x"), ValueError),
+    "negative-max-scalars": (dict(max_scalars=-3), ValueError),
+}
+
+
+@pytest.mark.parametrize("fields, error", BAD_RULES.values(), ids=BAD_RULES.keys())
+def test_malformed_rules_are_refused_by_a_new_record_and_by_compact(fields, error):
+    with pytest.raises(error):
+        SummaryRecord(rules=CurationRules(**fields))
+    rec = filled()
+    before = container.write(rec)
+    for name, value in fields.items():
+        setattr(rec.rules, name, value)
+    with pytest.raises(error):
+        compact(rec)
+    for name, value in dataclasses.asdict(CurationRules(budget_slots=16)).items():
+        setattr(rec.rules, name, value)
+    assert container.write(rec) == before  # refused before anything changed
 
 
 def test_compact_is_lazy_within_budget():
