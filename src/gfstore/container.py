@@ -38,7 +38,9 @@ Length prefixes make unknown blocks skippable, and unknown statistics or
 rules keys in the manifest are dropped with a provenance note, so
 containers written by richer or older builds stay readable; the skipped
 blocks of each type (such as the retired types 10-12, or 8 in version 4)
-get one note with their count and bytes.  The retired merge weights
+get one note with their count and bytes.  An older build's scale-wise
+variance stack deeper than ⌈log2 n⌉ terms (a term per merge) loads with
+its deeper terms summed into the top one, noted once.  The retired merge weights
 ``slowness_w``, ``recurrence_reprieve_w`` and ``prior_access_w``, which
 older builds wrote into every manifest, are dropped without a note when
 they hold 0.0, since the policy is then unchanged.  All numbers are
@@ -60,7 +62,7 @@ from collections import deque
 
 import numpy as np
 
-from . import curation, stats
+from . import curation, spectrum, stats
 from .errors import BadMagic, BudgetTooSmall, ChecksumMismatch, CorruptContainer, InvariantViolation, VersionUnsupported
 from .record import PROVENANCE_RING, SummaryRecord
 
@@ -317,18 +319,24 @@ def _read(blob: bytes) -> SummaryRecord:
     skipped: dict[int, tuple[int, int]] = {}
     edges = opts.edges_array()
     levels: list[list[stats.SummarySample]] = []
+    folded = 0  # older builds' deep SWV stacks
     for _ in range(n_levels):
         (count,) = struct.unpack_from("<Q", view, offset)
         offset += 8
         level = []
         for _ in range(count):
             s, offset = _decode_sample(view, offset, skipped, version, rec.channels, edges)
+            if s.swv is not None and s.swv.shape[0] > (top := spectrum.depth(s.n)) > 0:  # an older build's stack
+                s.swv = np.vstack([s.swv[: top - 1], s.swv[top - 1 :].sum(axis=0)])
+                folded += 1
             level.append(s)
         levels.append(level)
     rec.levels = levels if levels else [[]]
     for btype, (blocks, nbytes) in sorted(skipped.items()):
         note = f"skipped {blocks} statistic block(s) of unknown or retired type {btype} ({nbytes} bytes)"
         rec.note(("read", None, None), {"op": "read", "note": note})
+    if folded:
+        rec.note(("read", None, None), {"op": "read", "note": f"folded {folded} SWV stack(s) to ⌈log2 n⌉ terms"})
     rec.validate()
     if version < 5:
         old = manifest["counters"]

@@ -15,8 +15,8 @@ done, so every ingest and rebalance is all or nothing.  Under untuned
 rules the layout depends only on counts, never on values, so
 ``ingest_block`` plans a block on counts and then builds each new stored
 sample once, in one grouped reduction over the rows and the stored
-samples it absorbs.  Tuned rules score values and scale-wise variance
-follows the merge tree, so there, as in ``ingest`` and ``rebalance``, the
+samples it absorbs, scale-wise variance by the plan's merge tree.  Tuned
+rules score values, so there, as in ``ingest`` and ``rebalance``, the
 loop builds each sample as it is made.
 """
 
@@ -30,7 +30,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from . import curation, index, stats
+from . import curation, index, spectrum, stats
 from .errors import BudgetTooSmall, ChannelMismatch, FutureRange, InvariantViolation
 
 #: Provenance events kept verbatim; older events survive only as totals in
@@ -81,9 +81,10 @@ def next_step(lengths, quotas) -> tuple[int, bool]:
 
 
 def _crossed(samples) -> bool:
-    """In one pass: is a variance or covariance diagonal negative, or a minimum above its maximum (NaN passes)?"""
+    """Is a variance, covariance diagonal or SWV term negative, or a minimum above its maximum (NaN passes)?"""
     spread = [s.variance for s in samples if s.variance is not None]
     spread += [s.covariance.diagonal() for s in samples if s.covariance is not None]
+    spread += [s.swv.ravel() for s in samples if s.swv is not None]
     if spread and np.any(np.concatenate(spread) < 0):
         return True
     bounded = [s for s in samples if s.min_v is not None and s.max_v is not None]
@@ -228,17 +229,17 @@ class SummaryRecord:
         changes the record only once every new stored sample is built.  The
         record equals what ``for row in block: ingest(row)`` leaves.
 
-        With untuned rules and SWV off, the block is planned on counts and
-        each new stored sample is reduced once.  Planning and the grouped
-        reduction cost about three single-row ingests whatever the block's
-        size, so blocks under about five rows ingest slower than a loop of
+        With untuned rules, the block is planned on counts and each new
+        stored sample is reduced once.  Planning and the grouped reduction
+        cost about three single-row ingests whatever the block's size, so
+        blocks under about five rows ingest slower than a loop of
         :meth:`ingest`; longer blocks gain.  A planned record differs from
-        the row-by-row one only in rounding: means, variances and
-        covariances agree within 1e-12 relative to the data's magnitude (a
-        run of n samples sums in another order than a chain of n - 1
-        merges), and everything else is identical.  The tuned merge weight
-        scores values and SWV follows the merge tree, so under either the
-        block builds each sample as it is made, exactly as ``ingest`` does.
+        the row-by-row one only in rounding: means, variances, covariances
+        and scale-wise variance terms agree within 1e-12 relative to the
+        data's magnitude (a run of n samples sums in another order than a
+        chain of n - 1 merges), and everything else is identical.  The
+        tuned merge weight scores values, so under it the block builds each
+        sample as it is made, exactly as ``ingest`` does.
         """
         arr = np.asarray(block, dtype=np.float64)
         if arr.ndim == 1:
@@ -249,7 +250,7 @@ class SummaryRecord:
             return self
         if arr.shape[1] != self.channels:
             raise ChannelMismatch(f"got {arr.shape[1]} channels, expected {self.channels}")
-        self._curate(arr, "ingest", planned=not (self.opts.swv or self.rules.tuned()))
+        self._curate(arr, "ingest", planned=not self.rules.tuned())
         return self
 
     def rebalance(self, reason: str = "ingest") -> None:
@@ -287,6 +288,7 @@ class SummaryRecord:
         quotas = level_quotas(budget, len(levels))
         slots = sum(lengths)
         absorbed: list[stats.SummarySample] = []  # planned: stored samples merged away
+        splits = [] if planned and self.opts.swv else None  # planned SWV: (t_start, t_mid, t_end) of each merge
         # (level, pair index, out level or None for a promotion, t_start,
         # t_end) of the newest events; older ones survive only in the tallies
         events = deque(maxlen=PROVENANCE_RING)
@@ -321,6 +323,8 @@ class SummaryRecord:
                         t1, n = b.t_end, n + b.n
                         absorbed.append(b)
                     merged = [t0, t1, n]
+                    if splits is not None:
+                        splits.append((t0, b[0] if b.__class__ is list else b.t_start, t1))
                 else:
                     merged = stats.merge(a, b)
                     t0, t1, n = merged.t_start, merged.t_end, merged.n
@@ -364,7 +368,7 @@ class SummaryRecord:
                 j = bisect.bisect_left(starts, e[1], i)
                 sizes.append(j - i + max(0, e[1] - max(e[0], t_rows)))
                 i = j
-            for e, s in zip(fresh, stats.merge_runs(absorbed, rows, t_rows, sizes, self.opts)):
+            for e, s in zip(fresh, stats.merge_runs(absorbed, rows, t_rows, sizes, splits, self.opts)):
                 e.append(s)
             levels = [[e[3] if e.__class__ is list else e for e in level] for level in levels]
 
@@ -422,15 +426,14 @@ class SummaryRecord:
         """Merge of everything stored, in one grouped reduction (:func:`stats.merge_runs`).
 
         Its moments equal summarize() of the whole stream to rounding;
-        counts, span, extrema, histogram and hull are exact.  A store that
-        keeps scale-wise variance folds :func:`stats.merge` pairwise instead.
+        counts, span, extrema, histogram and hull are exact, and SWV terms
+        are those of the left fold of :func:`stats.merge`, to rounding.
         """
         samples = list(self.samples_in_time_order())
         if not samples:
             return stats.empty(self.channels)
-        if self.opts.swv:
-            return stats.merge_all(samples)
-        return stats.merge_runs(samples, np.empty((0, self.channels)), self.now, [len(samples)], self.opts)[0]
+        fold = ((0, s.t_start, s.t_end) for s in samples[1:])  # read only when the store keeps SWV
+        return stats.merge_runs(samples, np.empty((0, self.channels)), self.now, [len(samples)], fold, self.opts)[0]
 
     def membership(self, q):
         """Test a value against every stored sample (an empty record holds none); see :mod:`gfstore.index`."""
@@ -443,7 +446,7 @@ class SummaryRecord:
 
     def validate(self) -> None:
         """Raise InvariantViolation unless the samples tile ``[0, now)``, hold a row a step, fit the record (histograms
-        too), keep no hull without a vertex and have no negative variance and no minimum above its maximum."""
+        and SWV too), keep no hull without a vertex and have no negative variance and no minimum above its maximum."""
         slots = self.slots()
         if slots > self.budget:
             raise InvariantViolation(f"{slots} slots exceed budget {self.budget}")
@@ -462,6 +465,8 @@ class SummaryRecord:
                 raise InvariantViolation(f"{where(s)}: n = {s.n} in {s.channels} channels; record has {self.channels}")
             if s.histogram is not None and (len(s.histogram) != width or sum(s.histogram) != s.n):
                 raise InvariantViolation(f"{where(s)} of n = {s.n} has histogram {s.histogram} on {width - 1} bins")
+            if s.swv is not None and s.swv.shape != (terms := (spectrum.depth(s.n), self.channels)):
+                raise InvariantViolation(f"{where(s)} of n = {s.n} has SWV terms {s.swv.shape}, not {terms}")
             if s.hull is not None and not s.hull.shape[0]:
                 raise InvariantViolation(f"{where(s)} of n = {s.n} has a hull with no vertex")
             cursor = s.t_end

@@ -5,8 +5,8 @@ binary scale, stored as a ``(depth, channels)`` array.  Term 0 (finest)
 carries the energy of the most rapid fluctuations, the last term the
 slowest.  The terms sum to the interval variance exactly, and the
 decomposition merges: combining two adjacent intervals averages the
-existing terms (cardinality-weighted) and appends one new term derived
-from the spread of the two interval means.
+existing terms (cardinality-weighted) and adds the spread of the two
+interval means to the union's scale, so n rows keep :func:`depth` (n) terms.
 """
 
 from __future__ import annotations
@@ -25,26 +25,31 @@ def _pad_depth(terms: np.ndarray, depth: int) -> np.ndarray:
     return np.concatenate([terms, zeros], axis=-2)
 
 
-def pool_terms(terms_a, mean_a, n_a, terms_b, mean_b, n_b, merged_mean):
-    """Merge two term stacks into one of depth max(depth)+1.
+def depth(n: int) -> int:
+    """Terms of an interval of ``n`` >= 1 rows: ⌈log2 n⌉, one per binary scale up to the interval's own."""
+    return (n - 1).bit_length()
 
-    Works for unequal counts (cardinality-weighted averages) and for unequal
-    depths (the shallower stack is padded with zero coarse terms).  The sum
-    of the output terms equals the pooled population variance of the union
-    whenever each input satisfies the same identity.
+
+def pool_terms(terms_a, mean_a, n_a, terms_b, mean_b, n_b, merged_mean):
+    """Merge two term stacks into the ``depth(n_a + n_b)`` terms of the union.
+
+    Both stacks are padded with zero coarse terms and averaged by count, and
+    the spread of the two means is added to the last term, the union's
+    scale.  The sum of the output terms equals the pooled population
+    variance of the union whenever each input satisfies the same identity.
 
     Takes one pair (terms ``(depth, channels)``, means ``(channels,)``,
     scalar counts) or a batch of m pairs (terms ``(m, depth, channels)``,
-    means ``(m, channels)``, counts ``(m,)``).  Counts must be positive.
+    means ``(m, channels)``, counts ``(m,)``) whose unions share one depth.
+    Counts must be positive.
     """
     n = n_a + n_b
-    depth = max(terms_a.shape[-2], terms_b.shape[-2])
-    terms_a = _pad_depth(terms_a, depth)
-    terms_b = _pad_depth(terms_b, depth)
+    top = depth(int(n.max() if isinstance(n, np.ndarray) else n)) - 1  # the union's scale
+    terms_a, terms_b = _pad_depth(terms_a, top + 1), _pad_depth(terms_b, top + 1)
     # transposed views put the batch axis last, where the counts broadcast
-    base = (n_a * terms_a.T + n_b * terms_b.T) / n
-    spread = (n_a * (mean_a - merged_mean).T ** 2 + n_b * (mean_b - merged_mean).T ** 2) / n
-    return np.concatenate([base.T, spread.T[..., np.newaxis, :]], axis=-2)
+    pooled = (n_a * terms_a.T + n_b * terms_b.T) / n
+    pooled[:, top] += (n_a * (mean_a - merged_mean).T ** 2 + n_b * (mean_b - merged_mean).T ** 2) / n
+    return pooled.T
 
 
 def swv_ladder(raw) -> np.ndarray:

@@ -50,6 +50,8 @@ class StatisticSet:
         return ids
 
     def __post_init__(self):
+        if any(type(getattr(self, name)) is not bool for name in ("covariance", "hull", "swv")):
+            raise ValueError(f"covariance, hull and swv must each be True or False, got {self!r}")
         edges = None
         if self.histogram_edges is not None:
             edges = np.asarray(self.histogram_edges, dtype=np.float64)
@@ -381,7 +383,7 @@ def merge_all(samples) -> SummarySample:
     return acc
 
 
-def merge_runs(samples, rows: np.ndarray, t_rows: int, sizes, opts: StatisticSet) -> list[SummarySample]:
+def merge_runs(samples, rows: np.ndarray, t_rows: int, sizes, splits, opts: StatisticSet) -> list[SummarySample]:
     """Merge consecutive runs of sources, every run in one grouped reduction.
 
     The sources are ``samples``, stored samples in time order, followed by
@@ -398,17 +400,19 @@ def merge_runs(samples, rows: np.ndarray, t_rows: int, sizes, opts: StatisticSet
         variance   = sum n_i (v_i + (m_i - M)^2) / N
         covariance = sum n_i (C_i + (m_i - M)(m_i - M)^T) / N
 
+    Scale-wise variance terms are ``sum n_i T_i / N`` plus, at each merge's
+    scale, its spread ``n_a (m_a - m)^2 + n_b (m_b - m)^2`` over N, as
+    :func:`spectrum.pool_terms` places it; the iterable ``splits``, read only
+    under ``opts.swv``, holds each merge's ``(t_start, t_mid, t_end)``.
+
     A run of one row gets ``point_sample``'s values, zero moments even for a
     non-finite row, and a run of two sources ``merge``'s own expressions.
     Longer runs sum in another order than a chain of merges, so their
     moments agree with it to rounding.  Counts, extrema and histograms are
     exact, and a hull is the hull of every vertex and row of its run, as a
     chain of ``merge_hull`` gives it.  A statistic that any sample of a run
-    lacks is None on the result.  Scale-wise variance depends on the merge
-    tree, not only on the runs, so ``opts.swv`` is refused.
+    lacks is None on the result.
     """
-    if opts.swv:
-        raise ValueError("merge_runs cannot build scale-wise variance")
     m, d = rows.shape
     k = len(samples)
     n_runs = len(sizes)
@@ -490,6 +494,23 @@ def merge_runs(samples, rows: np.ndarray, t_rows: int, sizes, opts: StatisticSet
         counts[np.arange(k, k + m), hist_bins(edges, rows[:, 0])] = 1
         hists = kept("histogram", map(tuple, np.add.reduceat(counts, at).tolist()))
 
+    swv = [None] * n_runs
+    if opts.swv:
+        terms = np.zeros((n_runs, spectrum.depth(int(total.max())), d))
+        lost["swv"].update(r for r, s in zip(sample_run, samples) if s.swv is None)
+        for r, s in zip(sample_run, samples):
+            if s.swv is not None:
+                terms[r, : s.swv.shape[0]] += s.n * s.swv
+        splits = np.array(list(splits), dtype=np.int64).reshape(-1, 3)
+        starts = np.concatenate([[s.t_start for s in samples], np.arange(t_rows, t_rows + m + 1)])  # and the end
+        at3 = np.searchsorted(starts, splits.ravel())  # the sources where each merge starts, halves and ends
+        half = np.add.reduceat(np.vstack([weight * means, zero]), at3).reshape(-1, 3, d)
+        n_a, n_b = np.diff(splits).T[:, :, np.newaxis]
+        m_a, m_b, m_ab = half[:, 0] / n_a, half[:, 1] / n_b, (half[:, 0] + half[:, 1]) / (n_a + n_b)
+        scale = np.frexp(splits[:, 2] - splits[:, 0] - 1)[1] - 1  # spectrum.depth(n_a + n_b) - 1, for n < 2^53
+        np.add.at(terms, (run[at3[0::3]], scale), n_a * (m_a - m_ab) ** 2 + n_b * (m_b - m_ab) ** 2)  # as merge
+        swv = kept("swv", (t[: spectrum.depth(int(n))] / n for t, n in zip(terms, total[:, 0])))
+
     out = []
     for r, (i, size, n, mu) in enumerate(zip(first, sizes, total[:, 0].tolist(), mean)):
         j = i + size - 1
@@ -506,6 +527,7 @@ def merge_runs(samples, rows: np.ndarray, t_rows: int, sizes, opts: StatisticSet
                 hull=hulls[r],
                 histogram=hists[r],
                 hist_edges=None if hists[r] is None else edges,
+                swv=swv[r],
             )
         )
     return out

@@ -1,16 +1,21 @@
-"""Write the format-5 store that ``tests/test_container.py`` reads as golden bytes.
+"""Write the format-5 stores that ``tests/test_container.py`` reads.
 
-The stored file was written by commit 4fb31cf, the last build that kept
-histograms as key -> count dicts.  Run this script with that commit's
-package on the path, from the repository root:
+Each store is written by the package of an older build.  Run this script
+with that commit's package on the path, from the repository root, naming
+the stores to write:
 
-    git archive 4fb31cf src | tar -x -C <dir>
-    PYTHONPATH=<dir>/src python tests/data/make_format5_stores.py
+    git archive <commit> src | tar -x -C <dir>
+    PYTHONPATH=<dir>/src python tests/data/make_format5_stores.py <name>...
+
+``golden-d2.gfs`` was written by commit 4fb31cf, the last build that kept
+histograms as key -> count dicts.  ``deep-swv.gfs`` was written by commit
+bc56547, the last build that appended a scale-wise variance term per merge.
 
 The functions below are seeded, and the test runs them again under the
-current code: each stored file must load equal to what they build now and
-be written back byte for byte, which pins the histogram block's
-outlier-first key order across builds.
+current code.  Each store of ``STORES`` must load equal to what they build
+now and be written back byte for byte, which pins the histogram block's
+outlier-first key order across builds.  ``deep-swv.gfs`` must load with its
+stacks folded to ⌈log2 n⌉ terms.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from gfstore.record import SummaryRecord
 
 HERE = Path(__file__).resolve().parent
 GOLDEN_SEED = 51
+DEEP_SWV_SEED = 52
 
 
 def golden_record() -> SummaryRecord:
@@ -47,18 +53,34 @@ def golden_record() -> SummaryRecord:
     return rec
 
 
+def deep_swv_record() -> SummaryRecord:
+    """One channel with scale-wise variance, untuned at budget 2: 1,000 rows in blocks of 100.
+
+    Below the level count, every level's quota is zero, so the coarsest
+    sample absorbs a few steps per merge, and an older build's stacks grew
+    by one term each time.
+    """
+    rec = SummaryRecord(budget=2, opts=stats.StatisticSet(swv=True))
+    rows = np.random.default_rng(DEEP_SWV_SEED).normal(loc=2.0, size=1_000)
+    for start in range(0, 1_000, 100):
+        rec.ingest_block(rows[start : start + 100])
+    return rec
+
+
 STORES = {"golden-d2.gfs": golden_record}
+DEEP_SWV = "deep-swv.gfs"
 
 
-def main() -> int:
+def main(names) -> int:
     if container.FORMAT_VERSION != 5:
-        print(f"this build writes format {container.FORMAT_VERSION}; run the 4fb31cf package", file=sys.stderr)
+        print(f"this build writes format {container.FORMAT_VERSION}; run a format-5 package", file=sys.stderr)
         return 2
-    for name, build in STORES.items():
-        container.save(build(), HERE / name)
+    builds = {**STORES, DEEP_SWV: deep_swv_record}
+    for name in names:
+        container.save(builds[name](), HERE / name)
         print(f"wrote {name}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import os
@@ -8,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gfstore import container, stats
+from gfstore import container, spectrum, stats
 from gfstore.curation import CurationRules, compact
 from gfstore.errors import CorruptContainer, InvariantViolation, StoreError, VersionUnsupported
 from gfstore.record import PROVENANCE_RING, SummaryRecord
+from test_record import BLOCK_RTOL, assert_same_sample
 
 RICH = stats.StatisticSet(
     covariance=True, hull=True, histogram_edges=tuple(np.linspace(-3, 3, 9)), swv=True
@@ -181,6 +183,9 @@ MALFORMED = {
     "infinite-count": newest_row(3, float("inf")),
     "statistics-not-an-object": lambda m: m.update(statistics=[1]),
     "edges-not-a-list": lambda m: m["statistics"].update(histogram_edges=3),
+    "covariance-a-string": lambda m: m["statistics"].update(covariance="no"),
+    "hull-a-number": lambda m: m["statistics"].update(hull=0),
+    "swv-null": lambda m: m["statistics"].update(swv=None),
     "budget-zero": lambda m: m["rules"].update(budget_slots=0),
     "fractional-budget": lambda m: m["rules"].update(budget_slots=8.5),
     "budget-a-bool": lambda m: m["rules"].update(budget_slots=True),
@@ -232,6 +237,14 @@ def newest_minimum_above_maximum(rec):
     rec.levels[0][-1].min_v = rec.levels[0][-1].max_v + 1.0
 
 
+def newest_keeps_an_swv_term(rec):
+    rec.levels[0][-1].swv = np.ones((1, 1))  # a one-row sample has no scale
+
+
+def oldest_swv_term_negative(rec):
+    rec.levels[-1][0].swv[0] = -1.0
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -242,10 +255,13 @@ def newest_minimum_above_maximum(rec):
         (newest_variance_negative, r"\[19,20\) has a negative variance or a minimum above its maximum"),
         (newest_covariance_negative, r"\[19,20\) has a negative variance or a minimum above its maximum"),
         (newest_minimum_above_maximum, r"\[19,20\) has a negative variance or a minimum above its maximum"),
+        (newest_keeps_an_swv_term, r"\[19,20\) of n = 1 has SWV terms \(1, 1\), not \(0, 1\)"),
+        (oldest_swv_term_negative, r"\[0,4\) has a negative variance or a minimum above its maximum"),
     ],
 )
 def test_a_sample_that_disagrees_with_its_record_does_not_load(edit, message):
-    rec = SummaryRecord(budget=8, opts=stats.StatisticSet(covariance=True, histogram_edges=(0.0, 1.0, 2.0)))
+    opts = stats.StatisticSet(covariance=True, histogram_edges=(0.0, 1.0, 2.0), swv=True)
+    rec = SummaryRecord(budget=8, opts=opts)
     rec.ingest_block(np.random.default_rng(4).uniform(-1, 3, size=20))
     container.read(container.write(rec))
     edit(rec)
@@ -526,6 +542,38 @@ def generator(name: str):
 FORMAT4 = generator("make_format4_stores")
 
 
+def stored_stacks(blob: bytes) -> list[np.ndarray | None]:
+    """The SWV stack of every sample of ``blob`` in level order, as stored, before ``read`` folds it."""
+    (version,) = struct.unpack_from("<I", blob, 4)
+    (mlen,) = struct.unpack_from("<Q", blob, 8)
+    manifest = json.loads(blob[16 : 16 + mlen - 4])
+    edges = np.asarray(manifest["statistics"]["histogram_edges"] or (0.0, 1.0))  # unread without a histogram
+    data = memoryview(blob)[16 + mlen + 8 :]
+    (n_levels,), offset, stacks = struct.unpack_from("<Q", data), 8, []
+    for _ in range(n_levels):
+        (count,) = struct.unpack_from("<Q", data, offset)
+        offset += 8
+        for _ in range(count):
+            s, offset = container._decode_sample(data, offset, {}, version, manifest["channels"], edges)
+            stacks.append(s.swv)
+    return stacks
+
+
+def assert_folded(back: SummaryRecord, blob: bytes) -> tuple[int, int]:
+    """Each SWV stack of ``back`` is the stored one of ``blob`` with the terms past ⌈log2 n⌉ - 1 summed into that
+    one; returns the number of samples folded and of terms folded away."""
+    samples = [s for level in back.levels for s in level]
+    folded = removed = 0
+    for s, stack in zip(samples, stored_stacks(blob), strict=True):
+        top = spectrum.depth(s.n)
+        assert s.swv.shape == (top, back.channels) and stack.shape[0] >= top
+        assert np.array_equal(s.swv[: top - 1], stack[: top - 1])
+        assert np.allclose(s.swv.sum(axis=0), stack.sum(axis=0), rtol=BLOCK_RTOL, atol=0.0)
+        folded += stack.shape[0] > top
+        removed += stack.shape[0] - top
+    return folded, removed
+
+
 @pytest.mark.parametrize("name", sorted(FORMAT4.STORES))
 def test_format_4_store_of_the_parent_build_loads_equal_to_the_same_stream_now(name):
     blob = (DATA / name).read_bytes()
@@ -536,10 +584,20 @@ def test_format_4_store_of_the_parent_build_loads_equal_to_the_same_stream_now(n
     assert bool(served) == (name == "accessed.gfs")
     for key in served:  # format 4 kept usage in an access log, which is not read
         del want.event_counts[key]
+    notes = [e["note"] for e in back.provenance if e["op"] == "read"]  # their zero retired weights leave none
+    removed = 0
+    if back.opts.swv:  # that build appended an SWV term per merge; the stacks load folded, the sums kept
+        folded, removed = assert_folded(back, blob)
+        assert folded and notes == [f"folded {folded} SWV stack(s) to ⌈log2 n⌉ terms"]
+        want.note(("read", None, None), {"op": "read", "note": notes[0]})
+        for s, w in zip(back.samples_in_time_order(), want.samples_in_time_order()):
+            assert np.allclose(s.swv.sum(axis=0), w.swv.sum(axis=0), rtol=BLOCK_RTOL, atol=0.0)
+            w.swv = s.swv
+    else:
+        assert not notes
     assert back == want
-    assert ("read", None, None) not in back.event_counts  # their zero retired weights leave no note
     rewritten = container.write(back)
-    assert data_len(blob) - data_len(rewritten) == 8 * back.slots()
+    assert data_len(blob) - data_len(rewritten) == 8 * back.slots() + 8 * back.channels * removed
     assert container.read(rewritten) == back
     back.ingest_block(np.random.default_rng(7).normal(size=(100, back.channels)))
     back.validate()
@@ -557,6 +615,24 @@ def test_format_5_store_of_the_dict_histogram_build_is_written_back_byte_for_byt
     assert back == FORMAT5.STORES[name]()
     hists = [s.histogram for s in back.samples_in_time_order()]
     assert None in hists and any(h is not None and h[stats.OUTLIER_BIN] for h in hists)
+
+
+def test_deep_swv_stacks_of_an_older_build_load_folded_into_their_top_scale():
+    blob = (DATA / FORMAT5.DEEP_SWV).read_bytes()
+    assert struct.unpack_from("<I", blob, 4) == (5,)
+    assert max(stack.shape[0] for stack in stored_stacks(blob)) > 400
+    back = container.read(blob)
+    folded, removed = assert_folded(back, blob)
+    notes = [e["note"] for e in back.provenance if e["op"] == "read"]
+    assert folded and notes == [f"folded {folded} SWV stack(s) to ⌈log2 n⌉ terms"]
+    want = FORMAT5.deep_swv_record()  # the same stream now, planned, with scale-indexed stacks
+    for s, w in zip(back.samples_in_time_order(), want.samples_in_time_order(), strict=True):
+        assert np.allclose(s.swv.sum(axis=0), s.variance, rtol=BLOCK_RTOL, atol=0.0)
+        assert_same_sample(s, dataclasses.replace(w, swv=s.swv), scale=0.0)
+    back.validate()
+    back.ingest_block(np.random.default_rng(8).normal(size=100))
+    back.validate()
+    assert data_len(container.write(back)) < data_len(blob) / 4
 
 
 FIRST_SAMPLE = 16  # data offset of the first sample: after the level count and level 0's sample count

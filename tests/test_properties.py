@@ -1,10 +1,10 @@
 """Property tests: random channels, budgets, statistics, rules and stream lengths."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gfstore import container, stats
+from gfstore import container, spectrum, stats
 from gfstore.curation import CurationRules
 from gfstore.record import SummaryRecord
 
@@ -38,6 +38,14 @@ def streams(draw):
     return rec, raw
 
 
+def planned_histogram_with_outliers():
+    """An untuned 300-row block, planned, on a histogram of [-3, 3] that about a third of its rows fall outside."""
+    raw = np.random.default_rng(5).normal(0.0, 3.0, size=(300, 1))
+    rec = SummaryRecord(budget=8, opts=stats.StatisticSet(histogram_edges=tuple(np.linspace(-3.0, 3.0, 7)), swv=True))
+    rec.ingest_block(raw)
+    return rec, raw
+
+
 def moments_close(got, want, scale=0.0) -> bool:
     """Within MOMENT_RTOL of ``want``, or of ``scale`` where ``want`` is near zero."""
     return np.allclose(got, want, rtol=MOMENT_RTOL, atol=MOMENT_RTOL * scale)
@@ -45,10 +53,13 @@ def moments_close(got, want, scale=0.0) -> bool:
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(streams())
+@example(planned_histogram_with_outliers())
 def test_record_invariants_round_trip_and_aggregate(case):
     rec, raw = case
     rec.validate()
     assert rec.slots() <= rec.budget
+    if rec.opts.swv:
+        assert all(s.swv.shape[0] == spectrum.depth(s.n) for s in rec.samples_in_time_order())
 
     blob = container.write(rec)
     back = container.read(blob)
@@ -64,3 +75,5 @@ def test_record_invariants_round_trip_and_aggregate(case):
     assert moments_close(agg.variance, whole.variance)
     if rec.opts.covariance and raw.shape[0]:
         assert moments_close(agg.covariance, whole.covariance, float(whole.variance.max()))
+    if rec.opts.swv and raw.shape[0]:
+        assert moments_close(agg.swv.sum(axis=0), whole.variance)
