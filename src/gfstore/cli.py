@@ -11,10 +11,10 @@ CSV input is one row per time step, d comma-separated reals; an optional
 first line "#observation,action,reward" labels the channels.  Every row
 must hold as many values as the first, or nothing is ingested, and the rows
 go into the store as one block.  A new store gets --budget slots, 256 when
-the flag is absent, and the statistics of --stats; an existing store keeps
-its own budget unless --budget is given, and is then rebalanced to the new
-budget at once, before any new rows.  An existing store's statistics never
-change: --stats on it must name the same set, or nothing is saved.
+the flag is absent, the statistics of --stats and the header's labels.  An
+existing store keeps its budget unless --budget is given, and is then
+rebalanced to it at once, before any new rows; --stats and a header on it
+must name its own statistics and labels, or nothing is saved.
 inspect lists the event totals, among them the per-level access tallies
 of the requests gfs serve answered, which it saves on exit; inspect --json
 prints the whole accounting as one JSON object, including the event totals
@@ -34,7 +34,7 @@ import sys
 import numpy as np
 
 from . import compare, container, curation, index, service, stats
-from .errors import StoreError
+from .errors import ChannelMismatch, StoreError
 from .record import SummaryRecord
 
 DEFAULT_BUDGET = 256
@@ -113,6 +113,8 @@ def cmd_ingest(args) -> int:
                 f"the store keeps {_stats_list(rec.opts)}; "
                 f"--stats asks for {_stats_list(_parse_stats(args.stats))}"
             )
+        if labels is not None and labels != rec.labels:
+            raise ChannelMismatch(f"the store labels its channels {','.join(rec.labels)}; the header {','.join(labels)}")
         if args.budget is not None and args.budget != rec.budget:
             rec.rules.budget_slots = args.budget
             rec.rules.check()

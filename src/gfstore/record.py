@@ -13,16 +13,15 @@ Curation is one loop, :meth:`SummaryRecord._curate`, which ``ingest``,
 step on level lengths alone, and the record changes only once the loop is
 done, so every ingest and rebalance is all or nothing.  Under untuned
 rules the layout depends only on counts, never on values, so
-``ingest_block`` plans a block on counts and then builds each new stored
-sample once, in one grouped reduction over the rows and the stored
-samples it absorbs, scale-wise variance by the plan's merge tree.  Tuned
-rules score values, so there, as in ``ingest`` and ``rebalance``, the
-loop builds each sample as it is made.
+``ingest_block`` plans each new stored sample as a :class:`Span`, read as
+a stored sample is, then builds every span in one grouped reduction over
+the rows and the stored samples it absorbs, scale-wise variance by the
+plan's merge tree.  Tuned rules score values, so there, as in ``ingest``
+and ``rebalance``, the loop builds each sample as it is made.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 from collections import deque
 from dataclasses import dataclass
@@ -90,6 +89,15 @@ def _crossed(samples) -> bool:
     bounded = [s for s in samples if s.min_v is not None and s.max_v is not None]
     lows, highs = [s.min_v for s in bounded], [s.max_v for s in bounded]
     return bool(bounded) and bool(np.any(np.concatenate(lows) > np.concatenate(highs)))
+
+
+class Span:
+    """The steps ``[t_start, t_end)`` that a stored sample still to be built will cover; a planned merge grows it."""
+
+    __slots__ = ("t_start", "t_end")
+
+    def __init__(self, t_start: int, t_end: int):
+        self.t_start, self.t_end = t_start, t_end
 
 
 @dataclass
@@ -229,17 +237,17 @@ class SummaryRecord:
         changes the record only once every new stored sample is built.  The
         record equals what ``for row in block: ingest(row)`` leaves.
 
-        With untuned rules, the block is planned on counts and each new
-        stored sample is reduced once.  Planning and the grouped reduction
-        cost about three single-row ingests whatever the block's size, so
-        blocks under about five rows ingest slower than a loop of
-        :meth:`ingest`; longer blocks gain.  A planned record differs from
-        the row-by-row one only in rounding: means, variances, covariances
-        and scale-wise variance terms agree within 1e-12 relative to the
-        data's magnitude (a run of n samples sums in another order than a
-        chain of n - 1 merges), and everything else is identical.  The
-        tuned merge weight scores values, so under it the block builds each
-        sample as it is made, exactly as ``ingest`` does.
+        With untuned rules, the block is planned on spans and each new
+        stored sample is reduced once, by :func:`stats.merge_runs`.
+        Planning and the grouped reduction cost about three single-row
+        ingests whatever the block's size, so blocks under about five rows
+        ingest slower than a loop of :meth:`ingest`; longer blocks gain.
+        A planned record differs from the row-by-row one only in rounding:
+        means, variances, covariances and scale-wise variance terms agree
+        within 1e-12 relative to the data's magnitude (a span of n sources
+        sums in another order than a chain of n - 1 merges), and everything
+        else is identical.  The tuned merge weight scores values, so under
+        it the block builds each sample as it is made, as ``ingest`` does.
         """
         arr = np.asarray(block, dtype=np.float64)
         if arr.ndim == 1:
@@ -270,13 +278,13 @@ class SummaryRecord:
         exceeds 2^k.
 
         Unplanned, each new sample is built as it is made (``point_sample``
-        and ``stats.merge``).  Planned, each new stored sample is an entry
-        ``[t_start, t_end, n]``; the entries left in the copies, read
-        coarsest level first, are the new samples in time order, and
-        ``stats.merge_runs`` builds each from the stored samples and rows
-        it absorbed, appended to its entry.  Either way the copies are
-        swapped in only then, with the event tallies and ring, so the
-        record changes all at once or not at all.
+        and ``stats.merge``).  Planned, each is a :class:`Span`, read by its
+        ``t_start`` and ``t_end`` as a stored sample is.  The spans left in
+        the copies, read coarsest level first, are the new samples in time
+        order, and ``stats.merge_runs`` builds them all from the rows and
+        the stored samples merged away.  Either way the copies are swapped
+        in only then, with the event tallies and ring, so the record
+        changes all at once or not at all.
         """
         rules = self.rules
         budget = rules.budget_slots
@@ -306,30 +314,24 @@ class SummaryRecord:
                     lengths[k] -= 1
                     lengths[k + 1] += 1
                     promotions[k] += 1
-                    t0, t1 = (e[0], e[1]) if e.__class__ is list else (e.t_start, e.t_end)
-                    events.append((k, 0, None, t0, t1))
+                    events.append((k, 0, None, e.t_start, e.t_end))
                     continue
                 i = curation.score_merge_candidates(level, rules)[0] if tuned else 0
                 a, b = level[i], level[i + 1]
+                t0, t1 = a.t_start, b.t_end
                 if planned:
-                    if a.__class__ is list:
-                        t0, n = a[0], a[2]
-                    else:
-                        t0, n = a.t_start, a.n
+                    if a.__class__ is not Span:
                         absorbed.append(a)
-                    if b.__class__ is list:
-                        t1, n = b[1], n + b[2]
-                    else:
-                        t1, n = b.t_end, n + b.n
+                    if b.__class__ is not Span:
                         absorbed.append(b)
-                    merged = [t0, t1, n]
+                    merged = a if a.__class__ is Span else Span(t0, t1)
+                    merged.t_end = t1  # a span grows over the entry it absorbs: no object per merge
                     if splits is not None:
-                        splits.append((t0, b[0] if b.__class__ is list else b.t_start, t1))
+                        splits.append((t0, b.t_start, t1))
                 else:
                     merged = stats.merge(a, b)
-                    t0, t1, n = merged.t_start, merged.t_end, merged.n
                 slots -= 1
-                if i == 0 and n > 1 << k:  # the oldest pair outgrew level k
+                if i == 0 and t1 - t0 > 1 << k:  # the oldest pair outgrew level k
                     del level[0:2]
                     lengths[k] -= 2
                     if k + 1 == len(levels):
@@ -349,8 +351,9 @@ class SummaryRecord:
                 events.append((k, i, dest, t0, t1))
             if t == t_end:
                 break
-            if planned:
-                fine.append([t, t + 1, 1])
+            if planned:  # Span(t, t + 1), made without the cost of a call to __init__ on every row
+                fine.append(row := object.__new__(Span))
+                row.t_start, row.t_end = t, t + 1
             else:
                 fine.append(stats.point_sample(rows[t - t_rows], t, self.opts))
             lengths[0] += 1
@@ -358,19 +361,12 @@ class SummaryRecord:
             t += 1
 
         if planned:
-            # Reduce: one run of absorbed samples and rows per new entry, in time order.
-            fresh = [e for level in reversed(levels) for e in level if e.__class__ is list]
-            absorbed.sort(key=attrgetter("t_start"))
-            starts = [s.t_start for s in absorbed]
-            sizes = []
-            i = 0
-            for e in fresh:
-                j = bisect.bisect_left(starts, e[1], i)
-                sizes.append(j - i + max(0, e[1] - max(e[0], t_rows)))
-                i = j
-            for e, s in zip(fresh, stats.merge_runs(absorbed, rows, t_rows, sizes, splits, self.opts)):
-                e.append(s)
-            levels = [[e[3] if e.__class__ is list else e for e in level] for level in levels]
+            # Reduce every new span, in time order, from the samples it absorbed and its rows.
+            fresh = [(level, j) for level in reversed(levels) for j, e in enumerate(level) if e.__class__ is Span]
+            absorbed.sort(key=attrgetter("t_start"))  # merges of finer levels came first
+            spans = [level[j] for level, j in fresh]
+            for (level, j), s in zip(fresh, stats.merge_runs(absorbed, rows, t_rows, spans, splits, self.opts)):
+                level[j] = s
 
         # Commit.
         self.levels[:] = levels
@@ -433,7 +429,7 @@ class SummaryRecord:
         if not samples:
             return stats.empty(self.channels)
         fold = ((0, s.t_start, s.t_end) for s in samples[1:])  # read only when the store keeps SWV
-        return stats.merge_runs(samples, np.empty((0, self.channels)), self.now, [len(samples)], fold, self.opts)[0]
+        return stats.merge_runs(samples, np.empty((0, self.channels)), self.now, [Span(0, self.now)], fold, self.opts)[0]
 
     def membership(self, q):
         """Test a value against every stored sample (an empty record holds none); see :mod:`gfstore.index`."""

@@ -79,7 +79,7 @@ class QueryService:
             if op == "inspect":
                 return self._inspect()
             if op == "interval":
-                return self._interval(int(req["t0"]), int(req["t1"]))
+                return self._interval(req["t0"], req["t1"])
             if op == "member":
                 return self._member(req["value"])
             if op == "compare":
@@ -93,6 +93,8 @@ class QueryService:
             return {"ok": True, "result": container.inspect_summary(self.rec)}
 
     def _interval(self, t0: int, t1: int) -> dict:
+        if type(t0) is not int or type(t1) is not int:  # JSON integers only: not a float, a bool or a string
+            raise TypeError(f"t0 and t1 must be integers, got {t0!r} and {t1!r}")
         with self.lock:
             parts = self.rec.query_interval(t0, t1)
             curation.record_access(self.rec, [p.sample for p in parts], "interval")

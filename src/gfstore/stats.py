@@ -12,9 +12,9 @@ Medians and other non-mergeable quantities are deliberately absent.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import dataclasses
-import itertools
 import operator
 from dataclasses import dataclass
 
@@ -127,7 +127,7 @@ class SummarySample:
         def arr_eq(x, y):
             if x is None or y is None:
                 return x is None and y is None
-            return x.shape == y.shape and np.array_equal(x, y)
+            return x.shape == y.shape and np.array_equal(x, y, equal_nan=True)  # a NaN row's sample equals its copy
 
         return (
             self.t_start == other.t_start
@@ -383,19 +383,19 @@ def merge_all(samples) -> SummarySample:
     return acc
 
 
-def merge_runs(samples, rows: np.ndarray, t_rows: int, sizes, splits, opts: StatisticSet) -> list[SummarySample]:
-    """Merge consecutive runs of sources, every run in one grouped reduction.
+def merge_runs(samples, rows: np.ndarray, t_rows: int, spans, splits, opts: StatisticSet) -> list[SummarySample]:
+    """Merge the sources of each span, every span in one grouped reduction.
 
     The sources are ``samples``, stored samples in time order, followed by
     the point samples of ``rows`` (rows x channels) under ``opts``, row j
-    covering step ``t_rows + j``.  ``sizes[r]`` is the number of consecutive
-    sources that run r merges, and the runs take every source in turn.  The
-    sources of one run must be adjacent in time; runs need not be.  Empty
-    ``rows`` with the one run ``[len(samples)]`` gives the aggregate of
-    ``samples``.
+    covering step ``t_rows + j``.  ``spans``, each with a ``t_start`` and a
+    ``t_end`` (a ``record.Span``), come in time order; the sources starting
+    in a span must tile it, and every source lies in one, but spans need not
+    be adjacent.  Empty ``rows`` with the one span ``(0, now)`` gives the
+    aggregate of ``samples``.
 
-    Each run gets the k-way form of :func:`merge`'s formulas: with
-    N = sum n_i and M = sum n_i m_i / N over the run's sources,
+    Each span gets the k-way form of :func:`merge`'s formulas: with
+    N = sum n_i and M = sum n_i m_i / N over its sources,
 
         variance   = sum n_i (v_i + (m_i - M)^2) / N
         covariance = sum n_i (C_i + (m_i - M)(m_i - M)^T) / N
@@ -405,35 +405,42 @@ def merge_runs(samples, rows: np.ndarray, t_rows: int, sizes, splits, opts: Stat
     :func:`spectrum.pool_terms` places it; the iterable ``splits``, read only
     under ``opts.swv``, holds each merge's ``(t_start, t_mid, t_end)``.
 
-    A run of one row gets ``point_sample``'s values, zero moments even for a
-    non-finite row, and a run of two sources ``merge``'s own expressions.
-    Longer runs sum in another order than a chain of merges, so their
+    A span of one row gets ``point_sample``'s values, zero moments even for
+    a non-finite row, and a span of two sources ``merge``'s own expressions.
+    Longer spans sum in another order than a chain of merges, so their
     moments agree with it to rounding.  Counts, extrema and histograms are
-    exact, and a hull is the hull of every vertex and row of its run, as a
-    chain of ``merge_hull`` gives it.  A statistic that any sample of a run
+    exact, and a hull is the hull of every vertex and row of its span, as a
+    chain of ``merge_hull`` gives it.  A statistic that any source of a span
     lacks is None on the result.
     """
     m, d = rows.shape
     k = len(samples)
-    n_runs = len(sizes)
-    first = [0, *itertools.accumulate(sizes[:-1])]
-    at = np.array(first, dtype=np.intp)
-    run = np.repeat(np.arange(n_runs), sizes)  # the run of every source
-    sample_run = run[:k].tolist()
+    n_runs = len(spans)
 
-    # Sources x (mean, variance, min, max) x channels.  A statistic that a
-    # sample lacks reads as zero here and is None on the sample's run.
+    # One pass over the samples: their starts and counts, and sources x
+    # (mean, variance, min, max) x channels.  A statistic that a sample
+    # lacks reads as zero here and is None on the sample's span.
     zero = np.zeros(d)
-    lost: dict[str, set[int]] = collections.defaultdict(set)
-    stored = []
-    for r, s in zip(sample_run, samples):
-        stored.append(s.mean)
-        for name in ("variance", "min_v", "max_v"):
-            v = getattr(s, name)
-            if v is None:
-                lost[name].add(r)
-                v = zero
-            stored.append(v)
+    lost: dict[str, list[int]] = collections.defaultdict(list)  # statistic -> the sources that lack it
+    starts, weight, stored = [], [], []
+    for i, s in enumerate(samples):
+        starts.append(s.t_start)
+        weight.append(s.n)
+        v, lo, hi = s.variance, s.min_v, s.max_v
+        if v is None:
+            v = zero
+            lost["variance"].append(i)
+        if lo is None:
+            lo = zero
+            lost["min_v"].append(i)
+        if hi is None:
+            hi = zero
+            lost["max_v"].append(i)
+        stored += s.mean, v, lo, hi
+    starts = np.concatenate([starts, np.arange(t_rows, t_rows + m + 1)])  # every source's start, then the end
+    at, end = np.searchsorted(starts, [t for s in spans for t in (s.t_start, s.t_end)]).reshape(-1, 2).T
+    sizes = end - at
+    firsts, ends = at.tolist(), end.tolist()
     src = np.empty((k + m, 4, d))
     if k:
         src[:k] = np.concatenate(stored).reshape(k, 4, d)
@@ -441,30 +448,30 @@ def merge_runs(samples, rows: np.ndarray, t_rows: int, sizes, splits, opts: Stat
     src[k:, 1] = 0.0
 
     def kept(name: str, values) -> list:
-        """``values`` per run, None on the runs that lost ``name``."""
+        """``values`` per span, None on the spans that lost ``name``."""
         values = list(values)
-        for r in lost[name]:
-            values[r] = None
+        for i in lost[name]:
+            values[bisect.bisect_right(firsts, i) - 1] = None
         return values
 
     means = src[:, 0]
-    weight = np.array([s.n for s in samples] + [1] * m, dtype=np.float64)[:, np.newaxis]
+    weight = np.array(weight + [1] * m, dtype=np.float64)[:, np.newaxis]
     total = np.add.reduceat(weight, at)
     mean = np.add.reduceat(weight * means, at) / total
     dev = means - np.repeat(mean, sizes, axis=0)
-    lone = (np.asarray(sizes) == 1) & (at >= k)  # a lone row, whose inf or NaN dev would read NaN
+    lone = (sizes == 1) & (at >= k)  # a lone row, whose inf or NaN dev would read NaN
     variance = np.add.reduceat(weight * (src[:, 1] + dev * dev), at) / total
     variance[lone] = 0.0
     variance = kept("variance", variance)
     low = kept("min_v", np.minimum.reduceat(src[:, 2], at))
     high = kept("max_v", np.maximum.reduceat(src[:, 3], at))
 
-    covariance = [None] * n_runs
+    covariance = hulls = hists = swv = [None] * n_runs  # an optional statistic not kept is None on every span
     if opts.covariance:
         cov = np.zeros((k + m, d, d))
-        for i, (r, s) in enumerate(zip(sample_run, samples)):
+        for i, s in enumerate(samples):
             if s.covariance is None:
-                lost["covariance"].add(r)
+                lost["covariance"].append(i)
             else:
                 cov[i] = s.covariance
         cov += dev[:, :, np.newaxis] * dev[:, np.newaxis, :]
@@ -472,37 +479,31 @@ def merge_runs(samples, rows: np.ndarray, t_rows: int, sizes, splits, opts: Stat
         cov[lone] = 0.0
         covariance = kept("covariance", cov)
 
-    hulls = [None] * n_runs
     if opts.hull and d == 2:
-        parts: list[list[np.ndarray]] = [[] for _ in range(n_runs)]
-        for r, s in zip(sample_run, samples):
-            parts[r].append(s.hull)
-        for r, i in enumerate(first):
-            parts[r].append(rows[max(i - k, 0) : max(i + sizes[r] - k, 0)])
+        parts = ([s.hull for s in samples[i:j]] + [rows[max(i - k, 0) : max(j - k, 0)]] for i, j in zip(firsts, ends))
         hulls = [None if any(p is None for p in ps) else convex_hull(np.vstack(ps)) for ps in parts]
 
-    hists = [None] * n_runs
     edges = opts.edges_array()
     if edges is not None:
         # sources x (bins + 1) counts; a row counts one in its bin, OUTLIER_BIN indexing the last column
         counts = np.zeros((k + m, edges.shape[0]), dtype=np.int64)
-        for i, (r, s) in enumerate(zip(sample_run, samples)):
+        for i, s in enumerate(samples):
             if s.histogram is None:
-                lost["histogram"].add(r)
+                lost["histogram"].append(i)
             else:
                 counts[i] = s.histogram
         counts[np.arange(k, k + m), hist_bins(edges, rows[:, 0])] = 1
         hists = kept("histogram", map(tuple, np.add.reduceat(counts, at).tolist()))
 
-    swv = [None] * n_runs
     if opts.swv:
         terms = np.zeros((n_runs, spectrum.depth(int(total.max())), d))
-        lost["swv"].update(r for r, s in zip(sample_run, samples) if s.swv is None)
-        for r, s in zip(sample_run, samples):
-            if s.swv is not None:
+        run = np.repeat(np.arange(n_runs), sizes)  # the span of every source
+        for i, (r, s) in enumerate(zip(run.tolist(), samples)):
+            if s.swv is None:
+                lost["swv"].append(i)
+            else:
                 terms[r, : s.swv.shape[0]] += s.n * s.swv
         splits = np.array(list(splits), dtype=np.int64).reshape(-1, 3)
-        starts = np.concatenate([[s.t_start for s in samples], np.arange(t_rows, t_rows + m + 1)])  # and the end
         at3 = np.searchsorted(starts, splits.ravel())  # the sources where each merge starts, halves and ends
         half = np.add.reduceat(np.vstack([weight * means, zero]), at3).reshape(-1, 3, d)
         n_a, n_b = np.diff(splits).T[:, :, np.newaxis]
@@ -511,26 +512,23 @@ def merge_runs(samples, rows: np.ndarray, t_rows: int, sizes, splits, opts: Stat
         np.add.at(terms, (run[at3[0::3]], scale), n_a * (m_a - m_ab) ** 2 + n_b * (m_b - m_ab) ** 2)  # as merge
         swv = kept("swv", (t[: spectrum.depth(int(n))] / n for t, n in zip(terms, total[:, 0])))
 
-    out = []
-    for r, (i, size, n, mu) in enumerate(zip(first, sizes, total[:, 0].tolist(), mean)):
-        j = i + size - 1
-        out.append(
-            SummarySample(
-                t_start=samples[i].t_start if i < k else t_rows + i - k,
-                t_end=samples[j].t_end if j < k else t_rows + j - k + 1,
-                n=int(n),
-                mean=mu,
-                variance=variance[r],
-                min_v=low[r],
-                max_v=high[r],
-                covariance=covariance[r],
-                hull=hulls[r],
-                histogram=hists[r],
-                hist_edges=None if hists[r] is None else edges,
-                swv=swv[r],
-            )
+    return [
+        SummarySample(
+            t_start=span.t_start,
+            t_end=span.t_end,
+            n=int(n),
+            mean=mu,
+            variance=variance[r],
+            min_v=low[r],
+            max_v=high[r],
+            covariance=covariance[r],
+            hull=hulls[r],
+            histogram=hists[r],
+            hist_edges=None if hists[r] is None else edges,
+            swv=swv[r],
         )
-    return out
+        for r, (span, n, mu) in enumerate(zip(spans, total[:, 0].tolist(), mean))
+    ]
 
 
 def scalar_cost(s: SummarySample) -> tuple[int, int]:

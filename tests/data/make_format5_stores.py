@@ -10,12 +10,15 @@ the stores to write:
 ``golden-d2.gfs`` was written by commit 4fb31cf, the last build that kept
 histograms as key -> count dicts.  ``deep-swv.gfs`` was written by commit
 bc56547, the last build that appended a scale-wise variance term per merge.
+``planned-swv.gfs`` was written by commit 1b6cb93, the last build whose
+planner kept ``[t_start, t_end, n]`` lists beside stored samples.
 
 The functions below are seeded, and the test runs them again under the
 current code.  Each store of ``STORES`` must load equal to what they build
 now and be written back byte for byte, which pins the histogram block's
-outlier-first key order across builds.  ``deep-swv.gfs`` must load with its
-stacks folded to ⌈log2 n⌉ terms.
+outlier-first key order across builds, and with ``planned-swv.gfs`` the
+planned reduction of histograms and SWV terms.  ``deep-swv.gfs`` must load
+with its stacks folded to ⌈log2 n⌉ terms.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from gfstore.record import SummaryRecord
 HERE = Path(__file__).resolve().parent
 GOLDEN_SEED = 51
 DEEP_SWV_SEED = 52
+PLANNED_SWV_SEED = 53
 
 
 def golden_record() -> SummaryRecord:
@@ -67,7 +71,25 @@ def deep_swv_record() -> SummaryRecord:
     return rec
 
 
-STORES = {"golden-d2.gfs": golden_record}
+def planned_swv_record() -> SummaryRecord:
+    """One channel with a 4-bin histogram on [-1, 1] and scale-wise variance, untuned at budget 16.
+
+    118 rows of scale 1.5 come in blocks of 1, 17 and 100 rows, the last
+    with a NaN row, so each block is planned and reduced with its SWV
+    terms; then the budget is lowered to 5 and the record rebalanced.
+    """
+    opts = stats.StatisticSet(histogram_edges=(-1.0, -0.5, 0.0, 0.5, 1.0), swv=True)
+    rec = SummaryRecord(opts=opts, budget=16)
+    rows = np.random.default_rng(PLANNED_SWV_SEED).normal(scale=1.5, size=118)
+    rows[100] = np.nan
+    for i, j in ((0, 1), (1, 18), (18, 118)):
+        rec.ingest_block(rows[i:j])
+    rec.rules.budget_slots = 5
+    rec.rebalance(reason="budget")
+    return rec
+
+
+STORES = {"golden-d2.gfs": golden_record, "planned-swv.gfs": planned_swv_record}
 DEEP_SWV = "deep-swv.gfs"
 
 

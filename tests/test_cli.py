@@ -163,6 +163,24 @@ def test_stats_on_an_existing_store_must_match_its_own(gfs, tmp_path):
     assert rc == 2 and "histogram[0:10:5]; --stats asks for" in err and err.endswith("histogram[0:10:4]\n")
 
 
+@pytest.mark.parametrize("header", ["#action,reward", "#action", "#observation,observation,reward"])
+def test_a_label_header_on_an_existing_store_must_repeat_its_labels(gfs, tmp_path, header):
+    store = tmp_path / "s.gfs"
+    assert gfs(["ingest", str(store)], "1.0,2.0\n3.0,4.0\n")[0] == 0
+    before = store.read_bytes()
+    rc, out, err = gfs(["ingest", str(store)], f"{header}\n5.0,6.0\n")
+    assert (rc, out) == (2, "")
+    assert err == f"gfs: ChannelMismatch: the store labels its channels observation,observation; the header {header[1:]}\n"
+    assert store.read_bytes() == before
+    rc, out, err = gfs(["ingest", str(store)], "#observation,observation\n5.0,6.0\n")
+    assert (rc, err) == (0, "") and out.endswith("t = 3\n")
+    rc, _, err = gfs(["ingest", str(tmp_path / "new.gfs")], f"{header}\n5.0,6.0\n")
+    if header == "#action,reward":  # a new store takes any valid label per channel
+        assert (rc, err) == (0, "")
+    else:
+        assert rc == 2 and "ChannelMismatch: one label per channel" in err
+
+
 def spans(text: str) -> list[tuple[int, int, int]]:
     """The ``[t0,t1) n=N`` of every sample line that ``gfs query`` printed."""
     return [tuple(map(int, m)) for m in re.findall(r"\[(\d+),(\d+)\) n=(\d+)", text)]

@@ -614,7 +614,8 @@ def test_format_5_store_of_the_dict_histogram_build_is_written_back_byte_for_byt
     assert container.write(back) == blob
     assert back == FORMAT5.STORES[name]()
     hists = [s.histogram for s in back.samples_in_time_order()]
-    assert None in hists and any(h is not None and h[stats.OUTLIER_BIN] for h in hists)
+    assert any(h is not None and h[stats.OUTLIER_BIN] for h in hists)
+    assert (None in hists) == (name == "golden-d2.gfs")  # compaction dropped a histogram there
 
 
 def test_deep_swv_stacks_of_an_older_build_load_folded_into_their_top_scale():

@@ -247,9 +247,24 @@ def test_compare_without_a_store_directory_is_refused(served):
     assert reply["ok"] is False and "PermissionError" in reply["error"]
 
 
-@pytest.mark.parametrize("line", ['{"op": "drop_everything"}', "{not json", "[1, 2]", b"\xff\xfe"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"op": "drop_everything"}',
+        "{not json",
+        "[1, 2]",
+        b"\xff\xfe",
+        '{"op": "interval", "t0": 1.9, "t1": 3}',
+        '{"op": "interval", "t0": true, "t1": 3}',
+        '{"op": "interval", "t0": "3", "t1": 5}',
+        '{"op": "interval", "t0": 0, "t1": 3.0}',
+        '{"op": "interval", "t0": 0}',
+    ],
+)
 def test_unknown_op_and_malformed_requests(served, line):
-    svc, _, _, _ = served
+    svc, rec, _, _ = served
+    before = dict(rec.event_counts)
     reply = svc.handle_line(line)
     assert reply["ok"] is False
     assert reply["error"]
+    assert rec.event_counts == before  # no access counted

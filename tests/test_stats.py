@@ -3,7 +3,9 @@ import pytest
 
 from gfstore import stats
 from gfstore.errors import ChannelMismatch, DictionaryMismatch
+from gfstore.record import Span
 from gfstore.stats import OUTLIER_BIN, StatisticSet, merge, merge_hull, summarize
+from test_record import BLOCK_RTOL, assert_same_sample
 
 RTOL = 1e-9
 
@@ -278,3 +280,29 @@ def test_hist_bins_matches_point_sample_and_np_histogram():
     assert list(map(tuple, one_hot.tolist())) == [stats.point_sample([v], 0, opts).histogram for v in x]
     in_range = bins[bins != stats.OUTLIER_BIN]
     assert np.bincount(in_range, minlength=4).tolist() == np.histogram(x[~np.isnan(x)], bins=edges)[0].tolist()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the lone inf row's deviation
+def test_merge_runs_reduces_into_the_spans_it_is_given():
+    raw = np.random.default_rng(12).normal(size=(14, 2))
+    raw[11], raw[12] = (np.inf, 0.0), (np.nan, 1.0)
+    s0, s1, kept, s3 = (summarize(raw[a:b], a, FULL2D) for a, b in ((0, 4), (4, 6), (6, 8), (8, 10)))
+    s1.variance = None  # a statistic a source lacks is None on its span only
+    s3.histogram = s3.hist_edges = None
+    rows = raw[10:]
+    bounds = [(0, 6), (8, 11), (11, 12), (12, 13), (13, 14)]  # the kept sample [6, 8) is no source
+    out = stats.merge_runs([s0, s1, s3], rows, 10, [Span(a, b) for a, b in bounds], (), FULL2D)
+    assert [(s.t_start, s.t_end, s.n) for s in out] == [(a, b, b - a) for a, b in bounds]
+    assert out[0] == merge(s0, s1)  # a two-source span is bitwise merge's
+    assert out[0].variance is None and out[0].histogram is not None
+    assert out[1] == merge(s3, stats.point_sample(rows[0], 10, FULL2D))
+    assert out[1].variance is not None and out[1].histogram is None
+    for s, t in zip(out[2:], range(11, 14)):  # a lone row, inf and NaN too, is its point sample, with zero moments
+        assert s == stats.point_sample(raw[t], t, FULL2D)
+        assert not s.variance.any() and not s.covariance.any()
+    assert out[2].hull is None and out[3].hull is None and out[4].hull is not None
+
+    finite = raw[:10]
+    parts = [summarize(finite[a:b], a, FULL) for a, b in ((0, 4), (4, 6), (6, 8), (8, 10))]
+    (whole,) = stats.merge_runs(parts, np.empty((0, 2)), 10, [Span(0, 10)], (), FULL)  # as SummaryRecord.aggregate
+    assert_same_sample(whole, summarize(finite, 0, FULL), float(np.abs(finite).max()), BLOCK_RTOL)
