@@ -498,10 +498,9 @@ def merge_runs(samples, rows: np.ndarray, t_rows: int, spans, splits, opts: Stat
     if opts.swv:
         terms = np.zeros((n_runs, spectrum.depth(int(total.max())), d))
         run = np.repeat(np.arange(n_runs), sizes)  # the span of every source
-        for i, (r, s) in enumerate(zip(run.tolist(), samples)):
-            if s.swv is None:
-                lost["swv"].append(i)
-            else:
+        lost["swv"] += [i for i, s in enumerate(samples) if s.swv is None]
+        for r, s in zip(run.tolist(), samples):
+            if s.swv is not None:
                 terms[r, : s.swv.shape[0]] += s.n * s.swv
         splits = np.array(list(splits), dtype=np.int64).reshape(-1, 3)
         at3 = np.searchsorted(starts, splits.ravel())  # the sources where each merge starts, halves and ends
