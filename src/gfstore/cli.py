@@ -7,14 +7,15 @@
     gfs inspect <store> [--json]
     gfs serve <store> --socket PATH
 
-CSV input is one row per time step, d comma-separated reals; an optional
-first line "#observation,action,reward" labels the channels.  Every row
-must hold as many values as the first, or nothing is ingested, and the rows
-go into the store as one block.  A new store gets --budget slots, 256 when
-the flag is absent, the statistics of --stats and the header's labels.  An
-existing store keeps its budget unless --budget is given, and is then
-rebalanced to it at once, before any new rows; --stats and a header on it
-must name its own statistics and labels, or nothing is saved.
+CSV input is one row per time step, d comma-separated reals.  An optional
+label line "#observation,action,reward" names the channels; it may only
+come first (blank lines aside).  Every row must hold as many values as the
+first, or nothing is ingested, and the rows go into the store as one
+block.  A new store gets --budget slots, 256 when the flag is absent, the
+statistics of --stats and the header's labels.  An existing store keeps
+its budget unless --budget is given, and is then rebalanced to it at
+once, before any new rows; --stats and a header on it must name its own
+statistics and labels, or nothing is saved.
 inspect lists the event totals, among them the per-level access tallies
 of the requests gfs serve answered, which it saves on exit; inspect --json
 prints the whole accounting as one JSON object, including the event totals
@@ -89,6 +90,8 @@ def _read_csv(stream):
         if not line:
             continue
         if line.startswith("#"):
+            if rows or labels is not None:
+                raise ValueError(f"line {lineno}: a '#' label line may only come first")
             labels = tuple(tok.strip() for tok in line[1:].split(","))
             bad = [tok for tok in labels if tok not in VALID_LABELS]
             if bad:

@@ -80,6 +80,8 @@ def test_data_errors_exit_2_with_one_line(gfs, tmp_path):
     for args, stdin_text, message in (
         (["--stats", "cov,median"], csv_rows(5), "unknown statistic token 'median'"),
         ([], "#observation,bogus\n1.0,2.0\n", "line 1: unknown channel label(s) ['bogus']"),
+        ([], "1,2\n#action,reward\n3,4\n", "line 2: a '#' label line may only come first"),
+        ([], "\n#observation,reward\n\n#action,reward\n1,2\n", "line 4: a '#' label line may only come first"),
         ([], "", "no data on stdin and no existing store"),
     ):
         rc, out, err = gfs(["ingest", store, *args], stdin_text)

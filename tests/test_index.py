@@ -1,9 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from gfstore import curation
-from gfstore.errors import ChannelMismatch, EmptyLeaves
-from gfstore.index import build, membership, range_count_bounds
+from gfstore import compare, curation
+from gfstore.errors import ChannelMismatch, DictionaryMismatch, EmptyLeaves
+from gfstore.index import GAUSSIAN, PIECEWISE, POINT, UNIFORM, build, membership, range_count_bounds
 from gfstore.record import SummaryRecord
 from gfstore.stats import StatisticSet, summarize
 
@@ -141,3 +144,80 @@ def test_rows_of_samples_that_lost_their_extrema_count_only_in_the_upper_bound()
     assert range_count_bounds(index, [raw.min()], [raw.max()]) == (500 - lost, 500)
     assert range_count_bounds(index, [raw.max() + 1], [raw.max() + 2]) == (0, lost)
     assert range_count_bounds(index, [-np.inf], [np.inf]) == (500 - lost, 500)
+
+
+def record_of(raw, opts=None, compact_to=None):
+    """A budget-16 record of ``raw`` in blocks of 10 rows, compacted to ``compact_to`` of its scalars if given."""
+    rec = SummaryRecord(channels=raw.shape[1], budget=16, opts=opts)
+    for i in range(0, len(raw), 10):
+        rec.ingest_block(raw[i : i + 10])
+    if compact_to is not None:
+        rec.rules.max_scalars = int(rec.scalar_footprint() * compact_to)
+        curation.compact(rec)
+    return list(rec.samples_in_time_order())
+
+
+def likelihood_cases(scale):
+    """(name, leaves, what the index must show) per likelihood family, on data of SD ``scale``."""
+    rng = np.random.default_rng(12)
+    one, two = rng.normal(size=(200, 1)) * scale, rng.normal(size=(200, 2)) * scale
+    edges = tuple((np.linspace(-2.0, 2.0, 9) * scale).tolist())
+    hist = StatisticSet(histogram_edges=edges)
+    outside = summarize(one[:10] + 10 * scale, t_start=200, opts=hist)  # every row beyond the edges
+    flat = [dataclasses.replace(s, variance=None) for s in leaves_from(np.r_[one[:12, 0], [0.5 * scale] * 4], 4)]
+    rich = StatisticSet(covariance=True, hull=True, histogram_edges=edges)
+    with_outside = leaves_from(one, 10, hist) + [outside]
+    return [
+        ("d1 default", record_of(one), lambda ix: GAUSSIAN in ix.family and (ix.var == 0).any()),
+        ("histogram", with_outside, lambda ix: PIECEWISE in ix.family and ix.family[-1] == GAUSSIAN),
+        ("equal extrema", flat, lambda ix: (ix.family == UNIFORM).all() and (ix.lo == ix.hi).any()),
+        ("compacted", record_of(one, compact_to=0.7), lambda ix: UNIFORM in ix.family and POINT in ix.family),
+        ("d2 hull", record_of(two, StatisticSet(hull=True)), lambda ix: all(s.hull is not None for s in ix.leaves)),
+        ("d2 all", record_of(two, rich), lambda ix: all(s.histogram is not None for s in ix.leaves)),
+        ("d2 all compacted", record_of(two, rich, compact_to=0.5), lambda ix: {UNIFORM, POINT} <= set(ix.family)),
+    ]
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_likelihoods_equal_the_reference_models_density_in_ranked_order(scale):
+    for name, leaves, shows in likelihood_cases(scale):
+        index = build(leaves)
+        assert shows(index), name
+        d = leaves[0].channels
+        at_means = [s.mean for s in leaves] + [np.full(d, 0.5 * scale)]  # every point family, and the flat chunk
+        queries = np.vstack(at_means + [np.random.default_rng(13).normal(size=(20, d)) * scale])
+        for q in queries:
+            res = membership(index, q)
+            for s, like in res.candidates:
+                assert like == pytest.approx(compare.pdf(compare.model_from_sample(s), q), rel=1e-12, abs=0), name
+            ranked = zip(res.candidates, res.candidates[1:])
+            assert all(a > b or (a == b and s.t_start < t.t_start) for (s, a), (t, b) in ranked), name
+
+
+def test_a_nan_likelihood_ranks_after_every_other_in_time_order():
+    raw = np.random.default_rng(14).normal(size=200)
+    raw[50], raw[120] = np.nan, np.inf
+    rec = SummaryRecord(budget=8)
+    with np.errstate(invalid="ignore"):  # inf - inf in the moments of the samples that hold those rows
+        for i in range(0, 200, 10):
+            rec.ingest_block(raw[i : i + 10])
+    res = rec.membership([0.1])
+    likes = [like for _, like in res.candidates]
+    nan = [s.t_start for s, like in res.candidates if math.isnan(like)]
+    assert nan == [0] and len(likes) > 2  # the sample holding both rows, [0, 128)
+    assert math.isnan(likes[-1]) and likes[:-1] == sorted(likes[:-1], reverse=True)
+
+
+def test_membership_on_data_near_the_float_limit_warns_nothing():
+    rec = SummaryRecord(budget=1)
+    with np.errstate(over="ignore"):  # the variance of these rows overflows
+        rec.ingest_block(np.array([-1e155, 1e155, 3e154, 0.0]))
+    res = rec.membership([1e155])  # a RuntimeWarning fails the test
+    assert not res.absent_certain and len(res.candidates) == 1
+
+
+def test_histograms_on_different_edges_cannot_share_an_index():
+    a = summarize([0.5], opts=StatisticSet(histogram_edges=(0.0, 1.0)))
+    b = summarize([0.5], t_start=1, opts=StatisticSet(histogram_edges=(0.0, 2.0)))
+    with pytest.raises(DictionaryMismatch):
+        build([a, b])
