@@ -81,18 +81,6 @@ def next_step(lengths, quotas) -> tuple[int, bool]:
     return [k for k, n in enumerate(lengths) if n][-2], True
 
 
-def _crossed(samples) -> bool:
-    """Is a variance, covariance diagonal or SWV term negative, or a minimum above its maximum (NaN passes)?"""
-    spread = [s.variance for s in samples if s.variance is not None]
-    spread += [s.covariance.diagonal() for s in samples if s.covariance is not None]
-    spread += [s.swv.ravel() for s in samples if s.swv is not None]
-    if spread and np.any(np.concatenate(spread) < 0):
-        return True
-    bounded = [s for s in samples if s.min_v is not None and s.max_v is not None]
-    lows, highs = [s.min_v for s in bounded], [s.max_v for s in bounded]
-    return bool(bounded) and bool(np.any(np.concatenate(lows) > np.concatenate(highs)))
-
-
 class Span:
     """The steps ``[t_start, t_end)`` that a stored sample still to be built will cover; a planned merge grows it."""
 
@@ -305,70 +293,71 @@ class SummaryRecord:
         merges = [0] * len(levels)  # per level, for event_counts
         promotions = [0] * len(levels)
 
-        fine = levels[0]
-        while True:
-            while slots > budget:
-                k, promote = next_step(lengths, quotas)
-                level = levels[k]
-                if promote:
-                    e = level.pop()
-                    levels[k + 1].append(e)
-                    lengths[k] -= 1
-                    lengths[k + 1] += 1
-                    promotions[k] += 1
-                    events.append((k, 0, None, e.t_start, e.t_end))
-                    continue
-                i = curation.score_merge_candidates(level, rules)[0] if tuned else 0
-                a, b = level[i], level[i + 1]
-                t0, t1 = a.t_start, b.t_end
-                if planned:
-                    if a.__class__ is not Span:
-                        absorbed.append(a)
-                    if b.__class__ is not Span:
-                        absorbed.append(b)
-                    merged = a if a.__class__ is Span else Span(t0, t1)
-                    merged.t_end = t1  # a span grows over the entry it absorbs: no object per merge
-                    if splits is not None:
-                        splits.append((t0, b.t_start, t1))
+        with np.errstate(all="ignore"):  # non-finite or near-limit rows; their moments read NaN or inf
+            fine = levels[0]
+            while True:
+                while slots > budget:
+                    k, promote = next_step(lengths, quotas)
+                    level = levels[k]
+                    if promote:
+                        e = level.pop()
+                        levels[k + 1].append(e)
+                        lengths[k] -= 1
+                        lengths[k + 1] += 1
+                        promotions[k] += 1
+                        events.append((k, 0, None, e.t_start, e.t_end))
+                        continue
+                    i = curation.score_merge_candidates(level, rules)[0] if tuned else 0
+                    a, b = level[i], level[i + 1]
+                    t0, t1 = a.t_start, b.t_end
+                    if planned:
+                        if a.__class__ is not Span:
+                            absorbed.append(a)
+                        if b.__class__ is not Span:
+                            absorbed.append(b)
+                        merged = a if a.__class__ is Span else Span(t0, t1)
+                        merged.t_end = t1  # a span grows over the entry it absorbs: no object per merge
+                        if splits is not None:
+                            splits.append((t0, b.t_start, t1))
+                    else:
+                        merged = stats.merge(a, b)
+                    slots -= 1
+                    if i == 0 and t1 - t0 > 1 << k:  # the oldest pair outgrew level k
+                        del level[0:2]
+                        lengths[k] -= 2
+                        if k + 1 == len(levels):
+                            levels.append([])
+                            lengths.append(0)
+                            merges.append(0)
+                            promotions.append(0)
+                            quotas = level_quotas(budget, len(levels))
+                        dest = k + 1
+                        levels[dest].append(merged)
+                        lengths[dest] += 1
+                    else:
+                        dest = k
+                        level[i : i + 2] = [merged]
+                        lengths[k] -= 1
+                    merges[k] += 1
+                    events.append((k, i, dest, t0, t1))
+                if t == t_end:
+                    break
+                if planned:  # Span(t, t + 1), made without the cost of a call to __init__ on every row
+                    fine.append(row := object.__new__(Span))
+                    row.t_start, row.t_end = t, t + 1
                 else:
-                    merged = stats.merge(a, b)
-                slots -= 1
-                if i == 0 and t1 - t0 > 1 << k:  # the oldest pair outgrew level k
-                    del level[0:2]
-                    lengths[k] -= 2
-                    if k + 1 == len(levels):
-                        levels.append([])
-                        lengths.append(0)
-                        merges.append(0)
-                        promotions.append(0)
-                        quotas = level_quotas(budget, len(levels))
-                    dest = k + 1
-                    levels[dest].append(merged)
-                    lengths[dest] += 1
-                else:
-                    dest = k
-                    level[i : i + 2] = [merged]
-                    lengths[k] -= 1
-                merges[k] += 1
-                events.append((k, i, dest, t0, t1))
-            if t == t_end:
-                break
-            if planned:  # Span(t, t + 1), made without the cost of a call to __init__ on every row
-                fine.append(row := object.__new__(Span))
-                row.t_start, row.t_end = t, t + 1
-            else:
-                fine.append(stats.point_sample(rows[t - t_rows], t, self.opts))
-            lengths[0] += 1
-            slots += 1
-            t += 1
+                    fine.append(stats.point_sample(rows[t - t_rows], t, self.opts))
+                lengths[0] += 1
+                slots += 1
+                t += 1
 
-        if planned:
-            # Reduce every new span, in time order, from the samples it absorbed and its rows.
-            fresh = [(level, j) for level in reversed(levels) for j, e in enumerate(level) if e.__class__ is Span]
-            absorbed.sort(key=attrgetter("t_start"))  # merges of finer levels came first
-            spans = [level[j] for level, j in fresh]
-            for (level, j), s in zip(fresh, stats.merge_runs(absorbed, rows, t_rows, spans, splits, self.opts)):
-                level[j] = s
+            if planned:
+                # Reduce every new span, in time order, from the samples it absorbed and its rows.
+                fresh = [(level, j) for level in reversed(levels) for j, e in enumerate(level) if e.__class__ is Span]
+                absorbed.sort(key=attrgetter("t_start"))  # merges of finer levels came first
+                spans = [level[j] for level, j in fresh]
+                for (level, j), s in zip(fresh, stats.merge_runs(absorbed, rows, t_rows, spans, splits, self.opts)):
+                    level[j] = s
 
         # Commit.
         self.levels[:] = levels
@@ -431,7 +420,9 @@ class SummaryRecord:
         if not samples:
             return stats.empty(self.channels)
         fold = ((0, s.t_start, s.t_end) for s in samples[1:])  # read only when the store keeps SWV
-        return stats.merge_runs(samples, np.empty((0, self.channels)), self.now, [Span(0, self.now)], fold, self.opts)[0]
+        rows = np.empty((0, self.channels))
+        with np.errstate(all="ignore"):  # non-finite or near-limit rows; their moments read NaN or inf
+            return stats.merge_runs(samples, rows, self.now, [Span(0, self.now)], fold, self.opts)[0]
 
     def membership(self, q):
         """Test a value against every stored sample (an empty record holds none); see :mod:`gfstore.index`."""
@@ -468,8 +459,18 @@ class SummaryRecord:
             if s.hull is not None and not s.hull.shape[0]:
                 raise InvariantViolation(f"{where(s)} of n = {s.n} has a hull with no vertex")
             cursor = s.t_end
-        if _crossed(samples):
-            s = next(s for s in samples if _crossed([s]))
+        st = stats.stack(samples, self.channels)
+        crossed = ((st.variance < 0) | (st.min_v > st.max_v)).any(axis=1)  # a NaN passes
+        covariances = [s.covariance for s in samples if s.covariance is not None]  # per sample, not stacked
+        if covariances:
+            diagonals = np.frombuffer(b"".join(covariances)).reshape(-1, self.channels ** 2)[:, :: self.channels + 1]
+            crossed[~st.lacks("covariance")] |= (diagonals < 0).any(axis=1)
+        swvs = [s.swv for s in samples if s.swv is not None]
+        if swvs:  # of unequal depths: each negative term marks its sample
+            owner = np.repeat(np.flatnonzero(~st.lacks("swv")), [x.size for x in swvs])
+            crossed[owner[np.frombuffer(b"".join(swvs)) < 0]] = True
+        if crossed.any():
+            s = samples[crossed.argmax()]
             raise InvariantViolation(f"{where(s)} has a negative variance or a minimum above its maximum")
 
     def __eq__(self, other) -> bool:

@@ -1,12 +1,12 @@
 """Line-oriented query service over a local stream socket.
 
 One JSON object per line in, one per line out: {"ok": true, "result": ...}
-or {"ok": false, "error": "..."}.  Serving queries through the store is
-what lets the store observe its usage: every answered ``interval`` or
-``member`` request counts the stored samples it returned under
-``("access", level, op)`` in the record's event totals
-(:func:`curation.record_access`), and ``serve`` saves those tallies on
-exit.  ``compare`` opens only stores inside the served store's directory:
+or {"ok": false, "error": "..."}, in strict JSON (:func:`encode`).
+Serving queries through the store is what lets the store observe its
+usage: every answered ``interval`` or ``member`` request counts the stored
+samples it returned under ``("access", level, op)`` in the record's event
+totals (:func:`curation.record_access`), and ``serve`` saves those tallies
+on exit.  ``compare`` opens only stores inside the served store's directory:
 its path, read like the store path given to ``serve`` (relative to the
 working directory), is resolved with ``realpath`` and refused, unopened,
 if it lands outside that directory.  A service keeps the aggregates of the
@@ -34,9 +34,21 @@ OTHER_AGGREGATES = 16
 
 
 def _jsonable(x):
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    return x
+    """``x`` with each NaN or infinite float in it as the string "nan", "inf" or "-inf", which strict JSON holds."""
+    if isinstance(x, dict):
+        return {key: _jsonable(v) for key, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    return repr(x) if isinstance(x, float) and not math.isfinite(x) else x
+
+
+def encode(resp: dict) -> bytes:
+    """One reply line of strict JSON, every float in it passed through :func:`_jsonable`."""
+    try:
+        text = json.dumps(resp, sort_keys=True, allow_nan=False)
+    except ValueError:  # a NaN or infinite float, from a stored sample or a likelihood: only then is the reply walked
+        text = json.dumps(_jsonable(resp), sort_keys=True)
+    return text.encode("utf-8") + b"\n"
 
 
 def _sample_dict(s, coarse: bool | None = None) -> dict:
@@ -165,7 +177,7 @@ class _Handler(socketserver.StreamRequestHandler):
             if not line:
                 continue
             resp = self.server.service.handle_line(line)
-            self.wfile.write(json.dumps(resp, sort_keys=True).encode("utf-8") + b"\n")
+            self.wfile.write(encode(resp))
             self.wfile.flush()
 
 

@@ -12,9 +12,8 @@ Medians and other non-mergeable quantities are deliberately absent.
 
 from __future__ import annotations
 
-import bisect
-import collections
 import dataclasses
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -383,16 +382,79 @@ def merge_all(samples) -> SummarySample:
     return acc
 
 
+@dataclass(frozen=True)
+class Stack:
+    """Stored samples in time order beside their statistics stacked into arrays, as :func:`stack` builds it.
+
+    ``t_start`` and ``n`` hold one entry per sample; ``mean``, ``variance``, ``min_v`` and ``max_v`` are read-only
+    ``(samples, channels)`` arrays, NaN where a sample lacks the statistic.  ``histogram`` holds the counts as
+    ``(samples, bins + 1)`` on the shared ``hist_edges``, zero for a sample without one, or both are None.
+    """
+
+    samples: list
+    t_start: np.ndarray
+    n: np.ndarray
+    mean: np.ndarray
+    variance: np.ndarray
+    min_v: np.ndarray
+    max_v: np.ndarray
+    histogram: np.ndarray | None = None
+    hist_edges: np.ndarray | None = None
+
+    def lacks(self, name: str) -> np.ndarray:
+        """The mask of the samples whose field ``name`` is None; a stacked NaN is looked up, as a row may hold NaN."""
+        if name not in ("variance", "min_v", "max_v"):
+            return np.array([getattr(s, name) is None for s in self.samples], dtype=bool)
+        out = np.isnan(getattr(self, name)).any(axis=1)
+        if out.any():
+            out[out] = [getattr(s, name) is None for s in itertools.compress(self.samples, out)]
+        return out
+
+    def node_count(self) -> int:
+        return len(self.samples)
+
+
+def stack(samples, channels: int) -> Stack:
+    """Stack stored samples of ``channels`` channels into one :class:`Stack`.
+
+    Their statistics are C-contiguous float64 arrays, as this module and the container make them, so their joined
+    bytes are the stack.  Histograms must share their bin edges, as a record's do, or ``DictionaryMismatch`` is raised.
+    """
+    samples = list(samples)
+    k, d = len(samples), channels
+    unknown = np.full(d, np.nan)
+    starts, counts, moments = [], [], []
+    edges = None
+    for s in samples:
+        v, lo, hi = s.variance, s.min_v, s.max_v
+        starts.append(s.t_start)
+        counts.append(s.n)
+        moments += s.mean, unknown if v is None else v, unknown if lo is None else lo, unknown if hi is None else hi
+        if s.histogram is not None:
+            if edges is not None and s.hist_edges is not edges and not np.array_equal(s.hist_edges, edges):
+                raise DictionaryMismatch("histogram bin edges differ")
+            edges = s.hist_edges
+    mean, variance, min_v, max_v = np.frombuffer(b"".join(moments)).reshape(k, 4, d).transpose(1, 0, 2)
+    histogram = None
+    if edges is not None:
+        zero = (0,) * edges.shape[0]  # the counts of a sample without a histogram
+        flat = itertools.chain.from_iterable(zero if s.histogram is None else s.histogram for s in samples)
+        histogram = np.fromiter(flat, np.int64, k * len(zero)).reshape(k, -1)
+    starts, counts = np.array(starts, dtype=np.int64), np.array(counts, dtype=np.int64)
+    return Stack(samples, starts, counts, mean, variance, min_v, max_v, histogram, edges)
+
+
 def merge_runs(samples, rows: np.ndarray, t_rows: int, spans, splits, opts: StatisticSet) -> list[SummarySample]:
     """Merge the sources of each span, every span in one grouped reduction.
 
-    The sources are ``samples``, stored samples in time order, followed by
-    the point samples of ``rows`` (rows x channels) under ``opts``, row j
-    covering step ``t_rows + j``.  ``spans``, each with a ``t_start`` and a
-    ``t_end`` (a ``record.Span``), come in time order; the sources starting
-    in a span must tile it, and every source lies in one, but spans need not
-    be adjacent.  Empty ``rows`` with the one span ``(0, now)`` gives the
-    aggregate of ``samples``.
+    The sources are ``samples``, stored samples in time order and read
+    through their :func:`stack`, followed by the point samples of ``rows``
+    (rows x channels) under ``opts``, row j covering step ``t_rows + j``.
+    ``spans``, each with a ``t_start`` and a ``t_end`` (a ``record.Span``),
+    come in time order; the sources starting in a span must tile it, and
+    every source lies in one, but spans need not be adjacent.  Empty
+    ``rows`` with the one span ``(0, now)`` gives the aggregate of
+    ``samples``.
 
     Each span gets the k-way form of :func:`merge`'s formulas: with
     N = sum n_i and M = sum n_i m_i / N over its sources,
@@ -411,69 +473,45 @@ def merge_runs(samples, rows: np.ndarray, t_rows: int, spans, splits, opts: Stat
     moments agree with it to rounding.  Counts, extrema and histograms are
     exact, and a hull is the hull of every vertex and row of its span, as a
     chain of ``merge_hull`` gives it.  A statistic that any source of a span
-    lacks is None on the result.
+    lacks, by the stack's :meth:`Stack.lacks` mask reduced over the span, is
+    None on the result.
     """
     m, d = rows.shape
-    k = len(samples)
+    st = stack(samples, d)
+    samples, k = st.samples, len(st.samples)
     n_runs = len(spans)
 
-    # One pass over the samples: their starts and counts, and sources x
-    # (mean, variance, min, max) x channels.  A statistic that a sample
-    # lacks reads as zero here and is None on the sample's span.
-    zero = np.zeros(d)
-    lost: dict[str, list[int]] = collections.defaultdict(list)  # statistic -> the sources that lack it
-    starts, weight, stored = [], [], []
-    for i, s in enumerate(samples):
-        starts.append(s.t_start)
-        weight.append(s.n)
-        v, lo, hi = s.variance, s.min_v, s.max_v
-        if v is None:
-            v = zero
-            lost["variance"].append(i)
-        if lo is None:
-            lo = zero
-            lost["min_v"].append(i)
-        if hi is None:
-            hi = zero
-            lost["max_v"].append(i)
-        stored += s.mean, v, lo, hi
-    starts = np.concatenate([starts, np.arange(t_rows, t_rows + m + 1)])  # every source's start, then the end
+    starts = np.concatenate([st.t_start, np.arange(t_rows, t_rows + m + 1)])  # every source's start, then the end
     at, end = np.searchsorted(starts, [t for s in spans for t in (s.t_start, s.t_end)]).reshape(-1, 2).T
     sizes = end - at
     firsts, ends = at.tolist(), end.tolist()
-    src = np.empty((k + m, 4, d))
-    if k:
-        src[:k] = np.concatenate(stored).reshape(k, 4, d)
-    src[k:] = rows[:, np.newaxis, :]
-    src[k:, 1] = 0.0
+    tail = np.zeros(m, dtype=bool)  # a row lacks nothing
 
     def kept(name: str, values) -> list:
-        """``values`` per span, None on the spans that lost ``name``."""
-        values = list(values)
-        for i in lost[name]:
-            values[bisect.bisect_right(firsts, i) - 1] = None
-        return values
+        """``values`` per span, None on the spans with a source that lacks the field ``name``."""
+        lacks = st.lacks(name)
+        if not lacks.any():
+            return list(values)
+        lost = np.logical_or.reduceat(np.concatenate([lacks, tail]), at).tolist()
+        return [None if gone else v for v, gone in zip(values, lost)]
 
-    means = src[:, 0]
-    weight = np.array(weight + [1] * m, dtype=np.float64)[:, np.newaxis]
+    means = np.concatenate([st.mean, rows])
+    weight = np.concatenate([st.n, np.ones(m)])[:, np.newaxis]
     total = np.add.reduceat(weight, at)
     mean = np.add.reduceat(weight * means, at) / total
     dev = means - np.repeat(mean, sizes, axis=0)
     lone = (sizes == 1) & (at >= k)  # a lone row, whose inf or NaN dev would read NaN
-    variance = np.add.reduceat(weight * (src[:, 1] + dev * dev), at) / total
+    variance = np.add.reduceat(weight * (np.concatenate([st.variance, np.zeros((m, d))]) + dev * dev), at) / total
     variance[lone] = 0.0
     variance = kept("variance", variance)
-    low = kept("min_v", np.minimum.reduceat(src[:, 2], at))
-    high = kept("max_v", np.maximum.reduceat(src[:, 3], at))
+    low = kept("min_v", np.minimum.reduceat(np.concatenate([st.min_v, rows]), at))
+    high = kept("max_v", np.maximum.reduceat(np.concatenate([st.max_v, rows]), at))
 
     covariance = hulls = hists = swv = [None] * n_runs  # an optional statistic not kept is None on every span
     if opts.covariance:
         cov = np.zeros((k + m, d, d))
-        for i, s in enumerate(samples):
-            if s.covariance is None:
-                lost["covariance"].append(i)
-            else:
-                cov[i] = s.covariance
+        kept_cov = [s.covariance for s in samples if s.covariance is not None]
+        cov[:k][~st.lacks("covariance")] = np.frombuffer(b"".join(kept_cov)).reshape(-1, d, d)
         cov += dev[:, :, np.newaxis] * dev[:, np.newaxis, :]
         cov = np.add.reduceat(weight[:, :, np.newaxis] * cov, at) / total[:, :, np.newaxis]
         cov[lone] = 0.0
@@ -481,30 +519,24 @@ def merge_runs(samples, rows: np.ndarray, t_rows: int, spans, splits, opts: Stat
 
     if opts.hull and d == 2:
         parts = ([s.hull for s in samples[i:j]] + [rows[max(i - k, 0) : max(j - k, 0)]] for i, j in zip(firsts, ends))
-        hulls = [None if any(p is None for p in ps) else convex_hull(np.vstack(ps)) for ps in parts]
+        hulls = [None if ps is None else convex_hull(np.vstack(ps)) for ps in kept("hull", parts)]
 
     edges = opts.edges_array()
     if edges is not None:
         # sources x (bins + 1) counts; a row counts one in its bin, OUTLIER_BIN indexing the last column
-        counts = np.zeros((k + m, edges.shape[0]), dtype=np.int64)
-        for i, s in enumerate(samples):
-            if s.histogram is None:
-                lost["histogram"].append(i)
-            else:
-                counts[i] = s.histogram
-        counts[np.arange(k, k + m), hist_bins(edges, rows[:, 0])] = 1
+        stored = np.zeros((k, edges.shape[0]), dtype=np.int64) if st.histogram is None else st.histogram
+        counts = np.concatenate([stored, np.eye(edges.shape[0], dtype=np.int64)[hist_bins(edges, rows[:, 0])]])
         hists = kept("histogram", map(tuple, np.add.reduceat(counts, at).tolist()))
 
     if opts.swv:
         terms = np.zeros((n_runs, spectrum.depth(int(total.max())), d))
         run = np.repeat(np.arange(n_runs), sizes)  # the span of every source
-        lost["swv"] += [i for i, s in enumerate(samples) if s.swv is None]
         for r, s in zip(run.tolist(), samples):
             if s.swv is not None:
                 terms[r, : s.swv.shape[0]] += s.n * s.swv
         splits = np.array(list(splits), dtype=np.int64).reshape(-1, 3)
         at3 = np.searchsorted(starts, splits.ravel())  # the sources where each merge starts, halves and ends
-        half = np.add.reduceat(np.vstack([weight * means, zero]), at3).reshape(-1, 3, d)
+        half = np.add.reduceat(np.vstack([weight * means, np.zeros(d)]), at3).reshape(-1, 3, d)
         n_a, n_b = np.diff(splits).T[:, :, np.newaxis]
         m_a, m_b, m_ab = half[:, 0] / n_a, half[:, 1] / n_b, (half[:, 0] + half[:, 1]) / (n_a + n_b)
         scale = np.frexp(splits[:, 2] - splits[:, 0] - 1)[1] - 1  # spectrum.depth(n_a + n_b) - 1, for n < 2^53

@@ -278,7 +278,6 @@ def test_a_hull_with_no_vertex_does_not_load():
         container.read(container.write(rec))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_nan_spreads_and_extrema_of_inf_and_nan_rows_still_load():
     rec = SummaryRecord(channels=2, budget=8, opts=stats.StatisticSet(covariance=True))
     raw = np.random.default_rng(6).normal(size=(40, 2))

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from gfstore import compare, curation
+from gfstore import compare, container, curation
 from gfstore.errors import ChannelMismatch, DictionaryMismatch, EmptyLeaves
-from gfstore.index import GAUSSIAN, PIECEWISE, POINT, UNIFORM, build, membership, range_count_bounds
+from gfstore.index import GAUSSIAN, PIECEWISE, POINT, UNIFORM, build, families, membership, range_count_bounds
 from gfstore.record import SummaryRecord
 from gfstore.stats import StatisticSet, summarize
 
@@ -23,7 +23,7 @@ def leaves_from(raw, chunk, opts=None):
 def test_single_leaf_root():
     leaf = summarize([1.0, 2.0])
     index = build([leaf])
-    assert index.leaves[0] is leaf and index.node_count() == 1
+    assert index.samples[0] is leaf and index.node_count() == 1
 
 
 def test_empty_leaves_rejected():
@@ -146,6 +146,26 @@ def test_rows_of_samples_that_lost_their_extrema_count_only_in_the_upper_bound()
     assert range_count_bounds(index, [-np.inf], [np.inf]) == (500 - lost, 500)
 
 
+def test_a_sample_that_keeps_only_its_minimum_rules_out_only_values_below_it():
+    raw = np.random.default_rng(16).normal(size=300)
+    rec = SummaryRecord(budget=16)
+    rec.ingest_block(raw)
+    for s in rec.levels[-1]:
+        s.max_v = None  # compact drops both extrema, but a container may hold a sample with one
+    back = container.read(container.write(rec))
+    assert all(s.min_v is not None and s.max_v is None for s in back.levels[-1])
+    for x in raw:
+        assert not back.membership([x]).absent_certain
+    assert back.membership([raw.min() - 1.0]).absent_certain  # below every minimum
+    index = build(back.samples_in_time_order())
+    rng = np.random.default_rng(17)
+    for lo in rng.uniform(-3.0, 2.0, size=50):
+        hi = lo + rng.uniform(0.1, 2.0)
+        low, up = range_count_bounds(index, [lo], [hi])
+        assert low <= int(((raw >= lo) & (raw <= hi)).sum()) <= up
+    assert range_count_bounds(index, [raw.min() - 2.0], [raw.min() - 1.0]) == (0, 0)
+
+
 def record_of(raw, opts=None, compact_to=None):
     """A budget-16 record of ``raw`` in blocks of 10 rows, compacted to ``compact_to`` of its scalars if given."""
     rec = SummaryRecord(channels=raw.shape[1], budget=16, opts=opts)
@@ -168,13 +188,13 @@ def likelihood_cases(scale):
     rich = StatisticSet(covariance=True, hull=True, histogram_edges=edges)
     with_outside = leaves_from(one, 10, hist) + [outside]
     return [
-        ("d1 default", record_of(one), lambda ix: GAUSSIAN in ix.family and (ix.var == 0).any()),
-        ("histogram", with_outside, lambda ix: PIECEWISE in ix.family and ix.family[-1] == GAUSSIAN),
-        ("equal extrema", flat, lambda ix: (ix.family == UNIFORM).all() and (ix.lo == ix.hi).any()),
-        ("compacted", record_of(one, compact_to=0.7), lambda ix: UNIFORM in ix.family and POINT in ix.family),
-        ("d2 hull", record_of(two, StatisticSet(hull=True)), lambda ix: all(s.hull is not None for s in ix.leaves)),
-        ("d2 all", record_of(two, rich), lambda ix: all(s.histogram is not None for s in ix.leaves)),
-        ("d2 all compacted", record_of(two, rich, compact_to=0.5), lambda ix: {UNIFORM, POINT} <= set(ix.family)),
+        ("d1 default", record_of(one), lambda ix: GAUSSIAN in families(ix) and (ix.variance == 0).any()),
+        ("histogram", with_outside, lambda ix: PIECEWISE in families(ix) and families(ix)[-1] == GAUSSIAN),
+        ("equal extrema", flat, lambda ix: (families(ix) == UNIFORM).all() and (ix.min_v == ix.max_v).any()),
+        ("compacted", record_of(one, compact_to=0.7), lambda ix: {UNIFORM, POINT} <= set(families(ix))),
+        ("d2 hull", record_of(two, StatisticSet(hull=True)), lambda ix: all(s.hull is not None for s in ix.samples)),
+        ("d2 all", record_of(two, rich), lambda ix: all(s.histogram is not None for s in ix.samples)),
+        ("d2 all compacted", record_of(two, rich, compact_to=0.5), lambda ix: {UNIFORM, POINT} <= set(families(ix))),
     ]
 
 
@@ -198,9 +218,8 @@ def test_a_nan_likelihood_ranks_after_every_other_in_time_order():
     raw = np.random.default_rng(14).normal(size=200)
     raw[50], raw[120] = np.nan, np.inf
     rec = SummaryRecord(budget=8)
-    with np.errstate(invalid="ignore"):  # inf - inf in the moments of the samples that hold those rows
-        for i in range(0, 200, 10):
-            rec.ingest_block(raw[i : i + 10])
+    for i in range(0, 200, 10):  # a RuntimeWarning, from inf - inf in the moments, fails the test
+        rec.ingest_block(raw[i : i + 10])
     res = rec.membership([0.1])
     likes = [like for _, like in res.candidates]
     nan = [s.t_start for s, like in res.candidates if math.isnan(like)]
@@ -208,12 +227,30 @@ def test_a_nan_likelihood_ranks_after_every_other_in_time_order():
     assert math.isnan(likes[-1]) and likes[:-1] == sorted(likes[:-1], reverse=True)
 
 
+NEAR_LIMIT = np.array([-1e155, 1e155, 3e154, 0.0])  # their variance overflows to inf
+
+
 def test_membership_on_data_near_the_float_limit_warns_nothing():
     rec = SummaryRecord(budget=1)
-    with np.errstate(over="ignore"):  # the variance of these rows overflows
-        rec.ingest_block(np.array([-1e155, 1e155, 3e154, 0.0]))
-    res = rec.membership([1e155])  # a RuntimeWarning fails the test
+    rec.ingest_block(NEAR_LIMIT)  # a RuntimeWarning fails the test
+    res = rec.membership([1e155])
     assert not res.absent_certain and len(res.candidates) == 1
+
+
+@pytest.mark.parametrize("how", ["per row", "rebalance"])
+def test_ingesting_data_near_the_float_limit_warns_nothing(how):
+    rec = SummaryRecord(budget=1 if how == "per row" else 4)
+    if how == "per row":
+        for x in NEAR_LIMIT:  # a RuntimeWarning fails the test
+            rec.ingest(x)
+    else:
+        rec.ingest_block(NEAR_LIMIT)  # four slots: kept verbatim
+        rec.rules.budget_slots = 1
+        rec.rebalance()
+    (s,) = rec.samples_in_time_order()
+    assert (s.n, s.min_v[0], s.max_v[0], s.variance[0]) == (4, -1e155, 1e155, np.inf)
+    assert rec.aggregate() == s
+    assert not rec.membership([1e155]).absent_certain
 
 
 def test_histograms_on_different_edges_cannot_share_an_index():

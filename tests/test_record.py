@@ -378,7 +378,6 @@ def assert_same_sample(a, b, scale, rtol=BLOCK_RTOL):
             assert x.shape == y.shape and np.allclose(x, y, rtol=rtol, atol=rtol * scale, equal_nan=True), name
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in both paths
 def test_planned_block_ingest_matches_per_row():
     rich = dict(covariance=True, hull=True, histogram_edges=tuple(np.linspace(-4, 4, 9)))
     # (channels, statistics, weights, moment tolerance): untuned blocks are

@@ -115,6 +115,30 @@ def test_member(served):
     assert miss["result"]["candidates"] == []
 
 
+def refuse(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+def test_member_and_interval_replies_are_strict_json_over_non_finite_rows():
+    raw = np.random.default_rng(15).normal(size=200)
+    raw[50], raw[199] = np.nan, -np.inf
+    rec = SummaryRecord(budget=8)
+    rec.ingest_block(raw)
+    svc = service.QueryService(rec)
+    strict = {}
+    for op, req in (("member", {"value": [0.1]}), ("interval", {"t0": 0, "t1": 200})):
+        resp = ask(svc, {"op": op, **req})
+        assert resp["ok"]
+        strict[op] = json.loads(service.encode(resp), parse_constant=refuse)["result"]  # the line the socket sends
+    likes = [c["likelihood"] for c in strict["member"]["candidates"]]
+    assert likes[-1] == "nan" and all(type(x) is float for x in likes[:-1])  # the sample holding the NaN row
+    held = strict["member"]["candidates"][-1]["sample"]
+    assert held["t_start"] <= 50 < held["t_end"] and held["mean"] == held["min"] == ["nan"]
+    newest = strict["interval"][-1]
+    assert (newest["t_start"], newest["mean"], newest["min"], newest["max"]) == (199, ["-inf"], ["-inf"], ["-inf"])
+    assert all(type(x) is float for part in strict["interval"][1:-1] for x in part["mean"] + part["variance"])
+
+
 def jsonable(x):
     return "inf" if math.isinf(x) else x
 

@@ -306,3 +306,19 @@ def test_merge_runs_reduces_into_the_spans_it_is_given():
     parts = [summarize(finite[a:b], a, FULL) for a, b in ((0, 4), (4, 6), (6, 8), (8, 10))]
     (whole,) = stats.merge_runs(parts, np.empty((0, 2)), 10, [Span(0, 10)], (), FULL)  # as SummaryRecord.aggregate
     assert_same_sample(whole, summarize(finite, 0, FULL), float(np.abs(finite).max()), BLOCK_RTOL)
+
+    # each lost statistic is None on its own span only: covariance, SWV, one extremum, then none
+    every = StatisticSet(covariance=True, hull=True, histogram_edges=FULL2D.histogram_edges, swv=True)
+    raw = np.random.default_rng(13).normal(size=(16, 2))
+    pairs = [[summarize(raw[a : a + 2], a, every) for a in (t, t + 2)] for t in range(0, 16, 4)]
+    pairs[0][1].covariance = None
+    pairs[1][0].swv = None
+    pairs[2][1].max_v = None
+    sources = [s for pair in pairs for s in pair]
+    spans, splits = [Span(t, t + 4) for t in range(0, 16, 4)], [(t, t + 2, t + 4) for t in range(0, 16, 4)]
+    out = stats.merge_runs(sources, np.empty((0, 2)), 16, spans, splits, every)
+    fields = ("variance", "min_v", "max_v", "covariance", "hull", "histogram", "swv")
+    lost = [[name for name in fields if getattr(s, name) is None] for s in out]
+    assert lost == [["covariance"], ["swv"], ["max_v"], []]
+    for s, (a, b) in zip(out, pairs):
+        assert_same_sample(s, merge(a, b), float(np.abs(raw).max()), BLOCK_RTOL)
