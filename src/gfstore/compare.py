@@ -109,12 +109,16 @@ def model_from_sample(s: SummarySample) -> DistributionModel:
 # --- scalar (single channel) closed forms --------------------------------
 
 def _kl_scalar(fa, pa, fb, pb) -> float:
-    """KL between two scalar channel models given as (family, params)."""
+    """KL between two scalar channel models given as (family, params).
+
+    A gaussian whose mean or variance is inf or NaN, as an aggregate over
+    near-limit rows has, has no density: every divergence with it is inf.
+    """
     if fa == "point":
         if fb == "point":
             return 0.0 if pa == pb else math.inf
         if fb == "gaussian":
-            return 0.0 if math.isfinite(pb[1]) else math.inf  # a finite variance has density everywhere
+            return 0.0 if math.isfinite(pb[0]) and math.isfinite(pb[1]) else math.inf  # density everywhere
         return 0.0 if _piecewise_density(pb[0], pb[1], pa) > 0 else math.inf
     if fb == "point":
         return math.inf  # a spread distribution never fits inside a point
@@ -122,20 +126,26 @@ def _kl_scalar(fa, pa, fb, pb) -> float:
         mu1, s1 = pa
         if fb == "gaussian":
             mu2, s2 = pb
-            return 0.5 * ((s1 + (mu1 - mu2) ** 2) / s2 - 1.0 + math.log(s2 / s1))
+            d, ratio = mu1 - mu2, s2 / s1
+            if not (math.isfinite(d) and math.isfinite(s1) and math.isfinite(s2) and ratio):
+                return math.inf  # or s1 / s2 overflows: the divergence is past every float
+            return 0.5 * ((s1 + d * d) / s2 - 1.0 + math.log(ratio))  # d * d overflows to inf where ** raises
         return math.inf  # unbounded support cannot fit a bounded model
     ea, qa = pa
     if not math.isfinite(ea[-1] - ea[0]) or (fb == "piecewise" and not math.isfinite(pb[0][-1] - pb[0][0])):
         return math.inf  # an unbounded or NaN interval has no density
     if fb == "gaussian":
         mu, sg2 = pb
+        if not (math.isfinite(mu) and math.isfinite(sg2)):
+            return math.inf
         ent = 0.0
         quad = 0.0
         for x0, x1, q in zip(ea, ea[1:], qa):
             w = x1 - x0
             if q > 0:
                 ent += q * math.log(q / w)
-            quad += q * ((0.5 * (x0 + x1) - mu) ** 2 + w * w / 12.0)
+            d = 0.5 * (x0 + x1) - mu
+            quad += q * (d * d + w * w / 12.0)
         return ent + 0.5 * math.log(2.0 * math.pi * sg2) + quad / (2.0 * sg2)
     return _kl_piecewise(ea, qa, pb[0], pb[1])
 

@@ -67,8 +67,9 @@ def record_access(record, samples, op: str) -> None:
     level is the non-empty level with the last first start at or before
     the sample's own start.
     """
-    occupied = [k for k in range(len(record.levels) - 1, -1, -1) if record.levels[k]]
-    firsts = [record.levels[k][0].t_start for k in occupied]
+    levels = record.levels
+    occupied = [k for k in range(len(levels) - 1, -1, -1) if levels[k]]
+    firsts = [levels[k][0].t_start for k in occupied]
     counts = record.event_counts
     for s in samples:
         key = ("access", occupied[bisect.bisect_right(firsts, s.t_start) - 1], op)
@@ -152,12 +153,6 @@ def rank_statistics_for_drop(samples) -> list[tuple[str, float]]:
     return [(name, score) for score, name in rows]
 
 
-def _drop_statistic(sample: stats.SummarySample, name: str) -> None:
-    """Remove one statistic from a sample in place."""
-    for field in DROPPABLE[name]:
-        setattr(sample, field, None)
-
-
 def compact(record):
     """Bring the record within budget; a within-budget record is untouched.
 
@@ -189,11 +184,5 @@ def compact(record):
                     f"scalar footprint {record.scalar_footprint()} > {rules.max_scalars} "
                     "with nothing left to drop"
                 )
-            name = order[0][0]
-            for s in record.levels[level]:
-                _drop_statistic(s, name)
-            record.note(
-                ("drop_statistic", level, name),
-                {"op": "drop_statistic", "statistic": name, "level": level},
-            )
+            record.drop_statistic(level, order[0][0])
     return record

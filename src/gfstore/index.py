@@ -2,7 +2,9 @@
 
 A record keeps at most ``budget`` stored samples, so a query tests every
 one.  :func:`build` returns their :func:`stats.stack`, the table of their
-counts, moments, extrema and histogram counts; :func:`families` reads each
+counts, moments, extrema and histogram counts, which the record keeps until
+its stored samples change (:meth:`record.SummaryRecord.membership`), so
+queries between changes share one build; :func:`families` reads each
 sample's likelihood family off it.  :func:`membership` rules samples out
 and scores the rest in one array pass over the stack, then applies the hull
 test to the 2-D samples that keep one.  Exclusion is conservative: a value

@@ -123,6 +123,16 @@ class SummaryRecord:
     ``budget`` sets the slot budget when ``rules`` is not given; given
     beside ``rules``, it must equal ``rules.budget_slots``.
 
+    The record keeps two reductions of its stored samples for the reads
+    between changes: their :func:`stats.stack`, which :meth:`membership`
+    searches, and :meth:`aggregate`'s merge.  Each is made on first use and
+    forgotten whenever the stored samples change, and only the record's own
+    writers change them: the commit of :meth:`_curate` (``ingest``,
+    ``ingest_block`` and ``rebalance``), :meth:`drop_statistic`, and an
+    assignment to :attr:`levels`, as ``container.read`` makes.  A stored
+    sample edited in place by any other hand is not seen until the next of
+    these; :meth:`validate` reads the samples as they are.
+
     Single writer: ingest/compact must not run concurrently; readers may
     share the record between writes.
     """
@@ -148,7 +158,7 @@ class SummaryRecord:
         self.labels = labels or ("observation",) * channels
         if len(self.labels) != channels:
             raise ChannelMismatch("one label per channel")
-        self.levels: list[list[stats.SummarySample]] = [[]]
+        self.levels = [[]]
         self.event_counts: dict[tuple[str, int | None, str | None], int] = {}
         self.provenance: deque[dict] = deque(maxlen=PROVENANCE_RING)
         self.note(
@@ -162,6 +172,21 @@ class SummaryRecord:
         )
 
     # -- bookkeeping -------------------------------------------------------
+
+    @property
+    def levels(self) -> list[list[stats.SummarySample]]:
+        """The stored samples, one list per level, finest first; assigning new ones forgets what the record keeps."""
+        return self._levels
+
+    @levels.setter
+    def levels(self, levels: list[list[stats.SummarySample]]) -> None:
+        self._levels = levels
+        self._forget()
+
+    def _forget(self) -> None:
+        """Drop the kept stack and aggregate: the stored samples changed."""
+        self._stack: stats.Stack | None = None
+        self._aggregate: stats.SummarySample | None = None
 
     def note(self, key: tuple[str, int | None, str | None], event: dict) -> None:
         """Count ``event`` under ``key`` = (op, level, reason) and keep it in the ring."""
@@ -206,8 +231,8 @@ class SummaryRecord:
 
     def samples_in_time_order(self):
         """Oldest first: coarsest level down to level 0."""
-        for k in range(len(self.levels) - 1, -1, -1):
-            yield from self.levels[k]
+        for level in reversed(self.levels):
+            yield from level
 
     # -- ingest and rescaling ----------------------------------------------
 
@@ -360,7 +385,7 @@ class SummaryRecord:
                     level[j] = s
 
         # Commit.
-        self.levels[:] = levels
+        self.levels = levels
         counts = self.event_counts
         for op, why, tally in (("rescale", reason, merges), ("promote", None, promotions)):
             for k, n in enumerate(tally):
@@ -415,21 +440,43 @@ class SummaryRecord:
         Its moments equal summarize() of the whole stream to rounding;
         counts, span, extrema, histogram and hull are exact, and SWV terms
         are those of the left fold of :func:`stats.merge`, to rounding.
+        The record reduces once per change of its stored samples and
+        returns a copy of the merge it keeps, so a caller may edit the
+        result without changing the next one.
         """
-        samples = list(self.samples_in_time_order())
-        if not samples:
-            return stats.empty(self.channels)
-        fold = ((0, s.t_start, s.t_end) for s in samples[1:])  # read only when the store keeps SWV
-        rows = np.empty((0, self.channels))
-        with np.errstate(all="ignore"):  # non-finite or near-limit rows; their moments read NaN or inf
-            return stats.merge_runs(samples, rows, self.now, [Span(0, self.now)], fold, self.opts)[0]
+        agg = self._aggregate
+        if agg is None:
+            samples = list(self.samples_in_time_order())
+            if not samples:
+                agg = stats.empty(self.channels)
+            else:
+                fold = ((0, s.t_start, s.t_end) for s in samples[1:])  # read only when the store keeps SWV
+                rows = np.empty((0, self.channels))
+                with np.errstate(all="ignore"):  # non-finite or near-limit rows; their moments read NaN or inf
+                    agg = stats.merge_runs(samples, rows, self.now, [Span(0, self.now)], fold, self.opts)[0]
+            self._aggregate = agg
+        return agg.copy()
 
     def membership(self, q):
-        """Test a value against every stored sample (an empty record holds none); see :mod:`gfstore.index`."""
-        leaves = list(self.samples_in_time_order())
-        if not leaves:
-            return index.MembershipResult(True, [], 0)
-        return index.membership(index.build(leaves), q)
+        """Test a value against every stored sample (an empty record holds none); see :mod:`gfstore.index`.
+
+        The samples' stack (:func:`index.build`) is built on the first query after a change and kept.
+        """
+        if self._stack is None:
+            leaves = list(self.samples_in_time_order())
+            if not leaves:
+                return index.MembershipResult(True, [], 0)
+            self._stack = index.build(leaves)
+        return index.membership(self._stack, q)
+
+    def drop_statistic(self, k: int, name: str) -> None:
+        """Remove statistic ``name``, a key of :data:`curation.DROPPABLE`, from every stored sample of level ``k``."""
+        fields = curation.DROPPABLE[name]
+        for s in self.levels[k]:
+            for field in fields:
+                setattr(s, field, None)
+        self._forget()
+        self.note(("drop_statistic", k, name), {"op": "drop_statistic", "statistic": name, "level": k})
 
     # -- invariants ----------------------------------------------------------
 

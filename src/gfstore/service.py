@@ -74,8 +74,10 @@ class QueryService:
     ``other_aggregates`` maps ``(realpath, st_dev, st_ino, st_mtime_ns,
     st_size)`` of another store's opened file to its aggregate.  It holds
     at most ``OTHER_AGGREGATES`` entries, in the order they were read, and
-    only stores that loaded.  The served record's own aggregate is
-    computed afresh on every request.
+    only stores that loaded.  The served record's own aggregate and
+    member stack are the record's: it reduces its stored samples once per
+    change and answers every request until the next from what it keeps, so
+    the service holds nothing of the served record besides the record.
     """
 
     def __init__(self, rec: SummaryRecord, store_dir: str | None = None):

@@ -333,3 +333,21 @@ def test_serve_answers_on_its_socket_and_saves_the_access_counters_on_sigint(gfs
     assert not sock.exists()
     shown = gfs(["inspect", str(store)])[1]
     assert all(f"  access level {k} ({op}): {n}\n" in shown for (_, k, op), n in want.items())
+
+
+def test_budget_on_an_existing_store_forgets_what_the_loaded_record_kept(gfs, tmp_path, monkeypatch):
+    store = tmp_path / "s.gfs"
+    assert gfs(["ingest", str(store), "--budget", "16"], csv_rows(100))[0] == 0
+    rec = container.load(store)
+    queries = ([0.0, 0.0], [1.0, -1.0], [9.0, 9.0])
+
+    def answers(r):
+        return r.aggregate(), [r.membership(q) for q in queries]
+
+    before = answers(rec)  # the record now keeps its stack and aggregate
+    monkeypatch.setattr(container, "load", lambda path: rec)
+    assert gfs(["ingest", str(store), "--budget", "4"], csv_rows(10, seed=1))[0] == 0
+    assert (rec.slots(), rec.now) == (4, 110)
+    after = answers(rec)
+    assert after != before
+    assert after == answers(container.read(container.write(rec))) == answers(container.read(store.read_bytes()))

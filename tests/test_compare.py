@@ -15,6 +15,7 @@ from gfstore.compare import (
     uniform_model,
 )
 from gfstore.errors import EmptySample
+from gfstore.record import SummaryRecord
 
 
 def density_fn(m):
@@ -290,8 +291,8 @@ def test_uniform_without_a_finite_width_has_no_density():
 def test_a_nan_divergence_scores_the_cap_and_nan_edges_are_refused():
     nan_variance = gaussian_model([0.0], [math.nan])  # a sample that covers an inf row
     spread = [gaussian_model([0.0], [1.0]), uniform_model([0.0], [1.0]), piecewise_model([0.0, 1.0, 2.0], [0.5, 0.5])]
-    for m in (nan_variance, *spread):
-        assert math.isnan(kl_divergence(nan_variance, m)) or math.isnan(kl_divergence(m, nan_variance))
+    for m in (nan_variance, *spread):  # a gaussian without a finite variance has no density: inf, never NaN
+        assert kl_divergence(nan_variance, m) == kl_divergence(m, nan_variance) == math.inf
         assert compare.symmetric_kl(nan_variance, m) == 2 * compare.KL_CAP
     point = point_model([0.5])  # a gaussian without a finite variance has no density at the point either
     assert kl_divergence(point, nan_variance) == math.inf
@@ -335,3 +336,27 @@ def test_kl_nonnegative_fuzz():
                     e = np.linspace(-2, 2, 4)
                 models.append(piecewise_model(e, rng.uniform(0.1, 1, size=3)))
         assert kl_divergence(models[0], models[1]) >= 0.0
+
+
+def aggregate_of(rows):
+    rec = SummaryRecord(budget=64)
+    rec.ingest_block(rows)
+    return rec.aggregate()
+
+
+def test_subset_verdict_on_aggregates_with_infinite_moments_is_inf():
+    high, low = aggregate_of([1e155, 1.5e155, 2e155]), aggregate_of([-1e155, -1.5e155, -2e155])
+    spread, small = aggregate_of([-1e155, 1e155, 3e154, 0.0]), aggregate_of([1.0, 2.0, 3.0])
+    assert not math.isfinite(spread.variance[0])
+    for a, b in ((high, low), (spread, small), (small, spread), (spread, spread)):
+        v = compare.subset_verdict(a, b)
+        assert v.d_ab == v.d_ba == math.inf
+        assert v.verdict == compare.VERDICT_NOT_SUBSET
+    d = 2e300  # finite moments whose squared difference overflows a float
+    assert kl_divergence(gaussian_model([d], [1.0]), gaussian_model([-d], [1.0])) == math.inf
+    assert kl_divergence(gaussian_model([0.0], [1e300]), gaussian_model([0.0], [1e-300])) == math.inf
+    assert kl_divergence(piecewise_model([d, 2 * d], [1.0]), gaussian_model([-d], [1.0])) == math.inf
+    for mean, var in ((math.inf, 1.0), (math.nan, 1.0), (0.0, math.inf)):  # a gaussian with no density
+        off = gaussian_model([mean], [var])
+        for m in (point_model([0.0]), uniform_model([0.0], [1.0]), gaussian_model([0.0], [1.0]), off):
+            assert kl_divergence(m, off) == kl_divergence(off, m) == math.inf

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gfstore import container, stats
+from gfstore import compare, container, stats
 from gfstore.curation import CurationRules, compact, rank_statistics_for_drop, score_merge_candidates
 from gfstore.errors import BudgetTooSmall
 from gfstore.record import SummaryRecord
@@ -143,3 +143,21 @@ def test_compact_drops_statistics_that_only_some_samples_of_a_level_keep():
         rec.validate()
         assert rec.scalar_footprint() <= 14
     assert any(op == "drop_statistic" for op, _, _ in rec.event_counts)
+
+
+def test_tuned_curation_of_near_limit_rows_scores_the_cap():
+    rows = [-1e155, 1e155, 3e154, 0.0, 5e154, -2e154]
+    per_row = SummaryRecord(rules=CurationRules(budget_slots=2, nonstationarity_w=1.0))
+    for x in rows:
+        per_row.ingest(x)
+    per_row.validate()
+    assert per_row.slots() == 2
+    rebalanced = SummaryRecord(budget=64)
+    rebalanced.ingest_block(rows[:4])
+    rebalanced.rules = CurationRules(budget_slots=1, nonstationarity_w=1.0)
+    rebalanced.rebalance()
+    rebalanced.validate()
+    assert (rebalanced.slots(), rebalanced.aggregate().n) == (1, 4)
+    pair = list(per_row.samples_in_time_order())  # both keep an infinite variance
+    assert compare.symmetric_merge_score(*pair) == 2 * compare.KL_CAP
+    assert score_merge_candidates(pair, per_row.rules) == [0]

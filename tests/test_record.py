@@ -551,3 +551,83 @@ def test_a_failed_ingest_or_rebalance_leaves_the_record_unchanged(monkeypatch):
         assert rec == before
     rec.rebalance()
     rec.validate()
+
+
+# -- what the record keeps between changes -----------------------------------
+
+KEPT_QUERIES = ([0.0], [0.5], [2.5], [-9.0])
+KEPT_OPTS = stats.StatisticSet(histogram_edges=tuple(np.linspace(-3.0, 3.0, 7)), swv=True)
+
+
+def answers(rec):
+    """What a reader of ``rec`` gets: its aggregate and a membership answer per query of ``KEPT_QUERIES``."""
+    return rec.aggregate(), [rec.membership(q) for q in KEPT_QUERIES]
+
+
+def assert_answers_are_current(rec):
+    """``rec`` answers as a record read from its own bytes does, which has kept nothing yet."""
+    assert answers(rec) == answers(container.read(container.write(rec)))
+
+
+def kept_record():
+    rec = SummaryRecord(opts=KEPT_OPTS, budget=8)
+    rec.ingest_block(np.random.default_rng(11).normal(size=60))
+    assert_answers_are_current(rec)  # the record keeps its stack and aggregate from here on
+    return rec
+
+
+def drop_by_compact(rec):
+    rec.rules.max_scalars = rec.scalar_footprint() - 1
+    compact(rec)
+    assert any(op == "drop_statistic" for op, _, _ in rec.event_counts)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda rec: rec.ingest(2.5),
+        lambda rec: rec.ingest_block(np.full(5, 0.5)),
+        lambda rec: (setattr(rec.rules, "budget_slots", 4), rec.rebalance()),
+        drop_by_compact,
+    ],
+    ids=["ingest", "ingest_block", "rebalance", "compact-drop"],
+)
+def test_every_writer_forgets_what_the_record_kept(change):
+    rec = kept_record()
+    before = answers(rec)
+    change(rec)
+    after = answers(rec)
+    assert after != before
+    assert_answers_are_current(rec)
+
+
+def test_assigning_levels_as_container_read_does_forgets_what_the_record_kept(monkeypatch):
+    rec = kept_record()
+    blob = container.write(rec)
+    queried = []
+
+    class QueriedAtBirth(SummaryRecord):
+        """A record asked for its answers before ``container.read`` gives it its samples."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            queried.append(answers(self))
+
+    monkeypatch.setattr(container, "SummaryRecord", QueriedAtBirth)
+    back = container.read(blob)
+    assert queried and queried[0][0].n == 0
+    assert answers(back) == answers(rec)
+    other = SummaryRecord(opts=KEPT_OPTS, budget=8)
+    other.ingest_block(np.arange(30.0))
+    back.levels = [level[:] for level in other.levels]
+    assert answers(back) == answers(other)
+
+
+def test_an_edited_aggregate_leaves_the_next_one_unchanged():
+    rec = kept_record()
+    agg = rec.aggregate()
+    agg.mean[0] = 1e9
+    agg.variance = None
+    agg.swv[0, 0] = -1.0
+    assert rec.aggregate() == container.read(container.write(rec)).aggregate()
+    assert rec.aggregate() is not rec.aggregate()

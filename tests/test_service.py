@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gfstore import compare, container, service
+from gfstore import compare, container, index, service, stats
 from gfstore.record import SummaryRecord
 
 SECRET = b"SECRET-BYTES-OF-A-FILE-OUTSIDE"
@@ -292,3 +292,66 @@ def test_unknown_op_and_malformed_requests(served, line):
     assert reply["ok"] is False
     assert reply["error"]
     assert rec.event_counts == before  # no access counted
+
+
+def test_requests_on_an_unchanged_record_reduce_it_once(served, monkeypatch):
+    """50 member and 50 compare requests from five threads share one stack and one aggregate of the record."""
+    svc, rec, other, _ = served
+    values = np.random.default_rng(4).normal(size=50).tolist()
+    fresh = service.QueryService(container.read(container.write(rec)))
+    want_member = [ask(fresh, {"op": "member", "value": [v]}) for v in values]
+    want_compare = verdict_of(fresh.rec, other)
+    served_ids = {id(s) for s in rec.samples_in_time_order()}
+    builds, own_merges = [], []
+    build, merge_runs = index.build, stats.merge_runs
+
+    def counted_merge_runs(samples, *args):
+        own_merges.append(bool(samples) and id(samples[0]) in served_ids)  # the other store's reduction is its own
+        return merge_runs(samples, *args)
+
+    monkeypatch.setattr(index, "build", lambda leaves: builds.append(None) or build(leaves))
+    monkeypatch.setattr(stats, "merge_runs", counted_merge_runs)
+    replies = []
+
+    def client(t):
+        for i in range(t, len(values), 5):
+            replies.append((ask(svc, {"op": "member", "value": [values[i]]}), want_member[i]))
+            replies.append((ask(svc, {"op": "compare", "store": "other.gfs"})["result"], want_compare))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=client, args=(t,)) for t in range(5)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(replies) == 100
+    assert all(got == want for got, want in replies)
+    assert len(builds) == 1
+    assert own_merges.count(True) == 1
+
+
+def test_a_compare_after_an_ingest_reads_the_new_aggregate(served):
+    svc, rec, other, _ = served
+    first = ask(svc, {"op": "compare", "store": "other.gfs"})
+    assert first["ok"] and first["result"] == verdict_of(rec, other)
+    svc.rec.ingest_block(np.random.default_rng(5).normal(1.0, 2.0, size=400))
+    second = ask(svc, {"op": "compare", "store": "other.gfs"})
+    assert second["ok"] and second["result"] == verdict_of(rec, other) != first["result"]
+
+
+def test_compare_replies_on_a_store_with_infinite_moments(served):
+    _, _, other, tmp_path = served
+    rec = SummaryRecord(budget=16)
+    rec.ingest_block([-1e155, 1e155, 3e154, 0.0])  # near-limit rows: the aggregate's variance is inf
+    assert not math.isfinite(rec.aggregate().variance[0])
+    svc = service.QueryService(rec, str(tmp_path / "stores"))
+    reply = ask(svc, {"op": "compare", "store": "other.gfs"})
+    assert reply["ok"], reply
+    assert reply["result"] == verdict_of(rec, other)
+    assert reply["result"]["d_ab"] == reply["result"]["d_ba"] == "inf"
+    assert json.loads(service.encode(reply)) == reply
