@@ -17,10 +17,10 @@ its budget unless --budget is given, and is then rebalanced to it at
 once, before any new rows; --stats and a header on it must name its own
 statistics and labels, or nothing is saved.
 inspect lists the event totals, among them the per-level access tallies
-of the requests gfs serve answered, which it saves on exit; inspect --json
-prints the whole accounting as one JSON object, including the event totals
-and the last events kept.  Exit codes: 0 success, 1 usage error, 2 data
-error.
+of the requests gfs serve answered, which it adds to the store on exit;
+inspect --json prints the whole accounting as one JSON object, including
+the event totals and the last events kept.  Exit codes: 0 success, 1
+usage error, 2 data error.
 """
 
 from __future__ import annotations

@@ -369,9 +369,10 @@ def load(path) -> SummaryRecord:
 def inspect_summary(rec: SummaryRecord) -> dict:
     """Accounting as plain JSON values: spans, slot usage, per-sample storage cost, provenance.
 
-    ``floats``/``ints`` and ``scalar_footprint`` count what the samples hold
-    of their own (:func:`stats.scalar_cost`): histogram bin edges, held once
-    in the statistics, are not counted per sample.
+    ``levels`` has one row per non-empty level, the coarsest first.  Its
+    ``floats``/``ints`` count what the samples hold of their own
+    (:func:`stats.scalar_cost`), and ``scalar_footprint`` is their sum:
+    histogram bin edges, held once in the statistics, are not counted.
 
     ``provenance_events`` is the total number of events ever noted (create,
     read, and curation's merges, promotions and drops); it leaves out the
@@ -381,25 +382,29 @@ def inspect_summary(rec: SummaryRecord) -> dict:
     ``PROVENANCE_RING`` events.
     """
     levels = []
-    for row in rec.span_report():
-        samples = rec.levels[row.level]
-        floats = ints = 0
+    for k in range(len(rec.levels) - 1, -1, -1):
+        samples = rec.levels[k]
+        if not samples:
+            continue
+        floats = ints = n_total = 0
         for s in samples:
             f, i = stats.scalar_cost(s)
             floats += f
             ints += i
+            n_total += s.n
+        count = len(samples)
         levels.append(
             {
-                "level": row.level,
-                "scale": row.scale,
-                "count": row.count,
-                "t_start": row.t_start,
-                "t_end": row.t_end,
-                "n_total": row.n_total,
+                "level": k,
+                "scale": 1 << k,
+                "count": count,
+                "t_start": samples[0].t_start,
+                "t_end": samples[-1].t_end,
+                "n_total": n_total,
                 "floats": floats,
                 "ints": ints,
-                "floats_per_sample": floats / row.count,
-                "ints_per_sample": ints / row.count,
+                "floats_per_sample": floats / count,
+                "ints_per_sample": ints / count,
             }
         )
     return {
@@ -409,7 +414,7 @@ def inspect_summary(rec: SummaryRecord) -> dict:
         "slots": rec.slots(),
         "budget": rec.budget,
         "merge_count": rec.merge_count,
-        "scalar_footprint": rec.scalar_footprint(),
+        "scalar_footprint": sum(row["floats"] + row["ints"] for row in levels),
         "levels": levels,
         "statistics": rec.opts.names(),
         "rules": dataclasses.asdict(rec.rules),

@@ -72,10 +72,10 @@ def _likelihoods(index: stats.Stack, c: np.ndarray, qv: np.ndarray) -> np.ndarra
     gaussian_row, uniform_row = (family == GAUSSIAN)[:, np.newaxis], (family == UNIFORM)[:, np.newaxis]
     like = np.where(gaussian_row, gaussian, np.where(uniform_row, uniform, point)).prod(axis=1)  # over channels
     if index.histogram is not None and qv.shape[0] == 1:
-        edges, x = index.hist_edges, qv[0]
+        edges = index.hist_edges
         piece = np.zeros(c.shape[0])
-        if edges[0] <= x <= edges[-1]:
-            b = min(int(np.searchsorted(edges, x, side="right")), edges.shape[0] - 1) - 1  # the last bin is closed
+        b = int(stats.hist_bins(edges, qv)[0])
+        if b != stats.OUTLIER_BIN:
             counts = index.histogram[c, : stats.OUTLIER_BIN]
             piece = counts[:, b] / counts.sum(axis=1) / (edges[b + 1] - edges[b])
         like = np.where(family == PIECEWISE, piece, like)

@@ -8,16 +8,18 @@ The oldest data therefore sit at the coarsest scales and the newest at full
 resolution, and the concatenation of all levels tiles the whole stream
 exactly once.
 
-Curation is one loop, :meth:`SummaryRecord._curate`, which ``ingest``,
-``ingest_block`` and ``rebalance`` all run: :func:`next_step` picks each
-step on level lengths alone, and the record changes only once the loop is
-done, so every ingest and rebalance is all or nothing.  Under untuned
-rules the layout depends only on counts, never on values, so
-``ingest_block`` plans each new stored sample as a :class:`Span`, read as
-a stored sample is, then builds every span in one grouped reduction over
+Rows enter one way, ``ingest_block`` (``ingest`` is a block of one row),
+and curation is one loop, :meth:`SummaryRecord._curate`, which
+``ingest_block`` and ``rebalance`` run: :func:`next_step` picks each step
+on level lengths alone, and the record changes only once the loop is
+done, so every ingest and rebalance is all or nothing.  The loop, not its
+caller, picks how the new samples are built.  Under untuned rules the
+layout depends only on counts, never on values, so a step that brings two
+or more rows plans each new stored sample as a :class:`Span`, read as a
+stored sample is, then builds every span in one grouped reduction over
 the rows and the stored samples it absorbs, scale-wise variance by the
-plan's merge tree.  Tuned rules score values, so there, as in ``ingest``
-and ``rebalance``, the loop builds each sample as it is made.
+plan's merge tree.  A single row, a rebalance, and any step under tuned
+rules, which score values, build each sample as it is made.
 """
 
 from __future__ import annotations
@@ -88,16 +90,6 @@ class Span:
 
     def __init__(self, t_start: int, t_end: int):
         self.t_start, self.t_end = t_start, t_end
-
-
-@dataclass
-class SpanRow:
-    level: int
-    scale: int
-    count: int
-    t_start: int
-    t_end: int
-    n_total: int
 
 
 @dataclass
@@ -237,12 +229,8 @@ class SummaryRecord:
     # -- ingest and rescaling ----------------------------------------------
 
     def ingest(self, x) -> "SummaryRecord":
-        """Append one observation and restore the budget invariant."""
-        row = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if row.shape[0] != self.channels:
-            raise ChannelMismatch(f"got {row.shape[0]} channels, expected {self.channels}")
-        self._curate(row[np.newaxis], "ingest", planned=False)
-        return self
+        """Append one observation: :meth:`ingest_block` of the one row ``x``."""
+        return self.ingest_block([x])
 
     def ingest_block(self, block) -> "SummaryRecord":
         """Append the rows of ``block`` (rows x channels; 1-D is one channel) in order.
@@ -250,19 +238,19 @@ class SummaryRecord:
         All or nothing, as every ingest: the block's shape and channel count
         are checked before the record is touched, and :meth:`_curate`
         changes the record only once every new stored sample is built.  The
-        record equals what ``for row in block: ingest(row)`` leaves.
+        record equals what ``for row in block: ingest(row)`` leaves, and a
+        one-row block is ``ingest`` of that row, byte for byte.
 
-        With untuned rules, the block is planned on spans and each new
-        stored sample is reduced once, by :func:`stats.merge_runs`.
-        Planning and the grouped reduction cost about three single-row
-        ingests whatever the block's size, so blocks under about five rows
-        ingest slower than a loop of :meth:`ingest`; longer blocks gain.
-        A planned record differs from the row-by-row one only in rounding:
-        means, variances, covariances and scale-wise variance terms agree
-        within 1e-12 relative to the data's magnitude (a span of n sources
-        sums in another order than a chain of n - 1 merges), and everything
-        else is identical.  The tuned merge weight scores values, so under
-        it the block builds each sample as it is made, as ``ingest`` does.
+        With untuned rules, a block of two or more rows is planned on spans
+        and each new stored sample is reduced once, by
+        :func:`stats.merge_runs`.  Planning and the grouped reduction cost
+        about three single-row ingests whatever the block's size, so blocks
+        of two to five rows ingest slower than a loop of :meth:`ingest`;
+        longer blocks gain.  A planned record differs from the row-by-row
+        one only in rounding: means, variances, covariances and scale-wise
+        variance terms agree within 1e-12 relative to the data's magnitude
+        (a span of n sources sums in another order than a chain of n - 1
+        merges), and everything else is identical.
         """
         arr = np.asarray(block, dtype=np.float64)
         if arr.ndim == 1:
@@ -273,7 +261,7 @@ class SummaryRecord:
             return self
         if arr.shape[1] != self.channels:
             raise ChannelMismatch(f"got {arr.shape[1]} channels, expected {self.channels}")
-        self._curate(arr, "ingest", planned=not self.rules.tuned())
+        self._curate(arr, "ingest")
         return self
 
     def rebalance(self, reason: str = "ingest") -> None:
@@ -282,9 +270,9 @@ class SummaryRecord:
         The policy is the record's own ``rules``; ``next_step`` picks the
         level, the scores the pair within it.
         """
-        self._curate(np.empty((0, self.channels)), reason, planned=False)
+        self._curate(np.empty((0, self.channels)), reason)
 
-    def _curate(self, rows: np.ndarray, reason: str, planned: bool) -> None:
+    def _curate(self, rows: np.ndarray, reason: str) -> None:
         """The record's one curation loop: merge while over budget, then append each row and merge again.
 
         The loop runs on copies of the level lists.  ``next_step`` picks
@@ -292,18 +280,23 @@ class SummaryRecord:
         one under tuned rules, and the oldest pair moves up once its count
         exceeds 2^k.
 
-        Unplanned, each new sample is built as it is made (``point_sample``
-        and ``stats.merge``).  Planned, each is a :class:`Span`, read by its
-        ``t_start`` and ``t_end`` as a stored sample is.  The spans left in
-        the copies, read coarsest level first, are the new samples in time
-        order, and ``stats.merge_runs`` builds them all from the rows and
-        the stored samples merged away.  Either way the copies are swapped
+        The loop picks how the new samples are built.  A step of two or
+        more rows under untuned rules is planned: each new sample is a
+        :class:`Span`, read by its ``t_start`` and ``t_end`` as a stored
+        sample is.  Any other step (one row, a rebalance, or tuned rules,
+        which score values) builds each sample as it is made
+        (``point_sample`` and ``stats.merge``), which costs less than a
+        plan for so few rows.  Planned, the spans left in the copies, read
+        coarsest level first, are the new samples in time order, and
+        ``stats.merge_runs`` builds them all from the rows and the stored
+        samples merged away.  Either way the copies are swapped
         in only then, with the event tallies and ring, so the record
         changes all at once or not at all.
         """
         rules = self.rules
         budget = rules.budget_slots
         tuned = rules.tuned()
+        planned = not tuned and rows.shape[0] > 1
         t_rows = t = self.now
         t_end = t_rows + rows.shape[0]
         levels = [level[:] for level in self.levels]
@@ -400,25 +393,6 @@ class SummaryRecord:
         )
 
     # -- reporting and queries ----------------------------------------------
-
-    def span_report(self) -> list[SpanRow]:
-        """Per-level accounting, oldest (coarsest) level first."""
-        rows = []
-        for k in range(len(self.levels) - 1, -1, -1):
-            level = self.levels[k]
-            if not level:
-                continue
-            rows.append(
-                SpanRow(
-                    level=k,
-                    scale=1 << k,
-                    count=len(level),
-                    t_start=level[0].t_start,
-                    t_end=level[-1].t_end,
-                    n_total=sum(s.n for s in level),
-                )
-            )
-        return rows
 
     def query_interval(self, t0: int, t1: int) -> list[QueryPart]:
         """Minimal stored samples covering [t0, t1); overhangs are flagged coarse."""

@@ -5,14 +5,15 @@ or {"ok": false, "error": "..."}, in strict JSON (:func:`encode`).
 Serving queries through the store is what lets the store observe its
 usage: every answered ``interval`` or ``member`` request counts the stored
 samples it returned under ``("access", level, op)`` in the record's event
-totals (:func:`curation.record_access`), and ``serve`` saves those tallies
-on exit.  ``compare`` opens only stores inside the served store's directory:
-its path, read like the store path given to ``serve`` (relative to the
-working directory), is resolved with ``realpath`` and refused, unopened,
-if it lands outside that directory.  A service keeps the aggregates of the
-last ``OTHER_AGGREGATES`` other stores it read, keyed by the resolved path
-and the device, inode, modification time and size of the opened file, so
-repeated compares against an unchanged store read it once.
+totals (:func:`curation.record_access`), and ``serve`` adds the session's
+tallies to the store on exit.  ``compare`` opens only stores inside the
+served store's directory: its path, read like the store path given to
+``serve`` (relative to the working directory), is resolved with
+``realpath`` and refused, unopened, if it lands outside that directory.
+A service keeps the aggregates of the last ``OTHER_AGGREGATES`` other
+stores it read, keyed by the resolved path and the device, inode,
+modification time and size of the opened file, so repeated compares
+against an unchanged store read it once.
 ``container.save`` replaces a store with a new file, so a saved store is
 read again.
 """
@@ -197,8 +198,16 @@ def make_server(rec: SummaryRecord, socket_path: str, store_dir: str | None = No
 
 
 def serve(store_path: str, socket_path: str) -> None:
-    """Load a store and answer queries until interrupted; saves it, with its access tallies, on exit."""
+    """Load a store and answer queries until interrupted; on exit, add the session's access tallies to the store.
+
+    A session's tally is the increase of each ``("access", level, op)``
+    count since the load.  On exit the store is loaded again as it is then,
+    so rows that ``gfs ingest`` appended meanwhile stay; if that load fails,
+    its error surfaces, and a deleted store is not made again.  gfstore
+    takes no file lock, so a write between that load and the save is lost.
+    """
     rec = container.load(store_path)
+    loaded = dict(rec.event_counts)
     server = make_server(rec, socket_path, os.path.dirname(os.path.realpath(store_path)))
     try:
         server.serve_forever()
@@ -206,6 +215,13 @@ def serve(store_path: str, socket_path: str) -> None:
         pass
     finally:
         server.server_close()
-        container.save(rec, store_path)  # persist the access tallies
         if os.path.exists(socket_path):
             os.unlink(socket_path)
+        with server.service.lock:  # handler threads may still be answering
+            served = [(key, n - loaded.get(key, 0)) for key, n in rec.event_counts.items() if key[0] == "access"]
+        current = container.load(store_path)
+        counts = current.event_counts
+        for key, n in served:
+            if n:
+                counts[key] = counts.get(key, 0) + n
+        container.save(current, store_path)

@@ -217,11 +217,8 @@ def point_sample(row, t: int, opts: StatisticSet | None = None) -> SummarySample
         s.hull = v[np.newaxis, :].copy()
     edges = opts.edges_array()
     if edges is not None:
-        i = int(np.searchsorted(edges, v[0], side="right")) - 1
-        if i == len(edges) - 1 and v[0] == edges[-1]:
-            i -= 1  # histogram's last bin is closed on the right
         hist = [0] * len(edges)
-        hist[i if 0 <= i < len(edges) - 1 else OUTLIER_BIN] = 1
+        hist[hist_bins(edges, v[:1])[0]] = 1
         s.histogram = tuple(hist)
         s.hist_edges = edges
     if opts.swv:
@@ -230,16 +227,13 @@ def point_sample(row, t: int, opts: StatisticSet | None = None) -> SummarySample
 
 
 def hist_bins(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Histogram bin of each value of ``x``, ``OUTLIER_BIN`` outside ``edges``.
+    """Histogram bin of each value of ``x``, ``OUTLIER_BIN`` outside ``edges`` (and for NaN).
 
-    The array form of :func:`point_sample`'s rule, which stays scalar because
-    the per-row path calls it once a row: bins are half-open except the last,
-    which is closed on the right, as in ``np.histogram``.
+    The one bin rule: bins are half-open except the last, which is closed on
+    the right, as in ``np.histogram``.
     """
-    last = edges.shape[0] - 1
-    i = np.searchsorted(edges, x, side="right") - 1
-    i[(i == last) & (x == edges[-1])] -= 1
-    i[(i < 0) | (i >= last)] = OUTLIER_BIN
+    i = np.searchsorted(edges[:-1], x, side="right") - 1  # -1, which is OUTLIER_BIN, below the first edge
+    i[~(x <= edges[-1])] = OUTLIER_BIN  # above the last edge, or NaN
     return i
 
 
@@ -521,16 +515,23 @@ def merge_runs(samples, rows: np.ndarray, t_rows: int, spans, splits, opts: Stat
         parts = ([s.hull for s in samples[i:j]] + [rows[max(i - k, 0) : max(j - k, 0)]] for i, j in zip(firsts, ends))
         hulls = [None if ps is None else convex_hull(np.vstack(ps)) for ps in kept("hull", parts)]
 
+    run = np.repeat(np.arange(n_runs), sizes)  # the span of every source
     edges = opts.edges_array()
     if edges is not None:
-        # sources x (bins + 1) counts; a row counts one in its bin, OUTLIER_BIN indexing the last column
-        stored = np.zeros((k, edges.shape[0]), dtype=np.int64) if st.histogram is None else st.histogram
-        counts = np.concatenate([stored, np.eye(edges.shape[0], dtype=np.int64)[hist_bins(edges, rows[:, 0])]])
-        hists = kept("histogram", map(tuple, np.add.reduceat(counts, at).tolist()))
+        # spans x (bins + 1) counts (OUTLIER_BIN last), no rows x bins array: the stored samples come first, so the
+        # spans that hold any are a prefix and reduce their stacked counts, and each row adds one to its span's bin
+        width = edges.shape[0]
+        counts = np.zeros((n_runs, width), dtype=np.int64)
+        if st.histogram is not None:
+            prefix = int(np.searchsorted(at, k))
+            counts[:prefix] = np.add.reduceat(st.histogram, at[:prefix])
+        if m:
+            cells = run[k:] * width + hist_bins(edges, rows[:, 0]) % width
+            counts += np.bincount(cells, minlength=n_runs * width).reshape(n_runs, width)
+        hists = kept("histogram", map(tuple, counts.tolist()))
 
     if opts.swv:
         terms = np.zeros((n_runs, spectrum.depth(int(total.max())), d))
-        run = np.repeat(np.arange(n_runs), sizes)  # the span of every source
         for r, s in zip(run.tolist(), samples):
             if s.swv is not None:
                 terms[r, : s.swv.shape[0]] += s.n * s.swv

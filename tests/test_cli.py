@@ -277,6 +277,15 @@ def test_compare_prints_the_verdict_of_the_two_aggregates(gfs, tmp_path):
     assert (rc, out, err) == (0, "".join(f"{line}\n" for line in lines), "")
 
 
+def test_compare_prints_inf_for_stores_that_share_no_value(gfs, tmp_path):
+    a, b = str(tmp_path / "a.gfs"), str(tmp_path / "b.gfs")
+    assert gfs(["ingest", a], "5.0\n" * 20)[0] == 0
+    assert gfs(["ingest", b], "6.0\n" * 20)[0] == 0
+    rc, out, err = gfs(["compare", a, b])
+    assert (rc, err) == (0, "")
+    assert "D(A||B): inf\n" in out and "D(B||A): inf\n" in out
+
+
 def ask_server(proc, sock, requests) -> list[dict]:
     """Wait up to 10 s for ``sock`` to appear, then send ``requests`` one line each and read the replies."""
     deadline = time.monotonic() + 10

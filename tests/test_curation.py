@@ -5,7 +5,7 @@ import pytest
 
 from gfstore import compare, container, stats
 from gfstore.curation import CurationRules, compact, rank_statistics_for_drop, score_merge_candidates
-from gfstore.errors import BudgetTooSmall
+from gfstore.errors import BudgetTooSmall, CannotSatisfyBudget
 from gfstore.record import SummaryRecord
 
 OPTS = stats.StatisticSet(histogram_edges=tuple(np.linspace(-2.0, 2.0, 9)), swv=True)
@@ -131,6 +131,14 @@ def test_max_scalars_drops_from_the_oldest_level_first():
         for s in samples:
             kept = s.variance is not None and s.min_v is not None and s.max_v is not None
             assert kept == (k != top)
+
+
+def test_compact_raises_when_count_and_mean_alone_exceed_the_scalar_bound():
+    rec = filled()
+    rec.rules.max_scalars = 4 * rec.slots() - 1  # count + mean are 4 scalars a sample, and always stay
+    with pytest.raises(CannotSatisfyBudget, match="nothing left to drop"):
+        compact(rec)
+    assert all(s.variance is None and s.min_v is None for s in rec.samples_in_time_order())
 
 
 def test_compact_drops_statistics_that_only_some_samples_of_a_level_keep():

@@ -139,33 +139,59 @@ def test_channel_mismatch():
         rec.ingest([1.0])
 
 
-def test_span_report_empty():
+def test_ingest_refuses_a_row_of_more_than_one_dimension():
+    # a (1, 1) row is a block of three dimensions; stored, its (1, 1) mean would validate and not round-trip
     rec = SummaryRecord(channels=1, budget=4)
-    assert rec.span_report() == []
+    rec.ingest(0.5)
+    before = copy.deepcopy(rec)
+    with pytest.raises(ValueError, match="3 dimensions"):
+        rec.ingest([[1.0]])
+    assert rec == before
 
 
-def test_span_report_single_row_after_budget1():
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_one_row_block_is_ingest_of_that_row(d):
+    edges = tuple(np.linspace(-3.0, 3.0, 7))
+    for opts in (stats.StatisticSet(), stats.StatisticSet(histogram_edges=edges, swv=True, covariance=True)):
+        for budget in (1, 2, 3, 4, 5, 64):
+            rows = np.random.default_rng(budget).normal(size=(70, d))
+            rows[20, 0], rows[45, -1] = np.nan, np.inf
+            by_row, by_block = (SummaryRecord(channels=d, budget=budget, opts=opts) for _ in range(2))
+            for row in rows:
+                by_row.ingest(row)
+                by_block.ingest_block(row[np.newaxis])
+            assert container.write(by_block) == container.write(by_row)
+
+
+def test_inspect_lists_no_level_of_an_empty_record():
+    info = container.inspect_summary(SummaryRecord(channels=1, budget=4))
+    assert info["levels"] == [] and info["scalar_footprint"] == 0
+
+
+def test_inspect_lists_one_level_after_budget1():
     rec = SummaryRecord(channels=1, budget=1)
     fill(rec, 16)
-    rows = rec.span_report()
+    rows = container.inspect_summary(rec)["levels"]
     assert len(rows) == 1
-    assert rows[0].level == 4 and rows[0].count == 1 and rows[0].n_total == 16
+    assert rows[0]["level"] == 4 and rows[0]["count"] == 1 and rows[0]["n_total"] == 16
 
 
-def test_span_report_conserves_counts():
+def test_inspect_levels_conserve_counts():
     rng = np.random.default_rng(77)
     rec = SummaryRecord(channels=1, budget=10)
     fill(rec, 237, rng)
-    rows = rec.span_report()
-    assert sum(r.n_total for r in rows) == 237
+    info = container.inspect_summary(rec)
+    rows = info["levels"]
+    assert sum(r["n_total"] for r in rows) == 237
     # in the default (pure recency) mode every level-k sample covers 2^k raws
-    assert sum(r.count * r.scale for r in rows) == 237
+    assert sum(r["count"] * r["scale"] for r in rows) == 237
     # coverage is contiguous from 0 to now, oldest rows first
     cursor = 0
     for r in rows:
-        assert r.t_start == cursor
-        cursor = r.t_end
+        assert r["t_start"] == cursor
+        cursor = r["t_end"]
     assert cursor == 237
+    assert info["scalar_footprint"] == rec.scalar_footprint()
 
 
 def test_query_newest_raw_index():
@@ -192,6 +218,14 @@ def test_query_ancient_range_is_coarse():
     parts = rec.query_interval(0, 1)
     assert len(parts) == 1 and parts[0].coarse
     assert parts[0].sample.n > 1
+
+
+def test_query_wants_an_interval_of_one_step_or_more():
+    rec = SummaryRecord(channels=1, budget=4)
+    fill(rec, 10)
+    for t0, t1 in ((5, 5), (6, 5)):
+        with pytest.raises(ValueError, match="t0 < t1"):
+            rec.query_interval(t0, t1)
 
 
 def test_query_future_raises():
@@ -232,6 +266,16 @@ def test_validate_wants_samples_that_tile_the_stream_and_cover_a_step_each():
     rec.levels[0][-1] = stats.point_sample([1.0], 11)
     with pytest.raises(InvariantViolation, match="coverage gap"):
         rec.validate()
+
+
+def test_validate_wants_the_slots_within_the_budget():
+    rec = SummaryRecord(channels=1, budget=8)
+    fill(rec, 20)
+    rec.rules.budget_slots = 4  # lowered without a rebalance
+    with pytest.raises(InvariantViolation, match="8 slots exceed budget 4"):
+        rec.validate()
+    rec.rebalance()
+    rec.validate()
 
 
 def test_validate_wants_one_histogram_count_per_bin_and_the_outliers():
@@ -278,6 +322,23 @@ def test_memory_and_container_stay_flat_from_1e4_to_1e5_rows():
     assert len(rec.provenance) <= PROVENANCE_RING
     rescales = sum(n for (op, _, _), n in rec.event_counts.items() if op == "rescale")
     assert rescales == rec.merge_count == 100_000 - 64
+
+
+def test_a_planned_histogram_block_holds_no_rows_by_bins_array():
+    # 10,000 rows on 1,000 bins: an array of one count row per source would take 80 MB
+    opts = stats.StatisticSet(histogram_edges=tuple(np.linspace(-3.0, 3.0, 1_001)))
+    rows = np.random.default_rng(5).normal(size=(10_000, 1))
+    rec = SummaryRecord(opts=opts)
+    rec.ingest_block(rows[:100])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rec.ingest_block(rows[100:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert rec.aggregate().histogram == stats.summarize(rows, 0, opts).histogram
 
 
 def test_every_event_is_counted_and_the_ring_keeps_the_newest():
@@ -380,8 +441,9 @@ def assert_same_sample(a, b, scale, rtol=BLOCK_RTOL):
 
 def test_planned_block_ingest_matches_per_row():
     rich = dict(covariance=True, hull=True, histogram_edges=tuple(np.linspace(-4, 4, 9)))
-    # (channels, statistics, weights, moment tolerance): untuned blocks are
-    # planned, and sum moments and SWV terms in another order than ingest
+    # (channels, statistics, weights, moment tolerance): untuned blocks of two
+    # or more rows are planned, and sum moments and SWV terms in another order
+    # than ingest; a one-row block is ingest
     configs = (
         (1, stats.StatisticSet(), {}, BLOCK_RTOL),
         (2, stats.StatisticSet(**rich), {}, BLOCK_RTOL),

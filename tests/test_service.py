@@ -1,14 +1,18 @@
+import io
 import json
 import math
 import os
+import shutil
+import socket
 import sys
+import tempfile
 import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from gfstore import compare, container, index, service, stats
+from gfstore import cli, compare, container, index, service, stats
 from gfstore.record import SummaryRecord
 
 SECRET = b"SECRET-BYTES-OF-A-FILE-OUTSIDE"
@@ -355,3 +359,121 @@ def test_compare_replies_on_a_store_with_infinite_moments(served):
     assert reply["result"] == verdict_of(rec, other)
     assert reply["result"]["d_ab"] == reply["result"]["d_ba"] == "inf"
     assert json.loads(service.encode(reply)) == reply
+
+
+# -- the socket layer ---------------------------------------------------------
+
+
+@pytest.fixture
+def socket_server():
+    """``make_server`` over a budget-8 record of 200 rows, one of them NaN, served in a thread.
+
+    An AF_UNIX path holds at most 107 bytes, so the socket lives in a short temporary directory.
+    """
+    short = tempfile.mkdtemp(dir="/tmp")
+    path = os.path.join(short, "s.sock")
+    raw = np.random.default_rng(15).normal(size=200)
+    raw[50] = np.nan
+    rec = SummaryRecord(budget=8)
+    rec.ingest_block(raw)
+    server = service.make_server(rec, path)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server, path
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        shutil.rmtree(short)
+    assert not thread.is_alive()
+
+
+def connect(path) -> socket.socket:
+    conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    conn.settimeout(10)
+    conn.connect(path)
+    return conn
+
+
+def test_the_socket_answers_each_line_but_a_blank_one(socket_server):
+    server, path = socket_server
+    with connect(path) as conn, conn.makefile("rb") as replies:
+        conn.sendall(b"\n   \n" + json.dumps({"op": "interval", "t0": 0, "t1": 3}).encode() + b"\n")
+        first = json.loads(replies.readline())
+        assert first["ok"] and [p["t_start"] for p in first["result"]] == [0]  # no reply came before it
+        conn.sendall(b"{not json\n")
+        malformed = json.loads(replies.readline())
+        assert malformed["ok"] is False and malformed["error"].startswith("JSONDecodeError")
+        conn.sendall(json.dumps({"op": "member", "value": [0.1]}).encode() + b"\n")
+        member = json.loads(replies.readline(), parse_constant=refuse)  # strict JSON over the NaN row
+        assert member["ok"] and member["result"]["candidates"][-1]["likelihood"] == "nan"
+
+
+def test_the_socket_answers_two_open_clients_and_shuts_down(socket_server):
+    server, path = socket_server
+    with connect(path) as first, connect(path) as second:
+        with first.makefile("rb") as first_replies, second.makefile("rb") as second_replies:
+            second.sendall(json.dumps({"op": "inspect"}).encode() + b"\n")  # the later client asks first
+            first.sendall(json.dumps({"op": "interval", "t0": 0, "t1": 200}).encode() + b"\n")
+            assert json.loads(second_replies.readline())["result"]["slots"] == 8
+            assert json.loads(first_replies.readline())["ok"]
+            stopper = threading.Thread(target=server.shutdown)
+            stopper.start()
+            stopper.join(timeout=10)
+            assert not stopper.is_alive()  # shutdown() returned with both clients still connected
+
+
+# -- what serve saves on exit ---------------------------------------------------
+
+
+def serve_session(tmp_path, monkeypatch, during):
+    """Save a store of the first 100 of 150 rows, then ``service.serve`` it with ``during(service, store, rows)`` as
+    its whole session; returns the store's path."""
+    store = tmp_path / "s.gfs"
+    rows = np.random.default_rng(6).normal(size=150)
+    rec = SummaryRecord(budget=16)
+    rec.ingest_block(rows[:100])
+    container.save(rec, store)
+
+    def serve_forever(server):
+        during(server.service, store, rows)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(service.SocketServer, "serve_forever", serve_forever)
+    short = tempfile.mkdtemp(dir="/tmp")
+    try:
+        service.serve(str(store), os.path.join(short, "s.sock"))
+    finally:
+        assert os.listdir(short) == []  # the socket is gone
+        shutil.rmtree(short)
+    return store
+
+
+def test_serve_keeps_the_rows_appended_while_it_served(tmp_path, monkeypatch):
+    seen = {}
+
+    def during(svc, store, rows):
+        for req in ({"op": "interval", "t0": 40, "t1": 100}, {"op": "member", "value": [float(rows[99])]}):
+            assert ask(svc, req)["ok"]
+        seen["tallies"] = access_tallies(svc.rec)  # the store had none before the session
+        monkeypatch.setattr(sys, "stdin", io.StringIO("".join(f"{x!r}\n" for x in rows[100:].tolist())))
+        assert cli.main(["ingest", str(store)]) == 0  # a second writer appends 50 rows
+        seen["appended"] = container.load(store)
+
+    saved = container.load(serve_session(tmp_path, monkeypatch, during))
+    want, tallies = seen["appended"], seen["tallies"]
+    want.event_counts.update(tallies)
+    assert tallies and saved.now == 150
+    assert access_tallies(saved) == tallies
+    assert saved.levels == want.levels and saved.event_counts == want.event_counts
+
+
+def test_serve_does_not_make_a_deleted_store_again(tmp_path, monkeypatch):
+    def during(svc, store, rows):
+        assert ask(svc, {"op": "interval", "t0": 0, "t1": 100})["ok"]
+        os.unlink(store)
+
+    with pytest.raises(FileNotFoundError):
+        serve_session(tmp_path, monkeypatch, during)
+    assert not (tmp_path / "s.gfs").exists()

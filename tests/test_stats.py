@@ -131,6 +131,13 @@ def test_channel_mismatch():
         merge(summarize(np.zeros((3, 1))), summarize(np.zeros((3, 2)), t_start=3))
 
 
+def test_merge_wants_adjacent_samples():
+    a, b = summarize(np.zeros((3, 1))), summarize(np.ones((3, 1)), t_start=4)
+    for x, y in ((a, b), (b, a), (a, summarize(np.ones((3, 1)), t_start=2))):  # a gap either way, an overlap
+        with pytest.raises(ValueError, match="not adjacent"):
+            merge(x, y)
+
+
 def test_histogram_mismatch():
     o1 = StatisticSet(histogram_edges=(0.0, 1.0, 2.0))
     o2 = StatisticSet(histogram_edges=(0.0, 2.0, 4.0))
@@ -273,9 +280,10 @@ def test_no_median_field():
 
 def test_hist_bins_matches_point_sample_and_np_histogram():
     edges = np.linspace(-1.0, 1.0, 5)
-    x = np.array([-2.0, -1.0, -0.75, -0.5, 0.0, 0.3, 0.5, 1.0, 1.5, np.nan])
+    x = np.array([-2.0, -1.0, -0.75, -0.5, 0.0, 0.3, 0.5, 1.0, 1.5, np.nan, np.inf, -np.inf])
     opts = StatisticSet(histogram_edges=tuple(edges))
     bins = stats.hist_bins(edges, x)
+    assert bins.tolist() == [-1, 0, 0, 1, 2, 2, 3, 3, -1, -1, -1, -1]  # the last bin is closed on the right
     one_hot = np.eye(len(edges), dtype=np.int64)[bins]  # OUTLIER_BIN selects the last row
     assert list(map(tuple, one_hot.tolist())) == [stats.point_sample([v], 0, opts).histogram for v in x]
     in_range = bins[bins != stats.OUTLIER_BIN]
