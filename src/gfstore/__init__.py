@@ -4,6 +4,9 @@ Unbounded input is kept as mergeable statistics under a fixed slot budget.
 New data stay at full resolution; old data are lazily merged into coarser
 and coarser summaries, so the whole past remains queryable, approximately,
 forever.
+
+``build`` makes the table of stored samples that a record keeps as :meth:`SummaryRecord.stack`;
+``membership`` and ``range_count_bounds`` answer from such a table.
 """
 
 from . import compare, container, curation, index, record, spectrum, stats

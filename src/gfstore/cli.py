@@ -175,11 +175,7 @@ def cmd_query(args) -> int:
             a, b = tok.split(":")
             lo.append(float(a))
             hi.append(float(b))
-        leaves = list(rec.samples_in_time_order())
-        if not leaves:
-            print("count in [0, 0]")
-            return 0
-        low, up = index.range_count_bounds(index.build(leaves), lo, hi)
+        low, up = index.range_count_bounds(rec.stack(), lo, hi)
         print(f"count in [{low}, {up}]")
         return 0
     raise ValueError("one of --interval/--member/--range is required")

@@ -29,10 +29,6 @@ class EmptySample(StoreError):
     """A distribution model needs at least one observation."""
 
 
-class EmptyLeaves(StoreError):
-    """An index needs at least one stored sample."""
-
-
 class TooFewSamples(StoreError):
     """Not enough samples for the requested curation operation."""
 

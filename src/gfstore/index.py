@@ -2,10 +2,12 @@
 
 A record keeps at most ``budget`` stored samples, so a query tests every
 one.  :func:`build` returns their :func:`stats.stack`, the table of their
-counts, moments, extrema and histogram counts, which the record keeps until
-its stored samples change (:meth:`record.SummaryRecord.membership`), so
-queries between changes share one build; :func:`families` reads each
-sample's likelihood family off it.  :func:`membership` rules samples out
+starts, counts, moments, extrema and histogram counts.  The record keeps
+it as :meth:`record.SummaryRecord.stack` until its stored samples change,
+so every read between changes (membership, range counts, interval queries
+and the aggregate) shares one build; :func:`families` reads each sample's
+likelihood family off it.  An empty table answers too: nothing is a
+candidate and a range holds no value.  :func:`membership` rules samples out
 and scores the rest in one array pass over the stack, then applies the hull
 test to the 2-D samples that keep one.  Exclusion is conservative: a value
 that was in the raw data is never declared certainly absent.  Candidate
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stats
-from .errors import ChannelMismatch, EmptyLeaves
+from .errors import ChannelMismatch
 
 #: Relative slack for hull pruning so roundoff can only widen, never narrow.
 HULL_MARGIN = 1e-9
@@ -28,13 +30,10 @@ HULL_MARGIN = 1e-9
 PIECEWISE, GAUSSIAN, UNIFORM, POINT = range(4)
 
 
-def build(leaves) -> stats.Stack:
-    """The :func:`stats.stack` of the stored samples ``leaves``, in time order: a dropped variance or extremum
-    reads NaN there, and a NaN extremum rules nothing out and lies within no box."""
-    leaves = list(leaves)
-    if not leaves:
-        raise EmptyLeaves("cannot index zero samples")
-    return stats.stack(leaves, leaves[0].channels)
+def build(leaves, channels: int) -> stats.Stack:
+    """The :func:`stats.stack` of the stored samples ``leaves`` (none or more) of ``channels`` channels, in time
+    order: a dropped variance or extremum reads NaN there, and a NaN extremum rules nothing out and lies in no box."""
+    return stats.stack(leaves, channels)
 
 
 def families(index: stats.Stack) -> np.ndarray:

@@ -115,15 +115,16 @@ class SummaryRecord:
     ``budget`` sets the slot budget when ``rules`` is not given; given
     beside ``rules``, it must equal ``rules.budget_slots``.
 
-    The record keeps two reductions of its stored samples for the reads
-    between changes: their :func:`stats.stack`, which :meth:`membership`
-    searches, and :meth:`aggregate`'s merge.  Each is made on first use and
-    forgotten whenever the stored samples change, and only the record's own
-    writers change them: the commit of :meth:`_curate` (``ingest``,
-    ``ingest_block`` and ``rebalance``), :meth:`drop_statistic`, and an
-    assignment to :attr:`levels`, as ``container.read`` makes.  A stored
-    sample edited in place by any other hand is not seen until the next of
-    these; :meth:`validate` reads the samples as they are.
+    Every read between changes answers from one table of the stored
+    samples, :meth:`stack`: :meth:`query_interval`, :meth:`membership` and
+    range counts search it, and :meth:`aggregate` reduces it once and keeps
+    the merge.  Both are made on first use and forgotten whenever the
+    stored samples change, and only the record's own writers change them:
+    the commit of :meth:`_curate` (``ingest``, ``ingest_block`` and
+    ``rebalance``), :meth:`drop_statistic`, and an assignment to
+    :attr:`levels` (tuples, so no other hand adds or replaces a sample), as
+    ``container.read`` makes.  A stored sample edited in place is not seen
+    until the next of these; :meth:`validate` reads the samples as they are.
 
     Single writer: ingest/compact must not run concurrently; readers may
     share the record between writes.
@@ -166,17 +167,17 @@ class SummaryRecord:
     # -- bookkeeping -------------------------------------------------------
 
     @property
-    def levels(self) -> list[list[stats.SummarySample]]:
-        """The stored samples, one list per level, finest first; assigning new ones forgets what the record keeps."""
+    def levels(self) -> tuple[tuple[stats.SummarySample, ...], ...]:
+        """The stored samples, one tuple per level, finest first; assigning new ones forgets what the record keeps."""
         return self._levels
 
     @levels.setter
-    def levels(self, levels: list[list[stats.SummarySample]]) -> None:
-        self._levels = levels
+    def levels(self, levels) -> None:
+        self._levels = tuple(map(tuple, levels))
         self._forget()
 
     def _forget(self) -> None:
-        """Drop the kept stack and aggregate: the stored samples changed."""
+        """Drop the kept table and aggregate: the stored samples changed."""
         self._stack: stats.Stack | None = None
         self._aggregate: stats.SummarySample | None = None
 
@@ -299,7 +300,7 @@ class SummaryRecord:
         planned = not tuned and rows.shape[0] > 1
         t_rows = t = self.now
         t_end = t_rows + rows.shape[0]
-        levels = [level[:] for level in self.levels]
+        levels = [list(level) for level in self.levels]
         lengths = [len(level) for level in levels]
         quotas = level_quotas(budget, len(levels))
         slots = sum(lengths)
@@ -373,8 +374,9 @@ class SummaryRecord:
                 # Reduce every new span, in time order, from the samples it absorbed and its rows.
                 fresh = [(level, j) for level in reversed(levels) for j, e in enumerate(level) if e.__class__ is Span]
                 absorbed.sort(key=attrgetter("t_start"))  # merges of finer levels came first
+                sources = stats.stack(absorbed, self.channels)
                 spans = [level[j] for level, j in fresh]
-                for (level, j), s in zip(fresh, stats.merge_runs(absorbed, rows, t_rows, spans, splits, self.opts)):
+                for (level, j), s in zip(fresh, stats.merge_runs(sources, rows, t_rows, spans, splits, self.opts)):
                     level[j] = s
 
         # Commit.
@@ -394,19 +396,23 @@ class SummaryRecord:
 
     # -- reporting and queries ----------------------------------------------
 
+    def stack(self) -> stats.Stack:
+        """The table of the stored samples in time order (:func:`index.build`), kept until they change; read-only."""
+        if self._stack is None:
+            self._stack = index.build(self.samples_in_time_order(), self.channels)
+        return self._stack
+
     def query_interval(self, t0: int, t1: int) -> list[QueryPart]:
-        """Minimal stored samples covering [t0, t1); overhangs are flagged coarse."""
+        """Minimal stored samples covering [t0, t1), in time order, by :meth:`stack`'s starts; overhangs are coarse."""
         if t1 > self.now:
             raise FutureRange(f"t1 {t1} is beyond now {self.now}")
         if t0 >= t1:
             raise ValueError("need t0 < t1")
         t0 = max(t0, 0)
-        out = []
-        for s in self.samples_in_time_order():
-            if s.t_end <= t0 or s.t_start >= t1:
-                continue
-            out.append(QueryPart(s, coarse=s.t_start < t0 or s.t_end > t1))
-        return out
+        st = self.stack()
+        i = int(np.searchsorted(st.t_start, t0, side="right")) - 1  # the sample holding t0 (the samples tile [0, now))
+        j = int(np.searchsorted(st.t_start, t1))  # one past the last sample starting before t1
+        return [QueryPart(s, coarse=s.t_start < t0 or s.t_end > t1) for s in st.samples[i:j]]
 
     def aggregate(self) -> stats.SummarySample:
         """Merge of everything stored, in one grouped reduction (:func:`stats.merge_runs`).
@@ -420,28 +426,20 @@ class SummaryRecord:
         """
         agg = self._aggregate
         if agg is None:
-            samples = list(self.samples_in_time_order())
-            if not samples:
+            st = self.stack()
+            if not st.samples:
                 agg = stats.empty(self.channels)
             else:
-                fold = ((0, s.t_start, s.t_end) for s in samples[1:])  # read only when the store keeps SWV
+                fold = ((0, s.t_start, s.t_end) for s in st.samples[1:])  # read only when the store keeps SWV
                 rows = np.empty((0, self.channels))
                 with np.errstate(all="ignore"):  # non-finite or near-limit rows; their moments read NaN or inf
-                    agg = stats.merge_runs(samples, rows, self.now, [Span(0, self.now)], fold, self.opts)[0]
+                    agg = stats.merge_runs(st, rows, self.now, [Span(0, self.now)], fold, self.opts)[0]
             self._aggregate = agg
         return agg.copy()
 
     def membership(self, q):
-        """Test a value against every stored sample (an empty record holds none); see :mod:`gfstore.index`.
-
-        The samples' stack (:func:`index.build`) is built on the first query after a change and kept.
-        """
-        if self._stack is None:
-            leaves = list(self.samples_in_time_order())
-            if not leaves:
-                return index.MembershipResult(True, [], 0)
-            self._stack = index.build(leaves)
-        return index.membership(self._stack, q)
+        """Test a value against every stored sample of :meth:`stack`; see :func:`index.membership`."""
+        return index.membership(self.stack(), q)
 
     def drop_statistic(self, k: int, name: str) -> None:
         """Remove statistic ``name``, a key of :data:`curation.DROPPABLE`, from every stored sample of level ``k``."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import signal
 import socketserver
 import threading
 
@@ -75,10 +76,10 @@ class QueryService:
     ``other_aggregates`` maps ``(realpath, st_dev, st_ino, st_mtime_ns,
     st_size)`` of another store's opened file to its aggregate.  It holds
     at most ``OTHER_AGGREGATES`` entries, in the order they were read, and
-    only stores that loaded.  The served record's own aggregate and
-    member stack are the record's: it reduces its stored samples once per
-    change and answers every request until the next from what it keeps, so
-    the service holds nothing of the served record besides the record.
+    only stores that loaded.  The served record's own table of stored
+    samples and aggregate are the record's: it builds them once per change
+    and answers every request until the next from what it keeps, so the
+    service holds nothing of the served record besides the record.
     """
 
     def __init__(self, rec: SummaryRecord, store_dir: str | None = None):
@@ -198,22 +199,27 @@ def make_server(rec: SummaryRecord, socket_path: str, store_dir: str | None = No
 
 
 def serve(store_path: str, socket_path: str) -> None:
-    """Load a store and answer queries until interrupted; on exit, add the session's access tallies to the store.
+    """Load a store and answer queries until SIGINT or SIGTERM; on exit, add the session's access tallies to the store.
 
-    A session's tally is the increase of each ``("access", level, op)``
-    count since the load.  On exit the store is loaded again as it is then,
-    so rows that ``gfs ingest`` appended meanwhile stay; if that load fails,
-    its error surfaces, and a deleted store is not made again.  gfstore
-    takes no file lock, so a write between that load and the save is lost.
+    While it serves, SIGTERM raises KeyboardInterrupt as SIGINT does, so it
+    must run in the main thread; the previous SIGTERM handler is restored on
+    exit.  A session's tally is the increase of each ``("access", level,
+    op)`` count since the load.  On exit the store is loaded again as it is
+    then, so rows that ``gfs ingest`` appended meanwhile stay; if that load
+    fails, its error surfaces, and a deleted store is not made again.
+    gfstore takes no file lock, so a write between that load and the save
+    is lost.
     """
     rec = container.load(store_path)
     loaded = dict(rec.event_counts)
     server = make_server(rec, socket_path, os.path.dirname(os.path.realpath(store_path)))
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)
         server.server_close()
         if os.path.exists(socket_path):
             os.unlink(socket_path)

@@ -438,17 +438,18 @@ def stack(samples, channels: int) -> Stack:
     return Stack(samples, starts, counts, mean, variance, min_v, max_v, histogram, edges)
 
 
-def merge_runs(samples, rows: np.ndarray, t_rows: int, spans, splits, opts: StatisticSet) -> list[SummarySample]:
+def merge_runs(st: Stack, rows: np.ndarray, t_rows: int, spans, splits, opts: StatisticSet) -> list[SummarySample]:
     """Merge the sources of each span, every span in one grouped reduction.
 
-    The sources are ``samples``, stored samples in time order and read
-    through their :func:`stack`, followed by the point samples of ``rows``
-    (rows x channels) under ``opts``, row j covering step ``t_rows + j``.
+    The sources are the stored samples of the :class:`Stack` ``st``, in
+    time order, followed by the point samples of ``rows`` (rows x
+    channels) under ``opts``, row j covering step ``t_rows + j``.
     ``spans``, each with a ``t_start`` and a ``t_end`` (a ``record.Span``),
     come in time order; the sources starting in a span must tile it, and
     every source lies in one, but spans need not be adjacent.  Empty
-    ``rows`` with the one span ``(0, now)`` gives the aggregate of
-    ``samples``.
+    ``rows`` with the one span ``(0, now)`` gives the aggregate of the
+    stacked samples, as :meth:`record.SummaryRecord.aggregate` reduces its
+    kept stack.
 
     Each span gets the k-way form of :func:`merge`'s formulas: with
     N = sum n_i and M = sum n_i m_i / N over its sources,
@@ -471,7 +472,6 @@ def merge_runs(samples, rows: np.ndarray, t_rows: int, spans, splits, opts: Stat
     None on the result.
     """
     m, d = rows.shape
-    st = stack(samples, d)
     samples, k = st.samples, len(st.samples)
     n_runs = len(spans)
 

@@ -2,10 +2,12 @@ import io
 import json
 import os
 import re
+import shutil
 import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter
 from pathlib import Path
@@ -211,7 +213,7 @@ def test_query_prints_the_records_own_answers(gfs, tmp_path):
     assert out == f"absent (certain), {rec.membership([1e6, 1e6]).nodes_visited} stored sample(s) tested\n"
 
     rc, out, err = gfs(["query", store, "--range", "-1:1,-0.5:2"])
-    low, up = index.range_count_bounds(index.build(list(rec.samples_in_time_order())), [-1.0, -0.5], [1.0, 2.0])
+    low, up = index.range_count_bounds(rec.stack(), [-1.0, -0.5], [1.0, 2.0])
     assert (rc, out, err) == (0, f"count in [{low}, {up}]\n", "")
     assert 0 <= low <= up <= 100
 
@@ -238,6 +240,9 @@ def test_queries_on_a_saved_empty_record_find_nothing(gfs, tmp_path):
     container.save(SummaryRecord(channels=2), store)
     assert gfs(["query", store, "--range", "-1:1,-1:1"]) == (0, "count in [0, 0]\n", "")
     assert gfs(["query", store, "--member", "0,0"]) == (0, "absent (certain), 0 stored sample(s) tested\n", "")
+    for option, value in (("--range", "-1:1"), ("--member", "0,0,0")):  # the wrong shape, as on any other store
+        rc, out, err = gfs(["query", store, option, value])
+        assert (rc, out) == (2, "") and err.startswith("gfs: ChannelMismatch: ")
 
 
 def test_compact_applies_the_stores_own_rules(gfs, tmp_path):
@@ -360,3 +365,27 @@ def test_budget_on_an_existing_store_forgets_what_the_loaded_record_kept(gfs, tm
     after = answers(rec)
     assert after != before
     assert after == answers(container.read(container.write(rec))) == answers(container.read(store.read_bytes()))
+
+
+def test_serve_saves_the_access_counters_and_removes_its_socket_on_sigterm(gfs, tmp_path):
+    store = tmp_path / "s.gfs"
+    assert gfs(["ingest", str(store), "--budget", "16"], csv_rows(100))[0] == 0
+    short = Path(tempfile.mkdtemp(dir="/tmp"))  # an AF_UNIX path holds at most 107 bytes
+    sock = short / "gfs.sock"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    cmd = [sys.executable, "-m", "gfstore.cli", "serve", str(store), "--socket", str(sock)]
+    try:
+        with subprocess.Popen(cmd, env=env, cwd=tmp_path, stderr=subprocess.PIPE, text=True) as proc:
+            try:
+                (answer,) = ask_server(proc, sock, [{"op": "interval", "t0": 60, "t1": 100}])
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=10) == 0, proc.stderr.read()
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+        assert answer["ok"] and answer["result"]
+        access = {key: n for key, n in container.load(store).event_counts.items() if key[0] == "access"}
+        assert sum(access.values()) == len(answer["result"]) and {op for _, _, op in access} == {"interval"}
+        assert not sock.exists()
+    finally:
+        shutil.rmtree(short)

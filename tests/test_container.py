@@ -210,7 +210,7 @@ def test_malformed_manifest_raises_corrupt_container(edit):
 
 
 def newest_in_two_channels(rec):
-    rec.levels[0][-1] = stats.point_sample([0.5, 0.5], rec.now - 1, rec.opts)
+    rec.levels = [rec.levels[0][:-1] + (stats.point_sample([0.5, 0.5], rec.now - 1, rec.opts),), *rec.levels[1:]]
 
 
 def newest_holds_seven_rows(rec):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gfstore import compare, container, curation
-from gfstore.errors import ChannelMismatch, DictionaryMismatch, EmptyLeaves
+from gfstore.errors import ChannelMismatch, DictionaryMismatch
 from gfstore.index import GAUSSIAN, PIECEWISE, POINT, UNIFORM, build, families, membership, range_count_bounds
 from gfstore.record import SummaryRecord
 from gfstore.stats import StatisticSet, summarize
@@ -22,26 +22,32 @@ def leaves_from(raw, chunk, opts=None):
 
 def test_single_leaf_root():
     leaf = summarize([1.0, 2.0])
-    index = build([leaf])
+    index = build([leaf], 1)
     assert index.samples[0] is leaf and index.node_count() == 1
 
 
-def test_empty_leaves_rejected():
-    with pytest.raises(EmptyLeaves):
-        build([])
+def test_an_empty_table_answers():
+    for d in (1, 2):
+        index = build([], d)
+        assert index.node_count() == 0 and index.mean.shape == (0, d)
+        res = membership(index, [0.0] * d)
+        assert (res.absent_certain, res.candidates, res.nodes_visited) == (True, [], 0)
+        assert range_count_bounds(index, [-np.inf] * d, [np.inf] * d) == (0, 0)
+        with pytest.raises(ChannelMismatch):
+            membership(index, [0.0] * (d + 1))
 
 
 def test_membership_out_of_bounds_tests_every_sample():
     leaves = leaves_from(np.linspace(0, 1, 64), 8)
-    res = membership(build(leaves), [5.0])
+    res = membership(build(leaves, 1), [5.0])
     assert res.absent_certain and res.candidates == [] and res.nodes_visited == 8
 
 
 def test_a_nan_on_either_side_rules_nothing_out():
     leaves = leaves_from(np.linspace(0, 1, 64), 8)
-    assert len(membership(build(leaves), [np.nan]).candidates) == 8
+    assert len(membership(build(leaves, 1), [np.nan]).candidates) == 8
     with_nan = summarize([2.0, np.nan], t_start=64)  # its extrema read NaN
-    res = membership(build(leaves + [with_nan]), [5.0])
+    res = membership(build(leaves + [with_nan], 1), [5.0])
     assert [s for s, _ in res.candidates] == [with_nan]
 
 
@@ -50,7 +56,7 @@ def test_membership_single_candidate():
     raw = np.sort(np.random.default_rng(3).normal(size=64))
     leaves = leaves_from(raw, 8)
     q = raw[20]
-    res = membership(build(leaves), [q])
+    res = membership(build(leaves, 1), [q])
     assert not res.absent_certain
     inside = [s for s, _ in res.candidates]
     oracle = [l for l in leaves if l.min_v[0] <= q <= l.max_v[0]]
@@ -58,7 +64,7 @@ def test_membership_single_candidate():
 
 
 def test_membership_dimension_mismatch():
-    index = build([summarize(np.zeros((4, 2)))])
+    index = build([summarize(np.zeros((4, 2)))], 2)
     with pytest.raises(ChannelMismatch):
         membership(index, [1.0])
     with pytest.raises(ChannelMismatch):
@@ -72,7 +78,7 @@ def test_no_false_negatives_fuzz():
         raw = rng.normal(size=(int(rng.integers(16, 200)), d))
         opts = StatisticSet(hull=(d == 2))
         leaves = leaves_from(raw, int(rng.integers(4, 32)), opts=opts)
-        index = build(leaves)
+        index = build(leaves, d)
         for _ in range(30):
             q = raw[int(rng.integers(0, raw.shape[0]))]
             assert not membership(index, q).absent_certain
@@ -86,8 +92,8 @@ def test_hull_pruning_tightens_2d():
     with_hull = leaves_from(raw, 16, opts=StatisticSet(hull=True))
     without = leaves_from(raw, 16)
     q = [0.9, 0.1]  # inside every box, far outside every hull
-    visited_hull = membership(build(with_hull), q)
-    visited_box = membership(build(without), q)
+    visited_hull = membership(build(with_hull, 2), q)
+    visited_box = membership(build(without, 2), q)
     assert visited_hull.absent_certain
     assert not visited_box.absent_certain  # boxes alone cannot rule it out
 
@@ -107,12 +113,17 @@ def test_an_empty_record_holds_no_value():
     rec = SummaryRecord(channels=2)
     res = rec.membership([0.0, 0.0])
     assert (res.absent_certain, res.candidates, res.nodes_visited) == (True, [], 0)
+    assert range_count_bounds(rec.stack(), [-np.inf, -np.inf], [np.inf, np.inf]) == (0, 0)
+    with pytest.raises(ChannelMismatch):
+        rec.membership([0.0])
+    with pytest.raises(ChannelMismatch):
+        range_count_bounds(rec.stack(), [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
 
 
 def test_range_count_bounds_trivial_cases():
     rng = np.random.default_rng(8)
     raw = rng.normal(size=(128, 1))
-    index = build(leaves_from(raw, 8))
+    index = build(leaves_from(raw, 8), 1)
     lo, hi = raw.min() - 1, raw.max() + 1
     assert range_count_bounds(index, [lo], [hi]) == (128, 128)
     assert range_count_bounds(index, [hi + 1], [hi + 2]) == (0, 0)
@@ -123,7 +134,7 @@ def test_range_count_brackets_truth():
     for _ in range(25):
         d = int(rng.integers(1, 3))
         raw = rng.normal(size=(200, d))
-        index = build(leaves_from(raw, int(rng.integers(5, 40))))
+        index = build(leaves_from(raw, int(rng.integers(5, 40))), d)
         lo = rng.uniform(-1.5, 0, size=d)
         hi = lo + rng.uniform(0.2, 2.0, size=d)
         truth = int(np.sum(np.all((raw >= lo) & (raw <= hi), axis=1)))
@@ -140,7 +151,7 @@ def test_rows_of_samples_that_lost_their_extrema_count_only_in_the_upper_bound()
     oldest = rec.levels[-1]
     assert all(s.min_v is None and s.max_v is None for s in oldest)  # compact dropped them
     lost = sum(s.n for s in oldest)
-    index = build(rec.samples_in_time_order())
+    index = rec.stack()
     assert range_count_bounds(index, [raw.min()], [raw.max()]) == (500 - lost, 500)
     assert range_count_bounds(index, [raw.max() + 1], [raw.max() + 2]) == (0, lost)
     assert range_count_bounds(index, [-np.inf], [np.inf]) == (500 - lost, 500)
@@ -157,7 +168,7 @@ def test_a_sample_that_keeps_only_its_minimum_rules_out_only_values_below_it():
     for x in raw:
         assert not back.membership([x]).absent_certain
     assert back.membership([raw.min() - 1.0]).absent_certain  # below every minimum
-    index = build(back.samples_in_time_order())
+    index = back.stack()
     rng = np.random.default_rng(17)
     for lo in rng.uniform(-3.0, 2.0, size=50):
         hi = lo + rng.uniform(0.1, 2.0)
@@ -201,7 +212,7 @@ def likelihood_cases(scale):
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
 def test_likelihoods_equal_the_reference_models_density_in_ranked_order(scale):
     for name, leaves, shows in likelihood_cases(scale):
-        index = build(leaves)
+        index = build(leaves, leaves[0].channels)
         assert shows(index), name
         d = leaves[0].channels
         at_means = [s.mean for s in leaves] + [np.full(d, 0.5 * scale)]  # every point family, and the flat chunk
@@ -257,4 +268,4 @@ def test_histograms_on_different_edges_cannot_share_an_index():
     a = summarize([0.5], opts=StatisticSet(histogram_edges=(0.0, 1.0)))
     b = summarize([0.5], t_start=1, opts=StatisticSet(histogram_edges=(0.0, 2.0)))
     with pytest.raises(DictionaryMismatch):
-        build([a, b])
+        build([a, b], 1)

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,17 @@ def test_import_is_light_and_exports_resolve():
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", CHECK], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_gfs_script_resolves_to_the_cli_main():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)  # no tomllib on 3.10
+    assert scripts, "pyproject.toml declares no [project.scripts]"
+    target = re.search(r'^gfs\s*=\s*"([\w.]+):(\w+)"\s*$', scripts.group(1), re.M)
+    assert target, "pyproject.toml declares no gfs script"
+    module, attr = target.groups()
+    assert (module, attr) == ("gfstore.cli", "main")
+    assert callable(getattr(importlib.import_module(module), attr))
 
 
 def _tracing():

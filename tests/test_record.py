@@ -235,6 +235,49 @@ def test_query_future_raises():
         rec.query_interval(0, 5)
 
 
+def overlap_scan(rec, t0, t1):
+    """(sample id, coarse) of every stored sample that meets ``[max(t0, 0), t1)``, by testing each one."""
+    lo = max(t0, 0)
+    samples = rec.samples_in_time_order()
+    return [(id(s), s.t_start < lo or s.t_end > t1) for s in samples if s.t_end > lo and s.t_start < t1]
+
+
+@pytest.mark.parametrize("tuned", [False, True])
+@pytest.mark.parametrize("budget", [1, 5, 64])
+def test_query_interval_equals_an_overlap_scan(budget, tuned):
+    rng = np.random.default_rng(budget)
+    rules = CurationRules(budget_slots=budget, nonstationarity_w=1.0 if tuned else 0.0)
+    for n in (0, 1, 2, 7, 64, 300):
+        rec = SummaryRecord(rules=rules)
+        rec.ingest_block(rng.normal(size=n))
+        now = rec.now
+        bounds = sorted({s.t_start for s in rec.samples_in_time_order()} | {now})
+        spans = [(a, b) for a in bounds for b in bounds if a < b]  # starting and ending on sample boundaries
+        spans += [(t, t + 1) for t in range(now)]  # one step
+        spans += [(-3, t1) for t1 in range(-2, now + 1)]  # from before the stream, up to t1 == now
+        starts = rng.integers(-5, max(now, 1), size=200)
+        spans += [(int(t0), int(rng.integers(t0 + 1, now + 1))) for t0 in starts if t0 < now]
+        for t0, t1 in spans:
+            got = [(id(p.sample), p.coarse) for p in rec.query_interval(t0, t1)]
+            assert got == overlap_scan(rec, t0, t1), (n, t0, t1)
+
+
+def test_levels_are_tuples_and_only_an_assignment_changes_them():
+    rec = SummaryRecord(budget=8)
+    rec.ingest_block(np.arange(20.0))
+    newest = stats.point_sample([20.0], 20)
+    with pytest.raises(AttributeError):
+        rec.levels[0].append(newest)
+    with pytest.raises(TypeError):
+        rec.levels[0][-1] = newest
+    with pytest.raises(TypeError):
+        rec.levels[0] = ()
+    table = rec.stack()
+    assert rec.stack() is table and [p.sample for p in rec.query_interval(0, 20)] == table.samples
+    rec.levels = [rec.levels[0] + (newest,), *rec.levels[1:]]
+    assert rec.stack() is not table and rec.query_interval(19, 21)[-1].sample is newest and rec.now == 21
+
+
 def test_newest_datum_not_merged_immediately():
     # with room for two fine slots, an arriving datum never merges with its
     # immediate predecessor
@@ -260,10 +303,11 @@ def test_validate_wants_samples_that_tile_the_stream_and_cover_a_step_each():
     rec = SummaryRecord(budget=16)
     rec.ingest_block(np.arange(10.0))
     rec.validate()
-    rec.levels[0].append(stats.empty(1, rec.now))  # [10, 10)
+    fine, *coarse = rec.levels
+    rec.levels = [fine + (stats.empty(1, rec.now),), *coarse]  # [10, 10)
     with pytest.raises(InvariantViolation, match=r"sample \[10,10\) covers no step"):
         rec.validate()
-    rec.levels[0][-1] = stats.point_sample([1.0], 11)
+    rec.levels = [fine + (stats.point_sample([1.0], 11),), *coarse]
     with pytest.raises(InvariantViolation, match="coverage gap"):
         rec.validate()
 

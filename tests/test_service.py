@@ -299,21 +299,26 @@ def test_unknown_op_and_malformed_requests(served, line):
 
 
 def test_requests_on_an_unchanged_record_reduce_it_once(served, monkeypatch):
-    """50 member and 50 compare requests from five threads share one stack and one aggregate of the record."""
+    """50 member and 50 compare requests from five threads share one table and one aggregate of the record."""
     svc, rec, other, _ = served
     values = np.random.default_rng(4).normal(size=50).tolist()
     fresh = service.QueryService(container.read(container.write(rec)))
     want_member = [ask(fresh, {"op": "member", "value": [v]}) for v in values]
     want_compare = verdict_of(fresh.rec, other)
     served_ids = {id(s) for s in rec.samples_in_time_order()}
-    builds, own_merges = [], []
+    own_builds, own_merges = [], []  # the other store's table and reduction are its own
     build, merge_runs = index.build, stats.merge_runs
 
-    def counted_merge_runs(samples, *args):
-        own_merges.append(bool(samples) and id(samples[0]) in served_ids)  # the other store's reduction is its own
-        return merge_runs(samples, *args)
+    def counted_build(leaves, channels):
+        leaves = list(leaves)
+        own_builds.append(bool(leaves) and id(leaves[0]) in served_ids)
+        return build(leaves, channels)
 
-    monkeypatch.setattr(index, "build", lambda leaves: builds.append(None) or build(leaves))
+    def counted_merge_runs(st, *args):
+        own_merges.append(bool(st.samples) and id(st.samples[0]) in served_ids)
+        return merge_runs(st, *args)
+
+    monkeypatch.setattr(index, "build", counted_build)
     monkeypatch.setattr(stats, "merge_runs", counted_merge_runs)
     replies = []
 
@@ -335,7 +340,7 @@ def test_requests_on_an_unchanged_record_reduce_it_once(served, monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(replies) == 100
     assert all(got == want for got, want in replies)
-    assert len(builds) == 1
+    assert own_builds.count(True) == 1  # one table, read by the member requests and the aggregate
     assert own_merges.count(True) == 1
 
 

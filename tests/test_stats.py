@@ -299,7 +299,7 @@ def test_merge_runs_reduces_into_the_spans_it_is_given():
     s3.histogram = s3.hist_edges = None
     rows = raw[10:]
     bounds = [(0, 6), (8, 11), (11, 12), (12, 13), (13, 14)]  # the kept sample [6, 8) is no source
-    out = stats.merge_runs([s0, s1, s3], rows, 10, [Span(a, b) for a, b in bounds], (), FULL2D)
+    out = stats.merge_runs(stats.stack([s0, s1, s3], 2), rows, 10, [Span(a, b) for a, b in bounds], (), FULL2D)
     assert [(s.t_start, s.t_end, s.n) for s in out] == [(a, b, b - a) for a, b in bounds]
     assert out[0] == merge(s0, s1)  # a two-source span is bitwise merge's
     assert out[0].variance is None and out[0].histogram is not None
@@ -312,7 +312,7 @@ def test_merge_runs_reduces_into_the_spans_it_is_given():
 
     finite = raw[:10]
     parts = [summarize(finite[a:b], a, FULL) for a, b in ((0, 4), (4, 6), (6, 8), (8, 10))]
-    (whole,) = stats.merge_runs(parts, np.empty((0, 2)), 10, [Span(0, 10)], (), FULL)  # as SummaryRecord.aggregate
+    (whole,) = stats.merge_runs(stats.stack(parts, 2), np.empty((0, 2)), 10, [Span(0, 10)], (), FULL)  # as SummaryRecord.aggregate
     assert_same_sample(whole, summarize(finite, 0, FULL), float(np.abs(finite).max()), BLOCK_RTOL)
 
     # each lost statistic is None on its own span only: covariance, SWV, one extremum, then none
@@ -324,7 +324,7 @@ def test_merge_runs_reduces_into_the_spans_it_is_given():
     pairs[2][1].max_v = None
     sources = [s for pair in pairs for s in pair]
     spans, splits = [Span(t, t + 4) for t in range(0, 16, 4)], [(t, t + 2, t + 4) for t in range(0, 16, 4)]
-    out = stats.merge_runs(sources, np.empty((0, 2)), 16, spans, splits, every)
+    out = stats.merge_runs(stats.stack(sources, 2), np.empty((0, 2)), 16, spans, splits, every)
     fields = ("variance", "min_v", "max_v", "covariance", "hull", "histogram", "swv")
     lost = [[name for name in fields if getattr(s, name) is None] for s in out]
     assert lost == [["covariance"], ["swv"], ["max_v"], []]
