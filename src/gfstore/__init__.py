@@ -21,7 +21,7 @@ from .compare import (
 from .curation import CurationRules, compact, rank_statistics_for_drop, record_access, score_merge_candidates
 from .errors import StoreError
 from .index import build, membership, range_count_bounds
-from .record import SummaryRecord, allocate_budget
+from .record import SummaryRecord
 from .stats import (
     OUTLIER_BIN,
     StatisticSet,
@@ -43,7 +43,6 @@ __all__ = [
     "SummaryRecord",
     "SummarySample",
     "Verdict",
-    "allocate_budget",
     "build",
     "compact",
     "compare",

@@ -27,38 +27,25 @@ from __future__ import annotations
 import functools
 from collections import deque
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
 from . import curation, index, spectrum, stats
-from .errors import BudgetTooSmall, ChannelMismatch, FutureRange, InvariantViolation
+from .errors import ChannelMismatch, FutureRange, InvariantViolation
 
 #: Provenance events kept verbatim; older events survive only as totals in
 #: ``SummaryRecord.event_counts``.
 PROVENANCE_RING = 64
 
 
-def allocate_budget(budget: int, levels_active: int) -> list[int]:
-    """Split ``budget`` slots evenly over the active levels.
-
-    Every level gets floor(budget/levels) slots; the remainder goes to the
-    finest levels, where the newest data live.
-    """
-    if levels_active < 1:
-        raise BudgetTooSmall("need at least one active level")
-    if budget < levels_active:
-        raise BudgetTooSmall(f"budget {budget} cannot give {levels_active} levels a slot each")
-    base, rem = divmod(budget, levels_active)
-    return [base + (1 if k < rem else 0) for k in range(levels_active)]
-
-
 @functools.lru_cache(maxsize=256)
 def level_quotas(budget: int, levels: int) -> tuple[int, ...]:
-    """Slots each of ``levels`` levels may hold; all zero when ``budget`` cannot give each one."""
-    if budget >= levels:
-        return tuple(allocate_budget(budget, levels))
-    return (0,) * levels  # degenerate budget: every occupied level is over
+    """Slots each of ``levels`` levels may hold: the budget split evenly, the remainder to the finest levels,
+    where the newest data live; all zero when ``budget`` cannot give each level a slot."""
+    if budget < levels:
+        return (0,) * levels  # degenerate budget: every occupied level is over
+    base, rem = divmod(budget, levels)
+    return tuple(base + (1 if k < rem else 0) for k in range(levels))
 
 
 def next_step(lengths, quotas) -> tuple[int, bool]:
@@ -304,7 +291,6 @@ class SummaryRecord:
         lengths = [len(level) for level in levels]
         quotas = level_quotas(budget, len(levels))
         slots = sum(lengths)
-        absorbed: list[stats.SummarySample] = []  # planned: stored samples merged away
         splits = [] if planned and self.opts.swv else None  # planned SWV: (t_start, t_mid, t_end) of each merge
         # (level, pair index, out level or None for a promotion, t_start,
         # t_end) of the newest events; older ones survive only in the tallies
@@ -330,10 +316,6 @@ class SummaryRecord:
                     a, b = level[i], level[i + 1]
                     t0, t1 = a.t_start, b.t_end
                     if planned:
-                        if a.__class__ is not Span:
-                            absorbed.append(a)
-                        if b.__class__ is not Span:
-                            absorbed.append(b)
                         merged = a if a.__class__ is Span else Span(t0, t1)
                         merged.t_end = t1  # a span grows over the entry it absorbs: no object per merge
                         if splits is not None:
@@ -373,7 +355,8 @@ class SummaryRecord:
             if planned:
                 # Reduce every new span, in time order, from the samples it absorbed and its rows.
                 fresh = [(level, j) for level in reversed(levels) for j, e in enumerate(level) if e.__class__ is Span]
-                absorbed.sort(key=attrgetter("t_start"))  # merges of finer levels came first
+                kept = {id(e) for level in levels for e in level}  # the stored samples not merged away
+                absorbed = [s for s in self.samples_in_time_order() if id(s) not in kept]
                 sources = stats.stack(absorbed, self.channels)
                 spans = [level[j] for level, j in fresh]
                 for (level, j), s in zip(fresh, stats.merge_runs(sources, rows, t_rows, spans, splits, self.opts)):

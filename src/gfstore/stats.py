@@ -108,40 +108,25 @@ class SummarySample:
         return self.mean.shape[0]
 
     def copy(self) -> "SummarySample":
-        return dataclasses.replace(
-            self,
-            mean=self.mean.copy(),
-            variance=None if self.variance is None else self.variance.copy(),
-            min_v=None if self.min_v is None else self.min_v.copy(),
-            max_v=None if self.max_v is None else self.max_v.copy(),
-            covariance=None if self.covariance is None else self.covariance.copy(),
-            hull=None if self.hull is None else self.hull.copy(),
-            swv=None if self.swv is None else self.swv.copy(),
+        """A sample that owns every array of this one but ``hist_edges``, which stays shared."""
+        return SummarySample(
+            **{f: v.copy() if isinstance(v := getattr(self, f), np.ndarray) and f != "hist_edges" else v for f in _FIELDS}
         )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SummarySample):
             return NotImplemented
+        return all(_same(getattr(self, f), getattr(other, f)) for f in _FIELDS)
 
-        def arr_eq(x, y):
-            if x is None or y is None:
-                return x is None and y is None
-            return x.shape == y.shape and np.array_equal(x, y, equal_nan=True)  # a NaN row's sample equals its copy
 
-        return (
-            self.t_start == other.t_start
-            and self.t_end == other.t_end
-            and self.n == other.n
-            and arr_eq(self.mean, other.mean)
-            and arr_eq(self.variance, other.variance)
-            and arr_eq(self.min_v, other.min_v)
-            and arr_eq(self.max_v, other.max_v)
-            and arr_eq(self.covariance, other.covariance)
-            and arr_eq(self.hull, other.hull)
-            and self.histogram == other.histogram
-            and arr_eq(self.hist_edges, other.hist_edges)
-            and arr_eq(self.swv, other.swv)
-        )
+_FIELDS = tuple(f.name for f in dataclasses.fields(SummarySample))
+
+
+def _same(x, y) -> bool:
+    """One field's equality: arrays by shape and value, a NaN equal to a NaN (a NaN row's sample equals its copy)."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return type(x) is type(y) and x.shape == y.shape and np.array_equal(x, y, equal_nan=True)
+    return x == y
 
 
 def empty(channels: int = 1, t: int = 0) -> SummarySample:

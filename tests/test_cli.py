@@ -235,6 +235,14 @@ def test_query_values_may_start_with_a_minus(gfs, tmp_path, option, value, answe
     assert (rc, out, err) == gfs(["query", store, f"{option}={value}"])
 
 
+def test_query_refuses_an_inverted_range(gfs, tmp_path):
+    store = str(tmp_path / "s.gfs")
+    assert gfs(["ingest", store, "--budget", "2"], "".join(f"{t}\n" for t in range(40)))[0] == 0
+    assert gfs(["query", store, "--range", "10:30"]) == (0, "count in [0, 38]\n", "")
+    rc, out, err = gfs(["query", store, "--range", "30:10"])
+    assert (rc, out) == (2, "") and err.startswith("gfs: ValueError: the box's low corner [30.0]")
+
+
 def test_queries_on_a_saved_empty_record_find_nothing(gfs, tmp_path):
     store = str(tmp_path / "s.gfs")
     container.save(SummaryRecord(channels=2), store)

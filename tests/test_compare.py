@@ -14,7 +14,7 @@ from gfstore.compare import (
     symmetric_merge_score,
     uniform_model,
 )
-from gfstore.errors import EmptySample
+from gfstore.errors import ChannelMismatch, EmptySample
 from gfstore.record import SummaryRecord
 
 
@@ -173,6 +173,32 @@ def test_model_from_empty_sample():
         model_from_sample(stats.empty(1))
 
 
+@pytest.mark.parametrize(
+    "make, args, message",
+    [
+        (uniform_model, ([0.0, 1.0], [1.0, 0.5]), "hi >= lo"),
+        (gaussian_model, ([0.0, 0.0], [1.0, -1e-9]), "variance must be >= 0"),
+        (piecewise_model, ([0.0, 1.0], [0.5, 0.5]), "K\\+1 edges"),
+        (piecewise_model, ([[0.0, 1.0], [1.0, 2.0]], [0.5]), "K\\+1 edges"),
+        (piecewise_model, ([0.0, 1.0, 2.0], [-0.5, 1.5]), "probabilities must be >= 0"),
+        (piecewise_model, ([0.0, 1.0, 2.0], [0.0, 0.0]), "no mass"),
+    ],
+)
+def test_model_constructors_refuse_parameters_of_no_distribution(make, args, message):
+    with pytest.raises(ValueError, match=message):
+        make(*args)
+
+
+def test_divergence_and_density_want_models_of_one_channel_count():
+    one, two = gaussian_model([0.0], [1.0]), uniform_model([0.0, 0.0], [1.0, 1.0])
+    for a, b in ((one, two), (two, one)):
+        with pytest.raises(ChannelMismatch, match="model channels"):
+            kl_divergence(a, b)
+    for m, x in ((one, [0.0, 0.0]), (two, [0.5])):
+        with pytest.raises(ChannelMismatch, match="point has"):
+            compare.pdf(m, x)
+
+
 def test_family_hint_and_override():
     # the family follows from the statistics alone; samples carry no hint
     s = stats.summarize([0.0, 1.0, 2.0])
@@ -311,6 +337,12 @@ def test_covariance_kl_closed_form_point_rules_and_non_finite_entries():
     point = np.zeros((2, 2))  # all rows equal: the point mass at the mean
     assert compare.covariance_kl(point, b) == compare.covariance_kl(point, point) == 0.0
     assert compare.covariance_kl(b, point) == math.inf
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1: no gaussian has it
+    assert compare.covariance_kl(a, indefinite) == compare.covariance_kl(indefinite, a) == math.inf
+    for negative in ([[-1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -0.5]]):
+        for pair in ((np.array(negative), a), (a, np.array(negative))):
+            with pytest.raises(ValueError, match="variance must be >= 0"):
+                compare.covariance_kl(*pair)
     # a covariance over an inf row has no density: it matches nothing, itself included
     for bad in ([[math.nan, 0.0], [0.0, 1.0]], [[1.0, math.nan], [math.nan, 1.0]], [[math.inf, 0.0], [0.0, 1.0]]):
         bad = np.array(bad)

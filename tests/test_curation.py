@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gfstore import compare, container, stats
+from gfstore import compare, container, curation, stats
 from gfstore.curation import CurationRules, compact, rank_statistics_for_drop, score_merge_candidates
 from gfstore.errors import BudgetTooSmall, CannotSatisfyBudget
 from gfstore.record import SummaryRecord
@@ -59,6 +59,9 @@ def test_drop_ranking_scores_scale_wise_variance_by_where_the_variance_sits():
     scores = [dict(rank_statistics_for_drop(samples)) for samples in (alike, unlike)]
     assert all(set(s) == {"extrema", "histogram", "swv", "variance"} for s in scores)
     assert 0.0 < scores[0]["swv"] < scores[1]["swv"] < 1e9
+    flat = level([np.full(64, 1.0)] * 3)  # every SWV term zero: no model of where the variance sits
+    assert curation._single_stat_model(flat[0], "swv") is None
+    assert dict(rank_statistics_for_drop(flat))["swv"] == 0.0
 
 
 def filled(budget=16, rows=100) -> SummaryRecord:

@@ -129,6 +129,17 @@ def test_range_count_bounds_trivial_cases():
     assert range_count_bounds(index, [hi + 1], [hi + 2]) == (0, 0)
 
 
+def test_an_inverted_box_is_refused():
+    rec = SummaryRecord(budget=2)
+    rec.ingest_block(np.arange(40.0))
+    with pytest.raises(ValueError, match="low corner"):
+        range_count_bounds(rec.stack(), [30.0], [10.0])
+    rec2 = SummaryRecord(channels=2, budget=2)
+    rec2.ingest_block(np.arange(40.0).reshape(20, 2))
+    with pytest.raises(ValueError, match="low corner"):
+        range_count_bounds(rec2.stack(), [0.0, 5.0], [40.0, 4.0])  # inverted in one channel only
+
+
 def test_range_count_brackets_truth():
     rng = np.random.default_rng(9)
     for _ in range(25):

@@ -7,8 +7,8 @@ import pytest
 
 from gfstore import container, spectrum, stats
 from gfstore.curation import CurationRules, compact, record_access
-from gfstore.errors import BudgetTooSmall, ChannelMismatch, FutureRange, InvariantViolation
-from gfstore.record import PROVENANCE_RING, SummaryRecord, allocate_budget, level_quotas, next_step
+from gfstore.errors import ChannelMismatch, FutureRange, InvariantViolation
+from gfstore.record import PROVENANCE_RING, SummaryRecord, level_quotas, next_step
 
 #: Planned block ingest and ``aggregate()`` sum moments in one k-way pass, a
 #: chain of merges pairwise; both stay within this share of the data's scale.
@@ -25,17 +25,29 @@ def fill(rec, n, rng=None, d=1):
     return data
 
 
-def test_allocate_even_division():
-    assert allocate_budget(64, 4) == [16, 16, 16, 16]
+@pytest.mark.parametrize(
+    "budget, levels, quotas",
+    [
+        pytest.param(64, 4, (16, 16, 16, 16), id="even-division"),
+        pytest.param(10, 3, (4, 3, 3), id="remainder-to-finest"),
+        pytest.param(2, 3, (0, 0, 0), id="too-small"),
+    ],
+)
+def test_level_quotas(budget, levels, quotas):
+    assert level_quotas(budget, levels) == quotas
 
 
-def test_allocate_remainder_to_finest():
-    assert allocate_budget(10, 3) == [4, 3, 3]
-
-
-def test_allocate_too_small():
-    with pytest.raises(BudgetTooSmall):
-        allocate_budget(2, 3)
+def test_level_quotas_sum_to_the_budget_and_differ_by_at_most_one():
+    for levels in range(1, 41):
+        for budget in range(1, 301):
+            quotas = level_quotas(budget, levels)
+            assert len(quotas) == levels
+            if budget < levels:
+                assert quotas == (0,) * levels, (budget, levels)
+                continue
+            assert sum(quotas) == budget, (budget, levels)
+            assert all(a >= b for a, b in zip(quotas, quotas[1:])), (budget, levels)  # finest level first
+            assert quotas[0] - quotas[-1] <= 1, (budget, levels)
 
 
 def test_single_ingest_no_merge():
@@ -137,6 +149,8 @@ def test_channel_mismatch():
     rec = SummaryRecord(channels=2, budget=4)
     with pytest.raises(ChannelMismatch):
         rec.ingest([1.0])
+    with pytest.raises(ChannelMismatch, match="at least one channel"):
+        SummaryRecord(channels=0)
 
 
 def test_ingest_refuses_a_row_of_more_than_one_dimension():

@@ -371,7 +371,8 @@ def test_compare_replies_on_a_store_with_infinite_moments(served):
 
 @pytest.fixture
 def socket_server():
-    """``make_server`` over a budget-8 record of 200 rows, one of them NaN, served in a thread.
+    """``make_server`` over a budget-8 record of 200 rows, one of them NaN, served in a thread, on the path of a
+    stale socket file.
 
     An AF_UNIX path holds at most 107 bytes, so the socket lives in a short temporary directory.
     """
@@ -381,7 +382,10 @@ def socket_server():
     raw[50] = np.nan
     rec = SummaryRecord(budget=8)
     rec.ingest_block(raw)
-    server = service.make_server(rec, path)
+    stale = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    stale.bind(path)  # the socket file a server that was killed leaves behind
+    stale.close()
+    server = service.make_server(rec, path)  # replaces it
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from gfstore import spectrum
+from gfstore.errors import EmptySeries
 from gfstore.spectrum import swv_ladder
 from gfstore.stats import StatisticSet, merge, summarize
 
@@ -59,6 +61,8 @@ def test_parseval_example_1234():
 
 def test_constant_signal_all_zero():
     assert np.allclose(swv_ladder(np.full(4, 3.7)), 0.0)
+    with pytest.raises(EmptySeries):
+        swv_ladder([])
 
 
 def test_matches_haar_oracle_on_random_blocks():

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gfstore import stats
 from gfstore.errors import ChannelMismatch, DictionaryMismatch
-from gfstore.record import Span
+from gfstore.record import Span, SummaryRecord
 from gfstore.stats import OUTLIER_BIN, StatisticSet, merge, merge_hull, summarize
 from test_record import BLOCK_RTOL, assert_same_sample
 
@@ -33,6 +35,10 @@ def test_summarize_empty_and_constant():
     c = summarize([7.0, 7.0, 7.0])
     assert c.n == 3 and close(c.mean, [7.0]) and close(c.variance, [0.0])
     assert close(c.min_v, [7.0]) and close(c.max_v, [7.0])
+    with pytest.raises(ValueError, match="N x d"):
+        summarize(np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="at least one sample"):
+        stats.merge_all([])
 
 
 def test_merge_variance_worked_example():
@@ -60,6 +66,23 @@ def test_merge_extrema_example():
     b = summarize([0.0, 5.0], t_start=2)
     m = merge(a, b)
     assert close(m.min_v, [-1.0]) and close(m.max_v, [5.0])
+
+
+def test_a_copy_owns_every_array_but_the_shared_bin_edges():
+    opts = StatisticSet(covariance=True, hull=True, histogram_edges=(0, 1, 2), swv=True)
+    rec = SummaryRecord(channels=2, budget=4, opts=opts)
+    rec.ingest_block(np.random.default_rng(5).normal(size=(40, 2)))
+    s = rec.levels[-1][0]
+    c = s.copy()
+    assert c == s and c is not s
+    arrays = [f.name for f in dataclasses.fields(s) if isinstance(getattr(s, f.name), np.ndarray)]
+    assert sorted(arrays) == sorted(["mean", "variance", "min_v", "max_v", "covariance", "hull", "hist_edges", "swv"])
+    for name in arrays:
+        owned = not np.shares_memory(getattr(c, name), getattr(s, name))
+        assert owned == (name != "hist_edges"), name
+    assert c.hist_edges is s.hist_edges
+    c.mean[0] += 1.0
+    assert c != s
 
 
 def test_merge_with_empty_is_identity():
