@@ -20,7 +20,8 @@ inspect lists the event totals, among them the per-level access tallies
 of the requests gfs serve answered, which it adds to the store on exit;
 inspect --json prints the whole accounting as one JSON object, including
 the event totals and the last events kept.  Exit codes: 0 success, 1
-usage error, 2 data error.
+usage error, 2 data error, 141 (128 + SIGPIPE) when the reader of stdout
+closed it first, with nothing printed.
 """
 
 from __future__ import annotations
@@ -273,7 +274,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # so a reader gone before the exit flush is seen here
+        return rc
+    except BrokenPipeError:  # stdout's reader closed it, as `| head` does: no error, nothing more to write
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # the interpreter's exit flush then writes nowhere instead of raising
+        os.close(devnull)
+        return 141
     except (StoreError, OSError, ValueError) as exc:
         print(f"gfs: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

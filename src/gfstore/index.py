@@ -115,11 +115,11 @@ def _in_hull(hull, qv: np.ndarray) -> bool:
 
 def range_count_bounds(index: stats.Stack, lo, hi) -> tuple[int, int]:
     """Lower/upper bounds on the raw values inside the closed box: a sample counts in both when its
-    extrema lie within the box, and in the upper bound alone when it may meet the box.  A box with
-    ``lo > hi`` in any channel is refused with ``ValueError``."""
+    extrema lie within the box, and in the upper bound alone when it may meet the box.  A box is
+    refused with ``ValueError`` unless ``lo <= hi`` in every channel, so a NaN bound is refused too."""
     lo, hi = _as_query(index, lo), _as_query(index, hi)
-    if (lo > hi).any():
-        raise ValueError(f"the box's low corner {lo.tolist()} lies above its high corner {hi.tolist()}")
+    if not (lo <= hi).all():
+        raise ValueError(f"the box's low corner {lo.tolist()} does not lie at or below its high corner {hi.tolist()}")
     meets = (index.n > 0) & ~np.any(index.max_v < lo, axis=1) & ~np.any(index.min_v > hi, axis=1)
     within = meets & np.all(index.min_v >= lo, axis=1) & np.all(index.max_v <= hi, axis=1)
     return int(index.n[within].sum()), int(index.n[meets].sum())

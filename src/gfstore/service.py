@@ -1,7 +1,12 @@
 """Line-oriented query service over a local stream socket.
 
 One JSON object per line in, one per line out: {"ok": true, "result": ...}
-or {"ok": false, "error": "..."}, in strict JSON (:func:`encode`).
+or {"ok": false, "error": "..."}, in sorted-key strict JSON (:func:`encode`).
+Most of an ``interval`` or ``member`` reply is its stored samples, so a
+service keeps each stored sample's text, encoded once while the record's
+table of stored samples (:meth:`SummaryRecord.stack`) stays the same, and
+writes those replies by joining the kept texts: at most one text per
+stored sample, the same bytes that encoding the reply whole would give.
 Serving queries through the store is what lets the store observe its
 usage: every answered ``interval`` or ``member`` request counts the stored
 samples it returned under ``("access", level, op)`` in the record's event
@@ -34,6 +39,9 @@ from .record import SummaryRecord
 #: How many other stores' aggregates a service keeps; the oldest read goes first.
 OTHER_AGGREGATES = 16
 
+#: The opening of an ``interval`` part, by its ``coarse`` flag, before the rest of its sample's text.
+_COARSE = {True: '{"coarse": true, ', False: '{"coarse": false, '}
+
 
 def _jsonable(x):
     """``x`` with each NaN or infinite float in it as the string "nan", "inf" or "-inf", which strict JSON holds."""
@@ -44,13 +52,29 @@ def _jsonable(x):
     return repr(x) if isinstance(x, float) and not math.isfinite(x) else x
 
 
-def encode(resp: dict) -> bytes:
-    """One reply line of strict JSON, every float in it passed through :func:`_jsonable`."""
+def _dumps(obj) -> str:
+    """Sorted-key strict JSON of ``obj``, every float in it passed through :func:`_jsonable`."""
     try:
-        text = json.dumps(resp, sort_keys=True, allow_nan=False)
-    except ValueError:  # a NaN or infinite float, from a stored sample or a likelihood: only then is the reply walked
-        text = json.dumps(_jsonable(resp), sort_keys=True)
-    return text.encode("utf-8") + b"\n"
+        return json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError:  # a NaN or infinite float, from a stored sample or a likelihood: only then is ``obj`` walked
+        return json.dumps(_jsonable(obj), sort_keys=True)
+
+
+class Reply(dict):
+    """An ``interval`` or ``member`` reply with its line, joined from the kept texts when the reply was made.
+
+    The line is fixed when the reply is made: editing the dict changes neither the line :func:`encode` writes
+    for it nor a later reply.
+    """
+
+    __slots__ = ("line",)
+
+
+def encode(resp: dict) -> bytes:
+    """One reply line of sorted-key strict JSON: the line of a :class:`Reply`, else :func:`_dumps` of ``resp``."""
+    if type(resp) is Reply:
+        return resp.line
+    return _dumps(resp).encode("utf-8") + b"\n"
 
 
 def _sample_dict(s, coarse: bool | None = None) -> dict:
@@ -68,6 +92,12 @@ def _sample_dict(s, coarse: bool | None = None) -> dict:
     return d
 
 
+def _reply(result, line: str) -> Reply:
+    reply = Reply(ok=True, result=result)
+    reply.line = line.encode("utf-8")
+    return reply
+
+
 class QueryService:
     """Wraps one record; thread-safe via a single writer lock.
 
@@ -78,8 +108,13 @@ class QueryService:
     at most ``OTHER_AGGREGATES`` entries, in the order they were read, and
     only stores that loaded.  The served record's own table of stored
     samples and aggregate are the record's: it builds them once per change
-    and answers every request until the next from what it keeps, so the
-    service holds nothing of the served record besides the record.
+    and answers every request until the next from what it keeps.
+    ``texts`` maps the ``id`` of a stored sample of that table,
+    ``texts_stack``, to :func:`_dumps` of its :func:`_sample_dict`, made
+    the first time a reply returns the sample.  A request that finds the
+    record's table replaced starts an empty map, so the service keeps at
+    most one text per stored sample, and none of samples the record no
+    longer keeps.
     """
 
     def __init__(self, rec: SummaryRecord, store_dir: str | None = None):
@@ -87,6 +122,8 @@ class QueryService:
         self.lock = threading.Lock()
         self.store_dir = None if store_dir is None else os.path.realpath(store_dir)
         self.other_aggregates: dict[tuple, stats.SummarySample] = {}
+        self.texts_stack: stats.Stack | None = None
+        self.texts: dict[int, str] = {}
 
     def handle_line(self, line: bytes | str) -> dict:
         try:
@@ -113,28 +150,48 @@ class QueryService:
             raise TypeError(f"t0 and t1 must be integers, got {t0!r} and {t1!r}")
         with self.lock:
             parts = self.rec.query_interval(t0, t1)
-            curation.record_access(self.rec, [p.sample for p in parts], "interval")
-            return {
-                "ok": True,
-                "result": [_sample_dict(p.sample, p.coarse) for p in parts],
-            }
+            samples = [p.sample for p in parts]
+            curation.record_access(self.rec, samples, "interval")
+            result = [_sample_dict(p.sample, p.coarse) for p in parts]
+            texts = self._texts(samples)
+        # "coarse" sorts before every key of a sample, so it opens each part's text
+        lines = [_COARSE[p.coarse] + text[1:] for p, text in zip(parts, texts)]
+        return _reply(result, '{"ok": true, "result": [' + ", ".join(lines) + "]}\n")
 
     def _member(self, value) -> dict:
         with self.lock:
             res = self.rec.membership(value)
-            curation.record_access(self.rec, [s for s, _ in res.candidates], "member")
-            return {
-                "ok": True,
-                "result": {
-                    "absent_certain": res.absent_certain,
-                    "nodes_visited": res.nodes_visited,
-                    "candidates": [
-                        {"sample": _sample_dict(s), "likelihood": like}
-                        for s, like in res.candidates
-                    ],
-                    "note": res.note,
-                },
+            samples = [s for s, _ in res.candidates]
+            curation.record_access(self.rec, samples, "member")
+            result = {
+                "absent_certain": res.absent_certain,
+                "nodes_visited": res.nodes_visited,
+                "candidates": [{"sample": _sample_dict(s), "likelihood": like} for s, like in res.candidates],
+                "note": res.note,
             }
+            texts = self._texts(samples)
+        candidates = ", ".join(
+            f'{{"likelihood": {_dumps(like)}, "sample": {text}}}' for (_, like), text in zip(res.candidates, texts)
+        )
+        line = (
+            f'{{"ok": true, "result": {{"absent_certain": {_dumps(res.absent_certain)}, "candidates": [{candidates}], '
+            f'"nodes_visited": {_dumps(res.nodes_visited)}, "note": {_dumps(res.note)}}}}}\n'
+        )
+        return _reply(result, line)
+
+    def _texts(self, samples) -> list[str]:
+        """The kept text of each of ``samples``, stored samples of the record's table; call with the lock held."""
+        st = self.rec.stack()
+        if st is not self.texts_stack:
+            self.texts_stack, self.texts = st, {}
+        texts = self.texts
+        out = []
+        for s in samples:
+            text = texts.get(id(s))
+            if text is None:
+                text = texts[id(s)] = _dumps(_sample_dict(s))
+            out.append(text)
+        return out
 
     def _compare(self, other_path: str) -> dict:
         root = self.store_dir

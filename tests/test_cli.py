@@ -241,6 +241,27 @@ def test_query_refuses_an_inverted_range(gfs, tmp_path):
     assert gfs(["query", store, "--range", "10:30"]) == (0, "count in [0, 38]\n", "")
     rc, out, err = gfs(["query", store, "--range", "30:10"])
     assert (rc, out) == (2, "") and err.startswith("gfs: ValueError: the box's low corner [30.0]")
+    wide = str(tmp_path / "wide.gfs")
+    assert gfs(["ingest", wide, "--budget", "16"], "".join(f"{t % 3},{t % 5}\n" for t in range(200)))[0] == 0
+    assert gfs(["query", wide, "--range", "-1:1,-1:1"])[0] == 0
+    for box in ("nan:1,-1:1", "-1:1,-1:nan", "nan:nan,-1:1"):
+        rc, out, err = gfs(["query", wide, "--range", box])
+        assert (rc, out) == (2, "") and err.startswith("gfs: ValueError: the box's low corner ["), box
+
+
+@pytest.mark.parametrize("command", [["inspect", "--json"], ["query", "--interval", "0:100"]])
+def test_a_closed_stdout_exits_141_and_prints_nothing(gfs, tmp_path, command):
+    store = str(tmp_path / "s.gfs")
+    assert gfs(["ingest", store, "--budget", "16"], csv_rows(100))[0] == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before gfs writes, as after `| head -c 10`
+    try:
+        cmd = [sys.executable, "-m", "gfstore.cli", command[0], store, *command[1:]]
+        proc = subprocess.run(cmd, stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_queries_on_a_saved_empty_record_find_nothing(gfs, tmp_path):

@@ -132,12 +132,14 @@ def test_range_count_bounds_trivial_cases():
 def test_an_inverted_box_is_refused():
     rec = SummaryRecord(budget=2)
     rec.ingest_block(np.arange(40.0))
-    with pytest.raises(ValueError, match="low corner"):
-        range_count_bounds(rec.stack(), [30.0], [10.0])
+    for lo, hi in (([30.0], [10.0]), ([np.nan], [10.0]), ([0.0], [np.nan]), ([np.nan], [np.nan])):
+        with pytest.raises(ValueError, match="low corner"):
+            range_count_bounds(rec.stack(), lo, hi)
     rec2 = SummaryRecord(channels=2, budget=2)
     rec2.ingest_block(np.arange(40.0).reshape(20, 2))
-    with pytest.raises(ValueError, match="low corner"):
-        range_count_bounds(rec2.stack(), [0.0, 5.0], [40.0, 4.0])  # inverted in one channel only
+    for lo, hi in (([0.0, 5.0], [40.0, 4.0]), ([np.nan, 0.0], [1.0, 40.0])):  # in one channel only
+        with pytest.raises(ValueError, match="low corner"):
+            range_count_bounds(rec2.stack(), lo, hi)
 
 
 def test_range_count_brackets_truth():

@@ -143,6 +143,93 @@ def test_member_and_interval_replies_are_strict_json_over_non_finite_rows():
     assert all(type(x) is float for part in strict["interval"][1:-1] for x in part["mean"] + part["variance"])
 
 
+def plain(x):
+    """``x`` as plain dicts, lists and scalars, whatever dict or list types hold it."""
+    if isinstance(x, dict):
+        return {key: plain(v) for key, v in x.items()}
+    if isinstance(x, list):
+        return [plain(v) for v in x]
+    return x
+
+
+def oracle_line(reply) -> bytes:
+    """The line ``json.dumps`` writes for ``reply`` as plain dicts and lists, NaN and inf as strings."""
+    whole = plain(reply)
+    try:
+        text = json.dumps(whole, sort_keys=True, allow_nan=False)
+    except ValueError:
+        text = json.dumps(service._jsonable(whole), sort_keys=True)
+    return text.encode("utf-8") + b"\n"
+
+
+def random_requests(rng, rec, n):
+    """``n`` interval requests over random spans and member requests of stored means, drawn and outside values."""
+    means = [float(s.mean[0]) for s in rec.samples_in_time_order()]
+    for _ in range(n):
+        if rng.random() < 0.5:
+            t0 = int(rng.integers(-5, rec.now))
+            yield {"op": "interval", "t0": t0, "t1": int(rng.integers(max(t0, 0) + 1, rec.now + 1))}
+        else:
+            pick = rng.integers(3)
+            v = [means[rng.integers(len(means))], rng.normal(0.0, 2.0), 1e6 * rng.choice([-1, 1])][pick]
+            yield {"op": "member", "value": [float(v)] + [float(rng.normal())] * (rec.channels - 1)}
+
+
+def assert_lines_match_the_oracle(svc, requests):
+    for req in requests:
+        reply = ask(svc, req)
+        assert reply["ok"], reply
+        assert service.encode(reply) == oracle_line(reply), req
+        assert len(svc.texts) <= svc.rec.slots()
+
+
+def test_interval_and_member_lines_are_the_json_of_their_replies_over_non_finite_rows():
+    raw = np.random.default_rng(21).normal(size=400)
+    raw[[30, 150, 300, 399]] = [np.nan, np.inf, -np.inf, np.nan]
+    rec = SummaryRecord(budget=16)
+    rec.ingest_block(raw)
+    svc = service.QueryService(rec)
+    assert_lines_match_the_oracle(svc, random_requests(np.random.default_rng(22), rec, 300))
+    assert len(svc.texts) == rec.slots()  # every stored sample was returned once, and encoded once
+    lines = [service.encode(ask(svc, {"op": op, **req})) for op, req in (("interval", {"t0": 0, "t1": 400}),
+                                                                        ("member", {"value": [0.1]}))]
+    assert all(b'"nan"' in line and b"NaN" not in line for line in lines)
+    assert b'"inf"' in lines[0] and b'"-inf"' in lines[0]
+
+
+def test_interval_and_member_lines_after_a_dropped_variance_at_two_channels():
+    rec = SummaryRecord(channels=2, budget=12)
+    rec.ingest_block(np.random.default_rng(23).normal(size=(600, 2)))
+    coarsest = max(k for k, level in enumerate(rec.levels) if level)
+    rec.drop_statistic(coarsest, "variance")
+    svc = service.QueryService(rec)
+    assert_lines_match_the_oracle(svc, random_requests(np.random.default_rng(24), rec, 300))
+    whole = ask(svc, {"op": "interval", "t0": 0, "t1": rec.now})["result"]
+    assert any(part["variance"] is None for part in whole) and any(part["variance"] for part in whole)
+
+
+def test_the_kept_texts_follow_the_record_through_an_ingest_and_a_drop():
+    rng = np.random.default_rng(25)
+    rec = SummaryRecord(budget=10)
+    rec.ingest_block(rng.normal(size=300))
+    svc = service.QueryService(rec)
+    assert_lines_match_the_oracle(svc, random_requests(rng, rec, 100))
+    table = svc.texts_stack
+    edited = ask(svc, {"op": "interval", "t0": 0, "t1": rec.now})
+    want = service.encode(edited)
+    edited["result"][0]["mean"][0] = 1e9  # a caller's edit reaches no later reply
+    edited["result"].clear()
+    assert service.encode(ask(svc, {"op": "interval", "t0": 0, "t1": rec.now})) == want
+    rec.ingest_block(rng.normal(5.0, 1.0, size=200))
+    assert_lines_match_the_oracle(svc, random_requests(rng, rec, 100))
+    assert svc.texts_stack is rec.stack() is not table
+    rec.drop_statistic(max(k for k, level in enumerate(rec.levels) if level), "variance")
+    assert_lines_match_the_oracle(svc, random_requests(rng, rec, 100))
+    whole = ask(svc, {"op": "interval", "t0": 0, "t1": rec.now})
+    assert whole["result"][0]["variance"] is None
+    assert service.encode(whole) == oracle_line(whole)
+
+
 def jsonable(x):
     return "inf" if math.isinf(x) else x
 
@@ -340,6 +427,8 @@ def test_requests_on_an_unchanged_record_reduce_it_once(served, monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(replies) == 100
     assert all(got == want for got, want in replies)
+    lines = [(service.encode(got), service.encode(want)) for got, want in replies if type(got) is service.Reply]
+    assert len(lines) == 50 and all(got == want for got, want in lines)  # the texts kept under five threads
     assert own_builds.count(True) == 1  # one table, read by the member requests and the aggregate
     assert own_merges.count(True) == 1
 
