@@ -444,8 +444,9 @@ def merge_runs(st: Stack, rows: np.ndarray, t_rows: int, spans, splits, opts: St
 
     Scale-wise variance terms are ``sum n_i T_i / N`` plus, at each merge's
     scale, its spread ``n_a (m_a - m)^2 + n_b (m_b - m)^2`` over N, as
-    :func:`spectrum.pool_terms` places it; the iterable ``splits``, read only
-    under ``opts.swv``, holds each merge's ``(t_start, t_mid, t_end)``.
+    :func:`spectrum.pool_terms` places it; ``splits``, read only under
+    ``opts.swv``, holds each merge's ``(t_start, t_mid, t_end)``, as a list
+    of triples or the rows of an array.
 
     A span of one row gets ``point_sample``'s values, zero moments even for
     a non-finite row, and a span of two sources ``merge``'s own expressions.
@@ -520,7 +521,7 @@ def merge_runs(st: Stack, rows: np.ndarray, t_rows: int, spans, splits, opts: St
         for r, s in zip(run.tolist(), samples):
             if s.swv is not None:
                 terms[r, : s.swv.shape[0]] += s.n * s.swv
-        splits = np.array(list(splits), dtype=np.int64).reshape(-1, 3)
+        splits = np.array(splits, dtype=np.int64).reshape(-1, 3)
         at3 = np.searchsorted(starts, splits.ravel())  # the sources where each merge starts, halves and ends
         half = np.add.reduceat(np.vstack([weight * means, np.zeros(d)]), at3).reshape(-1, 3, d)
         n_a, n_b = np.diff(splits).T[:, :, np.newaxis]

@@ -164,6 +164,19 @@ def test_ingest_refuses_a_row_of_more_than_one_dimension():
 
 
 @pytest.mark.parametrize("d", [1, 2])
+def test_a_block_of_no_rows_is_checked_for_width_and_an_empty_list_adds_nothing(d):
+    rec = SummaryRecord(channels=d, budget=4)
+    rec.ingest_block(np.ones((5, d)))
+    before = copy.deepcopy(rec)
+    with pytest.raises(ChannelMismatch, match=f"got 3 channels, expected {d}"):
+        rec.ingest_block(np.empty((0, 3)))
+    assert rec == before
+    for empty in ([], np.empty(0), np.empty((0, d))):  # `gfs ingest` of an empty CSV passes []
+        assert rec.ingest_block(empty) is rec
+        assert rec == before
+
+
+@pytest.mark.parametrize("d", [1, 2])
 def test_a_one_row_block_is_ingest_of_that_row(d):
     edges = tuple(np.linspace(-3.0, 3.0, 7))
     for opts in (stats.StatisticSet(), stats.StatisticSet(histogram_edges=edges, swv=True, covariance=True)):
@@ -533,6 +546,82 @@ def test_planned_block_ingest_matches_per_row():
                     assert_same_record(planned, per_row, scale, rtol)
                 planned.validate()
                 assert any(op == "drop_statistic" for op, _, _ in planned.event_counts)
+
+
+def layouts_taken(monkeypatch) -> list[str]:
+    """Spy on ``_curate``'s layout steps: each planned block appends "count" or "step" to the returned list."""
+    taken = []
+    count_layout, step_layout = SummaryRecord._count_layout, SummaryRecord._step_layout
+
+    def by_counts(self, rows):
+        layout = count_layout(self, rows)
+        if layout is not None:
+            taken.append("count")
+        return layout
+
+    def by_steps(self, rows, planned):
+        if planned:
+            taken.append("step")
+        return step_layout(self, rows, planned)
+
+    monkeypatch.setattr(SummaryRecord, "_count_layout", by_counts)
+    monkeypatch.setattr(SummaryRecord, "_step_layout", by_steps)
+    return taken
+
+
+def rebalanced(*budgets):
+    """A budget-64 record of 3,000 rows rebalanced to each of ``budgets`` in turn."""
+    rec = SummaryRecord(budget=64)
+    rec.ingest_block(np.random.default_rng(5).normal(size=3_000))
+    for budget in budgets:
+        rec.rules.budget_slots = budget
+        rec.rebalance(reason="budget")
+    return rec
+
+
+def read_back():
+    rec = SummaryRecord(budget=16, opts=stats.StatisticSet(histogram_edges=(-2.0, 0.0, 2.0), swv=True))
+    rec.ingest_block(np.random.default_rng(6).normal(size=700))
+    return container.read(container.write(rec))
+
+
+@pytest.mark.parametrize(
+    "make, rows, block, layouts",
+    [
+        # budget 8 first promotes on its 511th row; from there its layout is dyadic only now and then, when its
+        # coarsest sample has grown to 2^k steps
+        (lambda: SummaryRecord(budget=8), 1_000, 37, {"count", "step"}),
+        # a rebalance on a dyadic layout merges as ingest does, so the layout stays dyadic; one down to fewer slots
+        # than levels promotes, and the layout it leaves is not
+        (lambda: rebalanced(24), 2_000, 100, {"count"}),
+        (lambda: rebalanced(4, 24), 2_000, 100, {"step"}),
+        (lambda: SummaryRecord(rules=CurationRules(budget_slots=16, nonstationarity_w=1.0)), 600, 50, set()),
+        (read_back, 2_000, 100, {"count"}),
+    ],
+    ids=["budget-8-past-511", "rebalanced-64-to-24", "rebalanced-64-to-4-to-24", "tuned", "container-read"],
+)
+def test_blocks_on_any_layout_equal_ingest_row_by_row(monkeypatch, make, rows, block, layouts):
+    planned, per_row = make(), make()
+    data = 3.0 * np.random.default_rng(rows + block).normal(size=(rows, planned.channels)) + 1.0
+    taken = layouts_taken(monkeypatch)
+    for start in range(0, rows, block):
+        planned.ingest_block(data[start : start + block])
+        for row in data[start : start + block]:
+            per_row.ingest(row)
+        assert_same_record(planned, per_row, float(np.abs(data).max()))
+    planned.validate()
+    assert set(taken) == layouts
+
+
+@pytest.mark.parametrize("budget", [64, 256])
+def test_a_dyadic_record_lays_out_every_block_on_its_counts(monkeypatch, budget):
+    rec = SummaryRecord(budget=budget, opts=stats.StatisticSet(swv=True))
+    data = np.random.default_rng(budget).normal(size=20_000)
+    taken = layouts_taken(monkeypatch)
+    for start in range(0, data.shape[0], 500):
+        rec.ingest_block(data[start : start + 500])
+    rec.validate()
+    assert taken == ["count"] * 40
 
 
 def test_every_stored_sample_is_the_summary_of_the_rows_it_covers():
