@@ -27,6 +27,7 @@ closed it first, with nothing printed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -225,7 +226,9 @@ def cmd_serve(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``gfs`` parser, built once per process: ``main`` parses every call with it."""
     p = _Parser(prog="gfs", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 

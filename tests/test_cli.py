@@ -18,6 +18,7 @@ import pytest
 from gfstore import cli, compare, container, index, stats
 from gfstore.curation import compact
 from gfstore.record import PROVENANCE_RING, SummaryRecord
+from test_container import repack_manifest
 
 
 @pytest.fixture
@@ -183,6 +184,17 @@ def test_a_label_header_on_an_existing_store_must_repeat_its_labels(gfs, tmp_pat
         assert (rc, err) == (0, "")
     else:
         assert rc == 2 and "ChannelMismatch: one label per channel" in err
+
+
+def test_a_store_whose_labels_are_not_strings_exits_2_and_is_left_as_it_was(gfs, tmp_path):
+    store = tmp_path / "s.gfs"
+    assert gfs(["ingest", str(store)], "1.0\n2.0\n")[0] == 0
+    store.write_bytes(repack_manifest(store.read_bytes(), lambda m: m.update(labels=[3])))
+    before = store.read_bytes()
+    rc, out, err = gfs(["ingest", str(store)], "#observation\n5.0\n")
+    assert (rc, out) == (2, "")
+    assert err == "gfs: CorruptContainer: need one label string per channel (1), found [3]\n"
+    assert store.read_bytes() == before
 
 
 def spans(text: str) -> list[tuple[int, int, int]]:

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from gfstore import container, spectrum, stats
 from gfstore.curation import CurationRules, compact
-from gfstore.errors import CorruptContainer, InvariantViolation, StoreError, VersionUnsupported
+from gfstore.errors import CannotSatisfyBudget, CorruptContainer, InvariantViolation, StoreError, VersionUnsupported
 from gfstore.record import PROVENANCE_RING, SummaryRecord
 from test_record import BLOCK_RTOL, assert_same_sample
 
@@ -44,6 +46,82 @@ def repack_manifest(blob: bytes, edit) -> bytes:
     return seal(blob[:8] + struct.pack("<Q", len(raw) + 4) + raw + bytes(4) + blob[16 + mlen :])
 
 
+def repack_data(blob: bytes, edit) -> bytes:
+    """Rewrite the data section with ``edit(bytearray)``, then re-seal the manifest's data CRC-32 and its own."""
+    (mlen,) = struct.unpack_from("<Q", blob, 8)
+    data = bytes(edit(bytearray(blob[16 + mlen + 8 :])))
+
+    def reseal(manifest):
+        manifest.update(data_len=len(data), data_crc32=zlib.crc32(data))
+
+    return repack_manifest(blob[: 16 + mlen] + struct.pack("<Q", len(data)) + data, reseal)
+
+
+SAMPLE_HEAD = "<qqQII"
+V4_SAMPLE_HEAD = "<qqQqII"  # versions 3 and 4: a sample id follows n
+OLD_SAMPLE_HEAD = "<qqQqdII"  # versions 1 and 2: a float64 weight follows the id
+
+
+def v5_sample(s: stats.SummarySample) -> bytes:
+    """``s`` as format 5 wrote it: a 32-byte header, then each statistic it keeps as a length-prefixed block.
+
+    The histogram block holds its non-zero counts as (key, count) pairs, the outliers (key -1) first.
+    """
+    d = s.channels
+
+    def floats(a) -> bytes:
+        return np.ascontiguousarray(a, dtype="<f8").tobytes()
+
+    blocks = [(1, floats(s.mean))]
+    blocks += [(btype, floats(v)) for btype, v in ((2, s.variance), (3, s.min_v), (4, s.max_v)) if v is not None]
+    if s.covariance is not None:
+        blocks.append((5, floats(s.covariance[np.triu_indices(d)])))
+    if s.hull is not None:
+        blocks.append((6, struct.pack("<Q", s.hull.shape[0]) + floats(s.hull)))
+    h = s.histogram
+    if h is not None:
+        keys = [key for key in range(stats.OUTLIER_BIN, len(h) - 1) if h[key]]
+        blocks.append((7, struct.pack("<Q", len(keys)) + b"".join(struct.pack("<qQ", key, h[key]) for key in keys)))
+    if s.swv is not None:
+        blocks.append((9, struct.pack("<Q", s.swv.shape[0]) + floats(s.swv)))
+    framed = b"".join(struct.pack("<IQ", btype, len(payload)) + payload for btype, payload in blocks)
+    return struct.pack(SAMPLE_HEAD, s.t_start, s.t_end, s.n, d, len(blocks)) + framed
+
+
+def level_data(rec: SummaryRecord, encode) -> bytes:
+    """The data section of formats 1 to 5: the level count, then per level its sample count and ``encode(s)`` of
+    each of its samples."""
+    parts = [struct.pack("<Q", len(rec.levels))]
+    for level in rec.levels:
+        parts += [struct.pack("<Q", len(level)), *map(encode, level)]
+    return b"".join(parts)
+
+
+def v5_container(rec: SummaryRecord) -> bytes:
+    """``rec`` as format 5 wrote it: the envelope and manifest of this build around format 5's data section."""
+    data = level_data(rec, v5_sample)
+    raw = json.dumps(container._manifest(rec, data), sort_keys=True, separators=(",", ":")).encode("utf-8")
+    head = b"GFS1" + struct.pack("<IQ", 5, len(raw) + 4) + raw
+    return head + struct.pack("<IQ", zlib.crc32(head), len(data)) + data
+
+
+def v6_blocks(blob: bytes) -> list[tuple[int, bytes]]:
+    """The ``(type, payload)`` of each block of a format-6 data section, in order."""
+    (mlen,) = struct.unpack_from("<Q", blob, 8)
+    data, pos, out = blob[16 + mlen + 8 :], 0, []
+    while pos < len(data):
+        btype, length = struct.unpack_from("<IQ", data, pos)
+        out.append((btype, data[pos + 12 : pos + 12 + length]))
+        pos += 12 + length
+    return out
+
+
+def repack_blocks(blob: bytes, edit) -> bytes:
+    """``blob`` with its format-6 blocks replaced by ``edit(blocks)``, framed and re-sealed."""
+    framed = b"".join(struct.pack("<IQ", btype, len(payload)) + payload for btype, payload in edit(v6_blocks(blob)))
+    return repack_data(blob, lambda _: framed)
+
+
 def test_round_trip_all_statistics_bit_exact():
     rec = rich_record()
     samples = list(rec.samples_in_time_order())
@@ -59,6 +137,48 @@ def test_round_trip_all_statistics_bit_exact():
 def test_round_trip_default_statistics_bit_exact():
     rec = SummaryRecord()
     rec.ingest_block(np.random.default_rng(5).normal(size=300))
+    blob = container.write(rec)
+    back = container.read(blob)
+    assert back == rec
+    assert container.write(back) == blob
+
+
+EDGES = (-2.0, -0.5, 0.0, 0.5, 2.0)
+STATISTIC_SETS = {
+    "default": stats.StatisticSet(),
+    "histogram-swv": stats.StatisticSet(histogram_edges=EDGES, swv=True),
+    "all": stats.StatisticSet(covariance=True, hull=True, histogram_edges=EDGES, swv=True),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=hst.sampled_from([1, 2, 3]),
+    kind=hst.sampled_from(sorted(STATISTIC_SETS)),
+    budget=hst.integers(1, 24),
+    sizes=hst.lists(hst.integers(1, 90), max_size=5),
+    odd=hst.lists(hst.sampled_from([np.nan, np.inf, -np.inf]), max_size=3),
+    drops=hst.integers(0, 3),
+    seed=hst.integers(0, 2**16),
+)
+@example(d=1, kind="default", budget=8, sizes=[], odd=[], drops=0, seed=0)  # an empty record
+@example(d=2, kind="all", budget=8, sizes=[40, 40, 40], odd=[np.nan, np.inf], drops=3, seed=1)
+def test_every_record_round_trips_bit_exactly(d, kind, budget, sizes, odd, drops, seed):
+    """read(write(rec)) == rec and write(read(blob)) == blob, with statistics dropped by ``compact``, NaN and inf
+    rows (a NaN spread beside a dropped one), and samples without a hull beside samples with one."""
+    rng = np.random.default_rng(seed)
+    rec = SummaryRecord(channels=d, budget=budget, opts=STATISTIC_SETS[kind])
+    for i, size in enumerate(sizes):
+        rows = rng.normal(scale=1.5, size=(size, d))
+        if i < len(odd):
+            rows[rng.integers(size), rng.integers(d)] = odd[i]
+        rec.ingest_block(rows)
+        if i < drops:
+            rec.rules.max_scalars = rec.scalar_footprint() - 1
+            try:
+                compact(rec)
+            except CannotSatisfyBudget:  # nothing left to drop but counts and means
+                pass
     blob = container.write(rec)
     back = container.read(blob)
     assert back == rec
@@ -169,6 +289,9 @@ def newest_row(field: int, value):
 MALFORMED = {
     "missing-key": lambda m: m.pop("rules"),
     "labels-not-a-list": lambda m: m.update(labels=7),
+    "labels-not-strings": lambda m: m.update(labels=[3]),
+    "labels-empty": lambda m: m.update(labels=[]),
+    "labels-one-too-many": lambda m: m.update(labels=["observation", "reward"]),
     "short-counts-row": lambda m: m.update(event_counts=[["rescale", 0]]),
     "op-not-a-string": newest_row(0, 7),
     "level-below-zero": newest_row(1, -1),
@@ -266,7 +389,13 @@ def test_a_sample_that_disagrees_with_its_record_does_not_load(edit, message):
     container.read(container.write(rec))
     edit(rec)
     with pytest.raises(InvariantViolation, match=message):
-        container.read(container.write(rec))
+        container.read(v5_container(rec))
+    if edit in (newest_in_two_channels, newest_counts_a_stray_bin):  # format 6 has one width per column
+        with pytest.raises((ValueError, InvariantViolation)):
+            container.write(rec)
+    else:
+        with pytest.raises(InvariantViolation, match=message):
+            container.read(container.write(rec))
 
 
 def test_a_hull_with_no_vertex_does_not_load():
@@ -329,21 +458,16 @@ def test_single_bit_flips_never_load():
             container.read(bytes(flipped))
 
 
-SAMPLE_HEAD = "<qqQII"
-V4_SAMPLE_HEAD = "<qqQqII"  # versions 3 and 4: a sample id follows n
-OLD_SAMPLE_HEAD = "<qqQqdII"  # versions 1 and 2: a float64 weight follows the id
-
-
 def v4_sample(s: stats.SummarySample, old_id: int) -> bytes:
     """``s`` with the 40-byte sample header of format versions 3 and 4, carrying ``old_id``."""
-    enc = container._encode_sample(s)
+    enc = v5_sample(s)
     t0, t1, n, d, n_blocks = struct.unpack_from(SAMPLE_HEAD, enc)
     return struct.pack(V4_SAMPLE_HEAD, t0, t1, n, old_id, d, n_blocks) + enc[struct.calcsize(SAMPLE_HEAD) :]
 
 
 def old_sample(s: stats.SummarySample, old_id: int, weight: float = 1.0) -> bytes:
     """``s`` with the 48-byte sample header of format versions 1 and 2, carrying ``old_id``."""
-    enc = container._encode_sample(s)
+    enc = v5_sample(s)
     t0, t1, n, d, n_blocks = struct.unpack_from(SAMPLE_HEAD, enc)
     return struct.pack(OLD_SAMPLE_HEAD, t0, t1, n, old_id, weight, d, n_blocks) + enc[struct.calcsize(SAMPLE_HEAD) :]
 
@@ -373,9 +497,7 @@ def old_container(rec: SummaryRecord, encode, version: int, edit=lambda m: None)
     ``format_version`` and the ``counters``.
     """
     ids = old_ids(rec)
-    data = struct.pack("<Q", len(rec.levels))
-    for level in rec.levels:
-        data += struct.pack("<Q", len(level)) + b"".join(encode(s, ids[s.t_start]) for s in level)
+    data = level_data(rec, lambda s: encode(s, ids[s.t_start]))
     blob = container.write(rec)
     (mlen,) = struct.unpack_from("<Q", blob, 8)
     manifest = json.loads(blob[16 : 16 + mlen - 4])
@@ -432,8 +554,8 @@ def test_reads_version_2_file_with_unit_weights():
     assert back.levels == rec.levels
     assert back.rules == rec.rules and back.opts == rec.opts
     rewritten = container.write(back)
-    assert struct.unpack_from("<I", rewritten, 4) == (container.FORMAT_VERSION,)
-    assert data_len(v2) - data_len(rewritten) == 16 * rec.slots()
+    assert struct.unpack_from("<I", rewritten, 4) == (container.FORMAT_VERSION,) == (6,)
+    assert data_len(v2) - data_len(v5_container(back)) == 16 * rec.slots()  # the id and weight of each sample
     assert container.read(rewritten) == back
 
 
@@ -458,7 +580,7 @@ def blocks(enc: bytes) -> list[tuple[int, bytes]]:
 
 def v3_sample(s: stats.SummarySample, old_id: int) -> bytes:
     """``s`` byte for byte as format 3 wrote it: its bin edges follow the histogram as a type-8 block."""
-    enc = container._encode_sample(s)
+    enc = v5_sample(s)
     parts = []
     for btype, block in blocks(enc):
         parts.append(block)
@@ -477,12 +599,12 @@ def test_reads_version_3_file_with_per_sample_edges():
     assert not any(e["op"] == "read" for e in v3.provenance)  # the edges are read past without a note
     assert_edges_shared(v3)
     rewritten = container.write(v3)
-    assert struct.unpack_from("<I", rewritten, 4) == (container.FORMAT_VERSION,) == (5,)
-    for s in v3.samples_in_time_order():
-        assert 8 not in [btype for btype, _ in blocks(container._encode_sample(s))]
+    assert struct.unpack_from("<I", rewritten, 4) == (container.FORMAT_VERSION,) == (6,)
+    assert 8 not in [btype for btype, _ in v6_blocks(rewritten)]
     hists = sum(s.histogram is not None for s in v3.samples_in_time_order())
-    assert data_len(blob) - data_len(rewritten) == (20 + 8 * len(rec.opts.histogram_edges)) * hists + 8 * rec.slots()
-    assert container.read(rewritten) == v3
+    v5 = v5_container(v3)  # the same samples with 32-byte headers and no edges
+    assert data_len(blob) - data_len(v5) == (20 + 8 * len(rec.opts.histogram_edges)) * hists + 8 * rec.slots()
+    assert container.read(rewritten) == v3 == container.read(v5)
 
 
 def assert_edges_shared(rec: SummaryRecord) -> None:
@@ -596,7 +718,8 @@ def test_format_4_store_of_the_parent_build_loads_equal_to_the_same_stream_now(n
         assert not notes
     assert back == want
     rewritten = container.write(back)
-    assert data_len(blob) - data_len(rewritten) == 8 * back.slots() + 8 * back.channels * removed
+    assert struct.unpack_from("<I", rewritten, 4) == (6,)
+    assert data_len(blob) - data_len(v5_container(back)) == 8 * back.slots() + 8 * back.channels * removed
     assert container.read(rewritten) == back
     back.ingest_block(np.random.default_rng(7).normal(size=(100, back.channels)))
     back.validate()
@@ -610,8 +733,11 @@ def test_format_5_store_of_the_dict_histogram_build_is_written_back_byte_for_byt
     blob = (DATA / name).read_bytes()
     assert struct.unpack_from("<I", blob, 4) == (5,)
     back = container.read(blob)
-    assert container.write(back) == blob
+    assert v5_container(back) == blob  # by the format-5 writer kept in this file
     assert back == FORMAT5.STORES[name]()
+    rewritten = container.write(back)
+    assert struct.unpack_from("<I", rewritten, 4) == (6,)
+    assert container.read(rewritten) == back
     hists = [s.histogram for s in back.samples_in_time_order()]
     assert any(h is not None and h[stats.OUTLIER_BIN] for h in hists)
     assert (None in hists) == (name == "golden-d2.gfs")  # compaction dropped a histogram there
@@ -638,21 +764,11 @@ def test_deep_swv_stacks_of_an_older_build_load_folded_into_their_top_scale():
 FIRST_SAMPLE = 16  # data offset of the first sample: after the level count and level 0's sample count
 
 
-def repack_data(blob: bytes, edit) -> bytes:
-    """Rewrite the data section with ``edit(bytearray)``, then re-seal the manifest's data CRC-32 and its own."""
-    (mlen,) = struct.unpack_from("<Q", blob, 8)
-    data = bytes(edit(bytearray(blob[16 + mlen + 8 :])))
-
-    def reseal(manifest):
-        manifest.update(data_len=len(data), data_crc32=zlib.crc32(data))
-
-    return repack_manifest(blob[: 16 + mlen] + struct.pack("<Q", len(data)) + data, reseal)
-
-
 def two_row_blob(opts=stats.StatisticSet()) -> bytes:
+    """Two rows in format 5, whose per-sample blocks the tests below edit."""
     rec = SummaryRecord(budget=8, opts=opts)
     rec.ingest_block([0.5, 7.0])
-    return container.write(rec)
+    return v5_container(rec)
 
 
 def test_a_sample_without_a_mean_block_does_not_load():
@@ -688,3 +804,207 @@ def test_a_histogram_block_that_repeats_a_key_does_not_load():
 
     with pytest.raises(CorruptContainer, match=r"sample \[0,1\): histogram block of 2 pairs"):
         container.read(repack_data(blob, repeat))
+
+
+def test_every_prefix_of_a_format_5_store_raises_store_error():
+    blob = (DATA / "planned-swv.gfs").read_bytes()
+    assert struct.unpack_from("<I", blob, 4) == (5,)
+    for n in range(len(blob)):
+        with pytest.raises(StoreError):
+            container.read(blob[:n])
+
+
+def test_single_bit_flips_in_a_format_5_store_never_load():
+    blob = (DATA / "planned-swv.gfs").read_bytes()
+    rng = np.random.default_rng(2025)
+    for _ in range(1_000):
+        bit = int(rng.integers(8 * len(blob)))
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(StoreError):
+            container.read(bytes(flipped))
+
+
+FORMAT6 = generator("make_format6_stores")
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT6.STORES))
+def test_format_6_store_is_written_byte_for_byte_and_reads_back_equal(name):
+    blob = (DATA / name).read_bytes()
+    assert struct.unpack_from("<I", blob, 4) == (6,)
+    rec = FORMAT6.STORES[name]()
+    assert container.write(rec) == blob
+    back = container.read(blob)
+    assert back == rec
+    assert container.write(back) == blob
+    assert [btype for btype, _ in v6_blocks(blob)] == [13, 14, 1, 2, 3, 4] + {
+        "columns-d1.gfs": [],
+        "columns-d2.gfs": [5, 6, 9, 7],
+        "columns-d3.gfs": [5, 9, 7],
+    }[name]
+
+
+def test_format_6_masks_keep_a_dropped_statistic_apart_from_a_nan_one():
+    back = container.read((DATA / "columns-d2.gfs").read_bytes())
+    samples = list(back.samples_in_time_order())
+    dropped = [s for s in samples if s.min_v is None]
+    assert dropped and all(s.hull is None and s.histogram is None and s.covariance is None for s in dropped)
+    assert all(np.isnan(s.variance).any() for s in dropped)  # kept, and NaN: they cover the NaN row
+    kept = [s for s in samples if s.min_v is not None]
+    assert kept and all(s.hull is not None and s.histogram is not None for s in kept)
+
+
+def test_format_6_samples_own_their_columns():
+    back = container.read((DATA / "columns-d2.gfs").read_bytes())
+    for s in back.samples_in_time_order():
+        for value in (s.mean, s.variance, s.covariance, s.hull, s.swv):
+            if value is not None:
+                assert value.flags.writeable and value.base is not None and value.base.flags.owndata
+
+
+def test_resealed_bit_flips_in_format_6_columns_load_or_raise_store_errors():
+    """A flipped bit of a format-6 data section whose CRC-32s are sealed again loads a record that validates or
+    raises a StoreError, never another exception."""
+    blob = (DATA / "columns-d2.gfs").read_bytes()
+    size = data_len(blob)
+    rng = np.random.default_rng(2026)
+    outcomes = []
+    for _ in range(400):
+        bit = int(rng.integers(8 * size))
+
+        def flip(data, bit=bit):
+            data[bit // 8] ^= 1 << (bit % 8)
+            return data
+
+        try:
+            container.read(repack_data(blob, flip))
+            outcomes.append("loaded")
+        except StoreError:
+            outcomes.append("refused")
+    assert set(outcomes) == {"loaded", "refused"}
+
+
+def block_payload(btype: int, edit):
+    """A :func:`repack_blocks` edit that rewrites the payload of block ``btype`` as ``edit(bytearray, k)``, with k
+    the number of stored samples."""
+
+    def apply(blocks):
+        k = sum(np.frombuffer(dict(blocks)[13], "<u8").tolist())
+        return [(t, bytes(edit(bytearray(p), k)) if t == btype else p) for t, p in blocks]
+
+    return apply
+
+
+def histogram_pairs(edit):
+    """A :func:`block_payload` edit of the histogram block's keys, as ``edit(keys, offsets)`` on int arrays."""
+
+    def apply(payload, k):
+        m = k - sum(payload[:k])
+        offsets = np.frombuffer(payload, "<i8", m + 1, k)
+        start = k + 8 * (m + 1)
+        keys = np.frombuffer(payload, "<i8", offsets[-1], start).copy()
+        edit(keys, offsets)
+        payload[start : start + keys.nbytes] = keys.tobytes()
+        return payload
+
+    return apply
+
+
+def two_keys_of_one_sample(keys, offsets) -> int:
+    """The position of the first key of the first sample with two or more pairs."""
+    return next(i for i, j in zip(offsets, offsets[1:]) if j - i >= 2)
+
+
+def repeat_a_key(keys, offsets):
+    i = two_keys_of_one_sample(keys, offsets)
+    keys[i + 1] = keys[i]
+
+
+def swap_two_keys(keys, offsets):
+    i = two_keys_of_one_sample(keys, offsets)
+    keys[i], keys[i + 1] = keys[i + 1], keys[i]
+
+
+def set_offset(at: int, value):
+    """A :func:`block_payload` edit of a ragged block's offset ``at`` to ``value(offsets)``."""
+
+    def apply(payload, k):
+        m = k - sum(payload[:k])
+        offsets = np.frombuffer(payload, "<i8", m + 1, k).copy()
+        offsets[at] = value(offsets)
+        payload[k : k + offsets.nbytes] = offsets.tobytes()
+        return payload
+
+    return apply
+
+
+def set_byte(at, value: int):
+    def apply(payload, k):
+        payload[at(payload, k)] = value
+        return payload
+
+    return apply
+
+
+COLUMN_CORRUPTIONS = {
+    "no-mean-block": (lambda bs: [b for b in bs if b[0] != 1], r"no block of type 1"),
+    "no-spans-block": (lambda bs: [b for b in bs if b[0] != 14], r"no block of type 14"),
+    "two-mean-blocks": (lambda bs: bs + [b for b in bs if b[0] == 1], r"two blocks of type 1$"),
+    "levels-count-one-more-sample": (
+        block_payload(13, lambda p, k: struct.pack("<Q", struct.unpack_from("<Q", p)[0] + 1) + p[8:]),
+        r"block of type 14 holds \d+ bytes, too few for its columns",
+    ),
+    "levels-block-of-odd-length": (block_payload(13, lambda p, k: p + b"\0"), r"block of type 13 has 1 bytes past"),
+    "spans-cut-short": (block_payload(14, lambda p, k: p[:-8]), r"block of type 14 holds \d+ bytes, too few"),
+    "mean-with-a-value-more": (block_payload(1, lambda p, k: p + bytes(8)), r"block of type 1 has 8 bytes past"),
+    "mask-one-byte-short": (block_payload(3, lambda p, k: p[1:]), r"block of type 3 "),
+    "mask-one-byte-long": (block_payload(3, lambda p, k: p[:k] + b"\0" + p[k:]), r"block of type 3 "),
+    "mask-byte-two": (block_payload(3, set_byte(lambda p, k: 0, 2)), r"block of type 3 has a mask byte other than 0"),
+    "mask-keeps-a-dropped-sample": (
+        block_payload(3, set_byte(lambda p, k: p[:k].index(1), 0)),
+        r"block of type 3 holds \d+ bytes, too few",
+    ),
+    "mask-drops-a-kept-sample": (
+        block_payload(3, set_byte(lambda p, k: p[:k].index(0), 1)),
+        r"block of type 3 has 16 bytes past its columns",
+    ),
+    "offsets-not-from-zero": (block_payload(9, set_offset(0, lambda o: 1)), r"block of type 9 has offsets that do not"),
+    "offsets-falling": (block_payload(9, set_offset(2, lambda o: o[1] - 1)), r"block of type 9 has offsets that do"),
+    "offsets-past-the-end": (block_payload(6, set_offset(-1, lambda o: o[-1] + 1)), r"block of type 6 holds \d+ bytes"),
+    "histogram-key-repeated": (block_payload(7, histogram_pairs(repeat_a_key)), r"repeated or unordered"),
+    "histogram-keys-out-of-order": (block_payload(7, histogram_pairs(swap_two_keys)), r"repeated or unordered"),
+    "histogram-key-past-the-bins": (
+        block_payload(7, histogram_pairs(lambda keys, offsets: keys.__setitem__(-1, 4))),
+        r"histogram block on 4 bins has a key out of range",
+    ),
+    "histogram-key-below-the-outliers": (
+        block_payload(7, histogram_pairs(lambda keys, offsets: keys.__setitem__(0, -2))),
+        r"histogram block on 4 bins has a key out of range",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit, message", COLUMN_CORRUPTIONS.values(), ids=COLUMN_CORRUPTIONS.keys())
+def test_a_malformed_format_6_column_raises_corrupt_container(edit, message):
+    blob = (DATA / "columns-d2.gfs").read_bytes()
+    assert container.read(repack_blocks(blob, lambda bs: bs)) == container.read(blob)
+    with pytest.raises(CorruptContainer, match=message):
+        container.read(repack_blocks(blob, edit))
+
+
+def test_a_format_6_block_that_runs_past_the_data_section_does_not_load():
+    blob = (DATA / "columns-d1.gfs").read_bytes()
+    with pytest.raises(CorruptContainer, match="block of type 99 runs past the data section"):
+        container.read(repack_data(blob, lambda data: data + struct.pack("<IQ", 99, 1)))
+
+
+def test_unknown_format_6_blocks_are_skipped_with_a_note():
+    blob = (DATA / "columns-d1.gfs").read_bytes()
+    back = container.read(repack_blocks(blob, lambda bs: [(99, b"hello"), *bs, (8, bytes(16)), (99, b"!")]))
+    want = container.read(blob)
+    assert back.levels == want.levels
+    notes = [e["note"] for e in back.provenance if e["op"] == "read"]
+    assert notes == [
+        "skipped 1 statistic block(s) of unknown or retired type 8 (16 bytes)",
+        "skipped 2 statistic block(s) of unknown or retired type 99 (6 bytes)",
+    ]
