@@ -11,7 +11,6 @@ stored samples that served requests touched.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 
 import numpy as np
@@ -58,22 +57,25 @@ class CurationRules:
             raise BudgetTooSmall(f"budget {b} is below one slot")
 
 
-def record_access(record, samples, op: str) -> None:
-    """Count each of ``samples``, stored samples of ``record``, under ``("access", level, op)``.
+def row_levels(record) -> np.ndarray:
+    """The level of each row of ``record.stack()``: its stored samples in time order, the coarsest level first."""
+    levels = record.levels
+    return np.repeat(np.arange(len(levels) - 1, -1, -1), [len(level) for level in reversed(levels)])
+
+
+def record_access(record, levels, op: str) -> None:
+    """Count one access of ``op`` under ``("access", k, op)`` for each entry ``k`` of ``levels``, the levels
+    (:func:`row_levels`) of the stored samples of ``record`` that a request returned.
 
     The counts go into ``record.event_counts`` only, never into the
-    provenance ring, so they add at most one key per level and op.  The
-    levels tile ``[0, now)`` from the coarsest level down, so a sample's
-    level is the non-empty level with the last first start at or before
-    the sample's own start.
+    provenance ring, so they add at most one key per level and op.  One
+    ``bincount`` tallies the levels.
     """
-    levels = record.levels
-    occupied = [k for k in range(len(levels) - 1, -1, -1) if levels[k]]
-    firsts = [levels[k][0].t_start for k in occupied]
+    tally = np.bincount(np.asarray(levels, dtype=np.int64))
     counts = record.event_counts
-    for s in samples:
-        key = ("access", occupied[bisect.bisect_right(firsts, s.t_start) - 1], op)
-        counts[key] = counts.get(key, 0) + 1
+    for k in np.flatnonzero(tally).tolist():
+        key = ("access", k, op)
+        counts[key] = counts.get(key, 0) + int(tally[k])
 
 
 def score_merge_candidates(samples, rules: CurationRules) -> list[int]:

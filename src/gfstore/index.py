@@ -5,8 +5,9 @@ one.  :func:`build` returns their :func:`stats.stack`, the table of their
 starts, counts, moments, extrema and histogram counts.  The record keeps
 it as :meth:`record.SummaryRecord.stack` until its stored samples change,
 so every read between changes (membership, range counts, interval queries
-and the aggregate) shares one build; :func:`families` reads each sample's
-likelihood family off it.  An empty table answers too: nothing is a
+and the aggregate) shares one build; :func:`likelihood_parts` reads each
+sample's likelihood family and gaussian normaliser off it, and the record
+keeps those beside the table.  An empty table answers too: nothing is a
 candidate and a range holds no value.  :func:`membership` rules samples out
 and scores the rest in one array pass over the stack, then applies the hull
 test to the 2-D samples that keep one.  Exclusion is conservative: a value
@@ -16,7 +17,7 @@ likelihoods are plausibility, never proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +47,13 @@ def families(index: stats.Stack) -> np.ndarray:
     return family
 
 
+def likelihood_parts(index: stats.Stack) -> tuple[np.ndarray, np.ndarray]:
+    """What every likelihood over one table reads beside its columns: each row's family (:func:`families`) and the
+    gaussian normaliser ``sqrt(2 pi variance)`` of each row and channel."""
+    with np.errstate(all="ignore"):  # a NaN or inf variance gives a NaN or inf normaliser, quietly, as in a likelihood
+        return families(index), np.sqrt(2.0 * np.pi * index.variance)
+
+
 def _as_query(index: stats.Stack, v) -> np.ndarray:
     qv = np.atleast_1d(np.asarray(v, dtype=np.float64))
     if qv.shape != index.mean.shape[1:]:
@@ -59,29 +67,43 @@ class MembershipResult:
     candidates: list  # (leaf sample, likelihood), most plausible first, a NaN likelihood last
     nodes_visited: int  # stored samples tested
     note: str = "likelihood ranking over candidates is heuristic, not part of the exclusion proof"
+    rows: np.ndarray | None = field(default=None, compare=False, repr=False)  # each candidate's row of the table
 
 
-def _likelihoods(index: stats.Stack, c: np.ndarray, qv: np.ndarray) -> np.ndarray:
-    """``compare.pdf(compare.model_from_sample(s), qv)`` of each sample ``c`` indexes, in one pass."""
-    mean, var, lo, hi = index.mean[c], index.variance[c], index.min_v[c], index.max_v[c]
-    family = families(index)[c]
-    point = qv == mean
-    gaussian = np.where(var == 0, point, np.exp(-0.5 * (qv - mean) ** 2 / var) / np.sqrt(2.0 * np.pi * var))
-    uniform = np.where(lo == hi, qv == lo, np.where((lo <= qv) & (qv <= hi), 1.0 / (hi - lo), 0.0))
-    gaussian_row, uniform_row = (family == GAUSSIAN)[:, np.newaxis], (family == UNIFORM)[:, np.newaxis]
-    like = np.where(gaussian_row, gaussian, np.where(uniform_row, uniform, point)).prod(axis=1)  # over channels
-    if index.histogram is not None and qv.shape[0] == 1:
+def _likelihoods(index: stats.Stack, c: np.ndarray, qv: np.ndarray, parts: tuple) -> np.ndarray:
+    """``compare.pdf(compare.model_from_sample(s), qv)`` of each sample ``c`` indexes, in one pass.
+
+    Each family is evaluated on its own rows only, and a family that no row has is skipped.
+    """
+    families_of_rows, norm_of_rows = parts
+    mean, family = index.mean[c], families_of_rows[c]
+    present = np.bincount(family, minlength=4)
+
+    def rows_of(f):  # the rows of family ``f``: every row as a slice, else their positions
+        return slice(None) if present[f] == c.size else np.flatnonzero(family == f)
+
+    per_channel = (qv == mean).astype(np.float64)  # the point family: the mean alone
+    if present[GAUSSIAN]:
+        g = rows_of(GAUSSIAN)
+        m, var, norm = mean[g], index.variance[c[g]], norm_of_rows[c[g]]
+        per_channel[g] = np.where(var == 0, qv == m, np.exp(-0.5 * (qv - m) ** 2 / var) / norm)
+    if present[UNIFORM]:
+        u = rows_of(UNIFORM)
+        lo, hi = index.min_v[c[u]], index.max_v[c[u]]
+        per_channel[u] = np.where(lo == hi, qv == lo, np.where((lo <= qv) & (qv <= hi), 1.0 / (hi - lo), 0.0))
+    like = per_channel.prod(axis=1)  # over channels
+    if present[PIECEWISE]:  # one channel, so ``qv`` falls in one bin
+        p = rows_of(PIECEWISE)
         edges = index.hist_edges
-        piece = np.zeros(c.shape[0])
         b = int(stats.hist_bins(edges, qv)[0])
+        like[p] = 0.0
         if b != stats.OUTLIER_BIN:
-            counts = index.histogram[c, : stats.OUTLIER_BIN]
-            piece = counts[:, b] / counts.sum(axis=1) / (edges[b + 1] - edges[b])
-        like = np.where(family == PIECEWISE, piece, like)
+            counts = index.histogram[c[p], : stats.OUTLIER_BIN]
+            like[p] = counts[:, b] / counts.sum(axis=1) / (edges[b + 1] - edges[b])
     return like
 
 
-def membership(index: stats.Stack, q) -> MembershipResult:
+def membership(index: stats.Stack, q, parts: tuple | None = None) -> MembershipResult:
     """Decide certainly-absent vs candidate samples for a query value.
 
     A sample is ruled out when it holds no rows, when ``q`` lies below its
@@ -91,18 +113,24 @@ def membership(index: stats.Stack, q) -> MembershipResult:
     density of :func:`compare.model_from_sample`'s model at ``q``; only the
     2-D samples that keep a hull are then tested one by one.  Candidates
     come in time order, stably sorted by likelihood, with a NaN likelihood
-    (from a NaN or inf row) after every other.
+    (from a NaN or inf row) after every other; ``rows`` holds their rows of
+    ``index`` in that order.  ``parts`` are the table's
+    :func:`likelihood_parts`, made here when not given.
     """
     qv = _as_query(index, q)
+    if parts is None:
+        parts = likelihood_parts(index)
     with np.errstate(all="ignore"):  # large or non-finite data may overflow; the families' values stay defined
         inside = (index.n > 0) & ~((qv < index.min_v) | (qv > index.max_v)).any(axis=1)
         c = np.flatnonzero(inside)
         if qv.shape[0] == 2:
             c = c[[_in_hull(index.samples[i].hull, qv) for i in c.tolist()]]
-        like = _likelihoods(index, c, qv)
+        like = _likelihoods(index, c, qv, parts)
     order = np.argsort(-like, kind="stable")  # argsort puts NaN last
-    hits = [(index.samples[i], x) for i, x in zip(c[order].tolist(), like[order].tolist())]
-    return MembershipResult(absent_certain=not hits, candidates=hits, nodes_visited=index.node_count())
+    rows = c[order]
+    samples = index.samples
+    hits = [(samples[i], x) for i, x in zip(rows.tolist(), like[order].tolist())]
+    return MembershipResult(absent_certain=not hits, candidates=hits, nodes_visited=index.node_count(), rows=rows)
 
 
 def _in_hull(hull, qv: np.ndarray) -> bool:

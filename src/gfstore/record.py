@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -286,6 +286,7 @@ class Span:
 class QueryPart:
     sample: stats.SummarySample
     coarse: bool
+    row: int = field(compare=False)  # the sample's row of the record's :meth:`~SummaryRecord.stack`
 
 
 class SummaryRecord:
@@ -307,9 +308,10 @@ class SummaryRecord:
 
     Every read between changes answers from one table of the stored
     samples, :meth:`stack`: :meth:`query_interval`, :meth:`membership` and
-    range counts search it, and :meth:`aggregate` reduces it once and keeps
-    the merge.  Both are made on first use and forgotten whenever the
-    stored samples change, and only the record's own writers change them:
+    range counts search it, :meth:`membership` keeps its likelihood parts,
+    and :meth:`aggregate` reduces it once and keeps the merge.  All three
+    are made on first use and forgotten whenever the stored samples
+    change, and only the record's own writers change them:
     the commit of :meth:`_curate` (``ingest``, ``ingest_block`` and
     ``rebalance``), :meth:`drop_statistic`, and an assignment to
     :attr:`levels` (tuples, so no other hand adds or replaces a sample), as
@@ -367,8 +369,9 @@ class SummaryRecord:
         self._forget()
 
     def _forget(self) -> None:
-        """Drop the kept table and aggregate: the stored samples changed."""
+        """Drop the kept table, its likelihood parts and the aggregate: the stored samples changed."""
         self._stack: stats.Stack | None = None
+        self._likelihood_parts: tuple | None = None
         self._aggregate: stats.SummarySample | None = None
 
     def note(self, key: tuple[str, int | None, str | None], event: dict) -> None:
@@ -664,7 +667,10 @@ class SummaryRecord:
         return self._stack
 
     def query_interval(self, t0: int, t1: int) -> list[QueryPart]:
-        """Minimal stored samples covering [t0, t1), in time order, by :meth:`stack`'s starts; overhangs are coarse."""
+        """Minimal stored samples covering [t0, t1), in time order, by :meth:`stack`'s starts; overhangs are coarse.
+
+        Each part holds its sample's row of :meth:`stack`.
+        """
         if t1 > self.now:
             raise FutureRange(f"t1 {t1} is beyond now {self.now}")
         if t0 >= t1:
@@ -673,7 +679,7 @@ class SummaryRecord:
         st = self.stack()
         i = int(np.searchsorted(st.t_start, t0, side="right")) - 1  # the sample holding t0 (the samples tile [0, now))
         j = int(np.searchsorted(st.t_start, t1))  # one past the last sample starting before t1
-        return [QueryPart(s, coarse=s.t_start < t0 or s.t_end > t1) for s in st.samples[i:j]]
+        return [QueryPart(s, s.t_start < t0 or s.t_end > t1, row) for row, s in enumerate(st.samples[i:j], i)]
 
     def aggregate(self) -> stats.SummarySample:
         """Merge of everything stored, in one grouped reduction (:func:`stats.merge_runs`).
@@ -699,8 +705,14 @@ class SummaryRecord:
         return agg.copy()
 
     def membership(self, q):
-        """Test a value against every stored sample of :meth:`stack`; see :func:`index.membership`."""
-        return index.membership(self.stack(), q)
+        """Test a value against every stored sample of :meth:`stack`; see :func:`index.membership`.
+
+        The table's :func:`index.likelihood_parts` are made on first use and kept with it.
+        """
+        st = self.stack()
+        if self._likelihood_parts is None:
+            self._likelihood_parts = index.likelihood_parts(st)
+        return index.membership(st, q, self._likelihood_parts)
 
     def drop_statistic(self, k: int, name: str) -> None:
         """Remove statistic ``name``, a key of :data:`curation.DROPPABLE`, from every stored sample of level ``k``."""

@@ -2,11 +2,16 @@
 
 One JSON object per line in, one per line out: {"ok": true, "result": ...}
 or {"ok": false, "error": "..."}, in sorted-key strict JSON (:func:`encode`).
-Most of an ``interval`` or ``member`` reply is its stored samples, so a
-service keeps each stored sample's text, encoded once while the record's
-table of stored samples (:meth:`SummaryRecord.stack`) stays the same, and
-writes those replies by joining the kept texts: at most one text per
-stored sample, the same bytes that encoding the reply whole would give.
+An ``interval`` or ``member`` reply is answered from the rows of the
+record's table of stored samples (:meth:`SummaryRecord.stack`).  While that
+table stays the same, a service keeps what depends on it alone: each row's
+level, its end, the masks of the rows that lack a variance, a minimum or a
+maximum, and each row's text, encoded the first time a reply returns the
+row; the record keeps the table's likelihood parts beside it.  A reply's
+line is joined from the kept texts, the likelihoods written in one pass:
+the same bytes that encoding the reply whole would give.  Its dict
+(:class:`Reply`) is made only when a caller reads it, from the kept table,
+so the socket, which sends the line alone, never makes it.
 Serving queries through the store is what lets the store observe its
 usage: every answered ``interval`` or ``member`` request counts the stored
 samples it returned under ``("access", level, op)`` in the record's event
@@ -31,6 +36,7 @@ import os
 import signal
 import socketserver
 import threading
+from collections.abc import Mapping
 
 from . import compare as cmp
 from . import container, curation, stats
@@ -60,42 +66,91 @@ def _dumps(obj) -> str:
         return json.dumps(_jsonable(obj), sort_keys=True)
 
 
-class Reply(dict):
-    """An ``interval`` or ``member`` reply with its line, joined from the kept texts when the reply was made.
+class Reply(Mapping):
+    """An ``interval`` or ``member`` reply: its line, joined from the kept texts when the reply was made, and its
+    dict, made by ``make`` on the first read and compared equal to, key by key.
 
-    The line is fixed when the reply is made: editing the dict changes neither the line :func:`encode` writes
-    for it nor a later reply.
+    Both are fixed when the reply is made: ``make`` reads the table's read-only columns, what the service keeps of
+    the table (:class:`_Table`) and the reply's rows, never the stored samples, which a later ``drop_statistic``
+    edits in place.  Each reply makes
+    its own lists, so editing one reply's dict changes neither the line :func:`encode` writes for it nor a later
+    reply.
     """
 
-    __slots__ = ("line",)
+    __slots__ = ("line", "_make", "_dict")
+
+    def __init__(self, line: str, make):
+        self.line = line.encode("utf-8")
+        self._make, self._dict = make, None
+
+    def _read(self) -> dict:
+        d = self._dict
+        if d is None:  # two threads may both make it; either dict is the reply
+            d = self._dict = self._make()
+        return d
+
+    def __getitem__(self, key):
+        return self._read()[key]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def __len__(self) -> int:
+        return len(self._read())
+
+    def __repr__(self) -> str:
+        return f"Reply({self._read()!r})"
 
 
-def encode(resp: dict) -> bytes:
+def encode(resp: Mapping) -> bytes:
     """One reply line of sorted-key strict JSON: the line of a :class:`Reply`, else :func:`_dumps` of ``resp``."""
     if type(resp) is Reply:
         return resp.line
     return _dumps(resp).encode("utf-8") + b"\n"
 
 
-def _sample_dict(s, coarse: bool | None = None) -> dict:
-    d = {
-        "t_start": s.t_start,
-        "t_end": s.t_end,
-        "n": s.n,
-        "mean": s.mean.tolist(),
-        "variance": None if s.variance is None else s.variance.tolist(),
-        "min": None if s.min_v is None else s.min_v.tolist(),
-        "max": None if s.max_v is None else s.max_v.tolist(),
-    }
-    if coarse is not None:
-        d["coarse"] = coarse
-    return d
+class _Table:
+    """What a service keeps of one table of the record, ``stack``: each row's level (:func:`curation.row_levels`),
+    start, end and count, the masks of the rows that lack a variance, a minimum or a maximum, and each row's text,
+    :func:`_dumps` of :meth:`sample`, made the first time a reply returns the row (None until then)."""
 
+    __slots__ = ("stack", "level", "t_start", "t_end", "n", "lacks", "texts")
 
-def _reply(result, line: str) -> Reply:
-    reply = Reply(ok=True, result=result)
-    reply.line = line.encode("utf-8")
-    return reply
+    def __init__(self, rec: SummaryRecord):
+        st = self.stack = rec.stack()
+        self.level = curation.row_levels(rec)
+        self.t_start, self.n = st.t_start.tolist(), st.n.tolist()
+        self.t_end = [s.t_end for s in st.samples]
+        self.lacks = [st.lacks(name).tolist() for name in ("variance", "min_v", "max_v")]
+        self.texts: list[str | None] = [None] * len(st.samples)
+
+    def sample(self, row: int, coarse: bool | None = None) -> dict:
+        """The reply dict of the stored sample at ``row``, with ``coarse`` when given; its lists are new."""
+        st = self.stack
+        no_variance, no_min, no_max = self.lacks
+        d = {
+            "t_start": self.t_start[row],
+            "t_end": self.t_end[row],
+            "n": self.n[row],
+            "mean": st.mean[row].tolist(),
+            "variance": None if no_variance[row] else st.variance[row].tolist(),
+            "min": None if no_min[row] else st.min_v[row].tolist(),
+            "max": None if no_max[row] else st.max_v[row].tolist(),
+        }
+        if coarse is not None:
+            d["coarse"] = coarse
+        return d
+
+    def texts_of(self, rows: list[int]) -> list[str]:
+        """The kept text of each of ``rows``, made where missing; call with the service's lock held."""
+        texts = self.texts
+        out = []
+        for row in rows:
+            text = texts[row]
+            if text is None:
+                text = texts[row] = _dumps(self.sample(row))
+            out.append(text)
+        return out
 
 
 class QueryService:
@@ -109,12 +164,10 @@ class QueryService:
     only stores that loaded.  The served record's own table of stored
     samples and aggregate are the record's: it builds them once per change
     and answers every request until the next from what it keeps.
-    ``texts`` maps the ``id`` of a stored sample of that table,
-    ``texts_stack``, to :func:`_dumps` of its :func:`_sample_dict`, made
-    the first time a reply returns the sample.  A request that finds the
-    record's table replaced starts an empty map, so the service keeps at
-    most one text per stored sample, and none of samples the record no
-    longer keeps.
+    ``table`` is what the service keeps of that table (:class:`_Table`).
+    A request that finds the record's table replaced makes it anew, so the
+    service keeps at most one text per stored sample, and none of samples
+    the record no longer keeps.
     """
 
     def __init__(self, rec: SummaryRecord, store_dir: str | None = None):
@@ -122,10 +175,9 @@ class QueryService:
         self.lock = threading.Lock()
         self.store_dir = None if store_dir is None else os.path.realpath(store_dir)
         self.other_aggregates: dict[tuple, stats.SummarySample] = {}
-        self.texts_stack: stats.Stack | None = None
-        self.texts: dict[int, str] = {}
+        self.table: _Table | None = None
 
-    def handle_line(self, line: bytes | str) -> dict:
+    def handle_line(self, line: bytes | str) -> Mapping:
         try:
             req = json.loads(line)
             op = req.get("op")
@@ -145,53 +197,61 @@ class QueryService:
         with self.lock:
             return {"ok": True, "result": container.inspect_summary(self.rec)}
 
-    def _interval(self, t0: int, t1: int) -> dict:
+    def _table(self) -> _Table:
+        """What the service keeps of the record's current table, made anew if it was replaced; call with the lock
+        held."""
+        table = self.table
+        if table is None or table.stack is not self.rec.stack():
+            table = self.table = _Table(self.rec)
+        return table
+
+    def _interval(self, t0: int, t1: int) -> Reply:
         if type(t0) is not int or type(t1) is not int:  # JSON integers only: not a float, a bool or a string
             raise TypeError(f"t0 and t1 must be integers, got {t0!r} and {t1!r}")
         with self.lock:
             parts = self.rec.query_interval(t0, t1)
-            samples = [p.sample for p in parts]
-            curation.record_access(self.rec, samples, "interval")
-            result = [_sample_dict(p.sample, p.coarse) for p in parts]
-            texts = self._texts(samples)
+            table = self._table()
+            rows = [p.row for p in parts]
+            curation.record_access(self.rec, table.level[rows], "interval")
+            texts = table.texts_of(rows)
+        coarse = [p.coarse for p in parts]
         # "coarse" sorts before every key of a sample, so it opens each part's text
-        lines = [_COARSE[p.coarse] + text[1:] for p, text in zip(parts, texts)]
-        return _reply(result, '{"ok": true, "result": [' + ", ".join(lines) + "]}\n")
+        lines = [_COARSE[c] + text[1:] for c, text in zip(coarse, texts)]
+        return Reply(
+            '{"ok": true, "result": [' + ", ".join(lines) + "]}\n",
+            lambda: {"ok": True, "result": [table.sample(row, c) for row, c in zip(rows, coarse)]},
+        )
 
-    def _member(self, value) -> dict:
+    def _member(self, value) -> Reply:
+        numbers = value if type(value) is list else [value]
+        if not all(type(v) in (int, float) for v in numbers):  # JSON numbers only: no bool, string or null
+            raise TypeError(f"value must be a JSON number or a list of them, got {value!r}")
         with self.lock:
             res = self.rec.membership(value)
-            samples = [s for s, _ in res.candidates]
-            curation.record_access(self.rec, samples, "member")
-            result = {
-                "absent_certain": res.absent_certain,
-                "nodes_visited": res.nodes_visited,
-                "candidates": [{"sample": _sample_dict(s), "likelihood": like} for s, like in res.candidates],
-                "note": res.note,
-            }
-            texts = self._texts(samples)
+            table = self._table()
+            curation.record_access(self.rec, table.level[res.rows], "member")
+            rows = res.rows.tolist()
+            texts = table.texts_of(rows)
+        likes = [like for _, like in res.candidates]
+        # one text of every likelihood: the list's items, "nan", "inf" and "-inf" as strings, hold no ", "
         candidates = ", ".join(
-            f'{{"likelihood": {_dumps(like)}, "sample": {text}}}' for (_, like), text in zip(res.candidates, texts)
+            f'{{"likelihood": {like}, "sample": {text}}}' for like, text in zip(_dumps(likes)[1:-1].split(", "), texts)
         )
         line = (
             f'{{"ok": true, "result": {{"absent_certain": {_dumps(res.absent_certain)}, "candidates": [{candidates}], '
             f'"nodes_visited": {_dumps(res.nodes_visited)}, "note": {_dumps(res.note)}}}}}\n'
         )
-        return _reply(result, line)
 
-    def _texts(self, samples) -> list[str]:
-        """The kept text of each of ``samples``, stored samples of the record's table; call with the lock held."""
-        st = self.rec.stack()
-        if st is not self.texts_stack:
-            self.texts_stack, self.texts = st, {}
-        texts = self.texts
-        out = []
-        for s in samples:
-            text = texts.get(id(s))
-            if text is None:
-                text = texts[id(s)] = _dumps(_sample_dict(s))
-            out.append(text)
-        return out
+        def make() -> dict:
+            result = {
+                "absent_certain": res.absent_certain,
+                "nodes_visited": res.nodes_visited,
+                "candidates": [{"sample": table.sample(row), "likelihood": like} for row, like in zip(rows, likes)],
+                "note": res.note,
+            }
+            return {"ok": True, "result": result}
+
+        return Reply(line, make)
 
     def _compare(self, other_path: str) -> dict:
         root = self.store_dir

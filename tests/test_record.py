@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gfstore import container, spectrum, stats
-from gfstore.curation import CurationRules, compact, record_access
+from gfstore.curation import CurationRules, compact, record_access, row_levels
 from gfstore.errors import ChannelMismatch, FutureRange, InvariantViolation
 from gfstore.record import PROVENANCE_RING, SummaryRecord, level_quotas, next_step
 
@@ -542,7 +542,7 @@ def test_planned_block_ingest_matches_per_row():
                             compact(rec)
                             rec.rules.max_scalars = None
                     for rec in (planned, per_row):  # tallied usage changes no curation
-                        record_access(rec, list(rec.samples_in_time_order())[::2], "interval")
+                        record_access(rec, row_levels(rec)[::2], "interval")
                     assert_same_record(planned, per_row, scale, rtol)
                 planned.validate()
                 assert any(op == "drop_statistic" for op, _, _ in planned.event_counts)

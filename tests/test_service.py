@@ -8,6 +8,7 @@ import sys
 import tempfile
 import threading
 from collections import Counter
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -144,8 +145,8 @@ def test_member_and_interval_replies_are_strict_json_over_non_finite_rows():
 
 
 def plain(x):
-    """``x`` as plain dicts, lists and scalars, whatever dict or list types hold it."""
-    if isinstance(x, dict):
+    """``x`` as plain dicts, lists and scalars, whatever mapping or list types hold it."""
+    if isinstance(x, Mapping):
         return {key: plain(v) for key, v in x.items()}
     if isinstance(x, list):
         return [plain(v) for v in x]
@@ -180,7 +181,7 @@ def assert_lines_match_the_oracle(svc, requests):
         reply = ask(svc, req)
         assert reply["ok"], reply
         assert service.encode(reply) == oracle_line(reply), req
-        assert len(svc.texts) <= svc.rec.slots()
+        assert svc.table.stack is svc.rec.stack() and len(svc.table.texts) == svc.rec.slots()  # one text a row
 
 
 def test_interval_and_member_lines_are_the_json_of_their_replies_over_non_finite_rows():
@@ -190,7 +191,7 @@ def test_interval_and_member_lines_are_the_json_of_their_replies_over_non_finite
     rec.ingest_block(raw)
     svc = service.QueryService(rec)
     assert_lines_match_the_oracle(svc, random_requests(np.random.default_rng(22), rec, 300))
-    assert len(svc.texts) == rec.slots()  # every stored sample was returned once, and encoded once
+    assert None not in svc.table.texts  # every stored sample was returned, and encoded once
     lines = [service.encode(ask(svc, {"op": op, **req})) for op, req in (("interval", {"t0": 0, "t1": 400}),
                                                                         ("member", {"value": [0.1]}))]
     assert all(b'"nan"' in line and b"NaN" not in line for line in lines)
@@ -214,7 +215,7 @@ def test_the_kept_texts_follow_the_record_through_an_ingest_and_a_drop():
     rec.ingest_block(rng.normal(size=300))
     svc = service.QueryService(rec)
     assert_lines_match_the_oracle(svc, random_requests(rng, rec, 100))
-    table = svc.texts_stack
+    table = svc.table
     edited = ask(svc, {"op": "interval", "t0": 0, "t1": rec.now})
     want = service.encode(edited)
     edited["result"][0]["mean"][0] = 1e9  # a caller's edit reaches no later reply
@@ -222,12 +223,110 @@ def test_the_kept_texts_follow_the_record_through_an_ingest_and_a_drop():
     assert service.encode(ask(svc, {"op": "interval", "t0": 0, "t1": rec.now})) == want
     rec.ingest_block(rng.normal(5.0, 1.0, size=200))
     assert_lines_match_the_oracle(svc, random_requests(rng, rec, 100))
-    assert svc.texts_stack is rec.stack() is not table
+    assert svc.table.stack is rec.stack() is not table.stack
     rec.drop_statistic(max(k for k, level in enumerate(rec.levels) if level), "variance")
     assert_lines_match_the_oracle(svc, random_requests(rng, rec, 100))
     whole = ask(svc, {"op": "interval", "t0": 0, "t1": rec.now})
     assert whole["result"][0]["variance"] is None
     assert service.encode(whole) == oracle_line(whole)
+
+
+def assert_likelihoods_match_a_fresh_table(svc, requests):
+    """Each ``member`` reply ranks the candidates and likelihoods that :func:`index.membership` gives over a table
+    built anew from the record's stored samples, with likelihood parts made anew: bit for bit, NaN for NaN."""
+    for req in requests:
+        if req["op"] != "member":
+            continue
+        rec = svc.rec
+        fresh = index.membership(index.build(list(rec.samples_in_time_order()), rec.channels), req["value"])
+        got = ask(svc, req)["result"]["candidates"]
+        assert [c["sample"]["t_start"] for c in got] == [s.t_start for s, _ in fresh.candidates], req
+        assert np.array_equal([c["likelihood"] for c in got], [x for _, x in fresh.candidates], equal_nan=True), req
+
+
+def family_stores() -> dict:
+    """Records of d = 1 whose stored samples take each likelihood family, and one with NaN and inf rows."""
+    rng = np.random.default_rng(41)
+    edges = tuple(np.linspace(-3.0, 3.0, 9).tolist())
+    stores = {
+        "histogram": SummaryRecord(budget=16, opts=stats.StatisticSet(histogram_edges=edges)),
+        "no variance": SummaryRecord(budget=16),
+        "no variance, no extrema": SummaryRecord(budget=16),
+        "non-finite": SummaryRecord(budget=16),
+    }
+    raw = rng.normal(size=400)
+    for rec in stores.values():
+        rec.ingest_block(raw)
+    for name, dropped in (("no variance", ("variance",)), ("no variance, no extrema", ("variance", "extrema"))):
+        rec = stores[name]
+        for k in range(len(rec.levels) - 1):  # every level but the finest, whose samples keep their variance
+            for statistic in dropped:
+                rec.drop_statistic(k + 1, statistic)
+    stores["non-finite"] = SummaryRecord(budget=16)
+    raw[[30, 150, 300, 399]] = [np.nan, np.inf, -np.inf, np.nan]
+    stores["non-finite"].ingest_block(raw)
+    return stores
+
+
+@pytest.mark.parametrize(
+    "name, family",
+    [
+        ("histogram", index.PIECEWISE),
+        ("no variance", index.UNIFORM),
+        ("no variance, no extrema", index.POINT),
+        ("non-finite", index.GAUSSIAN),
+    ],
+)
+def test_every_likelihood_family_through_the_kept_table(name, family):
+    rec = family_stores()[name]
+    assert family in index.families(rec.stack())
+    svc = service.QueryService(rec)
+    rng = np.random.default_rng(42)
+    for block in range(3):  # the table changes between batches, so the service's and the record's parts are made anew
+        requests = list(random_requests(rng, rec, 100))
+        assert_lines_match_the_oracle(svc, requests)
+        assert_likelihoods_match_a_fresh_table(svc, requests)
+        table = svc.table
+        rec.ingest_block(rng.normal(size=7))
+        assert ask(svc, {"op": "interval", "t0": 0, "t1": rec.now})["ok"] and svc.table is not table
+    if name == "non-finite":
+        line = service.encode(ask(svc, {"op": "member", "value": [0.1]}))
+        assert b'"likelihood": "nan"' in line and b"NaN" not in line
+
+
+def test_a_reply_is_fixed_when_it_is_made():
+    rng = np.random.default_rng(31)
+    rec = SummaryRecord(budget=12)
+    rec.ingest_block(rng.normal(size=300))
+    svc = service.QueryService(rec)
+    requests = [
+        {"op": "member", "value": [float(rec.levels[0][-1].mean[0])]},
+        {"op": "interval", "t0": 0, "t1": rec.now},
+    ]
+    unread = [ask(svc, req) for req in requests]  # left unread while the record changes
+    read = [ask(svc, req) for req in requests]
+    want, lines = [plain(r) for r in read], [service.encode(r) for r in read]
+    assert all(r["result"]["candidates"] for r in want[:1]) and all(type(r) is service.Reply for r in read)
+    for reply, first in zip(read, want):
+        assert reply == first and plain(reply) == plain(reply)  # two reads are equal
+    read[0]["result"]["candidates"][0]["sample"]["mean"][0] = 1e9  # a caller's edits reach no line and no reply
+    read[1]["result"][0]["variance"] = None
+    read[1]["result"].pop()
+    assert [service.encode(r) for r in read] == lines
+    assert [plain(ask(svc, req)) for req in requests] == want
+    table = rec.stack()
+    rec.ingest_block(rng.normal(size=5))
+    rec.drop_statistic(max(k for k, level in enumerate(rec.levels) if level), "variance")
+    assert any(s.variance is None for s in table.samples)  # the drop edited stored samples the replies returned
+    assert [plain(r) for r in unread] == want and unread == want
+    assert [service.encode(r) for r in unread] == lines
+
+
+@pytest.mark.parametrize("value", [0.5, 1, [0.5], [1], float("nan"), [float("nan")]])
+def test_member_takes_a_json_number_or_a_list_of_them(served, value):
+    svc, _, _, _ = served
+    reply = svc.handle_line(json.dumps({"op": "member", "value": value}))
+    assert reply["ok"] and type(reply) is service.Reply
 
 
 def jsonable(x):
@@ -374,6 +473,15 @@ def test_compare_without_a_store_directory_is_refused(served):
         '{"op": "interval", "t0": "3", "t1": 5}',
         '{"op": "interval", "t0": 0, "t1": 3.0}',
         '{"op": "interval", "t0": 0}',
+        '{"op": "member", "value": true}',
+        '{"op": "member", "value": [true]}',
+        '{"op": "member", "value": ["0.5"]}',
+        '{"op": "member", "value": "0.5"}',
+        '{"op": "member", "value": null}',
+        '{"op": "member", "value": [null]}',
+        '{"op": "member", "value": [[0.5]]}',
+        '{"op": "member", "value": {"0": 0.5}}',
+        '{"op": "member"}',
     ],
 )
 def test_unknown_op_and_malformed_requests(served, line):
