@@ -5,8 +5,8 @@ New data stay at full resolution; old data are lazily merged into coarser
 and coarser summaries, so the whole past remains queryable, approximately,
 forever.
 
-``build`` makes the table of stored samples that a record keeps as :meth:`SummaryRecord.stack`;
-``membership`` and ``range_count_bounds`` answer from such a table.
+A record's state is one table of its stored samples, :meth:`SummaryRecord.stack`; ``build`` makes such a table
+from samples, and ``membership`` and ``range_count_bounds`` answer from one.
 """
 
 from . import compare, container, curation, index, record, spectrum, stats

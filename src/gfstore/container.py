@@ -34,10 +34,12 @@ k of them in time order (coarsest level first, as
 Blocks 13, 14 and 1 are required; an optional statistic that no sample
 keeps has no block.  A block of a known type that comes twice, holds too
 few bytes or bytes past its columns, has a mask byte other than 0 or 1,
-or offsets that fall, raises :class:`CorruptContainer`.  Samples are built
-from row views of one array of their own per column, never of the file's
-bytes.  Histogram bin edges are held once, in the manifest's statistics,
-and every sample with a histogram gets that one array on read.
+or offsets that fall, raises :class:`CorruptContainer`.  The columns, each
+an array of its own and never a view of the file's bytes, become the
+record's table (:meth:`SummaryRecord.set_table`), which :func:`write`
+encodes again: neither makes a sample object.  Histogram bin edges are held
+once, in the manifest's statistics, and the table's histogram column is on
+that one array.
 Versions 1 to 5 still load, through the per-sample decoder: their data
 section holds the level count, then per level its sample count and each
 sample as a header (t_start, t_end, n, channels, block count: 32 bytes in
@@ -82,7 +84,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import json
 import os
 import struct
@@ -122,7 +123,6 @@ _BLOCK_SPANS = 14  # version 6: every sample's t_start, then every t_end, then e
 # version 6: the optional statistics, each a lacks mask and the columns of the samples that keep it
 _MOMENTS = ((_BLOCK_VARIANCE, "variance"), (_BLOCK_MIN, "min_v"), (_BLOCK_MAX, "max_v"))
 _RAGGED = ((_BLOCK_HULL, "hull"), (_BLOCK_SWV, "swv"))  # a row count per sample: vertices, or terms
-_SAMPLE_FIELDS = tuple(f.name for f in dataclasses.fields(stats.SummarySample))
 
 # rules keys of retired merge weights; at 0.0 they left the policy as it is now
 _RETIRED_RULES = ("slowness_w", "recurrence_reprieve_w", "prior_access_w")
@@ -212,43 +212,32 @@ def _block(btype: int, *columns: np.ndarray) -> bytes:
     return _FRAME.pack(btype, len(payload)) + payload
 
 
-def _kept(samples, name: str) -> tuple[np.ndarray, list]:
-    """The mask of the samples whose field ``name`` is None, and the field of every other sample."""
-    values = [getattr(s, name) for s in samples]
-    lacks = np.fromiter((v is None for v in values), bool, len(values))
-    return lacks, [v for v in values if v is not None]
-
-
 def _encode_data(rec: SummaryRecord) -> bytes:
-    """The data section of format 6, each column over the stored samples as they are, in time order."""
+    """The data section of format 6: the level counts, then each column of the record's table, in time order."""
     d = rec.channels
-    st = stats.stack(rec.samples_in_time_order(), d)
-    samples = st.samples
+    st = rec.stack()
     out = [
-        _block(_BLOCK_LEVELS, np.array([len(level) for level in rec.levels], dtype=np.uint64)),
-        _block(_BLOCK_SPANS, st.t_start, np.array([s.t_end for s in samples], dtype=np.int64), st.n),
+        _block(_BLOCK_LEVELS, np.array(rec.level_counts, dtype=np.uint64)),
+        _block(_BLOCK_SPANS, st.t_start, st.t_end, st.n),
         _block(_BLOCK_MEAN, st.mean),
     ]
     for btype, name in _MOMENTS:
         lacks = st.lacks(name)
         if not lacks.all():
             out.append(_block(btype, lacks, getattr(st, name)[~lacks]))
-    lacks, kept = _kept(samples, "covariance")
-    if kept:
-        out.append(_block(_BLOCK_COVARIANCE, lacks, np.array(kept, dtype=np.float64)[(slice(None), *_upper(d))]))
+    lacks = st.lacks("covariance")
+    if not lacks.all():
+        out.append(_block(_BLOCK_COVARIANCE, lacks, st.covariance[~lacks][(slice(None), *_upper(d))]))
     for btype, name in _RAGGED:
-        lacks, kept = _kept(samples, name)
-        if kept:
-            offsets = np.cumsum([0, *(x.shape[0] for x in kept)], dtype=np.int64)
-            out.append(_block(btype, lacks, offsets, np.concatenate(kept).astype(np.float64, copy=False)))
-    lacks, kept = _kept(samples, "histogram")
-    if kept:
-        width = st.histogram.shape[1]
-        if any(len(h) != width for h in kept):
-            raise InvariantViolation(f"a histogram does not hold the record's {width - 1} bins and outlier count")
+        lacks = st.lacks(name)
+        if not lacks.all():  # a lacking row holds no rows, so these are the offsets of the rows that keep one
+            offsets = getattr(st, f"{name}_at")[np.append(~lacks, True)]
+            out.append(_block(btype, lacks, offsets, getattr(st, name)))
+    lacks = st.lacks("histogram")
+    if not lacks.all():
         counts = np.roll(st.histogram[~lacks], 1, axis=1)  # the outlier count first, as key OUTLIER_BIN
         owner, at = np.nonzero(counts)
-        offsets = np.searchsorted(owner, np.arange(len(kept) + 1)).astype(np.int64)
+        offsets = np.searchsorted(owner, np.arange(counts.shape[0] + 1)).astype(np.int64)
         keys = (at + stats.OUTLIER_BIN).astype(np.int64)
         out.append(_block(_BLOCK_HISTOGRAM, lacks, offsets, keys, counts[owner, at].astype(np.uint64)))
     return b"".join(out)
@@ -276,12 +265,12 @@ class _Payload:
             raise CorruptContainer(f"block of type {self.btype} has a mask byte other than 0 or 1")
         return lacks.view(bool), k - int(np.count_nonzero(lacks))
 
-    def offsets(self, m: int) -> list[int]:
+    def offsets(self, m: int) -> np.ndarray:
         """Where each of ``m`` samples' rows start, and the end: from 0, never falling."""
         offsets = self.take("<i8", m + 1)
         if offsets[0] or (np.diff(offsets) < 0).any():
             raise CorruptContainer(f"block of type {self.btype} has offsets that do not rise from 0")
-        return offsets.tolist()
+        return offsets
 
     def end(self) -> None:
         if self.pos != len(self.buf):
@@ -292,16 +281,8 @@ _COLUMNS = {_BLOCK_LEVELS, _BLOCK_SPANS, _BLOCK_MEAN, _BLOCK_VARIANCE, _BLOCK_MI
             _BLOCK_HULL, _BLOCK_HISTOGRAM, _BLOCK_SWV}  # the block types of format 6
 
 
-def _spread(lacks: np.ndarray, values) -> list:
-    """One entry per sample: None where ``lacks``, else the next of ``values``."""
-    if not lacks.any():
-        return list(values)
-    it = iter(values)
-    return [None if gone else next(it) for gone in lacks.tolist()]
-
-
-def _decode_columns(data: memoryview, channels: int, edges: np.ndarray | None, skipped: dict) -> list[list]:
-    """The stored samples of a format-6 data section, one list per level, finest first; unknown blocks are
+def _decode_columns(data: memoryview, channels: int, edges: np.ndarray | None, skipped: dict):
+    """The sample count per level, finest first, and the table of a format-6 data section; unknown blocks are
     tallied in ``skipped[type] = (count, bytes)``."""
     blocks: dict[int, _Payload] = {}
     pos = 0
@@ -326,51 +307,52 @@ def _decode_columns(data: memoryview, channels: int, edges: np.ndarray | None, s
     b = blocks[_BLOCK_LEVELS]
     per_level = b.take("<u8", len(b.buf) // 8).tolist()
     k = sum(per_level)
-    t_start, t_end, n = blocks[_BLOCK_SPANS].take("<i8", 3 * k).reshape(3, k).tolist()
-    means = blocks[_BLOCK_MEAN].take("<f8", k * d).reshape(k, d)
-    cols = {"t_start": t_start, "t_end": t_end, "n": n, "mean": list(means)}
-    for btype, name in _MOMENTS:
+    spans = blocks[_BLOCK_SPANS].take("<i8", 3 * k).reshape(3, k)
+    moments = np.full((4, k, d), np.nan)  # the mean, then the statistics of _MOMENTS
+    moments[0] = blocks[_BLOCK_MEAN].take("<f8", k * d).reshape(k, d)
+    masks = np.ones((len(stats.LACKABLE), k), dtype=bool)  # a statistic without a block: every sample lacks it
+    cols = {}
+    for column, (btype, name) in enumerate(_MOMENTS, 1):
         if (b := blocks.get(btype)) is not None:
             lacks, m = b.mask(k)
-            cols[name] = _spread(lacks, b.take("<f8", m * d).reshape(m, d))
+            moments[column][~lacks] = b.take("<f8", m * d).reshape(m, d)
+            masks[stats.LACKABLE.index(name)] = lacks
     if (b := blocks.get(_BLOCK_COVARIANCE)) is not None:
         lacks, m = b.mask(k)
         iu = _upper(d)
         tri = b.take("<f8", m * iu[0].shape[0]).reshape(m, iu[0].shape[0])
-        cov = np.empty((m, d, d))
-        cov[:, iu[0], iu[1]] = tri
-        cov[:, iu[1], iu[0]] = tri
-        cols["covariance"] = _spread(lacks, cov)
+        kept = np.empty((m, d, d))
+        kept[:, iu[0], iu[1]] = tri
+        kept[:, iu[1], iu[0]] = tri
+        cov = cols["covariance"] = np.full((k, d, d), np.nan)
+        cov[~lacks] = kept
+        masks[stats.LACKABLE.index("covariance")] = lacks
     for btype, name in _RAGGED:
         if (b := blocks.get(btype)) is not None:
             lacks, m = b.mask(k)
             offsets = b.offsets(m)
+            at = cols[f"{name}_at"] = np.zeros(k + 1, dtype=np.int64)
+            at[1:][~lacks] = np.diff(offsets)  # a lacking sample holds no rows
+            np.cumsum(at, out=at)
             width = 2 if btype == _BLOCK_HULL else d
-            rows = b.take("<f8", offsets[-1] * width).reshape(-1, width)
-            cols[name] = _spread(lacks, [rows[i:j] for i, j in zip(offsets, offsets[1:])])
+            cols[name] = b.take("<f8", int(offsets[-1]) * width).reshape(-1, width)
+            masks[stats.LACKABLE.index(name)] = lacks
     if (b := blocks.get(_BLOCK_HISTOGRAM)) is not None:
         lacks, m = b.mask(k)
         offsets = b.offsets(m)
         keys, counts = b.take("<i8", offsets[-1]), b.take("<u8", offsets[-1])
         width = 0 if edges is None else edges.shape[0]  # the bins and the outlier count
-        owner = np.repeat(np.arange(m), np.diff(offsets))
+        owner = np.repeat(np.flatnonzero(~lacks), np.diff(offsets))
         falls = (np.diff(keys) <= 0) & (np.diff(owner) == 0)  # within a sample, keys rise
         if ((keys < stats.OUTLIER_BIN) | (keys >= width - 1)).any() or falls.any():
             raise CorruptContainer(f"histogram block on {width - 1} bins has a key out of range, repeated or unordered")
-        dense = np.zeros((m, width), dtype=np.uint64)
-        dense[owner, keys] = counts  # OUTLIER_BIN is the last entry
-        cols["histogram"] = _spread(lacks, map(tuple, dense.tolist()))
-        cols["hist_edges"] = [None if h is None else edges for h in cols["histogram"]]
+        hist = cols["histogram"] = np.zeros((k, width), dtype=np.int64)
+        hist[owner, keys] = counts  # OUTLIER_BIN is the last entry; a count of 2^63 or more reads negative
+        cols["hist_edges"] = edges
+        masks[stats.LACKABLE.index("histogram")] = lacks
     for b in blocks.values():
         b.end()
-
-    none = itertools.repeat(None)
-    samples = list(map(stats.SummarySample, *(cols.get(name, none) for name in _SAMPLE_FIELDS)))
-    levels, end = [], k
-    for count in per_level:  # the finest level's samples come last in time order
-        levels.append(samples[end - count : end])
-        end -= count
-    return levels
+    return per_level, stats.Stack(spans, moments, masks, **cols)
 
 
 def _decode_levels(data: memoryview, version: int, channels: int, edges: np.ndarray | None, skipped: dict):
@@ -502,11 +484,13 @@ def _read(blob: bytes) -> SummaryRecord:
 
     skipped: dict[int, tuple[int, int]] = {}
     edges = opts.edges_array()
+    folded = 0
     if version >= 6:
-        levels, folded = _decode_columns(memoryview(data), rec.channels, edges, skipped), 0
+        counts, table = _decode_columns(memoryview(data), rec.channels, edges, skipped)
+        rec.set_table(table, counts or [0])
     else:
         levels, folded = _decode_levels(memoryview(data), version, rec.channels, edges, skipped)
-    rec.levels = levels if levels else [[]]
+        rec.levels = levels if levels else [[]]
     for btype, (blocks, nbytes) in sorted(skipped.items()):
         note = f"skipped {blocks} statistic block(s) of unknown or retired type {btype} ({nbytes} bytes)"
         rec.note(("read", None, None), {"op": "read", "note": note})

@@ -59,8 +59,8 @@ class CurationRules:
 
 def row_levels(record) -> np.ndarray:
     """The level of each row of ``record.stack()``: its stored samples in time order, the coarsest level first."""
-    levels = record.levels
-    return np.repeat(np.arange(len(levels) - 1, -1, -1), [len(level) for level in reversed(levels)])
+    counts = record.level_counts
+    return np.repeat(np.arange(len(counts) - 1, -1, -1), counts[::-1])
 
 
 def record_access(record, levels, op: str) -> None:

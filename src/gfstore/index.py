@@ -1,16 +1,18 @@
 """Flat search over a record's stored samples.
 
 A record keeps at most ``budget`` stored samples, so a query tests every
-one.  :func:`build` returns their :func:`stats.stack`, the table of their
-starts, counts, moments, extrema and histogram counts.  The record keeps
-it as :meth:`record.SummaryRecord.stack` until its stored samples change,
-so every read between changes (membership, range counts, interval queries
-and the aggregate) shares one build; :func:`likelihood_parts` reads each
-sample's likelihood family and gaussian normaliser off it, and the record
-keeps those beside the table.  An empty table answers too: nothing is a
-candidate and a range holds no value.  :func:`membership` rules samples out
-and scores the rest in one array pass over the stack, then applies the hull
-test to the 2-D samples that keep one.  Exclusion is conservative: a value
+one.  Queries read the record's table, :meth:`record.SummaryRecord.stack`,
+the columns of its starts, counts, moments, extrema, histogram counts and
+hulls, which is the record's state; :func:`build` makes that table, the
+:func:`stats.stack` of the samples, only where samples were assigned to
+the record.  Every read between changes (membership, range counts,
+interval queries and the aggregate) shares it; :func:`likelihood_parts`
+reads each sample's likelihood family and gaussian normaliser off it, and
+the record keeps those beside the table.  An empty table answers too:
+nothing is a candidate and a range holds no value.  :func:`membership`
+rules samples out and scores the rest in one array pass over the table,
+then applies the hull test to the 2-D samples that keep one, on the
+table's hull rows.  Exclusion is conservative: a value
 that was in the raw data is never declared certainly absent.  Candidate
 likelihoods are plausibility, never proof.
 """
@@ -123,8 +125,9 @@ def membership(index: stats.Stack, q, parts: tuple | None = None) -> MembershipR
     with np.errstate(all="ignore"):  # large or non-finite data may overflow; the families' values stay defined
         inside = (index.n > 0) & ~((qv < index.min_v) | (qv > index.max_v)).any(axis=1)
         c = np.flatnonzero(inside)
-        if qv.shape[0] == 2:
-            c = c[[_in_hull(index.samples[i].hull, qv) for i in c.tolist()]]
+        if qv.shape[0] == 2 and index.hull is not None:
+            lacks, at, vertices = index.lacks("hull").tolist(), index.hull_at.tolist(), index.hull
+            c = c[[lacks[i] or _in_hull(vertices[at[i] : at[i + 1]], qv) for i in c.tolist()]]
         like = _likelihoods(index, c, qv, parts)
     order = np.argsort(-like, kind="stable")  # argsort puts NaN last
     rows = c[order]
@@ -133,10 +136,8 @@ def membership(index: stats.Stack, q, parts: tuple | None = None) -> MembershipR
     return MembershipResult(absent_certain=not hits, candidates=hits, nodes_visited=index.node_count(), rows=rows)
 
 
-def _in_hull(hull, qv: np.ndarray) -> bool:
-    """Whether a 2-D query may lie in a sample's hull; a sample without one rules nothing out."""
-    if hull is None:
-        return True
+def _in_hull(hull: np.ndarray, qv: np.ndarray) -> bool:
+    """Whether a 2-D query may lie in a sample's hull."""
     span = float(np.max(hull) - np.min(hull)) if hull.size else 0.0
     return stats.hull_contains(hull, qv, margin=HULL_MARGIN * max(span * span, 1.0))
 

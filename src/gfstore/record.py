@@ -24,12 +24,15 @@ and rebalance is all or nothing:
   step per row; only the last rows, which fill the event ring, and rows
   on a record whose level count has reached its budget go one by one.
 
-Under untuned rules a block of two or more rows plans each new stored
-sample as a :class:`Span`, read as a stored sample is, then builds every
-span in one grouped reduction over the rows and the stored samples it
-absorbs, scale-wise variance by the plan's merge tree.  A single row, a
-rebalance, and any step under tuned rules, which score values, build each
-sample as it is made.
+The record's state is its level counts and one column table of its
+stored samples (:class:`stats.Stack`).  Under untuned rules a block of two
+or more rows plans each new stored sample as a :class:`Span`, read as a
+stored sample is, then builds every span as a row of columns in one
+grouped reduction over the rows and the table rows it absorbs, scale-wise
+variance by the plan's merge tree, and joins them with the surviving
+rows into the new table.  A single row, a rebalance, and any step under
+tuned rules, which score values, build each sample as it is made, from
+the table's sample views.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from __future__ import annotations
 import functools
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -282,6 +286,26 @@ class Span:
         self.t_start, self.t_end = t_start, t_end
 
 
+class _Stored(Span):
+    """A stored sample in the planned step loop: its steps and its ``row`` of the record's table."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, t_start: int, t_end: int, row: int):
+        self.t_start, self.t_end, self.row = t_start, t_end, row
+
+
+class Plan(NamedTuple):
+    """A planned block's new layout over the record's table: ``counts`` per level, finest first; the rows of the
+    table that its merges ``absorbed``, in time order; the new ``spans``, in time order; and the ``order`` of the
+    new table's rows, each a row of the old table or, from its length on, of a span."""
+
+    counts: list[int]
+    absorbed: list[int] | np.ndarray
+    spans: list[Span]
+    order: list[int]
+
+
 @dataclass
 class QueryPart:
     sample: stats.SummarySample
@@ -306,17 +330,24 @@ class SummaryRecord:
     ``budget`` sets the slot budget when ``rules`` is not given; given
     beside ``rules``, it must equal ``rules.budget_slots``.
 
-    Every read between changes answers from one table of the stored
-    samples, :meth:`stack`: :meth:`query_interval`, :meth:`membership` and
-    range counts search it, :meth:`membership` keeps its likelihood parts,
-    and :meth:`aggregate` reduces it once and keeps the merge.  All three
-    are made on first use and forgotten whenever the stored samples
-    change, and only the record's own writers change them:
+    The record's state is its sample count per level (:attr:`level_counts`)
+    and one table of the stored samples in time order, :meth:`stack`, a
+    :class:`stats.Stack`.  Every read between changes answers from it:
+    :meth:`query_interval`, :meth:`membership` and range counts search it,
+    :meth:`membership` keeps its likelihood parts, and :meth:`aggregate`
+    reduces it once and keeps the merge; :attr:`now` and :meth:`slots` read
+    the counts and columns, and :meth:`validate` and ``container.write``
+    read the table.  :attr:`levels` are the table's rows as sample views
+    (:attr:`stats.Stack.samples`), made on first read.  Only the record's
+    own writers change the state, and each forgets what was made of it:
     the commit of :meth:`_curate` (``ingest``, ``ingest_block`` and
-    ``rebalance``), :meth:`drop_statistic`, and an assignment to
-    :attr:`levels` (tuples, so no other hand adds or replaces a sample), as
-    ``container.read`` makes.  A stored sample edited in place is not seen
-    until the next of these; :meth:`validate` reads the samples as they are.
+    ``rebalance``), which joins a planned block's new rows into the table,
+    :meth:`drop_statistic`, :meth:`set_table`, as ``container.read`` hands
+    over a format-6 file's columns, and an assignment to :attr:`levels`
+    (tuples, so no other hand adds or replaces a sample), whose samples the
+    table is built from (:func:`stats.stack`) when it is next read.  A
+    stored sample edited in place is not seen until the next of these:
+    ``rec.levels = rec.levels`` after the edit brings it into the table.
 
     Single writer: ingest/compact must not run concurrently; readers may
     share the record between writes.
@@ -360,17 +391,41 @@ class SummaryRecord:
 
     @property
     def levels(self) -> tuple[tuple[stats.SummarySample, ...], ...]:
-        """The stored samples, one tuple per level, finest first; assigning new ones forgets what the record keeps."""
+        """The stored samples, one tuple per level, finest first: the table's views, split by the level counts.
+
+        Assigning new ones makes them the stored samples, and forgets what the record keeps.
+        """
+        if self._levels is None:
+            samples, end, levels = self._stack.samples, len(self._stack), []
+            for count in self._counts:  # the finest level's samples come last in time order
+                levels.append(tuple(samples[end - count : end]))
+                end -= count
+            self._levels = tuple(levels)
         return self._levels
 
     @levels.setter
     def levels(self, levels) -> None:
         self._levels = tuple(map(tuple, levels))
+        self._counts = tuple(map(len, self._levels))
+        self._stack: stats.Stack | None = None  # built from the samples when it is next read
+        self._forget()
+
+    @property
+    def level_counts(self) -> tuple[int, ...]:
+        """The number of stored samples of each level, finest first."""
+        return self._counts
+
+    def set_table(self, table: stats.Stack, counts) -> None:
+        """Make the rows of ``table``, in time order, the stored samples, ``counts`` of them per level, finest first;
+        as an assignment to :attr:`levels`, this forgets what the record keeps."""
+        counts = tuple(counts)
+        if sum(counts) != len(table):
+            raise ValueError(f"level counts {counts} do not sum to the table's {len(table)} rows")
+        self._counts, self._stack, self._levels = counts, table, None
         self._forget()
 
     def _forget(self) -> None:
-        """Drop the kept table, its likelihood parts and the aggregate: the stored samples changed."""
-        self._stack: stats.Stack | None = None
+        """Drop the likelihood parts and the aggregate made of the table: the stored samples changed."""
         self._likelihood_parts: tuple | None = None
         self._aggregate: stats.SummarySample | None = None
 
@@ -395,8 +450,11 @@ class SummaryRecord:
 
     @property
     def now(self) -> int:
-        """Steps ingested: the end of the newest sample, the last of the finest non-empty level."""
-        return next((level[-1].t_end for level in self.levels if level), 0)
+        """Steps ingested: the end of the newest sample, the last in time order."""
+        st = self._stack
+        if st is None:
+            return next((level[-1].t_end for level in self._levels if level), 0)
+        return int(st.t_end[-1]) if len(st) else 0
 
     @property
     def merge_count(self) -> int:
@@ -404,7 +462,7 @@ class SummaryRecord:
         return sum(n for (op, _, _), n in self.event_counts.items() if op == "rescale")
 
     def slots(self) -> int:
-        return sum(len(level) for level in self.levels)
+        return sum(self._counts)
 
     def scalar_footprint(self) -> int:
         """Scalars the stored samples hold of their own (see :func:`stats.scalar_cost`)."""
@@ -438,9 +496,10 @@ class SummaryRecord:
         row, byte for byte.
 
         With untuned rules, a block of two or more rows is planned on spans
-        and each new stored sample is reduced once, by
-        :func:`stats.merge_runs`; on a dyadic record the layout comes from
-        its count vector, with no step per row (:func:`plan_counts`).  A
+        and each new stored sample is reduced once, into a row of the
+        record's table, by :func:`stats.merge_runs`; no sample object is
+        made.  On a dyadic record the layout comes from its count vector,
+        with no step per row (:func:`plan_counts`).  A
         planned block of up to a few dozen rows costs about as much as five
         or six single-row ingests, so blocks of two to five rows ingest
         slower than a loop of :meth:`ingest`; longer blocks gain.  A
@@ -485,18 +544,20 @@ class SummaryRecord:
         - Anything else, and every block :func:`plan_counts` declines,
           runs the step loop (:meth:`_step_layout`).
 
-        Under untuned rules a block of two or more rows is planned: each
-        new sample is a :class:`Span`, read by its ``t_start`` and
-        ``t_end`` as a stored sample is.  The spans, read coarsest level
-        first, are the new samples in time order, and
-        ``stats.merge_runs`` builds them all in one grouped reduction from
-        the rows and the stored samples merged away, scale-wise variance by
-        the plan's merge tree.  Any other step (one row, a rebalance, or
-        tuned rules, which score values) builds each sample as the loop
-        makes it (``point_sample`` and ``stats.merge``), which costs less
-        than a plan for so few rows.  The new levels, event tallies and
-        ring are swapped in only then, so the record changes all at once or
-        not at all.
+        Under untuned rules a block of two or more rows is planned on the
+        record's table: each new sample is a :class:`Span`, read by its
+        ``t_start`` and ``t_end`` as a stored sample is, and the layout
+        step returns a :class:`Plan`.  ``stats.merge_runs`` builds every
+        span in one grouped reduction, as columns, from the rows and the
+        table's rows merged away, scale-wise variance by the plan's merge
+        tree; the new table joins the surviving rows, taken by index, and
+        the spans' rows.  Any other step (one row, a rebalance, or tuned
+        rules, which score values) builds each sample as the loop makes it
+        (``point_sample`` and ``stats.merge``), which costs less than a plan
+        for so few rows, and commits them as an assignment to
+        :attr:`levels`.  The new table or levels, event tallies and ring are
+        swapped in only then, so the record changes all at once or not at
+        all.
         """
         planned = not self.rules.tuned() and rows.shape[0] > 1
         t_rows = self.now
@@ -504,17 +565,17 @@ class SummaryRecord:
             layout = self._count_layout(rows.shape[0]) if planned else None
             if layout is None:
                 layout = self._step_layout(rows, planned)
-            levels, absorbed, splits, merges, promotions, events = layout
+            made, splits, merges, promotions, events = layout
             if planned:
-                # Reduce every new span, in time order, from the samples it absorbed and its rows.
-                fresh = [(level, j) for level in reversed(levels) for j, e in enumerate(level) if e.__class__ is Span]
-                sources = stats.stack(absorbed, self.channels)
-                spans = [level[j] for level, j in fresh]
-                for (level, j), s in zip(fresh, stats.merge_runs(sources, rows, t_rows, spans, splits, self.opts)):
-                    level[j] = s
+                old = self.stack()
+                spans = stats.merge_runs(old.take(made.absorbed), rows, t_rows, made.spans, splits, self.opts)
+                table = stats.concat([old, spans]).take(made.order)
 
         # Commit.
-        self.levels = levels
+        if planned:
+            self.set_table(table, made.counts)
+        else:
+            self.levels = made
         counts = self.event_counts
         for op, why, tally in (("rescale", reason, merges), ("promote", None, promotions)):
             for k, n in enumerate(tally):
@@ -531,66 +592,74 @@ class SummaryRecord:
     def _count_layout(self, rows: int):
         """The layout of ``rows`` more rows on a dyadic record, from :func:`plan_counts`; None where it does not apply.
 
-        Level k of ``c_k`` stored samples keeps all but the oldest
-        ``min(2 m_k, c_k)``, which its ``m_k`` merges absorbed, and holds
-        new spans after them up to its planned count.  Under scale-wise
-        variance the merges are the dyadic trees of the new spans
-        (:func:`dyadic_splits`).  Returns what :meth:`_step_layout` does.
+        The record is dyadic when each row of its table covers 2^k steps,
+        k the row's level.  Level k of ``c_k``
+        stored samples keeps all but the oldest ``min(2 m_k, c_k)``, which
+        its ``m_k`` merges absorbed, and holds new spans after them up to its
+        planned count.  Under scale-wise variance the merges are the dyadic
+        trees of the new spans (:func:`dyadic_splits`).  Returns what
+        :meth:`_step_layout` does.
         """
-        stored = self.levels
-        for k, level in enumerate(stored):
-            width = 1 << k
-            for s in level:
-                if s.t_end - s.t_start != width:
-                    return None
-        before = [len(level) for level in stored]
+        st = self.stack()
+        before = self._counts
+        if not (st.t_end - st.t_start == np.repeat(1 << np.arange(len(before) - 1, -1, -1), before[::-1])).all():
+            return None
         plan = plan_counts(before, rows, self.budget)
         if plan is None:
             return None
         after, merges, events = plan
-        levels, absorbed, spans = [], [], []
-        t = 0
+        k_old = len(st)
+        absorbed, order, spans = [], [], []
+        row = t = 0  # the first row and step of the level
         for k in range(len(after) - 1, -1, -1):  # coarsest first: time order
-            old = stored[k] if k < len(stored) else ()
-            gone = min(2 * merges[k], len(old))
-            absorbed += old[:gone]
-            level = list(old[gone:])
+            count = before[k] if k < len(before) else 0
+            gone = min(2 * merges[k], count)
+            absorbed += range(row, row + gone)
+            order += range(row + gone, row + count)
             width = 1 << k
-            t += len(level) * width
-            new = [Span(t0, t0 + width) for t0 in range(t, t + (after[k] - len(level)) * width, width)]
+            t += (count - gone) * width
+            new = [Span(t0, t0 + width) for t0 in range(t, t + (after[k] - count + gone) * width, width)]
+            order += range(k_old + len(spans), k_old + len(spans) + len(new))
             t += len(new) * width
+            row += count
             spans += new
-            levels.append(level + new)
-        levels.reverse()
         splits = None
         if self.opts.swv:
             ends = [0] * (len(after) + 1)  # ends[j]: the end of the stored levels j and up
             for k in range(len(before) - 1, -1, -1):
                 ends[k] = ends[k + 1] + (before[k] << k)
             splits = dyadic_splits(spans, ends)
-        return levels, absorbed, splits, merges, [0] * len(after), events
+        return Plan(after, absorbed, spans, order), splits, merges, [0] * len(after), events
 
     def _step_layout(self, rows: np.ndarray, planned: bool):
-        """The step loop: ``(levels, absorbed, splits, merges, promotions, events)`` after the rows of ``rows``.
+        """The step loop: ``(made, splits, merges, promotions, events)`` after the rows of ``rows``.
 
         The loop runs on copies of the level lists.  :func:`next_step`
         picks each step; the pair is the oldest of its level, or the
         best-scored one under tuned rules, and the oldest pair moves up
-        once its count exceeds 2^k.  Planned, each new sample is a
-        :class:`Span` and ``absorbed`` lists the stored samples merged
-        away, in time order; otherwise each sample is built as it is made.
-        ``splits`` holds each planned merge's ``(t_start, t_mid, t_end)``
-        under scale-wise variance; ``merges`` and ``promotions`` are tallies
-        per level, and ``events`` the last ``PROVENANCE_RING`` steps as
-        ``(level, pair index, out level or None for a promotion, t_start,
-        t_end)``.
+        once its count exceeds 2^k.  Planned, the lists hold each stored
+        sample as its table row, each new sample is a :class:`Span`, and
+        ``made`` is their :class:`Plan`; otherwise each sample is built as
+        it is made, and ``made`` is the new levels.  ``splits`` holds each
+        planned merge's ``(t_start, t_mid, t_end)`` under scale-wise
+        variance; ``merges`` and ``promotions`` are tallies per level, and
+        ``events`` the last ``PROVENANCE_RING`` steps as ``(level, pair
+        index, out level or None for a promotion, t_start, t_end)``.
         """
         rules = self.rules
         budget = rules.budget_slots
         tuned = rules.tuned()
         t_rows = t = self.now
         t_end = t_rows + rows.shape[0]
-        levels = [list(level) for level in self.levels]
+        if planned:
+            st = self.stack()
+            stored = list(map(_Stored, st.t_start.tolist(), st.t_end.tolist(), range(len(st))))
+            levels, end = [], len(stored)
+            for count in self._counts:  # the finest level's rows come last in time order
+                levels.append(stored[end - count : end])
+                end -= count
+        else:
+            levels = [list(level) for level in self.levels]
         lengths = [len(level) for level in levels]
         quotas = level_quotas(budget, len(levels))
         slots = sum(lengths)
@@ -652,16 +721,26 @@ class SummaryRecord:
             slots += 1
             t += 1
 
-        absorbed = None
-        if planned:
-            kept = {id(e) for level in levels for e in level}  # the stored samples not merged away
-            absorbed = [s for s in self.samples_in_time_order() if id(s) not in kept]
-        return levels, absorbed, splits, merges, promotions, events
+        if not planned:
+            return levels, splits, merges, promotions, events
+        order, spans = [], []
+        for e in (e for level in reversed(levels) for e in level):  # time order
+            if e.__class__ is Span:
+                order.append(len(stored) + len(spans))
+                spans.append(e)
+            else:
+                order.append(e.row)
+        absorbed = np.ones(len(stored), dtype=bool)
+        absorbed[[row for row in order if row < len(stored)]] = False
+        return Plan(lengths, np.flatnonzero(absorbed), spans, order), splits, merges, promotions, events
 
     # -- reporting and queries ----------------------------------------------
 
     def stack(self) -> stats.Stack:
-        """The table of the stored samples in time order (:func:`index.build`), kept until they change; read-only."""
+        """The table of the stored samples in time order; read-only.
+
+        After an assignment to :attr:`levels` it is built from the samples (:func:`index.build`) on first read.
+        """
         if self._stack is None:
             self._stack = index.build(self.samples_in_time_order(), self.channels)
         return self._stack
@@ -694,13 +773,15 @@ class SummaryRecord:
         agg = self._aggregate
         if agg is None:
             st = self.stack()
-            if not st.samples:
+            if not len(st):
                 agg = stats.empty(self.channels)
             else:
-                fold = [(0, s.t_start, s.t_end) for s in st.samples[1:]] if self.opts.swv else None
+                fold = None
+                if self.opts.swv:  # the left fold's merges
+                    fold = np.stack([np.zeros(len(st) - 1, dtype=np.int64), st.t_start[1:], st.t_end[1:]], axis=1)
                 rows = np.empty((0, self.channels))
                 with np.errstate(all="ignore"):  # non-finite or near-limit rows; their moments read NaN or inf
-                    agg = stats.merge_runs(st, rows, self.now, [Span(0, self.now)], fold, self.opts)[0]
+                    agg = stats.merge_runs(st, rows, self.now, [Span(0, self.now)], fold, self.opts).samples[0]
             self._aggregate = agg
         return agg.copy()
 
@@ -717,53 +798,65 @@ class SummaryRecord:
     def drop_statistic(self, k: int, name: str) -> None:
         """Remove statistic ``name``, a key of :data:`curation.DROPPABLE`, from every stored sample of level ``k``."""
         fields = curation.DROPPABLE[name]
-        for s in self.levels[k]:
+        levels = self.levels
+        for s in levels[k]:
             for field in fields:
                 setattr(s, field, None)
-        self._forget()
+        self.levels = levels
         self.note(("drop_statistic", k, name), {"op": "drop_statistic", "statistic": name, "level": k})
 
     # -- invariants ----------------------------------------------------------
 
     def validate(self) -> None:
         """Raise InvariantViolation unless the samples tile ``[0, now)``, hold a row a step, fit the record (histograms
-        and SWV too), keep no hull without a vertex and have no negative variance and no minimum above its maximum."""
+        and SWV too), keep no hull without a vertex and have no negative variance and no minimum above its maximum.
+
+        Every check reads the table's columns at once; the first sample in time order that fails one is named.
+        """
         slots = self.slots()
         if slots > self.budget:
             raise InvariantViolation(f"{slots} slots exceed budget {self.budget}")
+        st = self.stack()
+        d, k = self.channels, len(st)
+        t0, t1, n = st.t_start, st.t_end, st.n
+        cursor = np.zeros(k, dtype=np.int64)  # where each sample should start: where the one before it ends
+        cursor[1:] = t1[:-1]
+        gap, empty, wrong_n = t0 != cursor, t1 <= t0, (n != t1 - t0) | (st.mean.shape[1] != d)
+        hist = swv = hull = np.zeros(k, dtype=bool)
         width = len(self.opts.histogram_edges or ())  # the bins and the outlier count; no edges: no histogram fits
-        where = "sample [{0.t_start},{0.t_end})".format  # formatted for a message only
-        cursor = 0
-        samples = list(self.samples_in_time_order())
-        for s in samples:
-            if s.t_start != cursor:
-                raise InvariantViolation(
-                    f"coverage gap: expected t_start {cursor}, found {s.t_start}"
-                )
-            if s.t_end <= s.t_start:
-                raise InvariantViolation(f"{where(s)} covers no step")
-            if s.channels != self.channels or s.n != s.t_end - s.t_start:
-                raise InvariantViolation(f"{where(s)}: n = {s.n} in {s.channels} channels; record has {self.channels}")
-            if s.histogram is not None and (len(s.histogram) != width or sum(s.histogram) != s.n):
-                raise InvariantViolation(f"{where(s)} of n = {s.n} has histogram {s.histogram} on {width - 1} bins")
-            if s.swv is not None and s.swv.shape != (terms := (spectrum.depth(s.n), self.channels)):
-                raise InvariantViolation(f"{where(s)} of n = {s.n} has SWV terms {s.swv.shape}, not {terms}")
-            if s.hull is not None and not s.hull.shape[0]:
-                raise InvariantViolation(f"{where(s)} of n = {s.n} has a hull with no vertex")
-            cursor = s.t_end
-        st = stats.stack(samples, self.channels)
+        if (h := st.histogram) is not None:  # counts of one width, none negative or above n, that sum to n
+            wrong = (h.shape[1] != width) | (h.sum(axis=1) != n) | ((h < 0) | (h > n[:, np.newaxis])).any(axis=1)
+            hist = ~st.lacks("histogram") & wrong
+        terms = None if st.swv is None else np.diff(st.swv_at)
+        if terms is not None:
+            swv = ~st.lacks("swv") & ((terms != spectrum.depths(n)) | (st.swv.shape[1] != d))
+        if st.hull is not None:
+            hull = ~st.lacks("hull") & (np.diff(st.hull_at) == 0)
+        bad = gap | empty | wrong_n | hist | swv | hull
+        if bad.any():  # the first such sample, by its first fault in this order
+            i = int(bad.argmax())
+            where = f"sample [{t0[i]},{t1[i]})"
+            if gap[i]:
+                raise InvariantViolation(f"coverage gap: expected t_start {cursor[i]}, found {t0[i]}")
+            if empty[i]:
+                raise InvariantViolation(f"{where} covers no step")
+            if wrong_n[i]:
+                raise InvariantViolation(f"{where}: n = {n[i]} in {st.mean.shape[1]} channels; record has {d}")
+            if hist[i]:
+                counts = tuple(st.histogram[i].tolist())
+                raise InvariantViolation(f"{where} of n = {n[i]} has histogram {counts} on {width - 1} bins")
+            if swv[i]:
+                got, want = (int(terms[i]), st.swv.shape[1]), (spectrum.depth(int(n[i])), d)
+                raise InvariantViolation(f"{where} of n = {n[i]} has SWV terms {got}, not {want}")
+            raise InvariantViolation(f"{where} of n = {n[i]} has a hull with no vertex")
         crossed = ((st.variance < 0) | (st.min_v > st.max_v)).any(axis=1)  # a NaN passes
-        covariances = [s.covariance for s in samples if s.covariance is not None]  # per sample, not stacked
-        if covariances:
-            diagonals = np.frombuffer(b"".join(covariances)).reshape(-1, self.channels ** 2)[:, :: self.channels + 1]
-            crossed[~st.lacks("covariance")] |= (diagonals < 0).any(axis=1)
-        swvs = [s.swv for s in samples if s.swv is not None]
-        if swvs:  # of unequal depths: each negative term marks its sample
-            owner = np.repeat(np.flatnonzero(~st.lacks("swv")), [x.size for x in swvs])
-            crossed[owner[np.frombuffer(b"".join(swvs)) < 0]] = True
+        if st.covariance is not None:
+            crossed |= (np.diagonal(st.covariance, axis1=1, axis2=2) < 0).any(axis=1)
+        if terms is not None:  # of unequal depths: each negative term marks its sample
+            crossed[np.repeat(np.arange(k), terms)[(st.swv < 0).any(axis=1)]] = True
         if crossed.any():
-            s = samples[crossed.argmax()]
-            raise InvariantViolation(f"{where(s)} has a negative variance or a minimum above its maximum")
+            i = int(crossed.argmax())
+            raise InvariantViolation(f"sample [{t0[i]},{t1[i]}) has a negative variance or a minimum above its maximum")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SummaryRecord):

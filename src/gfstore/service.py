@@ -119,10 +119,9 @@ class _Table:
     def __init__(self, rec: SummaryRecord):
         st = self.stack = rec.stack()
         self.level = curation.row_levels(rec)
-        self.t_start, self.n = st.t_start.tolist(), st.n.tolist()
-        self.t_end = [s.t_end for s in st.samples]
+        self.t_start, self.t_end, self.n = st.t_start.tolist(), st.t_end.tolist(), st.n.tolist()
         self.lacks = [st.lacks(name).tolist() for name in ("variance", "min_v", "max_v")]
-        self.texts: list[str | None] = [None] * len(st.samples)
+        self.texts: list[str | None] = [None] * len(st)
 
     def sample(self, row: int, coarse: bool | None = None) -> dict:
         """The reply dict of the stored sample at ``row``, with ``coarse`` when given; its lists are new."""

@@ -30,6 +30,13 @@ def depth(n: int) -> int:
     return (n - 1).bit_length()
 
 
+def depths(n: np.ndarray) -> np.ndarray:
+    """:func:`depth` of each count of an integer array, exactly (0 for a count below 1)."""
+    x = np.maximum(np.asarray(n, dtype=np.int64) - 1, 0).astype(np.uint64)
+    e = np.frexp(x.astype(np.float64))[1]  # the bit length of x, or one more where the float rounded x up to 2^e
+    return e - ((x > 0) & (x < np.left_shift(np.uint64(1), np.maximum(e - 1, 0).astype(np.uint64))))
+
+
 def pool_terms(terms_a, mean_a, n_a, terms_b, mean_b, n_b, merged_mean):
     """Merge two term stacks into the ``depth(n_a + n_b)`` terms of the union.
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectrum
-from .errors import ChannelMismatch, DictionaryMismatch
+from .errors import ChannelMismatch, DictionaryMismatch, InvariantViolation
 
 #: Index of the out-of-range count, the last entry of every histogram.
 OUTLIER_BIN = -1
@@ -361,80 +361,222 @@ def merge_all(samples) -> SummarySample:
     return acc
 
 
-@dataclass(frozen=True)
-class Stack:
-    """Stored samples in time order beside their statistics stacked into arrays, as :func:`stack` builds it.
+#: The optional statistics a :class:`Stack` keeps a lacks mask for, in the row order of its ``masks``.
+LACKABLE = ("variance", "min_v", "max_v", "covariance", "hull", "histogram", "swv")
+_MASK = {name: i for i, name in enumerate(LACKABLE)}
 
-    ``t_start`` and ``n`` hold one entry per sample; ``mean``, ``variance``, ``min_v`` and ``max_v`` are read-only
-    ``(samples, channels)`` arrays, NaN where a sample lacks the statistic.  ``histogram`` holds the counts as
-    ``(samples, bins + 1)`` on the shared ``hist_edges``, zero for a sample without one, or both are None.
+
+class Stack:
+    """Stored samples in time order as columns: the table a record keeps, and what :func:`stack` makes of samples.
+
+    ``t_start``, ``t_end`` and ``n`` hold one entry per row, the rows of
+    ``spans``.  ``mean``, ``variance``, ``min_v`` and ``max_v`` are
+    ``(rows, channels)``, the rows of ``moments``, and ``covariance`` is
+    ``(rows, channels, channels)``, NaN where a row lacks the statistic.
+    ``histogram`` holds the counts as ``(rows, bins + 1)`` on the shared
+    ``hist_edges``, zero where a row lacks one.  ``hull`` and ``swv`` are
+    ragged: their rows (a hull vertex of 2 values, an SWV term of
+    ``channels``) for every row of the table in turn, row i's from
+    ``hull_at[i]`` to ``hull_at[i + 1]`` (``swv_at`` alike), none where it
+    lacks one.  An optional column that no row keeps may be None.
+
+    ``masks`` holds an explicit lacks mask per statistic of :data:`LACKABLE`
+    (:meth:`lacks`), true where a row keeps none, as after a drop; a kept
+    NaN is not lacking.  Every array is read-only.
+
+    :attr:`samples` are the rows as :class:`SummarySample` views, made on
+    first read and kept: their arrays are row views of one copy per column,
+    so editing a view changes neither the table nor another view of it.
     """
 
-    samples: list
-    t_start: np.ndarray
-    n: np.ndarray
-    mean: np.ndarray
-    variance: np.ndarray
-    min_v: np.ndarray
-    max_v: np.ndarray
-    histogram: np.ndarray | None = None
-    hist_edges: np.ndarray | None = None
+    __slots__ = ("spans", "t_start", "t_end", "n", "moments", "mean", "variance", "min_v", "max_v", "masks",
+                 "covariance", "hull", "hull_at", "histogram", "hist_edges", "swv", "swv_at", "_samples")
+
+    def __init__(self, spans, moments, masks, covariance=None, hull=None, hull_at=None, histogram=None,
+                 hist_edges=None, swv=None, swv_at=None, samples=None):
+        """``spans`` is ``(3, rows)`` int64, ``moments`` ``(4, rows, channels)`` float64 and ``masks``
+        ``(len(LACKABLE), rows)`` bool; the other columns as the class holds them."""
+        for a in (spans, moments, masks, covariance, hull, hull_at, histogram, swv, swv_at):
+            if a is not None:  # the shared edges are the statistic set's, read-only already
+                a.setflags(write=False)
+        self.spans, self.moments, self.masks = spans, moments, masks
+        self.t_start, self.t_end, self.n = spans
+        self.mean, self.variance, self.min_v, self.max_v = moments
+        self.covariance, self.hull, self.hull_at = covariance, hull, hull_at
+        self.histogram, self.hist_edges, self.swv, self.swv_at = histogram, hist_edges, swv, swv_at
+        self._samples = samples
+
+    def __len__(self) -> int:
+        return self.t_start.shape[0]
 
     def lacks(self, name: str) -> np.ndarray:
-        """The mask of the samples whose field ``name`` is None; a stacked NaN is looked up, as a row may hold NaN."""
-        if name not in ("variance", "min_v", "max_v"):
-            return np.array([getattr(s, name) is None for s in self.samples], dtype=bool)
-        out = np.isnan(getattr(self, name)).any(axis=1)
-        if out.any():
-            out[out] = [getattr(s, name) is None for s in itertools.compress(self.samples, out)]
-        return out
+        """The mask of the rows that keep no ``name``, a statistic of :data:`LACKABLE`."""
+        return self.masks[_MASK[name]]
 
     def node_count(self) -> int:
-        return len(self.samples)
+        return len(self)
+
+    @property
+    def samples(self) -> list[SummarySample]:
+        """The rows as samples, in time order: made on first read, then kept with the table."""
+        if self._samples is None:
+            self._samples = _views(self)
+        return self._samples
+
+    def take(self, rows) -> "Stack":
+        """The table of ``rows`` (indices) of this one, in their order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        cov, hist = self.covariance, self.histogram
+        return Stack(
+            self.spans.take(rows, 1), self.moments.take(rows, 1), self.masks.take(rows, 1),
+            None if cov is None else cov.take(rows, 0), *_take_ragged(self.hull, self.hull_at, rows),
+            None if hist is None else hist.take(rows, 0), self.hist_edges, *_take_ragged(self.swv, self.swv_at, rows),
+        )
+
+
+def _take_ragged(values, at, rows):
+    """The ragged rows and offsets of the table rows ``rows``; (None, None) for a column no row keeps."""
+    if values is None:
+        return None, None
+    sizes = np.diff(at).take(rows)
+    out = np.zeros(rows.shape[0] + 1, dtype=np.int64)
+    np.cumsum(sizes, out=out[1:])
+    return values.take(np.repeat(at.take(rows) - out[:-1], sizes) + np.arange(out[-1]), axis=0), out
+
+
+def _views(st: Stack) -> list[SummarySample]:
+    """A sample per row of ``st``: every array a row view of one copy of its column, None where the row lacks it."""
+
+    def spread(name: str, values) -> list:
+        lacks = st.lacks(name)
+        if not lacks.any():
+            return list(values)
+        return [None if gone else v for v, gone in zip(values, lacks.tolist())]
+
+    cols = {name: getattr(st, name).tolist() for name in ("t_start", "t_end", "n")}
+    cols["mean"] = list(st.mean.copy())
+    for name in ("variance", "min_v", "max_v", "covariance"):
+        if (col := getattr(st, name)) is not None:
+            cols[name] = spread(name, col.copy())
+    for name, values, at in (("hull", st.hull, st.hull_at), ("swv", st.swv, st.swv_at)):
+        if values is not None:
+            values, at = values.copy(), at.tolist()
+            cols[name] = spread(name, [values[i:j] for i, j in zip(at, at[1:])])
+    if st.histogram is not None:
+        hists = cols["histogram"] = spread("histogram", map(tuple, st.histogram.tolist()))
+        cols["hist_edges"] = [None if h is None else st.hist_edges for h in hists]
+    none = itertools.repeat(None)
+    return list(map(SummarySample, *(cols.get(name, none) for name in _FIELDS)))
+
+
+def _ragged(values: list, width: int):
+    """The rows and offsets of a ragged column from one array or None per sample; (None, None) when all are None."""
+    kept = [x for x in values if x is not None]
+    if not kept:
+        return None, None
+    at = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum([0 if x is None else x.shape[0] for x in values], out=at[1:])
+    return np.concatenate(kept).astype(np.float64, copy=False).reshape(-1, width), at
 
 
 def stack(samples, channels: int) -> Stack:
-    """Stack stored samples of ``channels`` channels into one :class:`Stack`.
+    """The :class:`Stack` of stored samples of ``channels`` channels, in their order; the samples are its views.
 
-    Their statistics are C-contiguous float64 arrays, as this module and the container make them, so their joined
-    bytes are the stack.  Histograms must share their bin edges, as a record's do, or ``DictionaryMismatch`` is raised.
+    Their moments are C-contiguous float64 arrays, as this module makes them, so their joined bytes are the
+    columns.  Histograms must share their bin edges, as a record's do, or ``DictionaryMismatch`` is raised, and hold
+    one count per bin and the outliers, or ``InvariantViolation`` is raised.
     """
     samples = list(samples)
     k, d = len(samples), channels
     unknown = np.full(d, np.nan)
-    starts, counts, moments = [], [], []
-    edges = None
+    spans, moments, lacking, covs, hulls, hists, swvs = [], [], [], [], [], [], []
+    edges = width = None
     for s in samples:
-        v, lo, hi = s.variance, s.min_v, s.max_v
-        starts.append(s.t_start)
-        counts.append(s.n)
+        v, lo, hi, c, hull, h, swv = s.variance, s.min_v, s.max_v, s.covariance, s.hull, s.histogram, s.swv
+        spans += s.t_start, s.t_end, s.n
         moments += s.mean, unknown if v is None else v, unknown if lo is None else lo, unknown if hi is None else hi
-        if s.histogram is not None:
-            if edges is not None and s.hist_edges is not edges and not np.array_equal(s.hist_edges, edges):
+        lacking += v is None, lo is None, hi is None, c is None, hull is None, h is None, swv is None
+        covs.append(c)
+        hulls.append(hull)
+        hists.append(h)
+        swvs.append(swv)
+        if h is not None:
+            if width is None:
+                edges = s.hist_edges
+                width = len(h) if edges is None else edges.shape[0]
+            elif s.hist_edges is not edges and not np.array_equal(s.hist_edges, edges):
                 raise DictionaryMismatch("histogram bin edges differ")
-            edges = s.hist_edges
-    mean, variance, min_v, max_v = np.frombuffer(b"".join(moments)).reshape(k, 4, d).transpose(1, 0, 2)
-    histogram = None
-    if edges is not None:
-        zero = (0,) * edges.shape[0]  # the counts of a sample without a histogram
-        flat = itertools.chain.from_iterable(zero if s.histogram is None else s.histogram for s in samples)
-        histogram = np.fromiter(flat, np.int64, k * len(zero)).reshape(k, -1)
-    starts, counts = np.array(starts, dtype=np.int64), np.array(counts, dtype=np.int64)
-    return Stack(samples, starts, counts, mean, variance, min_v, max_v, histogram, edges)
+            if len(h) != width:
+                where = f"sample [{s.t_start},{s.t_end}) of n = {s.n}"
+                raise InvariantViolation(f"{where} has histogram {h} on {width - 1} bins")
+    moments = np.frombuffer(b"".join(moments)).reshape(k, 4, d).transpose(1, 0, 2)
+    spans = np.array(spans, dtype=np.int64).reshape(k, 3).T.copy()
+    masks = np.array(lacking, dtype=bool).reshape(k, len(LACKABLE)).T.copy()
+    covariance = None
+    if not masks[_MASK["covariance"]].all():
+        covariance = np.full((k, d, d), np.nan)
+        covariance[~masks[_MASK["covariance"]]] = [c for c in covs if c is not None]
+    counts = None
+    if width is not None:
+        zero = (0,) * width  # the counts of a sample without a histogram
+        flat = itertools.chain.from_iterable(zero if h is None else h for h in hists)
+        counts = np.fromiter(flat, np.int64, k * width).reshape(k, width)
+    return Stack(
+        spans, moments, masks, covariance, *_ragged(hulls, 2), counts, edges, *_ragged(swvs, d), samples=samples
+    )
 
 
-def merge_runs(st: Stack, rows: np.ndarray, t_rows: int, spans, splits, opts: StatisticSet) -> list[SummarySample]:
-    """Merge the sources of each span, every span in one grouped reduction.
+def concat(stacks) -> Stack:
+    """The rows of ``stacks`` (of one channel count), one table after another.
 
-    The sources are the stored samples of the :class:`Stack` ``st``, in
-    time order, followed by the point samples of ``rows`` (rows x
-    channels) under ``opts``, row j covering step ``t_rows + j``.
-    ``spans``, each with a ``t_start`` and a ``t_end`` (a ``record.Span``),
-    come in time order; the sources starting in a span must tile it, and
-    every source lies in one, but spans need not be adjacent.  Empty
-    ``rows`` with the one span ``(0, now)`` gives the aggregate of the
-    stacked samples, as :meth:`record.SummaryRecord.aggregate` reduces its
-    kept stack.
+    An optional column that some of ``stacks`` keep and others do not reads,
+    where it is missing, as a lacking row's does: NaN, zero counts, no rows.
+    """
+    d = stacks[0].mean.shape[1]
+
+    def column(name: str, missing=None, axis: int = 0):
+        """Column ``name`` of every table; ``missing(k)`` fills an optional column where a table of k rows has none."""
+        parts = [getattr(s, name) for s in stacks]
+        if missing is not None:
+            if all(p is None for p in parts):
+                return None
+            parts = [missing(len(s)) if p is None else p for s, p in zip(stacks, parts)]
+        return np.concatenate(parts, axis=axis)
+
+    def ragged(name: str):
+        if all(getattr(s, name) is None for s in stacks):
+            return None, None
+        values, ats, base = [], [np.zeros(1, dtype=np.int64)], 0
+        for s in stacks:
+            at = getattr(s, f"{name}_at")
+            if at is None:
+                ats.append(np.full(len(s), base, dtype=np.int64))
+            else:
+                values.append(getattr(s, name))
+                ats.append(at[1:] + base)
+                base += int(at[-1])
+        return np.concatenate(values), np.concatenate(ats)
+
+    kept = [s for s in stacks if s.histogram is not None]
+    edges, width = (kept[0].hist_edges, kept[0].histogram.shape[1]) if kept else (None, 0)
+    return Stack(
+        column("spans", axis=1), column("moments", axis=1), column("masks", axis=1),
+        column("covariance", lambda k: np.full((k, d, d), np.nan)), *ragged("hull"),
+        column("histogram", lambda k: np.zeros((k, width), dtype=np.int64)), edges, *ragged("swv"),
+    )
+
+
+def merge_runs(st: Stack, rows: np.ndarray, t_rows: int, spans, splits, opts: StatisticSet) -> Stack:
+    """Merge the sources of each span, every span in one grouped reduction; the table of the merges, one row a span.
+
+    The sources are the rows of the :class:`Stack` ``st``, in time order,
+    followed by the point samples of ``rows`` (rows x channels) under
+    ``opts``, row j covering step ``t_rows + j``.  ``spans``, each with a
+    ``t_start`` and a ``t_end`` (a ``record.Span``), come in time order; the
+    sources starting in a span must tile it, and every source lies in one,
+    but spans need not be adjacent.  Empty ``rows`` with the one span
+    ``(0, now)`` gives the aggregate of the table, as
+    :meth:`record.SummaryRecord.aggregate` reduces its kept table.
 
     Each span gets the k-way form of :func:`merge`'s formulas: with
     N = sum n_i and M = sum n_i m_i / N over its sources,
@@ -454,52 +596,61 @@ def merge_runs(st: Stack, rows: np.ndarray, t_rows: int, spans, splits, opts: St
     moments agree with it to rounding.  Counts, extrema and histograms are
     exact, and a hull is the hull of every vertex and row of its span, as a
     chain of ``merge_hull`` gives it.  A statistic that any source of a span
-    lacks, by the stack's :meth:`Stack.lacks` mask reduced over the span, is
-    None on the result.
+    lacks, by the table's :meth:`Stack.lacks` mask reduced over the span, is
+    lacking on its row, as is every optional statistic ``opts`` does not
+    keep.
     """
     m, d = rows.shape
-    samples, k = st.samples, len(st.samples)
+    k = len(st)
     n_runs = len(spans)
 
     starts = np.concatenate([st.t_start, np.arange(t_rows, t_rows + m + 1)])  # every source's start, then the end
-    at, end = np.searchsorted(starts, [t for s in spans for t in (s.t_start, s.t_end)]).reshape(-1, 2).T
+    bounds = np.array([t for s in spans for t in (s.t_start, s.t_end)], dtype=np.int64).reshape(-1, 2)
+    at, end = np.searchsorted(starts, bounds.ravel()).reshape(-1, 2).T
     sizes = end - at
-    firsts, ends = at.tolist(), end.tolist()
-    tail = np.zeros(m, dtype=bool)  # a row lacks nothing
-
-    def kept(name: str, values) -> list:
-        """``values`` per span, None on the spans with a source that lacks the field ``name``."""
-        lacks = st.lacks(name)
-        if not lacks.any():
-            return list(values)
-        lost = np.logical_or.reduceat(np.concatenate([lacks, tail]), at).tolist()
-        return [None if gone else v for v, gone in zip(values, lost)]
+    # a span lacks what any of its sources lacks, and a row lacks nothing; a statistic ``opts`` does not keep lacks
+    # on every span
+    masks = np.logical_or.reduceat(np.concatenate([st.masks, np.zeros((len(LACKABLE), m), dtype=bool)], 1), at, 1)
+    kept = (True, True, True, opts.covariance, opts.hull and d == 2, opts.histogram_edges is not None, opts.swv)
+    masks[[not x for x in kept]] = True
+    lost = dict(zip(LACKABLE, masks))
 
     means = np.concatenate([st.mean, rows])
     weight = np.concatenate([st.n, np.ones(m)])[:, np.newaxis]
     total = np.add.reduceat(weight, at)
-    mean = np.add.reduceat(weight * means, at) / total
+    moments = np.empty((4, n_runs, d))  # the columns of the result
+    mean, variance, low, high = moments
+    np.divide(np.add.reduceat(weight * means, at), total, out=mean)
     dev = means - np.repeat(mean, sizes, axis=0)
     lone = (sizes == 1) & (at >= k)  # a lone row, whose inf or NaN dev would read NaN
-    variance = np.add.reduceat(weight * (np.concatenate([st.variance, np.zeros((m, d))]) + dev * dev), at) / total
+    np.divide(np.add.reduceat(weight * (np.concatenate([st.variance, np.zeros((m, d))]) + dev * dev), at), total,
+              out=variance)
     variance[lone] = 0.0
-    variance = kept("variance", variance)
-    low = kept("min_v", np.minimum.reduceat(np.concatenate([st.min_v, rows]), at))
-    high = kept("max_v", np.maximum.reduceat(np.concatenate([st.max_v, rows]), at))
+    np.minimum.reduceat(np.concatenate([st.min_v, rows]), at, out=low)
+    np.maximum.reduceat(np.concatenate([st.max_v, rows]), at, out=high)
+    if masks[:3].any():
+        moments[1:][masks[:3]] = np.nan
 
-    covariance = hulls = hists = swv = [None] * n_runs  # an optional statistic not kept is None on every span
+    covariance = hull = hull_at = counts = swv = swv_at = None
     if opts.covariance:
         cov = np.zeros((k + m, d, d))
-        kept_cov = [s.covariance for s in samples if s.covariance is not None]
-        cov[:k][~st.lacks("covariance")] = np.frombuffer(b"".join(kept_cov)).reshape(-1, d, d)
+        if st.covariance is not None:
+            cov[:k] = st.covariance  # NaN where a source lacks one, which loses its span's
         cov += dev[:, :, np.newaxis] * dev[:, np.newaxis, :]
-        cov = np.add.reduceat(weight[:, :, np.newaxis] * cov, at) / total[:, :, np.newaxis]
-        cov[lone] = 0.0
-        covariance = kept("covariance", cov)
+        covariance = np.add.reduceat(weight[:, :, np.newaxis] * cov, at) / total[:, :, np.newaxis]
+        covariance[lone] = 0.0
+        covariance[lost["covariance"]] = np.nan
 
     if opts.hull and d == 2:
-        parts = ([s.hull for s in samples[i:j]] + [rows[max(i - k, 0) : max(j - k, 0)]] for i, j in zip(firsts, ends))
-        hulls = [None if ps is None else convex_hull(np.vstack(ps)) for ps in kept("hull", parts)]
+        vertices = np.empty((0, 2)) if st.hull is None else st.hull
+        vat = [0] * (k + 1) if st.hull is None else st.hull_at.tolist()
+        hulls = []
+        for i, j, gone in zip(at.tolist(), end.tolist(), lost["hull"].tolist()):
+            # a span's stored vertices are one run of the ragged column, and its rows one run of ``rows``
+            stored = vertices[vat[min(i, k)] : vat[min(j, k)]]
+            hulls.append(None if gone else convex_hull(np.vstack([stored, rows[max(i - k, 0) : max(j - k, 0)]])))
+        lost["hull"][:] = [h is None for h in hulls]  # also the spans of a non-finite row
+        hull, hull_at = _ragged(hulls, 2)
 
     run = np.repeat(np.arange(n_runs), sizes)  # the span of every source
     edges = opts.edges_array()
@@ -514,13 +665,15 @@ def merge_runs(st: Stack, rows: np.ndarray, t_rows: int, spans, splits, opts: St
         if m:
             cells = run[k:] * width + hist_bins(edges, rows[:, 0]) % width
             counts += np.bincount(cells, minlength=n_runs * width).reshape(n_runs, width)
-        hists = kept("histogram", map(tuple, counts.tolist()))
+        counts[lost["histogram"]] = 0
 
     if opts.swv:
-        terms = np.zeros((n_runs, spectrum.depth(int(total.max())), d))
-        for r, s in zip(run.tolist(), samples):
-            if s.swv is not None:
-                terms[r, : s.swv.shape[0]] += s.n * s.swv
+        n_of = total[:, 0]
+        terms = np.zeros((n_runs, spectrum.depth(int(n_of.max())), d))
+        if st.swv is not None:
+            owner = np.repeat(np.arange(k), np.diff(st.swv_at))
+            term = np.arange(owner.shape[0]) - st.swv_at[owner]  # each stored term's scale
+            np.add.at(terms, (run[owner], term), st.n[owner, np.newaxis] * st.swv)
         splits = np.array(splits, dtype=np.int64).reshape(-1, 3)
         at3 = np.searchsorted(starts, splits.ravel())  # the sources where each merge starts, halves and ends
         half = np.add.reduceat(np.vstack([weight * means, np.zeros(d)]), at3).reshape(-1, 3, d)
@@ -528,25 +681,15 @@ def merge_runs(st: Stack, rows: np.ndarray, t_rows: int, spans, splits, opts: St
         m_a, m_b, m_ab = half[:, 0] / n_a, half[:, 1] / n_b, (half[:, 0] + half[:, 1]) / (n_a + n_b)
         scale = np.frexp(splits[:, 2] - splits[:, 0] - 1)[1] - 1  # spectrum.depth(n_a + n_b) - 1, for n < 2^53
         np.add.at(terms, (run[at3[0::3]], scale), n_a * (m_a - m_ab) ** 2 + n_b * (m_b - m_ab) ** 2)  # as merge
-        swv = kept("swv", (t[: spectrum.depth(int(n))] / n for t, n in zip(terms, total[:, 0])))
+        depth = np.where(lost["swv"], 0, spectrum.depths(n_of.astype(np.int64)))
+        swv = (terms / n_of[:, np.newaxis, np.newaxis])[np.arange(terms.shape[1]) < depth[:, np.newaxis]]
+        swv_at = np.zeros(n_runs + 1, dtype=np.int64)
+        np.cumsum(depth, out=swv_at[1:])
 
-    return [
-        SummarySample(
-            t_start=span.t_start,
-            t_end=span.t_end,
-            n=int(n),
-            mean=mu,
-            variance=variance[r],
-            min_v=low[r],
-            max_v=high[r],
-            covariance=covariance[r],
-            hull=hulls[r],
-            histogram=hists[r],
-            hist_edges=None if hists[r] is None else edges,
-            swv=swv[r],
-        )
-        for r, (span, n, mu) in enumerate(zip(spans, total[:, 0].tolist(), mean))
-    ]
+    return Stack(
+        np.vstack([bounds.T, total.T.astype(np.int64)]), moments, masks, covariance, hull, hull_at, counts,
+        None if counts is None else edges, swv, swv_at,
+    )
 
 
 def scalar_cost(s: SummarySample) -> tuple[int, int]:

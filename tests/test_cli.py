@@ -122,6 +122,40 @@ def test_inspect_truncated_store_exits_2_without_traceback(gfs, tmp_path):
         assert "Traceback" not in err
 
 
+def test_an_append_to_a_format_6_store_works_on_its_columns_alone(gfs, tmp_path, monkeypatch):
+    """One `gfs ingest` of 100 rows into an existing store reads, validates, curates and writes the record's table:
+    it makes no sample object, builds no table from samples, decodes no sample and walks no sample."""
+    store = tmp_path / "s.gfs"
+    rows = np.random.default_rng(9).normal(size=3_100).tolist()
+    assert gfs(["ingest", str(store)], "".join(f"{x!r}\n" for x in rows[:3_000]))[0] == 0
+    want = container.load(store).ingest_block(rows[3_000:])
+    made = []
+
+    def refused(name):
+        def call(*args, **kwargs):
+            made.append(name)
+            raise AssertionError(f"{name} called")
+
+        return call
+
+    sample_init = stats.SummarySample.__init__
+
+    def counted_init(self, *args, **kwargs):
+        made.append("SummarySample")
+        sample_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(stats.SummarySample, "__init__", counted_init)
+    monkeypatch.setattr(stats, "stack", refused("stats.stack"))
+    monkeypatch.setattr(container, "_decode_sample", refused("container._decode_sample"))
+    monkeypatch.setattr(stats.Stack, "samples", property(refused("Stack.samples")))
+    monkeypatch.setattr(SummaryRecord, "samples_in_time_order", refused("samples_in_time_order"))
+    rc, out, err = gfs(["ingest", str(store)], "".join(f"{x!r}\n" for x in rows[3_000:]))
+    assert (rc, err, made) == (0, "", [])
+    assert out == f"ingested 100 rows; slots {want.slots()}/{want.budget}; t = 3100\n"
+    monkeypatch.undo()
+    assert container.load(store) == want
+
+
 def test_budget_on_an_existing_store_rebalances_it(gfs, tmp_path):
     store = tmp_path / "s.gfs"
     assert gfs(["ingest", str(store), "--budget", "16"], csv_rows(100))[0] == 0

@@ -338,34 +338,42 @@ def newest_in_two_channels(rec):
 
 def newest_holds_seven_rows(rec):
     rec.levels[0][-1].n = 7
+    rec.levels = rec.levels  # the edit reaches the table
 
 
 def newest_counts_a_stray_bin(rec):
     rec.levels[0][-1].histogram = (0,) * 7 + (1, 0)  # written as key 7
+    rec.levels = rec.levels  # the edit reaches the table
 
 
 def newest_counts_two_rows(rec):
     rec.levels[0][-1].histogram = (2, 0, 0)
+    rec.levels = rec.levels  # the edit reaches the table
 
 
 def newest_variance_negative(rec):
     rec.levels[0][-1].variance = np.array([-1.0])
+    rec.levels = rec.levels  # the edit reaches the table
 
 
 def newest_covariance_negative(rec):
     rec.levels[0][-1].covariance = np.array([[-1.0]])
+    rec.levels = rec.levels  # the edit reaches the table
 
 
 def newest_minimum_above_maximum(rec):
     rec.levels[0][-1].min_v = rec.levels[0][-1].max_v + 1.0
+    rec.levels = rec.levels  # the edit reaches the table
 
 
 def newest_keeps_an_swv_term(rec):
     rec.levels[0][-1].swv = np.ones((1, 1))  # a one-row sample has no scale
+    rec.levels = rec.levels  # the edit reaches the table
 
 
 def oldest_swv_term_negative(rec):
     rec.levels[-1][0].swv[0] = -1.0
+    rec.levels = rec.levels  # the edit reaches the table
 
 
 @pytest.mark.parametrize(
@@ -403,6 +411,7 @@ def test_a_hull_with_no_vertex_does_not_load():
     rec.ingest_block([[0, 0], [1, 1], [0, 1], [5, 5], [6, 6]])
     assert not rec.membership([0.0, 1.0]).absent_certain
     next(rec.samples_in_time_order()).hull = np.empty((0, 2))  # would rule out every value
+    rec.levels = rec.levels  # the edit reaches the table
     with pytest.raises(InvariantViolation, match=r"\[0,4\) of n = 4 has a hull with no vertex"):
         container.read(container.write(rec))
 

@@ -176,6 +176,7 @@ def test_a_sample_that_keeps_only_its_minimum_rules_out_only_values_below_it():
     rec.ingest_block(raw)
     for s in rec.levels[-1]:
         s.max_v = None  # compact drops both extrema, but a container may hold a sample with one
+    rec.levels = rec.levels  # the edit reaches the table
     back = container.read(container.write(rec))
     assert all(s.min_v is not None and s.max_v is None for s in back.levels[-1])
     for x in raw:

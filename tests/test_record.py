@@ -354,6 +354,7 @@ def test_validate_wants_one_histogram_count_per_bin_and_the_outliers():
     rec.ingest_block([0.5, 1.5, 9.0])
     rec.validate()
     rec.levels[0][-1].histogram = (0, 1)  # the outlier dropped: it still sums to n
+    rec.levels = rec.levels  # the edit reaches the table
     with pytest.raises(InvariantViolation, match=r"\[2,3\) of n = 1 has histogram \(0, 1\) on 2 bins"):
         rec.validate()
 
